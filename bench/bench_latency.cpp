@@ -8,17 +8,16 @@
 //    does not change MACs — shown by the per-scheme latency table.
 //
 // Since DESIGN.md §11 it also quantifies the zero-allocation steady
-// state: the graph predict path (the pre-§11 implementation: Variable
-// graph, per-call heap allocations) against the planned path (raw
-// forward inside a workspace arena, pre-packed weights, fused
-// epilogues), on both kernel backends, with per-call heap-allocation
-// counts measured by the operator-new hooks from tests/alloc_hooks.cpp.
-//
-// Since DESIGN.md §16 a third "compiled" row runs the same predict
-// through the inference plan compiler (blocked NCHWc8 layout, fused
-// cross-layer epilogues, minimal buffer schedule), and the JSON records
-// the active CPU feature tier plus the solver the dispatch registry
-// binds for every recorded conv layer.
+// state: the graph predict path (Variable graph, per-call heap
+// allocations) against the compiled inference plan (DESIGN.md §16:
+// blocked NCHWc8 layout, fused cross-layer epilogues, minimal buffer
+// schedule inside a workspace arena) — the one path that serves every
+// eval-mode request — on both kernel backends, for the three request
+// kinds the plan compiles: fused, RGB-only (fusion weight 0) and a
+// stream cache hit. Per-call heap-allocation counts come from the
+// operator-new hooks in tests/alloc_hooks.cpp. The JSON records the
+// active CPU feature tier plus the solver the dispatch registry binds for
+// every conv one planned predict sends through it.
 //
 // Flags:
 //   --smoke        seconds-fast mode: path comparison only, few repeats,
@@ -27,7 +26,6 @@
 //                  BENCH_latency.json) to FILE
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -63,8 +61,8 @@ double measure_latency_ms(roadseg::SegmentationModel& net,
          repeats;
 }
 
-/// The graph predict path — the exact op sequence `predict` ran before
-/// the planned path existed: build the Variable graph, sigmoid, reshape.
+/// The graph predict path — what `predict` runs for a model without a
+/// plan: build the Variable graph, sigmoid, reshape.
 tensor::Tensor graph_predict(const roadseg::SegmentationModel& net,
                              const tensor::Tensor& rgb,
                              const tensor::Tensor& depth) {
@@ -142,10 +140,11 @@ int main(int argc, char** argv) {
       "single-core per-image forward latency; FD loss is training-only");
 
   // -------------------------------------------------------------------
-  // Steady-state path comparison (DESIGN.md §11): graph vs planned,
-  // both backends, with per-call heap-allocation counts. Weight values
-  // do not affect latency, so a seeded untrained model keeps this
-  // section deterministic and cache-independent.
+  // Steady-state path comparison (DESIGN.md §11, §16): graph vs the
+  // compiled plan's request kinds, both backends, with per-call
+  // heap-allocation counts. Weight values do not affect latency, so a
+  // seeded untrained model keeps this section deterministic and
+  // cache-independent.
   // -------------------------------------------------------------------
   const int path_repeats = smoke ? 5 : 50;
   const int64_t height = config.test_data.image_height;
@@ -159,6 +158,7 @@ int main(int argc, char** argv) {
   roadseg::RoadSegNet net(config.net, model_rng);
   net.set_training(false);
   net.prepare_inference();
+  roadseg::StreamFeatureCache cache;
 
   std::vector<PathRow> rows;
   const std::string previous_backend = autograd::kernels::backend_name();
@@ -167,41 +167,39 @@ int main(int argc, char** argv) {
     rows.push_back({backend, "graph",
                     measure_path([&] { (void)graph_predict(net, rgb, depth); },
                                  path_repeats)});
-    // "planned" is the raw graph-order workspace path (DESIGN.md §11);
-    // "compiled" runs the same predict through the inference plan
-    // (DESIGN.md §16: blocked NCHWc8 layout, fused cross-layer
-    // epilogues). ROADFUSION_PLAN is re-read at every prepare_inference.
-    ::setenv("ROADFUSION_PLAN", "0", 1);
-    net.prepare_inference();
-    rows.push_back({backend, "planned",
-                    measure_path([&] { (void)net.predict(rgb, depth); },
-                                 path_repeats)});
-    ::unsetenv("ROADFUSION_PLAN");
-    net.prepare_inference();
     rows.push_back({backend, "compiled",
                     measure_path([&] { (void)net.predict(rgb, depth); },
                                  path_repeats)});
+    rows.push_back(
+        {backend, "compiled_rgb_only",
+         measure_path([&] { (void)net.predict_fused(rgb, depth, 0.0f); },
+                      path_repeats)});
+    // Unchanged depth: after the warm-up's first (missing) call every
+    // timed call is a hit.
+    rows.push_back({backend, "compiled_stream_hit",
+                    measure_path(
+                        [&] {
+                          (void)net.predict_stream(rgb, depth, 1.0f, cache,
+                                                   true);
+                        },
+                        path_repeats)});
   }
   autograd::kernels::set_backend(previous_backend);
 
-  // Per-layer solver selections: record the conv problems of one
-  // graph-order predict, then ask the dispatch layer what it binds for
-  // each. Under the compiled plan the interior encoder convs never reach
-  // this registry — they run the plan's own nchwc_direct kernel — so
-  // this table describes the graph-order layers (stems, stage-0 filters,
-  // decoder under the plan; everything when the plan declines).
-  ::setenv("ROADFUSION_PLAN", "0", 1);
-  net.prepare_inference();
+  // Per-layer solver selections: record the conv problems of one planned
+  // predict, then ask the dispatch layer what it binds for each. The
+  // interior encoder convs run the plan's own nchwc_direct kernel and
+  // never reach this registry, so the table covers the stems and the
+  // decoder. It reads `reference` because that is the default
+  // GemmBackend.
   tune::clear_recorded_problems();
   tune::set_problem_recording(true);
   (void)net.predict(rgb, depth);
   tune::set_problem_recording(false);
-  ::unsetenv("ROADFUSION_PLAN");
-  net.prepare_inference();
   const std::vector<tune::ConvProblem> layer_problems =
       tune::recorded_problems();
 
-  std::printf("\nSteady-state predict: graph path vs planned path (%lldx%lld, "
+  std::printf("\nSteady-state predict: graph path vs compiled plan (%lldx%lld, "
               "%d repeats)\n",
               static_cast<long long>(height), static_cast<long long>(width),
               path_repeats);
@@ -243,23 +241,15 @@ int main(int argc, char** argv) {
                                          : "legacy"))
         .end_object();
   }
-  json.end_array()
-      .begin_object("speedup_graph_to_planned");
-  for (size_t i = 0; i + 2 < rows.size(); i += 3) {
-    // rows come in (graph, planned, compiled) triples per backend
+  json.end_array().begin_object("speedup_graph_to_compiled");
+  for (size_t i = 0; i + 1 < rows.size(); i += 4) {
+    // rows come in (graph, compiled, rgb_only, stream_hit) quads per
+    // backend
     json.field(rows[i].backend,
                rows[i].m.latency_ms / rows[i + 1].m.latency_ms, 3);
-    std::printf("%s: planned is %.2fx the graph path\n",
+    std::printf("%s: compiled plan is %.2fx the graph path\n",
                 rows[i].backend.c_str(),
                 rows[i].m.latency_ms / rows[i + 1].m.latency_ms);
-  }
-  json.end_object().begin_object("speedup_planned_to_compiled");
-  for (size_t i = 0; i + 2 < rows.size(); i += 3) {
-    json.field(rows[i].backend,
-               rows[i + 1].m.latency_ms / rows[i + 2].m.latency_ms, 3);
-    std::printf("%s: compiled plan is %.2fx the planned path\n",
-                rows[i].backend.c_str(),
-                rows[i + 1].m.latency_ms / rows[i + 2].m.latency_ms);
   }
   json.end_object().end_object();
   std::printf("%s\n", json.str().c_str());
@@ -273,12 +263,11 @@ int main(int argc, char** argv) {
     std::fclose(out);
   }
   if (smoke) {
-    // Smoke mode is a check, not just a report: fail if the planned path
-    // regressed into allocating. (It also skips the training-heavy
-    // scheme table below.)
+    // Smoke mode is a check, not just a report: fail if any compiled
+    // request kind regressed into allocating. (It also skips the
+    // training-heavy scheme table below.)
     for (const PathRow& row : rows) {
-      if ((row.path == "planned" || row.path == "compiled") &&
-          row.m.allocs_per_call != 0.0) {
+      if (row.path != "graph" && row.m.allocs_per_call != 0.0) {
         std::fprintf(stderr,
                      "FAIL: %s path on %s backend allocates %.1f "
                      "times per call (expected 0)\n",
@@ -287,8 +276,8 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::printf("smoke check passed: planned and compiled paths "
-                "allocation-free on both backends\n");
+    std::printf("smoke check passed: compiled fused, rgb_only and "
+                "stream_hit paths allocation-free on both backends\n");
     return 0;
   }
 

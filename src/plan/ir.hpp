@@ -59,48 +59,70 @@ struct PackedConv {
   bool relu = false;
 };
 
-/// One buffer of the plan. NCHWc slots are allocated as flat zeroed
-/// tensors of nchwc_floats(...) elements; NCHW slots as (n, c, h, w).
+/// One buffer of the plan. NCHW slots are workspace-arena tensors of
+/// (n, c, h, w); NCHWc slots are zeroed regions of nchwc_floats(...)
+/// elements at `offset` in the run's one scratch buffer.
 struct SlotDef {
   Layout layout = Layout::kNchw;
   int64_t n = 0, c = 0, h = 0, w = 0;  ///< logical dims (border excluded)
-  /// Index of the last step reading this slot; the executor drops the
-  /// buffer right after that step so the workspace arena can reuse its
-  /// storage — this is the dead-transient elimination that keeps the
-  /// reserve() schedule minimal. -1 = live until the end of the plan.
+  /// Index of the last step reading this slot. An NCHW slot is dropped
+  /// right after that step so the arena can reuse its storage; an NCHWc
+  /// slot's scratch region is free for later slots from then on. This is
+  /// the dead-transient elimination that keeps the footprint minimal.
+  /// -1 = never read.
   int last_use = -1;
+  /// NCHWc only: float offset of the slot's region in the scratch buffer.
+  int64_t offset = 0;
+  /// >= 0: the slot is StreamFeatureCache::slots[cache_index], a heap
+  /// buffer outside the arena that the stream-miss schedule writes and
+  /// the stream-hit schedule reads. Never released.
+  int cache_index = -1;
   std::string label;  ///< for --explain-plan
 };
 
+/// The network layer a step belongs to: the layer a kLayer step runs,
+/// the branch of a kConvNchwc step, and the trace span both report in.
+enum class LayerRef {
+  kNone,
+  kRgbStage,    ///< rgb encoder stage `stage` (stem or residual block)
+  kDepthStage,  ///< depth encoder stage `stage`
+  kDepthToRgb,  ///< depth->rgb fusion filter of `stage`
+  kRgbToDepth,  ///< rgb->depth fusion filter of `stage` (AllFilter_B)
+};
+
 enum class StepKind {
-  /// Stage 0 on plain NCHW via the existing layer paths: both stems, the
-  /// stage-0 fusion filters and the fusion sum. Writes dst (fused skip 0)
-  /// and aux (depth features d_0). Composite because stage 0 is the one
-  /// stage whose inputs arrive in NCHW anyway — no layout win available.
-  kStageZero,
+  /// An existing layer on plain NCHW through its `forward_infer`, so
+  /// solver bindings, forced solvers and int8 apply to it as to any conv.
+  /// src -> dst; src = -1 reads the network input of the step's branch.
+  kLayer,
   kConvertToNchwc,  ///< src (NCHW) -> dst (NCHWc)
   kConvertToNchw,   ///< src (NCHWc) -> dst (NCHW)
   /// Blocked direct conv src -> dst with the fused epilogue chain:
   /// bias -> BN affine -> (+ pre slot, the residual shortcut) -> ReLU ->
   /// (+ fusion_weight * post slot, the cross-layer fusion sum).
   kConvNchwc,
-  kAddInPlace,  ///< dst += src (blocked; AllFilter_B depth update)
-  kAccumulate,  ///< dst += fusion_weight * src (blocked fusion sum)
-  /// WeightedSharing head on NCHW: w = AWN(dst, aux); aux *= w per
-  /// sample; dst += fusion_weight * aux. Replays the graph path code.
+  kAddInPlace,  ///< dst += src (AllFilter_B depth update), either layout
+  kAccumulate,  ///< dst += fusion_weight * src (fusion sum), either layout
+  /// WeightedSharing head on NCHW: w = AWN(dst, aux) per sample, then
+  /// dst += fusion_weight * (w * aux). Reads aux only, so a cached aux
+  /// survives for the next frame.
   kAwnFuse,
-  kDecoder,  ///< decoder + head over the NCHW skip slots -> dst (logits)
+  kDecoder,  ///< decoder + head over the NCHW skip slots -> logits
 };
 
 struct Step {
-  StepKind kind = StepKind::kStageZero;
+  StepKind kind = StepKind::kLayer;
   int src = -1;
   int dst = -1;
   int pre = -1;   ///< kConvNchwc: residual shortcut slot
   int post = -1;  ///< kConvNchwc: fusion-sum slot (scaled by fusion weight)
-  int aux = -1;   ///< kStageZero: d_0 out; kAwnFuse: depth features slot
+  int aux = -1;   ///< kAwnFuse: depth features slot
   const PackedConv* conv = nullptr;  ///< kConvNchwc only
-  int stage = 0;                     ///< for spans / --explain-plan
+  LayerRef layer = LayerRef::kNone;
+  int stage = 0;  ///< for spans / --explain-plan
+  /// Network layers (convs, AWN) this step executes, for
+  /// roadfusion_plan_layers_total{layout}.
+  int layers = 0;
 };
 
 }  // namespace roadfusion::plan

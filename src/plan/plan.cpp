@@ -1,7 +1,7 @@
 #include "plan/plan.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -25,6 +25,7 @@
 #include "roadseg/encoder.hpp"
 #include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
+#include "tensor/workspace.hpp"
 #include "tune/dispatch.hpp"
 #include "tune/solver.hpp"
 
@@ -34,13 +35,52 @@ namespace {
 using core::FusionScheme;
 using roadseg::Encoder;
 using roadseg::RoadSegNet;
+using roadseg::StreamFeatureCache;
 using tensor::Tensor;
 
 /// Fixed executor capacity — slot storage lives in a stack array so a
 /// plan run performs no per-call container allocation. Generous: the
-/// deepest supported network (8 stages) compiles to ~70 slots.
-constexpr int kMaxPlanSlots = 96;
+/// deepest supported network (8 stages) compiles to fewer than 100 slots.
+constexpr int kMaxPlanSlots = 128;
 constexpr int kMaxPlanStages = 8;
+/// Compiled schedules kept per model; the oldest is evicted first. The
+/// key's geometry comes from requests, so the cache must not grow with
+/// it. 16 holds all four variants of four geometries.
+constexpr size_t kMaxCachedPlans = 16;
+
+/// The schedules serving needs (DESIGN.md §16).
+enum class Variant {
+  kFused,       ///< fusion weight in (0, 1]
+  kRgbOnly,     ///< fusion weight 0: no depth-branch steps at all
+  kStreamMiss,  ///< fused, writing each fusion step's depth input to the cache
+  kStreamHit,   ///< rgb steps + fusion steps reading the cached depth inputs
+};
+constexpr std::array<Variant, 4> kVariants = {
+    Variant::kFused, Variant::kRgbOnly, Variant::kStreamMiss,
+    Variant::kStreamHit};
+constexpr const char* kVariantNames[] = {"fused", "rgb_only", "stream_miss",
+                                         "stream_hit"};
+
+const char* variant_name(Variant variant) {
+  return kVariantNames[static_cast<size_t>(variant)];
+}
+
+/// Why a plan runs every stage NCHW through the layer calls instead of
+/// the blocked layout.
+enum class NchwReason { kNone, kQuant, kForcedSolver, kKcDepth };
+constexpr const char* kReasonNames[] = {"none", "quant", "forced_solver",
+                                        "kc_depth"};
+
+const char* reason_name(NchwReason reason) {
+  return kReasonNames[static_cast<size_t>(reason)];
+}
+
+struct PlanKey {
+  int64_t n = 0, h = 0, w = 0;
+  Variant variant = Variant::kFused;
+  Layout layout = Layout::kNchwc;
+  bool operator==(const PlanKey&) const = default;
+};
 
 /// One residual block repacked for the blocked kernel. conv2 carries the
 /// post-shortcut ReLU (the epilogue order is bias -> BN -> +pre -> ReLU,
@@ -51,33 +91,88 @@ struct BlockPack {
   std::unique_ptr<PackedConv> proj;  ///< null = identity shortcut
 };
 
-/// Geometry-specific schedule; immutable once compiled.
+/// One schedule for one key; immutable once compiled.
 struct CompiledPlan {
-  int64_t n = 0, h = 0, w = 0;
+  PlanKey key;
   std::vector<SlotDef> slots;
   std::vector<Step> steps;
   std::vector<int> skip_slots;  ///< NCHW fused pyramid, stage 0 first
-  /// Slots to drop right after each step (their last reader) — computed
-  /// liveness that keeps the arena footprint minimal.
+  std::vector<int> cached;      ///< slot of each StreamFeatureCache::slots[k]
+  /// NCHW slots to drop right after each step (their last reader) —
+  /// computed liveness that keeps the arena footprint minimal.
   std::vector<std::vector<int>> release_after;
+  /// One scratch buffer holds every NCHWc slot at its compiled offset: a
+  /// single arena block per run instead of one per slot, so the arena's
+  /// best-fit reuse across batch sizes is not fragmented by them. It is
+  /// released after step `scratch_last_use`.
+  int64_t scratch_floats = 0;
+  int scratch_last_use = -1;
 };
 
 /// Geometry-independent plan state hung off the RoadSegNet: packed
-/// weights plus a small cache of compiled per-geometry schedules.
+/// weights plus a bounded cache of compiled schedules.
 struct PlanContext {
   int stages = 0;
   FusionScheme scheme = FusionScheme::kBaseline;
+  /// Some interior conv reduces over more than one Kc cache block, where
+  /// the blocked kernel's order would differ from the GEMM's: every
+  /// schedule then runs NCHW.
+  bool exceeds_kc = false;
   std::vector<std::shared_ptr<const BlockPack>> rgb_blocks;    ///< [stage-1]
   std::vector<std::shared_ptr<const BlockPack>> depth_blocks;  ///< [stage-1]
   std::vector<PackedConv> d2r;  ///< [stage]; stage 0 runs NCHW, entry unused
   std::vector<PackedConv> r2d;  ///< AllFilter_B only, same indexing
   std::mutex mutex;
-  std::vector<std::shared_ptr<const CompiledPlan>> plans;
+  std::vector<std::shared_ptr<const CompiledPlan>> plans;  ///< oldest first
 };
 
-obs::Counter& plan_counter(const char* which, const char* help) {
-  return obs::MetricsRegistry::global().counter(
-      std::string("roadfusion_plan_") + which, help);
+/// Registry counters the run path bumps, looked up once so a predict
+/// builds no metric names.
+struct PlanMetrics {
+  obs::Counter* declined = nullptr;
+  std::array<obs::Counter*, 4> declined_by_reason{};  ///< by NchwReason
+  std::array<obs::Counter*, 4> runs{};                ///< by Variant
+  obs::Counter* compiles = nullptr;
+  obs::Counter* evictions = nullptr;
+  obs::Counter* layers_nchwc = nullptr;
+  obs::Counter* layers_nchw = nullptr;
+};
+
+const PlanMetrics& metrics() {
+  static const PlanMetrics m = [] {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    const char* declined_help =
+        "Plan runs that took the all-NCHW layout (labeled by reason)";
+    PlanMetrics out;
+    out.declined =
+        &registry.counter("roadfusion_plan_declined_total", declined_help);
+    for (size_t reason = 1; reason < out.declined_by_reason.size();
+         ++reason) {
+      out.declined_by_reason[reason] = &registry.counter(
+          std::string("roadfusion_plan_declined_total{reason=\"") +
+              kReasonNames[reason] + "\"}",
+          declined_help);
+    }
+    for (const Variant variant : kVariants) {
+      out.runs[static_cast<size_t>(variant)] = &registry.counter(
+          std::string("roadfusion_plan_runs_total{variant=\"") +
+              variant_name(variant) + "\"}",
+          "Inference requests served by a compiled plan, per schedule");
+    }
+    out.compiles = &registry.counter("roadfusion_plan_compiles_total",
+                                     "Per-geometry inference plans compiled");
+    out.evictions = &registry.counter(
+        "roadfusion_plan_evictions_total",
+        "Compiled plans evicted from a model's bounded plan cache");
+    const char* layers_help =
+        "Layers scheduled per layout by the inference plan compiler";
+    out.layers_nchwc = &registry.counter(
+        "roadfusion_plan_layers_total{layout=\"nchwc\"}", layers_help);
+    out.layers_nchw = &registry.counter(
+        "roadfusion_plan_layers_total{layout=\"nchw\"}", layers_help);
+    return out;
+  }();
+  return m;
 }
 
 std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
@@ -94,16 +189,20 @@ std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
 }
 
 /// The bit-exactness argument (nchwc.hpp) requires the graph-path GEMM to
-/// run its whole reduction in one Kc cache block, so the plan only covers
-/// convs whose lowered depth fits one block.
+/// run its whole reduction in one Kc cache block.
 bool fits_one_kc_block(const PackedConv& pc) {
   return pc.cin * pc.kernel * pc.kernel <=
          autograd::kernels::blocked_gemm_config().kc;
 }
 
-bool uses_filters(FusionScheme scheme) {
-  return scheme == FusionScheme::kAllFilterU ||
-         scheme == FusionScheme::kAllFilterB;
+NchwReason nchw_reason(const PlanContext& ctx) {
+  if (quant::enabled()) {
+    return NchwReason::kQuant;
+  }
+  if (!tune::forced_solver().empty()) {
+    return NchwReason::kForcedSolver;
+  }
+  return ctx.exceeds_kc ? NchwReason::kKcDepth : NchwReason::kNone;
 }
 
 // ---------------------------------------------------------------------------
@@ -111,17 +210,14 @@ bool uses_filters(FusionScheme scheme) {
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<void> build_hook(const RoadSegNet& net) {
-  if (!planning_enabled() || quant::enabled()) {
-    return nullptr;
-  }
   const int stages = net.num_stages();
-  if (stages < 2 || stages > kMaxPlanStages) {
+  if (stages > kMaxPlanStages) {
     return nullptr;
   }
   auto ctx = std::make_shared<PlanContext>();
   ctx->stages = stages;
   ctx->scheme = net.config().scheme;
-  bool ok = true;
+  bool fits = true;
   const auto block_fits = [&](const BlockPack& bp) {
     return fits_one_kc_block(bp.conv1) && fits_one_kc_block(bp.conv2) &&
            (bp.proj == nullptr || fits_one_kc_block(*bp.proj));
@@ -134,267 +230,271 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
                      ? rgb
                      : pack_block(net.depth_encoder().block(stage),
                                   "depth.stage" + std::to_string(stage));
-    ok = ok && block_fits(*rgb) && block_fits(*depth);
+    fits = fits && block_fits(*rgb) && block_fits(*depth);
     ctx->rgb_blocks.push_back(std::move(rgb));
     ctx->depth_blocks.push_back(std::move(depth));
   }
-  if (uses_filters(ctx->scheme)) {
-    ctx->d2r.resize(static_cast<size_t>(stages));
-    for (int stage = 1; stage < stages; ++stage) {
-      ctx->d2r[static_cast<size_t>(stage)] =
-          pack_conv(net.depth_to_rgb_filters()[static_cast<size_t>(stage)]
-                        .conv(),
-                    nullptr, false, "d2r.stage" + std::to_string(stage));
-      ok = ok && fits_one_kc_block(ctx->d2r[static_cast<size_t>(stage)]);
+  const auto pack_filters = [&](const std::vector<core::FusionFilter>& filters,
+                                const std::string& prefix,
+                                std::vector<PackedConv>& out) {
+    out.resize(static_cast<size_t>(stages));
+    for (size_t stage = 1; stage < filters.size(); ++stage) {
+      out[stage] = pack_conv(filters[stage].conv(), nullptr, false,
+                             prefix + ".stage" + std::to_string(stage));
+      fits = fits && fits_one_kc_block(out[stage]);
     }
-    if (ctx->scheme == FusionScheme::kAllFilterB) {
-      ctx->r2d.resize(static_cast<size_t>(stages));
-      for (int stage = 1; stage + 1 < stages; ++stage) {
-        ctx->r2d[static_cast<size_t>(stage)] =
-            pack_conv(net.rgb_to_depth_filters()[static_cast<size_t>(stage)]
-                          .conv(),
-                      nullptr, false, "r2d.stage" + std::to_string(stage));
-        ok = ok && fits_one_kc_block(ctx->r2d[static_cast<size_t>(stage)]);
-      }
-    }
-  }
-  if (!ok) {
-    plan_counter("declined_total",
-                 "Plan builds/runs declined to the graph-order path")
-        .inc();
-    return nullptr;
-  }
-  plan_counter("builds_total", "Inference plan contexts compiled").inc();
+  };
+  pack_filters(net.depth_to_rgb_filters(), "d2r", ctx->d2r);
+  pack_filters(net.rgb_to_depth_filters(), "r2d", ctx->r2d);
+  ctx->exceeds_kc = !fits;
+  obs::MetricsRegistry::global()
+      .counter("roadfusion_plan_builds_total",
+               "Inference plan contexts compiled")
+      .inc();
   return ctx;
 }
 
 // ---------------------------------------------------------------------------
-// Compile: PlanContext + input geometry -> CompiledPlan
+// Compile: PlanContext + key -> CompiledPlan
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
-                                            const RoadSegNet& net, int64_t n,
-                                            int64_t h, int64_t w) {
+                                            const RoadSegNet& net,
+                                            const PlanKey& key) {
   auto plan = std::make_shared<CompiledPlan>();
-  plan->n = n;
-  plan->h = h;
-  plan->w = w;
+  plan->key = key;
   const auto& channels = net.config().stage_channels;
-  const auto new_slot = [&](Layout layout, int64_t c, int64_t hh, int64_t ww,
-                            std::string label) {
+  const bool hit = key.variant == Variant::kStreamHit;
+  const bool miss = key.variant == Variant::kStreamMiss;
+  // Stage 0 always runs NCHW: its inputs arrive NCHW and the stems are
+  // too shallow for the blocked layout to pay for its conversions.
+  const auto layout_at = [&](int stage) {
+    return stage == 0 ? Layout::kNchw : key.layout;
+  };
+  const auto new_slot = [&](int stage, Layout layout, std::string label) {
     SlotDef def;
     def.layout = layout;
-    def.n = n;
-    def.c = c;
-    def.h = hh;
-    def.w = ww;
+    def.n = key.n;
+    def.c = channels[static_cast<size_t>(stage)];
+    def.h = Encoder::stage_extent(stage, key.h);
+    def.w = Encoder::stage_extent(stage, key.w);
     def.label = std::move(label);
     plan->slots.push_back(std::move(def));
     return static_cast<int>(plan->slots.size()) - 1;
   };
   const auto push = [&](Step step) { plan->steps.push_back(step); };
+  const auto cache_slot = [&](int slot) {
+    plan->slots[static_cast<size_t>(slot)].cache_index =
+        static_cast<int>(plan->cached.size());
+    plan->cached.push_back(slot);
+    return slot;
+  };
+  // Returns `slot` in `layout`, converting it when it is not.
+  const auto to_layout = [&](int slot, Layout layout, int stage,
+                             std::string label) {
+    if (plan->slots[static_cast<size_t>(slot)].layout == layout) {
+      return slot;
+    }
+    SlotDef def = plan->slots[static_cast<size_t>(slot)];
+    def.layout = layout;
+    def.cache_index = -1;
+    def.label = std::move(label);
+    plan->slots.push_back(std::move(def));
+    const int out = static_cast<int>(plan->slots.size()) - 1;
+    Step st;
+    st.kind = layout == Layout::kNchwc ? StepKind::kConvertToNchwc
+                                       : StepKind::kConvertToNchw;
+    st.src = slot;
+    st.dst = out;
+    st.stage = stage;
+    push(st);
+    return out;
+  };
+  const auto fusion_step = [&](StepKind kind, int dst, int src, int stage) {
+    Step st;
+    st.kind = kind;
+    st.dst = dst;
+    st.src = src;
+    st.stage = stage;
+    push(st);
+  };
+  // One encoder stage of `branch`: a layer step on NCHW, or conv1,
+  // (projection), conv2 on NCHWc8 with the shortcut fused as `pre`. A
+  // `post` slot adds the fusion sum: in conv2's epilogue on NCHWc8, as a
+  // following accumulate step on NCHW.
+  const auto emit_stage = [&](LayerRef branch, int stage, int input,
+                              int post, const std::string& label) {
+    const Layout layout = layout_at(stage);
+    // Converting at the point of use keeps only one branch's full-size
+    // stage-0 features in the blocked layout at a time.
+    if (input >= 0) {
+      input = to_layout(input, layout, stage, label + ".in");
+    }
+    const int out = new_slot(stage, layout, label);
+    if (layout == Layout::kNchw) {
+      Step st;
+      st.kind = StepKind::kLayer;
+      st.layer = branch;
+      st.src = input;
+      st.dst = out;
+      st.stage = stage;
+      st.layers = 1;  // the stem conv
+      if (stage > 0) {
+        const Encoder& encoder = branch == LayerRef::kRgbStage
+                                     ? net.rgb_encoder()
+                                     : net.depth_encoder();
+        st.layers = encoder.block(stage).projection() == nullptr ? 2 : 3;
+      }
+      push(st);
+      if (post >= 0) {
+        fusion_step(StepKind::kAccumulate, out, post, stage);
+      }
+      return out;
+    }
+    const BlockPack& bp =
+        *(branch == LayerRef::kRgbStage
+              ? ctx.rgb_blocks
+              : ctx.depth_blocks)[static_cast<size_t>(stage - 1)];
+    const auto conv = [&](const PackedConv& pc, int src, int dst, int pre,
+                          int post_slot) {
+      Step st;
+      st.kind = StepKind::kConvNchwc;
+      st.layer = branch;
+      st.src = src;
+      st.dst = dst;
+      st.pre = pre;
+      st.post = post_slot;
+      st.conv = &pc;
+      st.stage = stage;
+      st.layers = 1;
+      push(st);
+    };
+    const int t1 = new_slot(stage, layout, label + ".conv1");
+    conv(bp.conv1, input, t1, -1, -1);
+    int pre = input;  // identity shortcut (requires matching geometry)
+    if (bp.proj != nullptr) {
+      pre = new_slot(stage, layout, label + ".proj");
+      conv(*bp.proj, input, pre, -1, -1);
+    }
+    conv(bp.conv2, t1, out, pre, post);
+    return out;
+  };
+  const auto emit_filter = [&](LayerRef which, int stage, int input,
+                               const std::string& label) {
+    const Layout layout = layout_at(stage);
+    const int out = new_slot(stage, layout, label);
+    Step st;
+    st.layer = which;
+    st.src = input;
+    st.dst = out;
+    st.stage = stage;
+    st.layers = 1;
+    if (layout == Layout::kNchw) {
+      st.kind = StepKind::kLayer;
+    } else {
+      st.kind = StepKind::kConvNchwc;
+      st.conv = &(which == LayerRef::kDepthToRgb
+                      ? ctx.d2r
+                      : ctx.r2d)[static_cast<size_t>(stage)];
+    }
+    push(st);
+    return out;
+  };
 
-  // Stage 0: plain NCHW through the existing layer paths, then one
-  // layout conversion each for the two feature maps the interior stages
-  // consume. skip 0 stays NCHW for the decoder.
-  const int64_t c0 = channels[0];
-  const int skip0 = new_slot(Layout::kNchw, c0, h, w, "skip0");
-  const int d0 = new_slot(Layout::kNchw, c0, h, w, "d0");
-  {
-    Step s;
-    s.kind = StepKind::kStageZero;
-    s.dst = skip0;
-    s.aux = d0;
-    s.stage = 0;
-    push(s);
-  }
-  plan->skip_slots.push_back(skip0);
-  int r_in = new_slot(Layout::kNchwc, c0, h, w, "skip0.c8");
-  {
-    Step s;
-    s.kind = StepKind::kConvertToNchwc;
-    s.src = skip0;
-    s.dst = r_in;
-    push(s);
-  }
-  int d_in = new_slot(Layout::kNchwc, c0, h, w, "d0.c8");
-  {
-    Step s;
-    s.kind = StepKind::kConvertToNchwc;
-    s.src = d0;
-    s.dst = d_in;
-    push(s);
-  }
-
-  for (int stage = 1; stage < ctx.stages; ++stage) {
-    const int64_t c = channels[static_cast<size_t>(stage)];
-    const int64_t out_h = Encoder::stage_extent(stage, h);
-    const int64_t out_w = Encoder::stage_extent(stage, w);
-    const BlockPack& rgb = *ctx.rgb_blocks[static_cast<size_t>(stage - 1)];
-    const BlockPack& depth = *ctx.depth_blocks[static_cast<size_t>(stage - 1)];
+  int r_in = -1;  // -1: the network input of the branch
+  int d_in = -1;
+  for (int stage = 0; stage < ctx.stages; ++stage) {
+    const Layout layout = layout_at(stage);
     const std::string tag = ".stage" + std::to_string(stage);
-
-    // Emits one residual block: conv1, (projection), conv2 with the
-    // shortcut fused as `pre` and — when `post_slot` >= 0 — the fusion
-    // sum fused as `post`. Returns the block output slot.
-    const auto emit_block = [&](const BlockPack& bp, int input,
-                                const std::string& who, int post_slot) {
-      const int t1 = new_slot(Layout::kNchwc, c, out_h, out_w, who + ".conv1");
-      Step s1;
-      s1.kind = StepKind::kConvNchwc;
-      s1.src = input;
-      s1.dst = t1;
-      s1.conv = &bp.conv1;
-      s1.stage = stage;
-      push(s1);
-      int pre = input;  // identity shortcut (requires matching geometry)
-      if (bp.proj != nullptr) {
-        pre = new_slot(Layout::kNchwc, c, out_h, out_w, who + ".proj");
-        Step sp;
-        sp.kind = StepKind::kConvNchwc;
-        sp.src = input;
-        sp.dst = pre;
-        sp.conv = bp.proj.get();
-        sp.stage = stage;
-        push(sp);
-      }
-      const int out = new_slot(Layout::kNchwc, c, out_h, out_w, who);
-      Step s2;
-      s2.kind = StepKind::kConvNchwc;
-      s2.src = t1;
-      s2.dst = out;
-      s2.pre = pre;
-      s2.post = post_slot;
-      s2.conv = &bp.conv2;
-      s2.stage = stage;
-      push(s2);
-      return out;
-    };
-    const auto emit_filter = [&](const PackedConv& pc, int input,
-                                 const std::string& who, int post_slot) {
-      const int out = new_slot(Layout::kNchwc, c, out_h, out_w, who);
-      Step s;
-      s.kind = StepKind::kConvNchwc;
-      s.src = input;
-      s.dst = out;
-      s.post = post_slot;
-      s.conv = &pc;
-      s.stage = stage;
-      push(s);
-      return out;
-    };
-
-    int fused = -1;
-    int d_i = -1;
     const bool last = stage == ctx.stages - 1;
-    switch (ctx.scheme) {
-      case FusionScheme::kBaseline:
-      case FusionScheme::kBaseSharing:
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        fused = emit_block(rgb, r_in, "fused" + tag, d_i);
-        break;
-      case FusionScheme::kAllFilterU: {
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        const int matched = emit_filter(ctx.d2r[static_cast<size_t>(stage)],
-                                        d_i, "matched" + tag, -1);
-        fused = emit_block(rgb, r_in, "fused" + tag, matched);
-        break;
+    int fused = -1;
+    if (key.variant == Variant::kRgbOnly) {
+      // fused_i = r_i: the depth branch and its values are never touched.
+      fused = emit_stage(LayerRef::kRgbStage, stage, r_in, -1, "r" + tag);
+    } else if (ctx.scheme == FusionScheme::kAllFilterB) {
+      // The reverse filter needs the *pre-fusion* rgb features, and the
+      // depth update precedes the rgb accumulate — the graph order. No
+      // stream variant: the depth branch reads rgb features every frame.
+      const int d = emit_stage(LayerRef::kDepthStage, stage, d_in, -1,
+                               "d" + tag);
+      const int matched =
+          emit_filter(LayerRef::kDepthToRgb, stage, d, "matched" + tag);
+      if (last) {
+        fused = emit_stage(LayerRef::kRgbStage, stage, r_in, matched,
+                           "fused" + tag);
+      } else {
+        fused = emit_stage(LayerRef::kRgbStage, stage, r_in, -1, "r" + tag);
+        const int matched_rgb = emit_filter(LayerRef::kRgbToDepth, stage,
+                                            fused, "matched_rgb" + tag);
+        fusion_step(StepKind::kAddInPlace, d, matched_rgb, stage);
+        fusion_step(StepKind::kAccumulate, fused, matched, stage);
       }
-      case FusionScheme::kAllFilterB: {
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        if (last) {
-          // No reverse filter at the deepest stage — the fusion sum can
-          // ride the rgb conv2 epilogue like AllFilter_U.
-          const int matched = emit_filter(ctx.d2r[static_cast<size_t>(stage)],
-                                          d_i, "matched" + tag, -1);
-          fused = emit_block(rgb, r_in, "fused" + tag, matched);
-        } else {
-          // The reverse filter needs the *pre-fusion* rgb features, so
-          // the fusion sum cannot be fused into the rgb block here.
-          const int r_i = emit_block(rgb, r_in, "r" + tag, -1);
-          const int matched = emit_filter(ctx.d2r[static_cast<size_t>(stage)],
-                                          d_i, "matched" + tag, -1);
-          const int mrgb = emit_filter(ctx.r2d[static_cast<size_t>(stage)],
-                                       r_i, "matched_rgb" + tag, -1);
-          Step upd;
-          upd.kind = StepKind::kAddInPlace;
-          upd.dst = d_i;
-          upd.src = mrgb;
-          upd.stage = stage;
-          push(upd);
-          Step acc;
-          acc.kind = StepKind::kAccumulate;
-          acc.dst = r_i;
-          acc.src = matched;
-          acc.stage = stage;
-          push(acc);
-          fused = r_i;
+      d_in = d;
+    } else if (ctx.scheme == FusionScheme::kWeightedSharing && last) {
+      // AWN head on NCHW: the per-sample weight pools both deepest
+      // stacks, and the fused result only feeds the decoder.
+      fused = to_layout(
+          emit_stage(LayerRef::kRgbStage, stage, r_in, -1, "r" + tag),
+          Layout::kNchw, stage, "fused" + tag);
+      int d = -1;
+      if (hit) {
+        d = cache_slot(new_slot(stage, Layout::kNchw, "cached.d" + tag));
+      } else {
+        d = to_layout(
+            emit_stage(LayerRef::kDepthStage, stage, d_in, -1, "d" + tag),
+            Layout::kNchw, stage, "d" + tag + ".nchw");
+        if (miss) {
+          cache_slot(d);
         }
-        break;
       }
-      case FusionScheme::kWeightedSharing: {
-        d_i = emit_block(depth, d_in, "d" + tag, -1);
-        if (!last) {
-          fused = emit_block(rgb, r_in, "fused" + tag, d_i);
-          break;
+      Step awn;
+      awn.kind = StepKind::kAwnFuse;
+      awn.dst = fused;
+      awn.aux = d;
+      awn.stage = stage;
+      awn.layers = 1;
+      push(awn);
+    } else {
+      // Baseline / BaseSharing / WeightedSharing below the last stage sum
+      // d_i; AllFilter_U sums its filter-matched copy.
+      int matched = -1;
+      if (hit) {
+        matched = cache_slot(new_slot(stage, layout, "cached.matched" + tag));
+      } else {
+        const int d = emit_stage(LayerRef::kDepthStage, stage, d_in, -1,
+                                 "d" + tag);
+        matched = ctx.scheme == FusionScheme::kAllFilterU
+                      ? emit_filter(LayerRef::kDepthToRgb, stage, d,
+                                    "matched" + tag)
+                      : d;
+        if (miss) {
+          cache_slot(matched);
         }
-        // AWN head: both deepest feature stacks go back to NCHW (the AWN
-        // pools them and the fused result only feeds the decoder), then
-        // the graph-path weighting + fusion code runs verbatim.
-        const int r_i = emit_block(rgb, r_in, "r" + tag, -1);
-        const int rskip =
-            new_slot(Layout::kNchw, c, out_h, out_w, "fused" + tag);
-        Step cr;
-        cr.kind = StepKind::kConvertToNchw;
-        cr.src = r_i;
-        cr.dst = rskip;
-        cr.stage = stage;
-        push(cr);
-        const int dn = new_slot(Layout::kNchw, c, out_h, out_w, "d" + tag);
-        Step cd;
-        cd.kind = StepKind::kConvertToNchw;
-        cd.src = d_i;
-        cd.dst = dn;
-        cd.stage = stage;
-        push(cd);
-        Step awn;
-        awn.kind = StepKind::kAwnFuse;
-        awn.dst = rskip;
-        awn.aux = dn;
-        awn.stage = stage;
-        push(awn);
-        plan->skip_slots.push_back(rskip);
-        break;
+        d_in = d;
       }
+      fused = emit_stage(LayerRef::kRgbStage, stage, r_in, matched,
+                         "fused" + tag);
     }
-    if (fused >= 0) {
-      const int skip =
-          new_slot(Layout::kNchw, c, out_h, out_w, "skip" + tag);
-      Step cs;
-      cs.kind = StepKind::kConvertToNchw;
-      cs.src = fused;
-      cs.dst = skip;
-      cs.stage = stage;
-      push(cs);
-      plan->skip_slots.push_back(skip);
-      r_in = fused;
-      d_in = d_i;
-    }
+    plan->skip_slots.push_back(
+        to_layout(fused, Layout::kNchw, stage, "skip" + tag));
+    r_in = fused;
   }
-
   {
     Step dec;
     dec.kind = StepKind::kDecoder;
     dec.stage = ctx.stages;
+    // One transposed conv and one refine conv per stage transition, plus
+    // the 1x1 head.
+    dec.layers = 2 * (ctx.stages - 1) + 1;
     push(dec);
   }
+  ROADFUSION_CHECK(plan->slots.size() <= kMaxPlanSlots,
+                   "inference plan needs " << plan->slots.size()
+                                           << " slots, executor holds "
+                                           << kMaxPlanSlots);
 
-  if (plan->slots.size() > kMaxPlanSlots) {
-    return nullptr;
-  }
-
-  // Liveness: record each slot's last reader, then invert into per-step
-  // release lists (a step never releases its own outputs).
+  // Liveness: record each slot's writer and last reader.
+  std::vector<int> first_def(plan->slots.size(), -1);
   std::vector<int> last_use(plan->slots.size(), -1);
   for (size_t j = 0; j < plan->steps.size(); ++j) {
     const Step& st = plan->steps[j];
@@ -403,16 +503,16 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
         last_use[static_cast<size_t>(slot)] = static_cast<int>(j);
       }
     };
+    if (st.dst >= 0 && first_def[static_cast<size_t>(st.dst)] < 0) {
+      first_def[static_cast<size_t>(st.dst)] = static_cast<int>(j);
+    }
     read(st.src);
     read(st.pre);
     read(st.post);
+    read(st.aux);
     if (st.kind == StepKind::kAddInPlace ||
-        st.kind == StepKind::kAccumulate) {
+        st.kind == StepKind::kAccumulate || st.kind == StepKind::kAwnFuse) {
       read(st.dst);  // in-place update reads its destination
-    }
-    if (st.kind == StepKind::kAwnFuse) {
-      read(st.dst);
-      read(st.aux);
     }
     if (st.kind == StepKind::kDecoder) {
       for (int skip : plan->skip_slots) {
@@ -420,50 +520,63 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       }
     }
   }
+  // NCHW slots: per-step release lists (a step never releases what it
+  // writes; cached slots are not arena buffers). NCHWc slots: first-fit
+  // offsets in the scratch buffer, sharing space between slots whose live
+  // ranges do not overlap.
   plan->release_after.assign(plan->steps.size(), {});
+  struct Placed {
+    int64_t begin, end;
+    int first, last;
+  };
+  std::vector<Placed> placed;
   for (size_t i = 0; i < plan->slots.size(); ++i) {
-    plan->slots[i].last_use = last_use[i];
-    const int j = last_use[i];
-    if (j < 0) {
+    SlotDef& def = plan->slots[i];
+    def.last_use = last_use[i];
+    if (def.cache_index >= 0) {
       continue;
     }
-    const Step& st = plan->steps[static_cast<size_t>(j)];
-    if (static_cast<int>(i) == st.dst || static_cast<int>(i) == st.aux) {
+    if (def.layout == Layout::kNchw) {
+      if (def.last_use >= 0 &&
+          static_cast<int>(i) !=
+              plan->steps[static_cast<size_t>(def.last_use)].dst) {
+        plan->release_after[static_cast<size_t>(def.last_use)].push_back(
+            static_cast<int>(i));
+      }
       continue;
     }
-    plan->release_after[static_cast<size_t>(j)].push_back(
-        static_cast<int>(i));
+    const int first = first_def[i];
+    const int last = std::max(first, def.last_use);
+    // 16-float (64-byte) granules keep every region cache-line aligned.
+    const int64_t size = (nchwc_floats(def.n, def.c, def.h, def.w) + 15) /
+                         16 * 16;
+    std::vector<std::pair<int64_t, int64_t>> busy;
+    for (const Placed& p : placed) {
+      if (p.first <= last && first <= p.last) {
+        busy.emplace_back(p.begin, p.end);
+      }
+    }
+    std::sort(busy.begin(), busy.end());
+    int64_t offset = 0;
+    for (const auto& [begin, end] : busy) {
+      if (offset + size <= begin) {
+        break;
+      }
+      offset = std::max(offset, end);
+    }
+    def.offset = offset;
+    placed.push_back({offset, offset + size, first, last});
+    plan->scratch_floats = std::max(plan->scratch_floats, offset + size);
+    plan->scratch_last_use = std::max(plan->scratch_last_use, last);
   }
 
-  // Compile-time schedule metrics: how many layers landed in each layout.
-  int64_t nchwc_layers = 0;
+  // Schedule metrics: how many network layers landed in each layout.
+  const PlanMetrics& m = metrics();
   for (const Step& st : plan->steps) {
-    if (st.kind == StepKind::kConvNchwc) {
-      ++nchwc_layers;
-    }
+    (st.kind == StepKind::kConvNchwc ? m.layers_nchwc : m.layers_nchw)
+        ->inc(static_cast<uint64_t>(st.layers));
   }
-  // NCHW layers: two stems, the stage-0 filters, the decoder stack and —
-  // for WeightedSharing — the AWN head.
-  int64_t nchw_layers = 2 + 2 * (ctx.stages - 1) + 1;
-  if (uses_filters(ctx.scheme)) {
-    nchw_layers += 1;  // stage-0 depth->rgb filter
-  }
-  if (ctx.scheme == FusionScheme::kAllFilterB) {
-    nchw_layers += 1;  // stage-0 rgb->depth filter
-  }
-  if (ctx.scheme == FusionScheme::kWeightedSharing) {
-    nchw_layers += 1;  // AWN
-  }
-  obs::MetricsRegistry::global()
-      .counter("roadfusion_plan_layers_total{layout=\"nchwc\"}",
-               "Layers scheduled per layout by the inference plan compiler")
-      .inc(static_cast<uint64_t>(nchwc_layers));
-  obs::MetricsRegistry::global()
-      .counter("roadfusion_plan_layers_total{layout=\"nchw\"}",
-               "Layers scheduled per layout by the inference plan compiler")
-      .inc(static_cast<uint64_t>(nchw_layers));
-  plan_counter("compiles_total", "Per-geometry inference plans compiled")
-      .inc();
+  m.compiles->inc();
   return plan;
 }
 
@@ -471,137 +584,181 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
 // Execute
 // ---------------------------------------------------------------------------
 
-void run_stage_zero(const RoadSegNet& net, const PlanContext& ctx,
-                    const Tensor& rgb, const Tensor& depth,
-                    float fusion_weight, Tensor& skip0_out, Tensor& d0_out) {
-  obs::ScopedSpan span("plan.stage", 0);
-  // Keep the graph path's per-encoder span names so traces stay
-  // comparable (and trace consumers keyed on them keep working) whether
-  // or not a plan served the request.
-  Tensor r0, d0;
-  {
-    obs::ScopedSpan rgb_span("rgb_encoder.stage", 0);
-    r0 = net.rgb_encoder().forward_stage_infer(0, rgb);
-  }
-  {
-    obs::ScopedSpan depth_span("depth_encoder.stage", 0);
-    d0 = net.depth_encoder().forward_stage_infer(0, depth);
-  }
-  obs::ScopedSpan fusion_span("fusion.stage", 0);
-  switch (ctx.scheme) {
-    case FusionScheme::kBaseline:
-    case FusionScheme::kBaseSharing:
-    case FusionScheme::kWeightedSharing:
-      accumulate(r0.raw(), d0.raw(), r0.numel(), fusion_weight);
-      break;
-    case FusionScheme::kAllFilterU: {
-      const Tensor matched = net.depth_to_rgb_filters()[0].match_infer(d0);
-      accumulate(r0.raw(), matched.raw(), r0.numel(), fusion_weight);
-      break;
-    }
-    case FusionScheme::kAllFilterB: {
-      const Tensor matched = net.depth_to_rgb_filters()[0].match_infer(d0);
-      // next_depth = d_0 + match(r_0), before r_0 is fused in place —
-      // the exact graph-path order.
-      const Tensor matched_rgb = net.rgb_to_depth_filters()[0].match_infer(r0);
-      add_in_place(d0.raw(), matched_rgb.raw(), d0.numel());
-      accumulate(r0.raw(), matched.raw(), r0.numel(), fusion_weight);
-      break;
-    }
-  }
-  skip0_out = std::move(r0);
-  d0_out = std::move(d0);
+tensor::Shape slot_shape(const SlotDef& def) {
+  return def.layout == Layout::kNchwc
+             ? tensor::Shape::vec(nchwc_floats(def.n, def.c, def.h, def.w))
+             : tensor::Shape::nchw(def.n, def.c, def.h, def.w);
 }
 
-bool execute(const RoadSegNet& net, const PlanContext& ctx,
-             const CompiledPlan& plan, const Tensor& rgb, const Tensor& depth,
-             float fusion_weight, Tensor& out) {
-  obs::ScopedSpan plan_span("plan.execute");
-  std::array<std::optional<Tensor>, kMaxPlanSlots> slots;
-  const auto get = [&](int idx) -> Tensor& { return *slots[static_cast<size_t>(idx)]; };
-  const auto define = [&](int idx) -> Tensor& {
-    const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
-    if (def.layout == Layout::kNchwc) {
-      // Zero-initialized: the conv kernels only write the interior, the
-      // border ring and padded lanes must stay 0.
-      slots[static_cast<size_t>(idx)].emplace(
-          tensor::Shape::vec(nchwc_floats(def.n, def.c, def.h, def.w)));
-    } else {
-      slots[static_cast<size_t>(idx)].emplace(Tensor::uninitialized(
-          tensor::Shape::nchw(def.n, def.c, def.h, def.w)));
+/// True when `cache` holds exactly the slots `plan` reads or writes. The
+/// shapes pin the geometry and the layout (NCHWc8 slots are flat), so a
+/// schedule never sees another schedule's buffers.
+bool cache_matches(const CompiledPlan& plan, const StreamFeatureCache& cache) {
+  if (cache.slots.size() != plan.cached.size()) {
+    return false;
+  }
+  for (size_t k = 0; k < plan.cached.size(); ++k) {
+    if (cache.slots[k].shape() !=
+        slot_shape(plan.slots[static_cast<size_t>(plan.cached[k])])) {
+      return false;
     }
-    return *slots[static_cast<size_t>(idx)];
+  }
+  return true;
+}
+
+/// Shapes the cache for the stream-miss schedule `plan`. A mismatched
+/// cache is reallocated zeroed on the heap (the NCHWc8 border invariant);
+/// a matching one is reused in place, so the steady state allocates
+/// nothing.
+void bind_cache(const CompiledPlan& plan, StreamFeatureCache& cache) {
+  if (cache_matches(plan, cache)) {
+    return;
+  }
+  const tensor::NoWorkspaceScope no_pool;
+  cache.slots.clear();
+  for (const int slot : plan.cached) {
+    cache.slots.emplace_back(slot_shape(plan.slots[static_cast<size_t>(slot)]));
+  }
+}
+
+Tensor run_layer(const RoadSegNet& net, const Step& st, const Tensor& x) {
+  const auto stage = static_cast<size_t>(st.stage);
+  switch (st.layer) {
+    case LayerRef::kRgbStage:
+      return net.rgb_encoder().forward_stage_infer(st.stage, x);
+    case LayerRef::kDepthStage:
+      return net.depth_encoder().forward_stage_infer(st.stage, x);
+    case LayerRef::kDepthToRgb:
+      return net.depth_to_rgb_filters()[stage].match_infer(x);
+    case LayerRef::kRgbToDepth:
+      return net.rgb_to_depth_filters()[stage].match_infer(x);
+    case LayerRef::kNone:
+      break;
+  }
+  ROADFUSION_CHECK(false, "inference plan: layer step without a layer");
+}
+
+/// Per LayerRef: the explain-plan name prefix and the trace span prefix
+/// (the graph path's names, so traces read the same whichever path
+/// served; null = no span of its own).
+constexpr const char* kLayerNames[] = {"", "rgb", "depth", "d2r", "r2d"};
+constexpr const char* kLayerSpans[] = {nullptr, "rgb_encoder.stage",
+                                       "depth_encoder.stage", "fusion.stage",
+                                       "fusion.stage"};
+
+Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
+               const Tensor& rgb, const Tensor& depth, float fusion_weight,
+               StreamFeatureCache* cache) {
+  std::array<std::optional<Tensor>, kMaxPlanSlots> local;
+  std::optional<Tensor> scratch;
+  if (plan.scratch_floats > 0) {
+    scratch.emplace(
+        Tensor::uninitialized(tensor::Shape::vec(plan.scratch_floats)));
+  }
+  // NCHW or cached slots as tensors.
+  const auto tensor_at = [&](int idx) -> Tensor& {
+    const int k = plan.slots[static_cast<size_t>(idx)].cache_index;
+    return k >= 0 ? cache->slots[static_cast<size_t>(k)]
+                  : *local[static_cast<size_t>(idx)];
+  };
+  const auto data = [&](int idx) -> float* {
+    const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
+    return def.layout == Layout::kNchwc && def.cache_index < 0
+               ? scratch->raw() + def.offset
+               : tensor_at(idx).raw();
+  };
+  // A fresh output buffer. Cached slots were shaped by bind_cache.
+  const auto define = [&](int idx) -> float* {
+    const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
+    if (def.cache_index >= 0) {
+      return data(idx);
+    }
+    if (def.layout == Layout::kNchwc) {
+      // Zeroed: the conv kernels only write the interior, the border ring
+      // and padded lanes must stay 0.
+      float* p = data(idx);
+      std::fill(p, p + nchwc_floats(def.n, def.c, def.h, def.w), 0.0f);
+      return p;
+    }
+    return local[static_cast<size_t>(idx)]
+        .emplace(Tensor::uninitialized(slot_shape(def)))
+        .raw();
+  };
+  const auto floats = [&](int idx) {
+    return slot_shape(plan.slots[static_cast<size_t>(idx)]).numel();
   };
 
-  for (size_t j = 0; j < plan.steps.size(); ++j) {
+  std::optional<Tensor> out;
+  const auto run_step = [&](size_t j) {
     const Step& st = plan.steps[j];
     switch (st.kind) {
-      case StepKind::kStageZero: {
-        Tensor skip0, d0;
-        run_stage_zero(net, ctx, rgb, depth, fusion_weight, skip0, d0);
-        slots[static_cast<size_t>(st.dst)] = std::move(skip0);
-        slots[static_cast<size_t>(st.aux)] = std::move(d0);
+      case StepKind::kLayer: {
+        const Tensor& x = st.src >= 0 ? tensor_at(st.src)
+                          : st.layer == LayerRef::kDepthStage ? depth
+                                                              : rgb;
+        Tensor y = run_layer(net, st, x);
+        if (plan.slots[static_cast<size_t>(st.dst)].cache_index >= 0) {
+          tensor_at(st.dst) = y;  // copies into the cache's heap storage
+        } else {
+          local[static_cast<size_t>(st.dst)] = std::move(y);
+        }
         break;
       }
       case StepKind::kConvertToNchwc: {
         const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        convert_to_nchwc(get(st.src).raw(), sd.n, sd.c, sd.h, sd.w,
-                         define(st.dst).raw());
+        convert_to_nchwc(data(st.src), sd.n, sd.c, sd.h, sd.w,
+                         define(st.dst));
         break;
       }
       case StepKind::kConvertToNchw: {
         const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        convert_to_nchw(get(st.src).raw(), sd.n, sd.c, sd.h, sd.w,
-                        define(st.dst).raw());
+        convert_to_nchw(data(st.src), sd.n, sd.c, sd.h, sd.w,
+                        define(st.dst));
         break;
       }
       case StepKind::kConvNchwc: {
         obs::ScopedSpan span("plan.conv", st.stage);
         const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
         const SlotDef& dd = plan.slots[static_cast<size_t>(st.dst)];
-        conv_nchwc(get(st.src).raw(), dd.n, sd.h, sd.w, *st.conv,
-                   define(st.dst).raw(), dd.h, dd.w,
-                   st.pre >= 0 ? get(st.pre).raw() : nullptr,
-                   st.post >= 0 ? get(st.post).raw() : nullptr,
+        conv_nchwc(data(st.src), dd.n, sd.h, sd.w, *st.conv, define(st.dst),
+                   dd.h, dd.w, st.pre >= 0 ? data(st.pre) : nullptr,
+                   st.post >= 0 ? data(st.post) : nullptr,
                    fusion_weight);
         break;
       }
       case StepKind::kAddInPlace:
-        add_in_place(get(st.dst).raw(), get(st.src).raw(),
-                     get(st.dst).numel());
+        add_in_place(data(st.dst), data(st.src), floats(st.dst));
         break;
       case StepKind::kAccumulate:
-        accumulate(get(st.dst).raw(), get(st.src).raw(), get(st.dst).numel(),
+        accumulate(data(st.dst), data(st.src), floats(st.dst),
                    fusion_weight);
         break;
       case StepKind::kAwnFuse: {
-        Tensor& r = get(st.dst);
-        Tensor& d = get(st.aux);
-        {
-          obs::ScopedSpan awn_span("awn.weight");
-          const Tensor wgt = net.awn()->weight_infer(r, d);
-          // matched = w (per sample) * d, in place; ws * x order as in
-          // scale_per_sample — verbatim graph-path code.
-          const int64_t batch = d.shape().batch();
-          const int64_t per_sample = d.numel() / batch;
-          float* pd = d.raw();
-          const float* pw = wgt.raw();
-          for (int64_t s = 0; s < batch; ++s) {
-            const float ws = pw[s];
-            for (int64_t i = 0; i < per_sample; ++i) {
-              pd[s * per_sample + i] = ws * pd[s * per_sample + i];
-            }
+        Tensor& r = tensor_at(st.dst);
+        const Tensor& d = tensor_at(st.aux);
+        obs::ScopedSpan awn_span("awn.weight");
+        const Tensor wgt = net.awn()->weight_infer(r, d);
+        // matched = w (per sample) * d — the ws * x order of
+        // scale_per_sample — into a transient, so d stays unscaled.
+        Tensor matched = Tensor::uninitialized(d.shape());
+        const int64_t batch = d.shape().batch();
+        const int64_t per_sample = d.numel() / batch;
+        const float* pd = d.raw();
+        const float* pw = wgt.raw();
+        float* pm = matched.raw();
+        for (int64_t s = 0; s < batch; ++s) {
+          for (int64_t i = 0; i < per_sample; ++i) {
+            pm[s * per_sample + i] = pw[s] * pd[s * per_sample + i];
           }
         }
-        accumulate(r.raw(), d.raw(), r.numel(), fusion_weight);
+        accumulate(r.raw(), pm, r.numel(), fusion_weight);
         break;
       }
       case StepKind::kDecoder: {
         obs::ScopedSpan decoder_span("decoder");
-        std::array<Tensor, kMaxPlanStages> skips;
+        std::array<const Tensor*, kMaxPlanStages> skips{};
         for (size_t i = 0; i < plan.skip_slots.size(); ++i) {
-          skips[i] =
-              std::move(get(plan.skip_slots[i]));
+          skips[i] = &tensor_at(plan.skip_slots[i]);
         }
         out = net.decoder().forward_infer(
             skips.data(), static_cast<int>(plan.skip_slots.size()));
@@ -609,70 +766,130 @@ bool execute(const RoadSegNet& net, const PlanContext& ctx,
       }
     }
     for (int idx : plan.release_after[j]) {
-      slots[static_cast<size_t>(idx)].reset();
+      local[static_cast<size_t>(idx)].reset();
     }
+    if (static_cast<int>(j) == plan.scratch_last_use) {
+      scratch.reset();
+    }
+  };
+  // Each run of consecutive steps of one layer and stage reports one
+  // span, named as in the graph path, so traces read the same whichever
+  // path served.
+  const auto run_all = [&] {
+    for (size_t j = 0; j < plan.steps.size();) {
+      const Step& first = plan.steps[j];
+      size_t end = j + 1;
+      while (end < plan.steps.size() &&
+             plan.steps[end].layer == first.layer &&
+             plan.steps[end].stage == first.stage) {
+        ++end;
+      }
+      const char* prefix = kLayerSpans[static_cast<size_t>(first.layer)];
+      if (prefix != nullptr) {
+        const obs::ScopedSpan span(prefix, first.stage);
+        for (; j < end; ++j) {
+          run_step(j);
+        }
+      } else {
+        for (; j < end; ++j) {
+          run_step(j);
+        }
+      }
+    }
+  };
+  const obs::ScopedSpan plan_span("plan.execute");
+  if (plan.key.variant == Variant::kRgbOnly) {
+    const obs::ScopedSpan span("rgb_only");
+    run_all();
+  } else if (plan.key.variant == Variant::kStreamHit) {
+    const obs::ScopedSpan span("depth_cache.reuse");
+    run_all();
+  } else {
+    run_all();
   }
-  return true;
+  return std::move(*out);
 }
 
 // ---------------------------------------------------------------------------
-// Run hook: decline checks + plan-cache lookup
+// Run hook: variant + layout choice, plan-cache lookup
 // ---------------------------------------------------------------------------
 
-bool run_hook(const RoadSegNet& net, const std::shared_ptr<void>& state,
-              const Tensor& rgb, const Tensor& depth, float fusion_weight,
-              Tensor& out) {
-  auto* ctx = static_cast<PlanContext*>(state.get());
-  if (ctx == nullptr) {
-    return false;
+/// The cached schedule for `key`, compiled on first use. The cache holds
+/// at most kMaxCachedPlans schedules and evicts the oldest; a run that
+/// already holds an evicted schedule keeps it alive through its
+/// shared_ptr.
+std::shared_ptr<const CompiledPlan> lookup(PlanContext& ctx,
+                                           const RoadSegNet& net,
+                                           const PlanKey& key) {
+  const std::lock_guard<std::mutex> lock(ctx.mutex);
+  for (const auto& plan : ctx.plans) {
+    if (plan->key == key) {
+      return plan;
+    }
   }
-  // Declines — each falls back to the graph-order path, which either
-  // handles the case (degraded RGB-only mode, forced solver, quantized
-  // mode) or raises its own descriptive error (bad geometry).
-  // Note the weight-range part also declines NaN and out-of-range values,
-  // so the graph path's fusion_weight CHECK still raises for them.
-  if (!(fusion_weight > 0.0f && fusion_weight <= 1.0f) || quant::enabled() ||
-      !tune::forced_solver().empty()) {
-    plan_counter("declined_total",
-                 "Plan builds/runs declined to the graph-order path")
-        .inc();
-    return false;
+  auto plan = compile(ctx, net, key);
+  if (ctx.plans.size() >= kMaxCachedPlans) {
+    ctx.plans.erase(ctx.plans.begin());
+    metrics().evictions->inc();
   }
-  if (rgb.shape().rank() != 4 || depth.shape().rank() != 4) {
-    return false;
+  ctx.plans.push_back(plan);
+  return plan;
+}
+
+Tensor run_hook(const roadseg::SegmentationModel& model,
+                const std::shared_ptr<void>& state, const Tensor& rgb,
+                const Tensor& depth, float fusion_weight,
+                StreamFeatureCache* cache, bool depth_unchanged) {
+  // build_hook is the only producer of plan states, and it is only ever
+  // handed a RoadSegNet.
+  const auto& net = static_cast<const RoadSegNet&>(model);
+  auto& ctx = *static_cast<PlanContext*>(state.get());
+  net.check_inputs(rgb.shape(), depth.shape(), fusion_weight);
+  const PlanMetrics& m = metrics();
+  const NchwReason reason = nchw_reason(ctx);
+  if (reason != NchwReason::kNone) {
+    m.declined->inc();
+    m.declined_by_reason[static_cast<size_t>(reason)]->inc();
   }
-  const int64_t n = rgb.shape().batch();
-  const int64_t h = rgb.shape().height();
-  const int64_t w = rgb.shape().width();
-  const int64_t stride = int64_t{1} << (ctx->stages - 1);
-  if (depth.shape().batch() != n || depth.shape().height() != h ||
-      depth.shape().width() != w ||
-      rgb.shape().dim(1) != net.config().rgb_channels ||
-      depth.shape().dim(1) != net.config().depth_channels || h < stride ||
-      w < stride || h % stride != 0 || w % stride != 0) {
-    return false;
+  PlanKey key;
+  key.n = rgb.shape().batch();
+  key.h = rgb.shape().height();
+  key.w = rgb.shape().width();
+  key.layout = reason == NchwReason::kNone ? Layout::kNchwc : Layout::kNchw;
+  key.variant = fusion_weight == 0.0f ? Variant::kRgbOnly : Variant::kFused;
+
+  // Streams: RGB-only mode has no depth work to skip, and AllFilter_B's
+  // depth features depend on per-frame rgb features — neither caches.
+  const bool streamed = cache != nullptr && key.variant == Variant::kFused &&
+                        ctx.scheme != FusionScheme::kAllFilterB;
+  if (cache != nullptr && !streamed) {
+    cache->invalidate();
   }
   std::shared_ptr<const CompiledPlan> plan;
-  {
-    std::lock_guard<std::mutex> lock(ctx->mutex);
-    for (const auto& p : ctx->plans) {
-      if (p->n == n && p->h == h && p->w == w) {
-        plan = p;
-        break;
-      }
-    }
-    if (plan == nullptr) {
-      plan = compile(*ctx, net, n, h, w);
-      if (plan == nullptr) {
-        plan_counter("declined_total",
-                     "Plan builds/runs declined to the graph-order path")
-            .inc();
-        return false;
-      }
-      ctx->plans.push_back(plan);
+  if (streamed && depth_unchanged && cache->valid) {
+    key.variant = Variant::kStreamHit;
+    plan = lookup(ctx, net, key);
+    if (!cache_matches(*plan, *cache)) {
+      plan.reset();
     }
   }
-  return execute(net, *ctx, *plan, rgb, depth, fusion_weight, out);
+  if (streamed && plan == nullptr) {
+    key.variant = Variant::kStreamMiss;
+    plan = lookup(ctx, net, key);
+    cache->invalidate();
+    bind_cache(*plan, *cache);
+    ++cache->misses;
+  } else if (streamed) {
+    ++cache->hits;
+  } else {
+    plan = lookup(ctx, net, key);
+  }
+  m.runs[static_cast<size_t>(key.variant)]->inc();
+  Tensor out = execute(net, *plan, rgb, depth, fusion_weight, cache);
+  if (key.variant == Variant::kStreamMiss) {
+    cache->valid = true;
+  }
+  return out;
 }
 
 [[maybe_unused]] const bool hooks_installed = [] {
@@ -686,13 +903,19 @@ bool run_hook(const RoadSegNet& net, const std::shared_ptr<void>& state,
 
 std::string slot_str(const CompiledPlan& plan, int idx) {
   if (idx < 0) {
-    return "-";
+    return "input";
   }
   const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
   std::ostringstream os;
   os << "%" << idx << ":" << def.label << "(" << def.n << "x" << def.c << "x"
      << def.h << "x" << def.w
-     << (def.layout == Layout::kNchwc ? " nchwc8)" : " nchw)");
+     << (def.layout == Layout::kNchwc ? " nchwc8" : " nchw");
+  if (def.cache_index >= 0) {
+    os << " cached";
+  } else if (def.layout == Layout::kNchwc) {
+    os << " @" << def.offset;
+  }
+  os << ")";
   return os.str();
 }
 
@@ -719,8 +942,8 @@ std::string epilogue_str(const Step& st) {
   return out.empty() ? "none" : out;
 }
 
-/// Solver the registry would bind for an NCHW conv of this shape — the
-/// graph-path layers of the plan (stems, decoder) still dispatch there.
+/// Solver the registry binds for an NCHW conv of this shape — what the
+/// plan's layer steps and the decoder dispatch to.
 std::string bound_solver(int64_t cin, int64_t cout, int64_t kernel,
                          int64_t stride, int64_t pad, int64_t in_h,
                          int64_t in_w) {
@@ -738,12 +961,116 @@ std::string bound_solver(int64_t cin, int64_t cout, int64_t kernel,
   return binding->solver != nullptr ? binding->solver->name() : "legacy";
 }
 
-}  // namespace
-
-bool planning_enabled() {
-  const char* env = std::getenv("ROADFUSION_PLAN");
-  return env == nullptr || std::string(env) != "0";
+/// The first conv a layer step runs (its solver heads the explain line).
+const nn::Conv2d& first_conv(const RoadSegNet& net, const Step& st) {
+  const auto stage = static_cast<size_t>(st.stage);
+  switch (st.layer) {
+    case LayerRef::kRgbStage:
+    case LayerRef::kDepthStage: {
+      const Encoder& encoder = st.layer == LayerRef::kRgbStage
+                                   ? net.rgb_encoder()
+                                   : net.depth_encoder();
+      return st.stage == 0 ? encoder.stem().conv()
+                           : encoder.block(st.stage).conv1().conv();
+    }
+    case LayerRef::kDepthToRgb:
+      return net.depth_to_rgb_filters()[stage].conv();
+    case LayerRef::kRgbToDepth:
+      return net.rgb_to_depth_filters()[stage].conv();
+    case LayerRef::kNone:
+      break;
+  }
+  ROADFUSION_CHECK(false, "inference plan: layer step without a layer");
 }
+
+void print_plan(std::ostream& os, const RoadSegNet& net,
+                const CompiledPlan& plan, NchwReason reason) {
+  const PlanKey& key = plan.key;
+  os << "inference plan: scheme=" << core::to_string(net.config().scheme)
+     << " variant=" << variant_name(key.variant)
+     << " layout=" << (key.layout == Layout::kNchwc ? "nchwc8" : "nchw")
+     << " reason=" << reason_name(reason) << " input=" << key.n << "x"
+     << net.config().rgb_channels << "x" << key.h << "x" << key.w
+     << " steps=" << plan.steps.size() << " slots=" << plan.slots.size()
+     << "\n";
+  for (size_t j = 0; j < plan.steps.size(); ++j) {
+    const Step& st = plan.steps[j];
+    os << "  [" << j << "] ";
+    switch (st.kind) {
+      case StepKind::kLayer: {
+        const int64_t in_h =
+            st.src >= 0 ? plan.slots[static_cast<size_t>(st.src)].h : key.h;
+        const int64_t in_w =
+            st.src >= 0 ? plan.slots[static_cast<size_t>(st.src)].w : key.w;
+        const nn::Conv2d& conv = first_conv(net, st);
+        os << "layer       layout=nchw solver="
+           << bound_solver(conv.in_channels(), conv.out_channels(),
+                           conv.geometry().kernel, conv.geometry().stride,
+                           conv.geometry().padding, in_h, in_w)
+           << " layer=" << kLayerNames[static_cast<size_t>(st.layer)]
+           << ".stage" << st.stage << " " << slot_str(plan, st.src)
+           << " -> " << slot_str(plan, st.dst);
+        break;
+      }
+      case StepKind::kConvertToNchwc:
+        os << "to_nchwc    " << slot_str(plan, st.src) << " -> "
+           << slot_str(plan, st.dst);
+        break;
+      case StepKind::kConvertToNchw:
+        os << "to_nchw     " << slot_str(plan, st.src) << " -> "
+           << slot_str(plan, st.dst);
+        break;
+      case StepKind::kConvNchwc:
+        os << "conv" << st.conv->kernel << "x" << st.conv->kernel << "/s"
+           << st.conv->stride << "   layout=nchwc8 solver=nchwc_direct"
+           << (common::active_tier() >= common::CpuTier::kAvx2 ? "_avx2"
+                                                               : "")
+           << " layer=" << st.conv->name
+           << " epilogue=" << epilogue_str(st) << " "
+           << slot_str(plan, st.src) << " -> " << slot_str(plan, st.dst);
+        if (st.pre >= 0) {
+          os << " pre=" << slot_str(plan, st.pre);
+        }
+        if (st.post >= 0) {
+          os << " post=" << slot_str(plan, st.post);
+        }
+        break;
+      case StepKind::kAddInPlace:
+        os << "add         " << slot_str(plan, st.dst)
+           << " += " << slot_str(plan, st.src);
+        break;
+      case StepKind::kAccumulate:
+        os << "fusion_sum  " << slot_str(plan, st.dst) << " += w * "
+           << slot_str(plan, st.src);
+        break;
+      case StepKind::kAwnFuse:
+        os << "awn_fuse    layout=nchw " << slot_str(plan, st.dst)
+           << " += w * AWN-scaled " << slot_str(plan, st.aux);
+        break;
+      case StepKind::kDecoder:
+        os << "decoder     layout=nchw solver="
+           << bound_solver(net.config().stage_channels[0],
+                           net.config().stage_channels[0], 3, 1, 1, key.h,
+                           key.w)
+           << " skips={";
+        for (size_t i = 0; i < plan.skip_slots.size(); ++i) {
+          os << (i == 0 ? "" : ", ") << "%" << plan.skip_slots[i];
+        }
+        os << "} -> logits";
+        break;
+    }
+    if (!plan.release_after[j].empty()) {
+      os << "  free={";
+      for (size_t i = 0; i < plan.release_after[j].size(); ++i) {
+        os << (i == 0 ? "" : ", ") << "%" << plan.release_after[j][i];
+      }
+      os << "}";
+    }
+    os << "\n";
+  }
+}
+
+}  // namespace
 
 void install_hooks() {
   roadseg::PlanHooks hooks;
@@ -754,101 +1081,31 @@ void install_hooks() {
 
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w) {
-  std::ostringstream os;
-  if (!net.supports_raw_inference()) {
-    return "inference plan unavailable: model is in training mode (call "
-           "set_training(false) + prepare_inference() first)\n";
-  }
-  const std::shared_ptr<void> state = build_hook(net);
+  const std::shared_ptr<void> state = net.inference_plan();
   if (state == nullptr) {
-    os << "inference plan unavailable ("
-       << (!planning_enabled()
-               ? "ROADFUSION_PLAN=0"
-               : quant::enabled()
-                     ? "quantized mode"
-                     : "unsupported model shape")
-       << "); inference uses the graph-order path\n";
-    return os.str();
+    return net.num_stages() > kMaxPlanStages
+               ? "inference plan unavailable: more than " +
+                     std::to_string(kMaxPlanStages) +
+                     " stages; inference uses the autograd graph\n"
+               : "inference plan unavailable: model is in training mode "
+                 "(call set_training(false) first); inference uses the "
+                 "autograd graph\n";
   }
-  auto* ctx = static_cast<PlanContext*>(state.get());
-  const auto plan = compile(*ctx, net, n, h, w);
-  if (plan == nullptr) {
-    return "inference plan unavailable for this geometry; inference uses "
-           "the graph-order path\n";
-  }
-  os << "inference plan: scheme=" << core::to_string(ctx->scheme)
-     << " input=" << n << "x" << net.config().rgb_channels << "x" << h << "x"
-     << w << " steps=" << plan->steps.size()
-     << " slots=" << plan->slots.size() << "\n";
-  if (!tune::forced_solver().empty()) {
-    os << "  note: ROADFUSION_SOLVER is set — the plan DECLINES at run "
-          "time and the graph path serves every call\n";
-  }
-  for (size_t j = 0; j < plan->steps.size(); ++j) {
-    const Step& st = plan->steps[j];
-    os << "  [" << j << "] ";
-    switch (st.kind) {
-      case StepKind::kStageZero:
-        os << "stage0      layout=nchw solver="
-           << bound_solver(net.config().rgb_channels,
-                           net.config().stage_channels[0], 3, 1, 1, h, w)
-           << " stems+stage0 fusion -> " << slot_str(*plan, st.dst) << ", "
-           << slot_str(*plan, st.aux);
-        break;
-      case StepKind::kConvertToNchwc:
-        os << "to_nchwc    " << slot_str(*plan, st.src) << " -> "
-           << slot_str(*plan, st.dst);
-        break;
-      case StepKind::kConvertToNchw:
-        os << "to_nchw     " << slot_str(*plan, st.src) << " -> "
-           << slot_str(*plan, st.dst);
-        break;
-      case StepKind::kConvNchwc:
-        os << "conv" << st.conv->kernel << "x" << st.conv->kernel << "/s"
-           << st.conv->stride << "   layout=nchwc8 solver=nchwc_direct"
-           << (common::active_tier() >= common::CpuTier::kAvx2 ? "_avx2"
-                                                               : "")
-           << " layer="
-           << st.conv->name << " epilogue=" << epilogue_str(st) << " "
-           << slot_str(*plan, st.src) << " -> " << slot_str(*plan, st.dst);
-        if (st.pre >= 0) {
-          os << " pre=" << slot_str(*plan, st.pre);
-        }
-        if (st.post >= 0) {
-          os << " post=" << slot_str(*plan, st.post);
-        }
-        break;
-      case StepKind::kAddInPlace:
-        os << "add         " << slot_str(*plan, st.dst)
-           << " += " << slot_str(*plan, st.src);
-        break;
-      case StepKind::kAccumulate:
-        os << "fusion_sum  " << slot_str(*plan, st.dst)
-           << " += w * " << slot_str(*plan, st.src);
-        break;
-      case StepKind::kAwnFuse:
-        os << "awn_fuse    layout=nchw " << slot_str(*plan, st.dst)
-           << " += w * AWN-scaled " << slot_str(*plan, st.aux);
-        break;
-      case StepKind::kDecoder:
-        os << "decoder     layout=nchw solver="
-           << bound_solver(net.config().stage_channels[0],
-                           net.config().stage_channels[0], 3, 1, 1, h, w)
-           << " skips={";
-        for (size_t i = 0; i < plan->skip_slots.size(); ++i) {
-          os << (i == 0 ? "" : ", ") << "%" << plan->skip_slots[i];
-        }
-        os << "} -> logits";
-        break;
+  const auto& ctx = *static_cast<const PlanContext*>(state.get());
+  const NchwReason reason = nchw_reason(ctx);
+  std::ostringstream os;
+  for (const Variant variant : kVariants) {
+    if (ctx.scheme == FusionScheme::kAllFilterB &&
+        (variant == Variant::kStreamMiss || variant == Variant::kStreamHit)) {
+      continue;  // never cached: see run_hook
     }
-    if (!plan->release_after[j].empty()) {
-      os << "  free={";
-      for (size_t i = 0; i < plan->release_after[j].size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "%" << plan->release_after[j][i];
-      }
-      os << "}";
-    }
-    os << "\n";
+    PlanKey key;
+    key.n = n;
+    key.h = h;
+    key.w = w;
+    key.variant = variant;
+    key.layout = reason == NchwReason::kNone ? Layout::kNchwc : Layout::kNchw;
+    print_plan(os, net, *compile(ctx, net, key), reason);
   }
   return os.str();
 }

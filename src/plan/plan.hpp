@@ -1,19 +1,25 @@
 // Inference plan compiler — public surface (DESIGN.md §16).
 //
-// The plan compiler turns a RoadSegNet in eval mode into an executable
-// per-layer schedule: interior encoder stages run in the blocked NCHWc8
-// layout through a direct conv kernel (no im2col), the cross-layer
-// elementwise chain (residual add, fusion-filter match, fusion sum, AWN
-// scaling) is fused into conv epilogues where the graph order allows it,
-// and transient buffers are released at their last use so the workspace
-// arena sees the minimal buffer schedule.
+// The plan compiler turns a RoadSegNet in eval mode into executable
+// per-layer schedules and is the one path that serves its inference:
+// predict and predict_fused run the fused schedule (fusion weight in
+// (0, 1]) or the RGB-only one (weight 0, no depth-branch steps), and
+// predict_stream runs the stream-miss schedule (which also writes each
+// fusion step's depth input into the StreamFeatureCache) or the
+// stream-hit one (which reads them instead of running the depth branch).
+// Interior encoder stages run in the blocked NCHWc8 layout through a
+// direct conv kernel (no im2col), the cross-layer elementwise chain
+// (residual add, fusion-filter match, fusion sum) is fused into conv
+// epilogues, and transient buffers are released at their last use so
+// the workspace arena sees the minimal buffer schedule. In quantized
+// mode, under a forced solver, or when a conv reduces over more than one
+// Kc block, every stage instead runs NCHW through the layers' own
+// forward_infer calls, with the same fusion steps, and
+// roadfusion_plan_declined_total{reason} counts the call.
 //
 // Integration happens through roadseg/plan_hook.hpp: linking rf_plan into
-// a binary installs the hooks at static init, after which
-// RoadSegNet::prepare_inference compiles a plan and infer_logits executes
-// it. The plan declines — transparently falling back to the graph-order
-// path — for quantized mode, a forced solver, fusion weight 0, or any
-// geometry it cannot prove bit-exact.
+// a binary installs the hooks at static init (install_hooks() does it
+// explicitly); without them every predict takes the autograd graph.
 #pragma once
 
 #include <cstdint>
@@ -25,19 +31,17 @@ class RoadSegNet;
 
 namespace roadfusion::plan {
 
-/// True unless ROADFUSION_PLAN=0 disables plan compilation process-wide.
-bool planning_enabled();
-
 /// Installs the plan hooks into roadseg (idempotent; also performed by a
 /// static initializer in this library, so merely linking rf_plan and
 /// referencing any of its symbols is enough).
 void install_hooks();
 
-/// Human-readable schedule for `net` at input geometry (n, 3, h, w):
-/// one line per step with layout, kernel/solver, fused epilogue stages
-/// and buffer slots — the backing of `roadfusion infer --explain-plan`.
-/// The net must be in eval mode with prepare_inference() already run.
-/// Reports the reason when no plan is available.
+/// Human-readable schedules for `net` at input geometry (n, 3, h, w):
+/// a header per variant (fused, rgb_only and, unless AllFilter_B,
+/// stream_miss and stream_hit) with the layout and the reason for an
+/// NCHW one, then one line per step with layout, kernel/solver, fused
+/// epilogue stages and buffer slots — the backing of `roadfusion infer
+/// --explain-plan`. Reports why when the net has no plan.
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w);
 

@@ -25,10 +25,12 @@ class Decoder : public nn::Module {
   Variable forward(const std::vector<Variable>& skips) const;
 
   /// Raw no-graph inference analogue of `forward` over `count` skip
-  /// tensors (stage 0 first). Takes a pointer + count rather than a
-  /// container so callers can hand over fixed-size storage without a
-  /// per-call vector. Bit-identical to the Variable path.
-  tensor::Tensor forward_infer(const tensor::Tensor* skips, int count) const;
+  /// tensors (stage 0 first) — the inference plan's decoder step. Takes
+  /// pointers rather than a container so the caller hands over its own
+  /// buffers without a per-call vector or copy. Bit-identical to the
+  /// Variable path.
+  tensor::Tensor forward_infer(const tensor::Tensor* const* skips,
+                               int count) const;
 
   void prepare_inference() override;
 

@@ -4,11 +4,11 @@
 // rf_plan sits *above* rf_roadseg in the link order (the compiler walks
 // the network through the public structural accessors), so RoadSegNet
 // cannot call into it directly. Instead the plan library installs a pair
-// of function pointers here at static-init time; prepare_inference calls
-// `build` to compile a plan and infer_logits offers each call to `run`.
-// A null hook — or a `run` that returns false (the plan declined) — falls
-// straight through to the classic graph-order raw path, so linking
-// without rf_plan changes nothing.
+// of function pointers here at static-init time: RoadSegNet compiles its
+// plan through `build`, and every eval-mode predict, predict_fused and
+// predict_stream of a model that has a plan runs through `run`. A binary
+// that does not link rf_plan has no hooks, so its models have no plan and
+// every predict takes the autograd graph.
 #pragma once
 
 #include <memory>
@@ -18,17 +18,23 @@
 namespace roadfusion::roadseg {
 
 class RoadSegNet;
+class SegmentationModel;
+struct StreamFeatureCache;
 
 /// The plan compiler's entry points. `build` returns the opaque per-model
-/// plan state (null when planning is disabled or the model shape is
-/// unsupported); `run` executes one inference against it, returning false
-/// to decline (forced solver, quantized mode, unsupported fusion weight)
-/// — the caller then runs the graph-order path.
+/// plan state (null when the model shape has no plan, e.g. more than 8
+/// stages). `run` executes one inference against a state `build`
+/// returned for `model` and yields the (N, 1, H, W) logits, bit-identical
+/// to `forward_fused(...).logits`. A non-null `cache` selects the stream
+/// schedules: the cache's slots are reused when `depth_unchanged` holds
+/// and they match the schedule, and repopulated otherwise.
 struct PlanHooks {
   std::shared_ptr<void> (*build)(const RoadSegNet& net) = nullptr;
-  bool (*run)(const RoadSegNet& net, const std::shared_ptr<void>& state,
-              const tensor::Tensor& rgb, const tensor::Tensor& depth,
-              float fusion_weight, tensor::Tensor& out) = nullptr;
+  tensor::Tensor (*run)(const SegmentationModel& model,
+                        const std::shared_ptr<void>& state,
+                        const tensor::Tensor& rgb, const tensor::Tensor& depth,
+                        float fusion_weight, StreamFeatureCache* cache,
+                        bool depth_unchanged) = nullptr;
 };
 
 /// Installs the hooks (called from rf_plan's static initializer; passing

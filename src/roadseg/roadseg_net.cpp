@@ -1,9 +1,8 @@
 #include "roadseg/roadseg_net.hpp"
 
-#include <array>
-
 #include "autograd/ops.hpp"
 #include "common/check.hpp"
+#include "nn/module.hpp"
 #include "obs/trace.hpp"
 #include "roadseg/plan_hook.hpp"
 #include "tensor/workspace.hpp"
@@ -11,23 +10,6 @@
 namespace roadfusion::roadseg {
 
 namespace ag = roadfusion::autograd;
-
-namespace {
-
-/// Upper bound on encoder stages the raw inference path supports — the
-/// skip pyramid lives in a fixed array so no per-call vector is needed.
-constexpr int kMaxInferStages = 8;
-
-/// Deep-copies a depth feature into its cache slot. The slot must outlive
-/// the ambient workspace arena, so a fresh allocation goes to the heap;
-/// once the slot holds matching storage, copy-assignment reuses it and
-/// the steady state allocates nothing.
-void store_stream_feature(tensor::Tensor& slot, const tensor::Tensor& value) {
-  const tensor::NoWorkspaceScope no_pool;
-  slot = value;
-}
-
-}  // namespace
 
 RoadSegNet::RoadSegNet(const RoadSegConfig& config, Rng& rng)
     : config_(config) {
@@ -80,6 +62,25 @@ bool RoadSegNet::stage_is_shared(int stage) const {
          stage >= resolved_share_from();
 }
 
+void RoadSegNet::check_inputs(const tensor::Shape& rgb,
+                              const tensor::Shape& depth,
+                              float fusion_weight) const {
+  ROADFUSION_CHECK(rgb.rank() == 4 && depth.rank() == 4,
+                   "RoadSegNet::forward expects NCHW inputs");
+  ROADFUSION_CHECK(rgb.batch() == depth.batch() &&
+                       rgb.height() == depth.height() &&
+                       rgb.width() == depth.width(),
+                   "RoadSegNet::forward: rgb " << rgb.str() << " vs depth "
+                                               << depth.str());
+  ROADFUSION_CHECK(fusion_weight >= 0.0f && fusion_weight <= 1.0f,
+                   "fusion_weight must be in [0, 1], got " << fusion_weight);
+  const int64_t stride = int64_t{1} << (num_stages() - 1);
+  ROADFUSION_CHECK(rgb.height() % stride == 0 && rgb.width() % stride == 0,
+                   "input " << rgb.str()
+                            << " not divisible by the network stride "
+                            << stride);
+}
+
 ForwardResult RoadSegNet::forward(const autograd::Variable& rgb,
                                   const autograd::Variable& depth) const {
   return forward_fused(rgb, depth, 1.0f);
@@ -88,23 +89,8 @@ ForwardResult RoadSegNet::forward(const autograd::Variable& rgb,
 ForwardResult RoadSegNet::forward_fused(const autograd::Variable& rgb,
                                         const autograd::Variable& depth,
                                         float fusion_weight) const {
-  ROADFUSION_CHECK(rgb.shape().rank() == 4 && depth.shape().rank() == 4,
-                   "RoadSegNet::forward expects NCHW inputs");
-  ROADFUSION_CHECK(rgb.shape().batch() == depth.shape().batch() &&
-                       rgb.shape().height() == depth.shape().height() &&
-                       rgb.shape().width() == depth.shape().width(),
-                   "RoadSegNet::forward: rgb " << rgb.shape().str()
-                                               << " vs depth "
-                                               << depth.shape().str());
-  ROADFUSION_CHECK(fusion_weight >= 0.0f && fusion_weight <= 1.0f,
-                   "fusion_weight must be in [0, 1], got " << fusion_weight);
+  check_inputs(rgb.shape(), depth.shape(), fusion_weight);
   const int stages = num_stages();
-  const int64_t stride = int64_t{1} << (stages - 1);
-  ROADFUSION_CHECK(rgb.shape().height() % stride == 0 &&
-                       rgb.shape().width() % stride == 0,
-                   "input " << rgb.shape().str()
-                            << " not divisible by the network stride "
-                            << stride);
 
   ForwardResult result;
   std::vector<autograd::Variable> skips;
@@ -197,291 +183,27 @@ ForwardResult RoadSegNet::forward_fused(const autograd::Variable& rgb,
   return result;
 }
 
-bool RoadSegNet::supports_raw_inference() const {
-  return !training_ && num_stages() <= kMaxInferStages;
-}
-
-tensor::Tensor RoadSegNet::infer_logits(const tensor::Tensor& rgb,
-                                        const tensor::Tensor& depth,
-                                        float fusion_weight) const {
-  // Compiled-plan fast path (DESIGN.md §16): run() declines — returns
-  // false — whenever the plan cannot reproduce the graph path exactly
-  // (forced solver, quantized mode, fusion_weight 0), and the classic
-  // graph-order traversal below remains the semantic reference.
-  if (plan_state_ != nullptr) {
-    const PlanHooks hooks = plan_hooks();
-    if (hooks.run != nullptr) {
-      tensor::Tensor out;
-      if (hooks.run(*this, plan_state_, rgb, depth, fusion_weight, out)) {
-        return out;
-      }
-    }
+std::shared_ptr<void> RoadSegNet::inference_plan() const {
+  if (training_) {
+    return nullptr;
   }
-  return infer_logits_impl(rgb, depth, fusion_weight, nullptr);
-}
-
-tensor::Tensor RoadSegNet::infer_logits_impl(const tensor::Tensor& rgb,
-                                             const tensor::Tensor& depth,
-                                             float fusion_weight,
-                                             StreamFeatureCache* populate) const {
-  ROADFUSION_CHECK(rgb.shape().rank() == 4 && depth.shape().rank() == 4,
-                   "RoadSegNet::infer_logits expects NCHW inputs");
-  ROADFUSION_CHECK(rgb.shape().batch() == depth.shape().batch() &&
-                       rgb.shape().height() == depth.shape().height() &&
-                       rgb.shape().width() == depth.shape().width(),
-                   "RoadSegNet::infer_logits: rgb " << rgb.shape().str()
-                                                    << " vs depth "
-                                                    << depth.shape().str());
-  ROADFUSION_CHECK(fusion_weight >= 0.0f && fusion_weight <= 1.0f,
-                   "fusion_weight must be in [0, 1], got " << fusion_weight);
-  const int stages = num_stages();
-  ROADFUSION_CHECK(stages <= kMaxInferStages,
-                   "raw inference supports at most " << kMaxInferStages
-                                                     << " stages, got "
-                                                     << stages);
-  const int64_t stride = int64_t{1} << (stages - 1);
-  ROADFUSION_CHECK(rgb.shape().height() % stride == 0 &&
-                       rgb.shape().width() % stride == 0,
-                   "input " << rgb.shape().str()
-                            << " not divisible by the network stride "
-                            << stride);
-
-  std::array<tensor::Tensor, kMaxInferStages> skips;
-
-  if (fusion_weight == 0.0f) {
-    // RGB-only degraded mode, mirroring forward_fused: the depth branch
-    // never runs and the depth values are never read.
-    obs::ScopedSpan rgb_only_span("rgb_only");
-    const tensor::Tensor* rgb_in = &rgb;
-    for (int stage = 0; stage < stages; ++stage) {
-      obs::ScopedSpan stage_span("rgb_encoder.stage", stage);
-      skips[static_cast<size_t>(stage)] =
-          rgb_encoder_->forward_stage_infer(stage, *rgb_in);
-      rgb_in = &skips[static_cast<size_t>(stage)];
-    }
-    obs::ScopedSpan decoder_span("decoder");
-    return decoder_->forward_infer(skips.data(), stages);
+  const uint64_t epoch = nn::current_inference_epoch();
+  const std::shared_ptr<const PlanBinding> bound = std::atomic_load(&plan_);
+  if (bound != nullptr && bound->epoch == epoch) {
+    return bound->state;
   }
-
-  // fused = r += w * matched, in place; the scale-then-add float order
-  // matches the legacy scale + add op pair exactly (w == 1 skips the
-  // scale, like forward_fused does).
-  const auto accumulate = [fusion_weight](tensor::Tensor& r,
-                                          const tensor::Tensor& m) {
-    float* pr = r.raw();
-    const float* pm = m.raw();
-    const int64_t n = r.numel();
-    if (fusion_weight == 1.0f) {
-      for (int64_t i = 0; i < n; ++i) {
-        pr[i] += pm[i];
-      }
-    } else {
-      for (int64_t i = 0; i < n; ++i) {
-        const float scaled = pm[i] * fusion_weight;
-        pr[i] += scaled;
-      }
-    }
-  };
-
-  if (populate != nullptr) {
-    populate->matched.resize(static_cast<size_t>(stages));
+  const PlanHooks hooks = plan_hooks();
+  if (hooks.build == nullptr) {
+    return nullptr;
   }
-  tensor::Tensor depth_store;
-  const tensor::Tensor* rgb_in = &rgb;
-  const tensor::Tensor* depth_in = &depth;
-  for (int stage = 0; stage < stages; ++stage) {
-    tensor::Tensor r_i = [&] {
-      obs::ScopedSpan stage_span("rgb_encoder.stage", stage);
-      return rgb_encoder_->forward_stage_infer(stage, *rgb_in);
-    }();
-    tensor::Tensor d_i = [&] {
-      obs::ScopedSpan stage_span("depth_encoder.stage", stage);
-      return depth_encoder_->forward_stage_infer(stage, *depth_in);
-    }();
-
-    obs::ScopedSpan fusion_span("fusion.stage", stage);
-    switch (config_.scheme) {
-      case FusionScheme::kBaseline:
-      case FusionScheme::kBaseSharing:
-        if (populate != nullptr) {
-          store_stream_feature(populate->matched[static_cast<size_t>(stage)],
-                               d_i);
-        }
-        accumulate(r_i, d_i);
-        break;
-      case FusionScheme::kAllFilterU: {
-        const tensor::Tensor matched =
-            depth_to_rgb_filters_[static_cast<size_t>(stage)].match_infer(d_i);
-        if (populate != nullptr) {
-          store_stream_feature(populate->matched[static_cast<size_t>(stage)],
-                               matched);
-        }
-        accumulate(r_i, matched);
-        break;
-      }
-      case FusionScheme::kAllFilterB: {
-        const tensor::Tensor matched =
-            depth_to_rgb_filters_[static_cast<size_t>(stage)].match_infer(d_i);
-        if (stage < stages - 1) {
-          // next_depth = d_i + match(r_i), before r_i is fused in place.
-          const tensor::Tensor matched_rgb =
-              rgb_to_depth_filters_[static_cast<size_t>(stage)].match_infer(
-                  r_i);
-          float* pd = d_i.raw();
-          const float* pm = matched_rgb.raw();
-          const int64_t n = d_i.numel();
-          for (int64_t i = 0; i < n; ++i) {
-            pd[i] += pm[i];
-          }
-        }
-        accumulate(r_i, matched);
-        break;
-      }
-      case FusionScheme::kWeightedSharing:
-        if (populate != nullptr) {
-          if (stage == stages - 1) {
-            // The AWN needs the *unscaled* deepest depth features each
-            // frame; snapshot them before the in-place weighting below.
-            store_stream_feature(populate->d_last_unscaled, d_i);
-          } else {
-            store_stream_feature(populate->matched[static_cast<size_t>(stage)],
-                                 d_i);
-          }
-        }
-        if (stage == stages - 1) {
-          obs::ScopedSpan awn_span("awn.weight");
-          const tensor::Tensor w = awn_->weight_infer(r_i, d_i);
-          // matched = w (per sample) * d_i, in place; ws * x order as in
-          // scale_per_sample.
-          const int64_t batch = d_i.shape().batch();
-          const int64_t per_sample = d_i.numel() / batch;
-          float* pd = d_i.raw();
-          const float* pw = w.raw();
-          for (int64_t s = 0; s < batch; ++s) {
-            const float ws = pw[s];
-            for (int64_t i = 0; i < per_sample; ++i) {
-              pd[s * per_sample + i] = ws * pd[s * per_sample + i];
-            }
-          }
-        }
-        accumulate(r_i, d_i);
-        break;
-    }
-
-    skips[static_cast<size_t>(stage)] = std::move(r_i);
-    rgb_in = &skips[static_cast<size_t>(stage)];
-    depth_store = std::move(d_i);
-    depth_in = &depth_store;
-  }
-
-  if (populate != nullptr) {
-    populate->valid = true;
-  }
-  obs::ScopedSpan decoder_span("decoder");
-  return decoder_->forward_infer(skips.data(), stages);
-}
-
-tensor::Tensor RoadSegNet::infer_logits_reuse(const tensor::Tensor& rgb,
-                                              float fusion_weight,
-                                              StreamFeatureCache& cache) const {
-  const int stages = num_stages();
-  const int64_t stride = int64_t{1} << (stages - 1);
-  ROADFUSION_CHECK(rgb.shape().rank() == 4 &&
-                       rgb.shape().height() % stride == 0 &&
-                       rgb.shape().width() % stride == 0,
-                   "RoadSegNet::infer_logits_reuse: bad rgb "
-                       << rgb.shape().str());
-
-  // Same float-op sequence as infer_logits' accumulate lambda.
-  const auto accumulate = [fusion_weight](tensor::Tensor& r,
-                                          const tensor::Tensor& m) {
-    float* pr = r.raw();
-    const float* pm = m.raw();
-    const int64_t n = r.numel();
-    if (fusion_weight == 1.0f) {
-      for (int64_t i = 0; i < n; ++i) {
-        pr[i] += pm[i];
-      }
-    } else {
-      for (int64_t i = 0; i < n; ++i) {
-        const float scaled = pm[i] * fusion_weight;
-        pr[i] += scaled;
-      }
-    }
-  };
-
-  obs::ScopedSpan reuse_span("depth_cache.reuse");
-  std::array<tensor::Tensor, kMaxInferStages> skips;
-  const tensor::Tensor* rgb_in = &rgb;
-  for (int stage = 0; stage < stages; ++stage) {
-    tensor::Tensor r_i = [&] {
-      obs::ScopedSpan stage_span("rgb_encoder.stage", stage);
-      return rgb_encoder_->forward_stage_infer(stage, *rgb_in);
-    }();
-
-    obs::ScopedSpan fusion_span("fusion.stage", stage);
-    if (config_.scheme == FusionScheme::kWeightedSharing &&
-        stage == stages - 1) {
-      const tensor::Tensor& d_last = cache.d_last_unscaled;
-      ROADFUSION_CHECK(d_last.shape() == r_i.shape(),
-                       "stream cache geometry mismatch at the AWN stage: "
-                           << d_last.shape().str() << " vs "
-                           << r_i.shape().str());
-      obs::ScopedSpan awn_span("awn.weight");
-      const tensor::Tensor w = awn_->weight_infer(r_i, d_last);
-      // matched = w (per sample) * cached d_i — the same mul-then-add
-      // float order as the plain path's in-place scale + accumulate.
-      tensor::Tensor matched(d_last.shape());
-      const int64_t batch = d_last.shape().batch();
-      const int64_t per_sample = d_last.numel() / batch;
-      const float* pd = d_last.raw();
-      float* pm = matched.raw();
-      const float* pw = w.raw();
-      for (int64_t s = 0; s < batch; ++s) {
-        const float ws = pw[s];
-        for (int64_t i = 0; i < per_sample; ++i) {
-          pm[s * per_sample + i] = ws * pd[s * per_sample + i];
-        }
-      }
-      accumulate(r_i, matched);
-    } else {
-      const tensor::Tensor& matched = cache.matched[static_cast<size_t>(stage)];
-      ROADFUSION_CHECK(matched.shape() == r_i.shape(),
-                       "stream cache geometry mismatch at stage "
-                           << stage << ": " << matched.shape().str() << " vs "
-                           << r_i.shape().str());
-      accumulate(r_i, matched);
-    }
-
-    skips[static_cast<size_t>(stage)] = std::move(r_i);
-    rgb_in = &skips[static_cast<size_t>(stage)];
-  }
-
-  obs::ScopedSpan decoder_span("decoder");
-  return decoder_->forward_infer(skips.data(), stages);
-}
-
-tensor::Tensor RoadSegNet::infer_logits_stream(const tensor::Tensor& rgb,
-                                               const tensor::Tensor& depth,
-                                               float fusion_weight,
-                                               StreamFeatureCache& cache,
-                                               bool depth_unchanged) const {
-  if (fusion_weight == 0.0f ||
-      config_.scheme == FusionScheme::kAllFilterB) {
-    // RGB-only degraded mode has no depth work to skip; AllFilter_B's
-    // depth branch consumes per-frame RGB features, so its depth features
-    // are never reusable.
-    cache.invalidate();
-    return infer_logits(rgb, depth, fusion_weight);
-  }
-  const int stages = num_stages();
-  if (depth_unchanged && cache.valid &&
-      cache.matched.size() == static_cast<size_t>(stages)) {
-    ++cache.hits;
-    return infer_logits_reuse(rgb, fusion_weight, cache);
-  }
-  ++cache.misses;
-  return infer_logits_impl(rgb, depth, fusion_weight, &cache);
+  // The plan snapshots the packed weights and eval-BN factors of this
+  // epoch; it outlives any forward pass, so keep it out of the arena.
+  const tensor::NoWorkspaceScope no_pool;
+  auto fresh = std::make_shared<PlanBinding>();
+  fresh->epoch = epoch;
+  fresh->state = hooks.build(*this);
+  std::atomic_store(&plan_, std::shared_ptr<const PlanBinding>(fresh));
+  return fresh->state;
 }
 
 void RoadSegNet::prepare_inference() {
@@ -494,16 +216,10 @@ void RoadSegNet::prepare_inference() {
     filter.prepare_inference();
   }
   decoder_->prepare_inference();
-  // (Re)compile the inference plan last: it snapshots the weights and the
+  // Compile the inference plan last: it snapshots the weights and the
   // eval-BN factors the calls above just refreshed. Only meaningful in
   // eval mode — the plan replays eval arithmetic.
-  plan_state_.reset();
-  if (!training_) {
-    const PlanHooks hooks = plan_hooks();
-    if (hooks.build != nullptr) {
-      plan_state_ = hooks.build(*this);
-    }
-  }
+  (void)inference_plan();
 }
 
 nn::Complexity RoadSegNet::complexity(int64_t height, int64_t width) const {

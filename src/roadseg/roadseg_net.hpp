@@ -64,32 +64,21 @@ class RoadSegNet : public SegmentationModel {
   /// (a shared stage still runs twice).
   nn::Complexity complexity(int64_t height, int64_t width) const override;
 
-  /// Raw planned-inference path (DESIGN.md §11): the exact data flow of
-  /// `forward_fused` on raw tensors — no graph, no per-call containers —
-  /// with bit-identical logits. Available once the network is in eval
-  /// mode (`set_training(false)`).
-  bool supports_raw_inference() const override;
-  tensor::Tensor infer_logits(const tensor::Tensor& rgb,
-                              const tensor::Tensor& depth,
-                              float fusion_weight) const override;
+  /// Throws unless rgb / depth are NCHW with matching batch and spatial
+  /// extent divisible by the network stride, and fusion_weight is in
+  /// [0, 1] — the input contract shared by the graph and the plan.
+  void check_inputs(const tensor::Shape& rgb, const tensor::Shape& depth,
+                    float fusion_weight) const;
 
-  /// Streaming raw path. The depth branch depends only on the depth input
-  /// for Baseline / Base-sharing / AllFilter_U / Weighted-sharing, so when
-  /// `depth_unchanged` holds, the cached matched features substitute for
-  /// the whole depth encoder (for Weighted-sharing the AWN still runs per
-  /// frame on fresh RGB features against the cached unscaled depth
-  /// features). AllFilter_B feeds RGB features back into the depth branch
-  /// every frame — nothing is cacheable, so it (and the RGB-only degraded
-  /// mode, which has no depth work to skip) falls back to `infer_logits`.
-  /// Bit-identical to `infer_logits` in every case.
-  tensor::Tensor infer_logits_stream(const tensor::Tensor& rgb,
-                                     const tensor::Tensor& depth,
-                                     float fusion_weight,
-                                     StreamFeatureCache& cache,
-                                     bool depth_unchanged) const override;
+  /// The compiled inference plan (DESIGN.md §16): built through the plan
+  /// hooks in eval mode and rebuilt when the inference epoch moves on
+  /// (checkpoint loads, optimizer steps). Null in training mode, with no
+  /// plan library linked, or for nets deeper than the plan supports.
+  std::shared_ptr<void> inference_plan() const override;
 
   /// Eagerly builds every layer's inference cache (packed weights, eval
-  /// BN factors) so serving threads never race a lazy rebuild.
+  /// BN factors) and, in eval mode, the inference plan, so serving
+  /// threads never race a lazy rebuild.
   void prepare_inference() override;
 
   const RoadSegConfig& config() const { return config_; }
@@ -118,27 +107,15 @@ class RoadSegNet : public SegmentationModel {
  private:
   int resolved_share_from() const;
 
-  /// Shared body of `infer_logits` / the populate half of
-  /// `infer_logits_stream`: the plain raw pass, optionally copying the
-  /// per-stage matched depth features into `populate` as it goes.
-  tensor::Tensor infer_logits_impl(const tensor::Tensor& rgb,
-                                   const tensor::Tensor& depth,
-                                   float fusion_weight,
-                                   StreamFeatureCache* populate) const;
-
-  /// The cache-hit half of `infer_logits_stream`: RGB encoder + fusion
-  /// from cached matched features; the depth encoder never runs.
-  tensor::Tensor infer_logits_reuse(const tensor::Tensor& rgb,
-                                    float fusion_weight,
-                                    StreamFeatureCache& cache) const;
-
   RoadSegConfig config_;
   bool training_ = true;
-  /// Opaque state of the compiled inference plan (see plan_hook.hpp),
-  /// rebuilt by prepare_inference and consulted first by infer_logits.
-  /// Null when no plan library is linked, planning is disabled, or the
-  /// model shape is unsupported.
-  std::shared_ptr<void> plan_state_;
+  /// The compiled inference plan and the inference epoch it was built
+  /// at; swapped atomically, so concurrent rebuilds are benign.
+  struct PlanBinding {
+    uint64_t epoch = 0;
+    std::shared_ptr<void> state;
+  };
+  mutable std::shared_ptr<const PlanBinding> plan_;
   std::unique_ptr<Encoder> rgb_encoder_;
   std::unique_ptr<Encoder> depth_encoder_;
   std::vector<core::FusionFilter> depth_to_rgb_filters_;  // AU / AB

@@ -1,11 +1,12 @@
 #include "roadseg/segmentation_model.hpp"
 
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "common/check.hpp"
+#include "roadseg/plan_hook.hpp"
 #include "tensor/workspace.hpp"
 
 namespace roadfusion::roadseg {
@@ -28,144 +29,104 @@ ForwardResult SegmentationModel::forward_fused(const autograd::Variable& rgb,
   return forward(rgb, autograd::scale(depth, fusion_weight));
 }
 
-tensor::Tensor SegmentationModel::infer_logits(const tensor::Tensor& rgb,
-                                               const tensor::Tensor& depth,
-                                               float fusion_weight) const {
-  (void)rgb;
-  (void)depth;
-  (void)fusion_weight;
-  ROADFUSION_CHECK(false,
-                   "infer_logits called on a model without a raw inference "
-                   "path (supports_raw_inference() is false)");
+std::shared_ptr<void> SegmentationModel::inference_plan() const {
+  return nullptr;
 }
 
 namespace {
 
-/// ROADFUSION_PLANNED_INFERENCE=0 falls back to the Variable-graph
-/// predict path; anything else (including unset) keeps the planned
-/// zero-allocation path on.
-bool planned_inference_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("ROADFUSION_PLANNED_INFERENCE");
-    return env == nullptr || env[0] != '0';
-  }();
-  return enabled;
+tensor::Tensor as_nchw(const tensor::Tensor& t) {
+  return t.reshaped(tensor::Shape::nchw(1, t.shape().dim(0), t.shape().dim(1),
+                                        t.shape().dim(2)));
 }
 
-/// The raw path body; the caller has already installed a WorkspaceScope,
-/// so every transient below (input reshapes, feature maps, the output)
-/// draws from the arena. `infer` maps NCHW (rgb, depth) to raw logits.
-template <typename InferFn>
-tensor::Tensor raw_predict_impl(const tensor::Tensor& rgb,
-                                const tensor::Tensor& depth,
-                                InferFn&& infer) {
-  const bool chw = rgb.shape().rank() == 3;
-  const tensor::Tensor* rgb4 = &rgb;
-  const tensor::Tensor* depth4 = &depth;
-  tensor::Tensor rgb_storage;
-  tensor::Tensor depth_storage;
-  if (chw) {
-    ROADFUSION_CHECK(depth.shape().rank() == 3,
-                     "predict: rgb is CHW but depth is "
-                         << depth.shape().str());
-    rgb_storage = rgb.reshaped(tensor::Shape::nchw(1, rgb.shape().dim(0),
-                                                   rgb.shape().dim(1),
-                                                   rgb.shape().dim(2)));
-    depth_storage = depth.reshaped(tensor::Shape::nchw(
-        1, depth.shape().dim(0), depth.shape().dim(1), depth.shape().dim(2)));
-    rgb4 = &rgb_storage;
-    depth4 = &depth_storage;
-  }
-  tensor::Tensor out = infer(*rgb4, *depth4);
-  // Sigmoid in place, with the numerically-stable two-branch formula of
-  // autograd::sigmoid — bit-identical to the graph path.
-  float* po = out.raw();
-  const int64_t n = out.numel();
+/// Logits -> probabilities, in place, with the numerically-stable
+/// two-branch formula of autograd::sigmoid (bit-identical to it).
+void sigmoid_in_place(tensor::Tensor& t) {
+  float* p = t.raw();
+  const int64_t n = t.numel();
   for (int64_t i = 0; i < n; ++i) {
-    const float v = po[i];
-    po[i] = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                      : std::exp(v) / (1.0f + std::exp(v));
+    const float v = p[i];
+    p[i] = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
+                     : std::exp(v) / (1.0f + std::exp(v));
   }
-  if (chw) {
-    out = out.reshaped(tensor::Shape::chw(1, rgb.shape().dim(1),
-                                          rgb.shape().dim(2)));
-  }
-  return out;
 }
 
-tensor::Tensor raw_predict(const SegmentationModel& model,
-                           const tensor::Tensor& rgb,
-                           const tensor::Tensor& depth, float fusion_weight) {
-  return raw_predict_impl(
-      rgb, depth, [&](const tensor::Tensor& r, const tensor::Tensor& d) {
-        return model.infer_logits(r, d, fusion_weight);
-      });
+/// The autograd graph's logits — what every model without a plan
+/// serves. The stream cache has no use here and is invalidated.
+tensor::Tensor graph_logits(const SegmentationModel& model,
+                            const tensor::Tensor& rgb,
+                            const tensor::Tensor& depth, float fusion_weight,
+                            StreamFeatureCache* cache) {
+  if (cache != nullptr) {
+    cache->invalidate();
+  }
+  return model
+      .forward_fused(autograd::Variable::constant(rgb),
+                     autograd::Variable::constant(depth), fusion_weight)
+      .logits.value();
 }
 
+/// Probabilities from the compiled plan when the model has one, else from
+/// the autograd graph. `cache` (may be null) selects the stream
+/// schedules.
 tensor::Tensor run_predict(const SegmentationModel& model,
                            const tensor::Tensor& rgb,
-                           const tensor::Tensor& depth, float fusion_weight) {
-  // Inference never needs the graph: with GradMode off, any fallback
-  // through the Variable path skips backward closures and the conv im2col
-  // cache.
+                           const tensor::Tensor& depth, float fusion_weight,
+                           StreamFeatureCache* cache, bool depth_unchanged) {
+  // Inference never needs the graph: with GradMode off, the graph path
+  // skips backward closures and the conv im2col cache.
   const autograd::InferenceModeGuard no_grad;
-  if (planned_inference_enabled() && model.supports_raw_inference()) {
-    if (tensor::Workspace::current() != nullptr) {
-      return raw_predict(model, rgb, depth, fusion_weight);
-    }
-    // Direct callers get a per-thread arena: the first predict on a
-    // thread populates it, every later one is allocation-free.
-    thread_local tensor::Workspace workspace;
-    const tensor::WorkspaceScope scope(workspace);
-    return raw_predict(model, rgb, depth, fusion_weight);
-  }
-  tensor::Tensor rgb4 = rgb;
-  tensor::Tensor depth4 = depth;
   const bool chw = rgb.shape().rank() == 3;
   if (chw) {
     ROADFUSION_CHECK(depth.shape().rank() == 3,
                      "predict: rgb is CHW but depth is "
                          << depth.shape().str());
-    rgb4 = rgb.reshaped(tensor::Shape::nchw(1, rgb.shape().dim(0),
-                                            rgb.shape().dim(1),
+  }
+  const std::shared_ptr<void> plan = model.inference_plan();
+  const auto probabilities = [&] {
+    // CHW inputs are reshaped into (arena) copies; NCHW ones are used as
+    // they are.
+    std::optional<tensor::Tensor> rgb_nchw, depth_nchw;
+    if (chw) {
+      rgb_nchw = as_nchw(rgb);
+      depth_nchw = as_nchw(depth);
+    }
+    const tensor::Tensor& rgb4 = chw ? *rgb_nchw : rgb;
+    const tensor::Tensor& depth4 = chw ? *depth_nchw : depth;
+    tensor::Tensor out =
+        plan != nullptr
+            ? plan_hooks().run(model, plan, rgb4, depth4, fusion_weight,
+                               cache, depth_unchanged)
+            : graph_logits(model, rgb4, depth4, fusion_weight, cache);
+    sigmoid_in_place(out);
+    if (chw) {
+      out = out.reshaped(tensor::Shape::chw(1, rgb.shape().dim(1),
                                             rgb.shape().dim(2)));
-    depth4 = depth.reshaped(tensor::Shape::nchw(1, depth.shape().dim(0),
-                                                depth.shape().dim(1),
-                                                depth.shape().dim(2)));
+    }
+    return out;
+  };
+  if (plan == nullptr || tensor::Workspace::current() != nullptr) {
+    return probabilities();
   }
-  const ForwardResult result =
-      model.forward_fused(autograd::Variable::constant(rgb4),
-                          autograd::Variable::constant(depth4),
-                          fusion_weight);
-  tensor::Tensor out = autograd::sigmoid(result.logits).value();
-  if (chw) {
-    out = out.reshaped(tensor::Shape::chw(1, rgb.shape().dim(1),
-                                          rgb.shape().dim(2)));
-  }
-  return out;
+  // Direct callers get a per-thread arena: the first predict on a thread
+  // populates it, every later one is allocation-free.
+  thread_local tensor::Workspace workspace;
+  const tensor::WorkspaceScope scope(workspace);
+  return probabilities();
 }
 
 }  // namespace
 
 tensor::Tensor SegmentationModel::predict(const tensor::Tensor& rgb,
                                           const tensor::Tensor& depth) const {
-  return run_predict(*this, rgb, depth, 1.0f);
+  return run_predict(*this, rgb, depth, 1.0f, nullptr, false);
 }
 
 tensor::Tensor SegmentationModel::predict_fused(const tensor::Tensor& rgb,
                                                 const tensor::Tensor& depth,
                                                 float fusion_weight) const {
-  return run_predict(*this, rgb, depth, fusion_weight);
-}
-
-tensor::Tensor SegmentationModel::infer_logits_stream(
-    const tensor::Tensor& rgb, const tensor::Tensor& depth,
-    float fusion_weight, StreamFeatureCache& cache,
-    bool depth_unchanged) const {
-  (void)depth_unchanged;
-  cache.invalidate();
-  ++cache.misses;
-  return infer_logits(rgb, depth, fusion_weight);
+  return run_predict(*this, rgb, depth, fusion_weight, nullptr, false);
 }
 
 tensor::Tensor SegmentationModel::predict_stream(const tensor::Tensor& rgb,
@@ -173,20 +134,8 @@ tensor::Tensor SegmentationModel::predict_stream(const tensor::Tensor& rgb,
                                                  float fusion_weight,
                                                  StreamFeatureCache& cache,
                                                  bool depth_unchanged) const {
-  const autograd::InferenceModeGuard no_grad;
-  if (!planned_inference_enabled() || !supports_raw_inference()) {
-    cache.invalidate();
-    return run_predict(*this, rgb, depth, fusion_weight);
-  }
-  const auto infer = [&](const tensor::Tensor& r, const tensor::Tensor& d) {
-    return infer_logits_stream(r, d, fusion_weight, cache, depth_unchanged);
-  };
-  if (tensor::Workspace::current() != nullptr) {
-    return raw_predict_impl(rgb, depth, infer);
-  }
-  thread_local tensor::Workspace workspace;
-  const tensor::WorkspaceScope scope(workspace);
-  return raw_predict_impl(rgb, depth, infer);
+  return run_predict(*this, rgb, depth, fusion_weight, &cache,
+                     depth_unchanged);
 }
 
 }  // namespace roadfusion::roadseg

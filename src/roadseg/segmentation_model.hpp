@@ -6,6 +6,7 @@
 // pipeline.
 #pragma once
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -27,19 +28,19 @@ struct ForwardResult {
 /// Cross-frame depth-feature cache for streaming inference. A stream
 /// session owns one cache per model; when the depth input is bitwise
 /// unchanged from the frame that populated it (LiDAR refreshes slower
-/// than the camera), `infer_logits_stream` skips the depth encoder and
-/// accumulates the cached matched features instead — bit-identical to the
-/// full pass. Tensors live on the heap (not a workspace arena), so the
-/// cache survives across predict calls; repopulation copies into the
-/// existing buffers when shapes match, keeping steady state zero-alloc.
+/// than the camera), `predict_stream` runs the compiled plan's stream-hit
+/// schedule, which skips the depth encoder and fuses the cached features
+/// instead — bit-identical to the full pass. The slots live on the heap
+/// (not a workspace arena), so the cache survives across predict calls;
+/// repopulation writes into the existing buffers when the schedule
+/// matches, keeping steady state zero-alloc.
 struct StreamFeatureCache {
   bool valid = false;
-  /// Per-stage matched depth payload; meaning is scheme-specific (raw
-  /// d_i for summation schemes, post-filter features for AllFilter_U).
-  std::vector<tensor::Tensor> matched;
-  /// WeightedSharing only: the unscaled deepest depth features the AWN
-  /// consumes (the per-frame weight still sees fresh RGB features).
-  tensor::Tensor d_last_unscaled;
+  /// The depth-branch input of every fusion step, in the layout of the
+  /// schedule that wrote it (DESIGN.md §16): raw d_i for summation
+  /// schemes, post-filter features for AllFilter_U, and for
+  /// WeightedSharing the unscaled deepest depth features the AWN reads.
+  std::vector<tensor::Tensor> slots;
   int64_t hits = 0;
   int64_t misses = 0;
 
@@ -68,32 +69,11 @@ class SegmentationModel : public nn::Module {
   /// MAC / parameter budget for the given input size.
   virtual nn::Complexity complexity(int64_t height, int64_t width) const = 0;
 
-  /// True when this model implements the raw planned-inference path
-  /// (`infer_logits`) and is ready to serve it (eval mode). Models without
-  /// a raw path keep the default `false` and `predict` falls back to the
-  /// Variable graph.
-  virtual bool supports_raw_inference() const { return false; }
-
-  /// Raw no-graph logits (N, 1, H, W) for NCHW inputs — the
-  /// zero-allocation steady-state path (DESIGN.md §11). Must be
-  /// bit-identical to `forward_fused(...).logits`. Only called when
-  /// `supports_raw_inference()` returns true.
-  virtual tensor::Tensor infer_logits(const tensor::Tensor& rgb,
-                                      const tensor::Tensor& depth,
-                                      float fusion_weight) const;
-
-  /// Streaming variant of `infer_logits`. When `depth_unchanged` is true
-  /// and `cache` holds features for this geometry, the depth encoder is
-  /// skipped and cached matched features are fused instead; otherwise the
-  /// full pass runs and (where the scheme allows) repopulates the cache.
-  /// Contract: the returned logits are bit-identical to
-  /// `infer_logits(rgb, depth, fusion_weight)` in every case — reuse is
-  /// purely a compute saving. The default ignores the cache.
-  virtual tensor::Tensor infer_logits_stream(const tensor::Tensor& rgb,
-                                             const tensor::Tensor& depth,
-                                             float fusion_weight,
-                                             StreamFeatureCache& cache,
-                                             bool depth_unchanged) const;
+  /// The compiled inference plan that serves this model's predicts
+  /// (opaque state for PlanHooks::run, see plan_hook.hpp), or null when
+  /// they take the autograd graph. Default: null — only an eval-mode
+  /// RoadSegNet with a plan library linked has one.
+  virtual std::shared_ptr<void> inference_plan() const;
 
   /// Convenience inference: accepts CHW or NCHW tensors and returns road
   /// probabilities of matching rank. Call set_training(false) first.
@@ -106,10 +86,12 @@ class SegmentationModel : public nn::Module {
                                const tensor::Tensor& depth,
                                float fusion_weight) const;
 
-  /// `predict_fused` through `infer_logits_stream`: same CHW/NCHW
-  /// handling and probabilities, but frame-to-frame depth features flow
-  /// through `cache`. Falls back to the ordinary path (invalidating the
-  /// cache) when the raw inference path is unavailable.
+  /// `predict_fused` with frame-to-frame depth features flowing through
+  /// `cache`: same CHW/NCHW handling and bit-identical probabilities.
+  /// When `depth_unchanged` is true and `cache` holds features for this
+  /// schedule, the depth encoder is skipped. Without a plan, or for
+  /// schemes whose depth branch reads RGB features (AllFilter_B), it is
+  /// `predict_fused` and the cache is invalidated.
   tensor::Tensor predict_stream(const tensor::Tensor& rgb,
                                 const tensor::Tensor& depth,
                                 float fusion_weight,

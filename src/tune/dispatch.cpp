@@ -314,6 +314,8 @@ void force_solver(const std::string& name) {
 
 std::string forced_solver() {
   State& s = state();
+  // ROADFUSION_SOLVER counts as forced before the first bind, too.
+  std::call_once(s.env_once, [&s] { init_from_env(s); });
   std::lock_guard<std::mutex> lock(s.mutex);
   return s.forced;
 }

@@ -140,7 +140,7 @@ constexpr SchemeGolden kInt8GoldenMasks[] = {
 TEST(GoldenInference, MaskBitStableUnderCompiledPlan) {
   // The inference plan compiler (DESIGN.md §16) must serve the exact
   // golden mask: its blocked-layout schedule is bit-identical to the
-  // graph-order path, so the pinned hash holds with the plan active too.
+  // autograd graph, so the pinned hash holds with the plan active too.
   plan::install_hooks();
   Rng rng(2022);
   RoadSegConfig config;

@@ -1,16 +1,24 @@
-// Inference plan compiler suite (DESIGN.md §16): planned execution must
-// reproduce the graph-order path bit-for-bit for every fusion scheme, run
-// allocation-free once compiled, decline transparently when it cannot
-// guarantee exactness, and explain itself through the --explain-plan
-// printer.
+// Inference plan compiler suite (DESIGN.md §16): every eval-mode request
+// kind — fused, RGB-only, stream miss, stream hit, batched, forced solver
+// — must run a compiled plan whose logits are bit-for-bit those of the
+// autograd graph (`forward_fused`), run allocation-free once compiled,
+// label every all-NCHW run with its reason, keep its per-geometry cache
+// bounded, and explain itself through the --explain-plan printer.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "alloc_hooks.hpp"
+#include "autograd/variable.hpp"
 #include "obs/metrics.hpp"
 #include "plan/plan.hpp"
+#include "quant/runtime.hpp"
+#include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/tensor.hpp"
 #include "tune/dispatch.hpp"
@@ -21,9 +29,15 @@ namespace {
 using core::FusionScheme;
 using roadseg::RoadSegConfig;
 using roadseg::RoadSegNet;
+using roadseg::StreamFeatureCache;
 using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
+
+constexpr FusionScheme kSchemes[] = {
+    FusionScheme::kBaseline, FusionScheme::kAllFilterU,
+    FusionScheme::kAllFilterB, FusionScheme::kBaseSharing,
+    FusionScheme::kWeightedSharing};
 
 RoadSegConfig config_for(FusionScheme scheme) {
   RoadSegConfig config;
@@ -32,46 +46,25 @@ RoadSegConfig config_for(FusionScheme scheme) {
   return config;
 }
 
-/// Sets (or clears, with nullptr) an environment variable for the scope.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    old_ = had_old_ ? old : "";
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
+/// The oracle: the autograd graph's logits.
+Tensor graph_logits(const RoadSegNet& net, const Tensor& rgb,
+                    const Tensor& depth, float fusion_weight) {
+  const autograd::InferenceModeGuard no_grad;
+  return net
+      .forward_fused(autograd::Variable::constant(rgb),
+                     autograd::Variable::constant(depth), fusion_weight)
+      .logits.value();
+}
 
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
-/// Runs one graph-order inference by rebuilding the net's inference state
-/// with planning disabled (ROADFUSION_PLAN=0 is re-read at every
-/// prepare_inference). Leaves the net back on the planned path.
-Tensor graph_logits(RoadSegNet& net, const Tensor& rgb, const Tensor& depth,
-                    float fusion_weight) {
-  Tensor out;
-  {
-    ScopedEnv off("ROADFUSION_PLAN", "0");
-    net.prepare_inference();
-    out = net.infer_logits(rgb, depth, fusion_weight);
-  }
-  net.prepare_inference();
-  return out;
+/// The plan's logits, through the same hook predict calls.
+Tensor plan_logits(const RoadSegNet& net, const Tensor& rgb,
+                   const Tensor& depth, float fusion_weight,
+                   StreamFeatureCache* cache = nullptr,
+                   bool depth_unchanged = false) {
+  const std::shared_ptr<void> state = net.inference_plan();
+  EXPECT_NE(state, nullptr) << "an eval-mode RoadSegNet must have a plan";
+  return roadseg::plan_hooks().run(net, state, rgb, depth, fusion_weight,
+                                   cache, depth_unchanged);
 }
 
 void expect_bitwise_equal(const Tensor& planned, const Tensor& graph,
@@ -80,34 +73,56 @@ void expect_bitwise_equal(const Tensor& planned, const Tensor& graph,
   EXPECT_EQ(std::memcmp(planned.raw(), graph.raw(),
                         static_cast<size_t>(planned.numel()) * sizeof(float)),
             0)
-      << what << ": planned output differs from the graph path";
+      << what << ": planned output differs from the graph";
 }
 
-TEST(PlanParity, BitwiseIdenticalToGraphPathForEveryScheme) {
+obs::Counter& counter(const std::string& name) {
+  return obs::MetricsRegistry::global().counter(name);
+}
+
+obs::Counter& runs(const char* variant) {
+  return counter(std::string("roadfusion_plan_runs_total{variant=\"") +
+                 variant + "\"}");
+}
+
+TEST(PlanParity, BitwiseIdenticalToGraphForEverySchemeAndWeight) {
   install_hooks();
-  const FusionScheme schemes[] = {
-      FusionScheme::kBaseline, FusionScheme::kAllFilterU,
-      FusionScheme::kAllFilterB, FusionScheme::kBaseSharing,
-      FusionScheme::kWeightedSharing};
-  const float weights[] = {1.0f, 0.35f};
-  for (const FusionScheme scheme : schemes) {
-    for (const float fw : weights) {
+  for (const FusionScheme scheme : kSchemes) {
+    for (const float fw : {1.0f, 0.35f, 0.0f}) {
       Rng rng(11);
       RoadSegNet net(config_for(scheme), rng);
       net.set_training(false);
       net.prepare_inference();
       const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 32, 48), rng);
       const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 32, 48), rng);
-      const Tensor planned = net.infer_logits(rgb, depth, fw);
-      const Tensor graph = graph_logits(net, rgb, depth, fw);
-      expect_bitwise_equal(planned, graph,
+      obs::Counter& served = runs(fw == 0.0f ? "rgb_only" : "fused");
+      const uint64_t before = served.value();
+      const Tensor planned = plan_logits(net, rgb, depth, fw);
+      EXPECT_EQ(served.value(), before + 1);
+      expect_bitwise_equal(planned, graph_logits(net, rgb, depth, fw),
                            std::string(core::to_string(scheme)) + " fw=" +
                                std::to_string(fw));
     }
   }
 }
 
-TEST(PlanParity, BatchedInputsMatchGraphPath) {
+TEST(PlanParity, RgbOnlyNeverReadsDepthValues) {
+  install_hooks();
+  Rng rng(18);
+  RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
+  net.set_training(false);
+  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 32, 48), rng);
+  Tensor poisoned(Shape::nchw(1, 1, 32, 48));
+  poisoned.fill(std::numeric_limits<float>::quiet_NaN());
+  const Tensor planned = plan_logits(net, rgb, poisoned, 0.0f);
+  expect_bitwise_equal(planned, graph_logits(net, rgb, poisoned, 0.0f),
+                       "RGB-only with NaN depth");
+  for (int64_t i = 0; i < planned.numel(); ++i) {
+    ASSERT_EQ(planned.at(i), planned.at(i)) << "NaN leaked at " << i;
+  }
+}
+
+TEST(PlanParity, BatchedInputsMatchGraph) {
   install_hooks();
   Rng rng(12);
   RoadSegNet net(config_for(FusionScheme::kAllFilterB), rng);
@@ -115,9 +130,11 @@ TEST(PlanParity, BatchedInputsMatchGraphPath) {
   net.prepare_inference();
   const Tensor rgb = Tensor::normal(Shape::nchw(3, 3, 16, 32), rng);
   const Tensor depth = Tensor::normal(Shape::nchw(3, 1, 16, 32), rng);
-  const Tensor planned = net.infer_logits(rgb, depth, 0.6f);
-  expect_bitwise_equal(planned, graph_logits(net, rgb, depth, 0.6f),
-                       "AllFilter_B batch=3");
+  for (const float fw : {0.6f, 0.0f}) {
+    expect_bitwise_equal(plan_logits(net, rgb, depth, fw),
+                         graph_logits(net, rgb, depth, fw),
+                         "AllFilter_B batch=3 fw=" + std::to_string(fw));
+  }
 }
 
 TEST(PlanParity, GeometryChangeRecompilesAndStaysExact) {
@@ -126,56 +143,159 @@ TEST(PlanParity, GeometryChangeRecompilesAndStaysExact) {
   RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
   net.set_training(false);
   net.prepare_inference();
-  for (const auto [h, w] : {std::pair<int64_t, int64_t>{32, 48},
+  for (const auto& [h, w] : {std::pair<int64_t, int64_t>{32, 48},
                             std::pair<int64_t, int64_t>{16, 16},
                             std::pair<int64_t, int64_t>{32, 48}}) {
     const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, h, w), rng);
     const Tensor depth = Tensor::normal(Shape::nchw(1, 1, h, w), rng);
-    const Tensor planned = net.infer_logits(rgb, depth, 1.0f);
-    expect_bitwise_equal(planned, graph_logits(net, rgb, depth, 1.0f),
+    expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f),
+                         graph_logits(net, rgb, depth, 1.0f),
                          "WeightedSharing geometry change");
   }
 }
 
-TEST(PlanDecline, ForcedSolverFallsBackToGraphPath) {
+TEST(PlanStream, MissThenHitsMatchGraphForEveryScheme) {
   install_hooks();
-  Rng rng(14);
-  RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
-  net.set_training(false);
-  net.prepare_inference();
-  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
-  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
-  obs::Counter& declined = obs::MetricsRegistry::global().counter(
-      "roadfusion_plan_declined_total");
-  tune::force_solver("blocked");
-  const uint64_t before = declined.value();
-  const Tensor forced = net.infer_logits(rgb, depth, 1.0f);
-  EXPECT_GT(declined.value(), before)
-      << "a forced solver must decline the plan (its choice would be "
-         "invisible under the blocked-layout kernels)";
-  tune::force_solver("");
-  expect_bitwise_equal(forced, net.infer_logits(rgb, depth, 1.0f),
-                       "forced-solver fallback");
+  for (const FusionScheme scheme : kSchemes) {
+    Rng rng(19);
+    RoadSegNet net(config_for(scheme), rng);
+    net.set_training(false);
+    const Tensor depth = Tensor::normal(Shape::nchw(2, 1, 16, 32), rng);
+    StreamFeatureCache cache;
+    const uint64_t hits_before = runs("stream_hit").value();
+    // Frame 0 populates the cache; frames 1-3 keep the depth and change
+    // the camera image and the fusion weight.
+    const float weights[] = {1.0f, 1.0f, 0.5f, 1.0f};
+    for (int frame = 0; frame < 4; ++frame) {
+      const Tensor rgb = Tensor::normal(Shape::nchw(2, 3, 16, 32), rng);
+      const float fw = weights[frame];
+      expect_bitwise_equal(
+          plan_logits(net, rgb, depth, fw, &cache, frame > 0),
+          graph_logits(net, rgb, depth, fw),
+          std::string(core::to_string(scheme)) + " frame " +
+              std::to_string(frame));
+    }
+    if (scheme == FusionScheme::kAllFilterB) {
+      EXPECT_EQ(cache.hits, 0) << "AllFilter_B must never hit";
+      EXPECT_FALSE(cache.valid);
+    } else {
+      EXPECT_EQ(cache.misses, 1) << core::to_string(scheme);
+      EXPECT_EQ(cache.hits, 3) << core::to_string(scheme);
+      EXPECT_EQ(runs("stream_hit").value(), hits_before + 3);
+    }
+  }
 }
 
-TEST(PlanDecline, EnvKillSwitchDisablesCompilation) {
+TEST(PlanStream, GeometryChangeIsAMissNotAStaleHit) {
   install_hooks();
-  Rng rng(15);
+  Rng rng(20);
   RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
   net.set_training(false);
-  ScopedEnv off("ROADFUSION_PLAN", "0");
-  net.prepare_inference();
-  EXPECT_FALSE(planning_enabled());
-  const std::string report = explain(net, 1, 32, 48);
-  EXPECT_NE(report.find("ROADFUSION_PLAN=0"), std::string::npos) << report;
-  // Inference still works on the graph path.
+  StreamFeatureCache cache;
+  const Tensor small_depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
+  (void)plan_logits(net, Tensor::normal(Shape::nchw(1, 3, 16, 32), rng),
+                    small_depth, 1.0f, &cache, false);
+  // A caller claiming unchanged depth at a new geometry still gets a
+  // correct (re-populating) pass.
   const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 32, 48), rng);
   const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 32, 48), rng);
-  EXPECT_EQ(net.infer_logits(rgb, depth, 1.0f).shape(),
-            Shape::nchw(1, 1, 32, 48));
+  expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f, &cache, true),
+                       graph_logits(net, rgb, depth, 1.0f),
+                       "stream geometry change");
+  EXPECT_EQ(cache.misses, 2);
+  EXPECT_EQ(cache.hits, 0);
 }
 
-TEST(PlanExplain, PrintsScheduleWithLayoutsSolversAndSlots) {
+TEST(PlanLayout, ForcedSolverRunsNchwWithReasonAndMatchesGraph) {
+  install_hooks();
+  obs::Counter& declined = counter("roadfusion_plan_declined_total");
+  obs::Counter& forced =
+      counter("roadfusion_plan_declined_total{reason=\"forced_solver\"}");
+  for (const FusionScheme scheme : kSchemes) {
+    const std::string name = core::to_string(scheme);
+    Rng rng(14);
+    RoadSegNet net(config_for(scheme), rng);
+    net.set_training(false);
+    net.prepare_inference();
+    const Tensor rgb = Tensor::normal(Shape::nchw(2, 3, 16, 32), rng);
+    const Tensor depth = Tensor::normal(Shape::nchw(2, 1, 16, 32), rng);
+    tune::force_solver("blocked");
+    const uint64_t declined_before = declined.value();
+    const uint64_t forced_before = forced.value();
+    const std::string report = explain(net, 2, 16, 32);
+    StreamFeatureCache cache;
+    std::vector<std::pair<Tensor, Tensor>> served;
+    served.emplace_back(plan_logits(net, rgb, depth, 1.0f),
+                        graph_logits(net, rgb, depth, 1.0f));
+    served.emplace_back(plan_logits(net, rgb, depth, 0.0f),
+                        graph_logits(net, rgb, depth, 0.0f));
+    served.emplace_back(plan_logits(net, rgb, depth, 0.5f, &cache, false),
+                        graph_logits(net, rgb, depth, 0.5f));
+    served.emplace_back(plan_logits(net, rgb, depth, 1.0f, &cache, true),
+                        graph_logits(net, rgb, depth, 1.0f));
+    tune::force_solver("");
+    EXPECT_EQ(declined.value(), declined_before + 4) << name;
+    EXPECT_EQ(forced.value(), forced_before + 4) << name;
+    EXPECT_EQ(cache.hits, scheme == FusionScheme::kAllFilterB ? 0 : 1)
+        << name;
+    EXPECT_NE(report.find("layout=nchw reason=forced_solver"),
+              std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("nchwc_direct"), std::string::npos) << report;
+    for (size_t i = 0; i < served.size(); ++i) {
+      expect_bitwise_equal(served[i].first, served[i].second,
+                           name + " forced solver request " +
+                               std::to_string(i));
+    }
+    // Unforced, the same net serves the blocked layout again.
+    const uint64_t after = declined.value();
+    expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f),
+                         graph_logits(net, rgb, depth, 1.0f),
+                         name + " unforced");
+    EXPECT_EQ(declined.value(), after) << name;
+  }
+}
+
+TEST(PlanLayout, DeepReductionRunsNchwWithKcReason) {
+  install_hooks();
+  RoadSegConfig config = config_for(FusionScheme::kAllFilterU);
+  config.stage_channels = {6, 8, 48, 12};  // stage 3: 48 * 3 * 3 > kc
+  Rng rng(21);
+  RoadSegNet net(config, rng);
+  net.set_training(false);
+  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
+  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
+  obs::Counter& kc =
+      counter("roadfusion_plan_declined_total{reason=\"kc_depth\"}");
+  const uint64_t before = kc.value();
+  expect_bitwise_equal(plan_logits(net, rgb, depth, 0.7f),
+                       graph_logits(net, rgb, depth, 0.7f), "kc-deep net");
+  EXPECT_EQ(kc.value(), before + 1);
+  EXPECT_NE(explain(net, 1, 16, 32).find("reason=kc_depth"),
+            std::string::npos);
+}
+
+TEST(PlanLayout, QuantModeRunsNchwWithQuantReason) {
+  install_hooks();
+  Rng rng(22);
+  RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
+  net.set_training(false);
+  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
+  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
+  obs::Counter& quant_runs =
+      counter("roadfusion_plan_declined_total{reason=\"quant\"}");
+  const uint64_t before = quant_runs.value();
+  quant::set_enabled(true);
+  const Tensor out = plan_logits(net, rgb, depth, 1.0f);
+  const std::string report = explain(net, 1, 16, 32);
+  quant::set_enabled(false);
+  EXPECT_EQ(quant_runs.value(), before + 1);
+  EXPECT_EQ(out.shape(), Shape::nchw(1, 1, 16, 32));
+  EXPECT_NE(report.find("layout=nchw reason=quant"), std::string::npos)
+      << report;
+}
+
+TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
   install_hooks();
   Rng rng(16);
   RoadSegNet net(config_for(FusionScheme::kAllFilterU), rng);
@@ -183,16 +303,55 @@ TEST(PlanExplain, PrintsScheduleWithLayoutsSolversAndSlots) {
   net.prepare_inference();
   const std::string report = explain(net, 1, 32, 48);
   for (const char* needle :
-       {"scheme=AllFilter_U", "layout=nchwc8", "solver=nchwc_direct",
-        "epilogue=bn+relu", "epilogue=bn+residual+relu+fusion_sum",
-        "to_nchwc", "to_nchw", "decoder", "free={", "d2r.stage1"}) {
+       {"scheme=AllFilter_U variant=fused layout=nchwc8 reason=none",
+        "variant=rgb_only", "variant=stream_miss", "variant=stream_hit",
+        "layout=nchwc8", "solver=nchwc_direct", "epilogue=bn+relu",
+        "epilogue=bn+residual+relu+fusion_sum", "to_nchwc", "to_nchw",
+        "decoder", "free={", "d2r.stage1", "layer=rgb.stage0", "cached)"}) {
     EXPECT_NE(report.find(needle), std::string::npos)
         << "missing '" << needle << "' in:\n"
         << report;
   }
 }
 
-TEST(PlanZeroAlloc, SteadyStatePredictIsAllocationFree) {
+TEST(PlanCache, GeometrySweepStaysBoundedAndExact) {
+  install_hooks();
+  Rng rng(23);
+  RoadSegNet net(config_for(FusionScheme::kBaseSharing), rng);
+  net.set_training(false);
+  std::vector<std::pair<Tensor, Tensor>> inputs;
+  for (int64_t h = 16; h <= 64; h += 16) {
+    for (int64_t w = 16; w <= 96; w += 16) {
+      inputs.emplace_back(Tensor::normal(Shape::nchw(1, 3, h, w), rng),
+                          Tensor::normal(Shape::nchw(1, 1, h, w), rng));
+    }
+  }
+  obs::Counter& compiles = counter("roadfusion_plan_compiles_total");
+  obs::Counter& evictions = counter("roadfusion_plan_evictions_total");
+  const uint64_t compiles_before = compiles.value();
+  const uint64_t evictions_before = evictions.value();
+  // Schedules this net holds: compiled minus evicted.
+  const auto cached = [&] {
+    return (compiles.value() - compiles_before) -
+           (evictions.value() - evictions_before);
+  };
+  std::vector<Tensor> first;
+  for (const auto& [rgb, depth] : inputs) {
+    first.push_back(plan_logits(net, rgb, depth, 1.0f));
+    EXPECT_LE(cached(), 16u);
+  }
+  EXPECT_EQ(cached(), 16u);
+  // The early geometries were evicted; recompiling them is exact.
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    expect_bitwise_equal(
+        plan_logits(net, inputs[i].first, inputs[i].second, 1.0f), first[i],
+        "recompiled geometry " + std::to_string(i));
+  }
+  EXPECT_EQ(cached(), 16u);
+  EXPECT_GT(evictions.value() - evictions_before, inputs.size());
+}
+
+TEST(PlanZeroAlloc, SteadyStatePredictsAreAllocationFree) {
   install_hooks();
   Rng rng(17);
   RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
@@ -200,15 +359,26 @@ TEST(PlanZeroAlloc, SteadyStatePredictIsAllocationFree) {
   net.prepare_inference();
   const Tensor rgb = Tensor::uniform(Shape::chw(3, 32, 48), rng);
   const Tensor depth = Tensor::uniform(Shape::chw(1, 32, 48), rng);
-  // First predict compiles the plan and grows the thread arena; the
-  // second settles any free-list reshuffling. From then on: zero heap.
-  Tensor warm = net.predict(rgb, depth);
-  warm = net.predict(rgb, depth);
-  testhooks::AllocProbe probe;
-  const Tensor out = net.predict(rgb, depth);
-  EXPECT_EQ(probe.allocations(), 0u)
-      << "planned predict allocated " << probe.bytes() << " bytes";
-  EXPECT_TRUE(out.allclose(warm, 0.0f));
+  StreamFeatureCache cache;
+  const std::pair<const char*, std::function<Tensor()>> requests[] = {
+      {"fused", [&] { return net.predict(rgb, depth); }},
+      {"rgb_only", [&] { return net.predict_fused(rgb, depth, 0.0f); }},
+      {"stream_hit",
+       [&] { return net.predict_stream(rgb, depth, 1.0f, cache, true); }},
+  };
+  for (const auto& [name, request] : requests) {
+    // The first request compiles the plan and grows the thread arena;
+    // the second settles any free-list reshuffling. From then on: zero
+    // heap.
+    Tensor warm = request();
+    warm = request();
+    testhooks::AllocProbe probe;
+    const Tensor out = request();
+    EXPECT_EQ(probe.allocations(), 0u)
+        << name << " predict allocated " << probe.bytes() << " bytes";
+    EXPECT_TRUE(out.allclose(warm, 0.0f)) << name;
+  }
+  EXPECT_GT(cache.hits, 0);
 }
 
 }  // namespace

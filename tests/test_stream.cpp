@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "alloc_hooks.hpp"
+#include "autograd/ops.hpp"
+#include "autograd/variable.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "scenario/stream.hpp"
 #include "scenario/suite.hpp"
@@ -26,6 +28,23 @@ namespace {
 
 using tensor::Rng;
 using tensor::Tensor;
+
+/// The oracle: road probabilities from the autograd graph
+/// (`forward_fused`), for CHW frames.
+Tensor graph_predict(const roadseg::RoadSegNet& net, const Tensor& rgb,
+                     const Tensor& depth, float fusion_weight) {
+  const autograd::InferenceModeGuard no_grad;
+  const auto nchw = [](const Tensor& t) {
+    return t.reshaped(tensor::Shape::nchw(1, t.shape().dim(0),
+                                          t.shape().dim(1), t.shape().dim(2)));
+  };
+  const roadseg::ForwardResult result = net.forward_fused(
+      autograd::Variable::constant(nchw(rgb)),
+      autograd::Variable::constant(nchw(depth)), fusion_weight);
+  return autograd::sigmoid(result.logits)
+      .value()
+      .reshaped(tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
+}
 
 void expect_bitwise_equal(const Tensor& a, const Tensor& b,
                           const std::string& what) {
@@ -110,7 +129,7 @@ TEST(StreamModel, PredictStreamIsBitwiseEqualAndHitsCache) {
   roadseg::StreamFeatureCache cache;
   for (int i = 0; i < 7; ++i) {
     const StreamFrame frame = generator.next();
-    const Tensor expected = net.predict(frame.rgb, frame.depth);
+    const Tensor expected = graph_predict(net, frame.rgb, frame.depth, 1.0f);
     const Tensor streamed = net.predict_stream(
         frame.rgb, frame.depth, 1.0f, cache, !frame.depth_refreshed);
     expect_bitwise_equal(expected, streamed,
@@ -164,7 +183,7 @@ TEST(StreamModel, RgbDependentSchemeFallsBackCorrectly) {
   roadseg::StreamFeatureCache cache;
   for (int i = 0; i < 4; ++i) {
     const StreamFrame frame = generator.next();
-    const Tensor expected = net.predict(frame.rgb, frame.depth);
+    const Tensor expected = graph_predict(net, frame.rgb, frame.depth, 1.0f);
     const Tensor streamed = net.predict_stream(
         frame.rgb, frame.depth, 1.0f, cache, !frame.depth_refreshed);
     expect_bitwise_equal(expected, streamed,
@@ -210,7 +229,7 @@ TEST(StreamSession, RoundTripThroughFrontDoorIsBitwiseEqual) {
   for (const StreamFrameResult& result : results) {
     const StreamFrame frame = reference.next();
     EXPECT_FALSE(result.degraded);
-    const Tensor expected = net.predict(frame.rgb, frame.depth);
+    const Tensor expected = graph_predict(net, frame.rgb, frame.depth, 1.0f);
     expect_bitwise_equal(expected, result.output,
                          "frame " + std::to_string(result.index));
   }
@@ -238,7 +257,7 @@ TEST(StreamSession, DropoutStreamServesDegradedRgbOnly) {
     const StreamFrame frame = reference.next();
     EXPECT_TRUE(result.degraded)
         << "a >60%-dead depth image must route degraded, not error";
-    const Tensor expected = net.predict_fused(frame.rgb, frame.depth, 0.0f);
+    const Tensor expected = graph_predict(net, frame.rgb, frame.depth, 0.0f);
     expect_bitwise_equal(expected, result.output,
                          "degraded frame " + std::to_string(result.index));
   }

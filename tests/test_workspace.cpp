@@ -1,9 +1,10 @@
 // Zero-allocation steady-state inference (DESIGN.md §11).
 //
-// Locks the pieces of the planned inference path together:
-//  * bit-exactness — the raw no-graph path (planned predict) produces the
-//    same float bits as the Variable-graph path for every fusion scheme,
-//    fusion weight and kernel backend;
+// Locks the pieces of the zero-allocation inference path together:
+//  * bit-exactness — the compiled plan (DESIGN.md §16) serves every
+//    eval-mode predict and produces the same float bits as the
+//    Variable-graph path for every fusion scheme, fusion weight and
+//    kernel backend;
 //  * the workspace planner — a dry run's plan is deterministic, a
 //    reserved arena replays the workload hit-only, and best-fit reuse
 //    serves smaller batches from a larger batch's arena;
@@ -71,8 +72,8 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
       << what << ": float bits differ";
 }
 
-/// The Variable-graph predict path, independent of the planned path: the
-/// exact op sequence run_predict used before the planned path existed.
+/// The Variable-graph predict path, independent of the compiled plan: the
+/// op sequence predict runs for a model without a plan.
 Tensor graph_predict(const RoadSegNet& net, const Scene& scene,
                      float fusion_weight) {
   const Tensor rgb4 = scene.rgb.reshaped(
@@ -100,8 +101,15 @@ class BackendGuard {
 };
 
 // ---------------------------------------------------------------------------
-// Bit-exactness of the raw path against the Variable graph
+// Bit-exactness of the compiled plan against the Variable graph
 // ---------------------------------------------------------------------------
+
+/// Requests the compiled plan has served with the given schedule.
+uint64_t plan_runs(const std::string& variant) {
+  return obs::MetricsRegistry::global()
+      .counter("roadfusion_plan_runs_total{variant=\"" + variant + "\"}")
+      .value();
+}
 
 TEST(PlannedInference, BitExactAcrossSchemesWeightsAndBackends) {
   const Scene scene = make_scene(7);
@@ -111,14 +119,17 @@ TEST(PlannedInference, BitExactAcrossSchemesWeightsAndBackends) {
       Rng rng(2022);
       RoadSegNet net(small_config(scheme), rng);
       net.set_training(false);
-      ASSERT_TRUE(net.supports_raw_inference());
       for (const float weight : {1.0f, 0.5f, 0.0f}) {
         const std::string what = std::string(backend) + "/scheme" +
                                  std::to_string(static_cast<int>(scheme)) +
                                  "/w" + std::to_string(weight);
+        const std::string variant = weight == 0.0f ? "rgb_only" : "fused";
         const Tensor graph = graph_predict(net, scene, weight);
+        const uint64_t served_before = plan_runs(variant);
         const Tensor planned =
             net.predict_fused(scene.rgb, scene.depth, weight);
+        EXPECT_EQ(plan_runs(variant), served_before + 1)
+            << what << ": the compiled plan must serve eval-mode predicts";
         const Tensor planned4 = planned.reshaped(graph.shape());
         expect_bitwise_equal(graph, planned4, what);
       }
@@ -126,14 +137,22 @@ TEST(PlannedInference, BitExactAcrossSchemesWeightsAndBackends) {
   }
 }
 
-TEST(PlannedInference, RawPathRequiresEvalMode) {
+TEST(PlannedInference, PlanServesOnlyInEvalMode) {
   Rng rng(3);
   RoadSegNet net(small_config(), rng);
-  EXPECT_FALSE(net.supports_raw_inference());  // fresh nets are training
+  const Scene scene = make_scene(4);
+  const uint64_t before = plan_runs("fused");
+  EXPECT_EQ(net.inference_plan(), nullptr);  // fresh nets are training
+  (void)net.predict(scene.rgb, scene.depth);
+  EXPECT_EQ(plan_runs("fused"), before) << "training mode takes the graph";
   net.set_training(false);
-  EXPECT_TRUE(net.supports_raw_inference());
+  EXPECT_NE(net.inference_plan(), nullptr);
+  (void)net.predict(scene.rgb, scene.depth);
+  EXPECT_EQ(plan_runs("fused"), before + 1) << "eval mode runs the plan";
   net.set_training(true);
-  EXPECT_FALSE(net.supports_raw_inference());
+  EXPECT_EQ(net.inference_plan(), nullptr);
+  (void)net.predict(scene.rgb, scene.depth);
+  EXPECT_EQ(plan_runs("fused"), before + 1);
 }
 
 // ---------------------------------------------------------------------------

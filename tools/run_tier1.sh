@@ -173,10 +173,11 @@ fi
 if [[ "$plan_smoke" == 1 ]]; then
   echo "== Plan smoke: compiled schedule is bit-exact and allocation-free =="
   cmake --build build -j --target test_plan roadfusion
-  # test_plan covers the gates directly: planned output memcmp-equal to
-  # the graph path for every fusion scheme, zero heap allocations per
-  # predict from the second call on (AllocProbe), and transparent decline
-  # fallbacks (forced solver, ROADFUSION_PLAN=0).
+  # test_plan covers the gates directly: every request kind (fused,
+  # RGB-only, stream miss/hit, batched, forced solver) memcmp-equal to
+  # the autograd graph for every fusion scheme, zero heap allocations per
+  # predict from the second call on (AllocProbe), labeled all-NCHW
+  # layouts (quant, forced solver, Kc depth) and the bounded plan cache.
   (cd build && ctest --output-on-failure -L plan)
   # End to end: the CLI must print a blocked-layout schedule for a real
   # checkpoint.
@@ -188,6 +189,14 @@ if [[ "$plan_smoke" == 1 ]]; then
     { echo "$explain"; echo "plan smoke: no blocked-layout conv in the schedule" >&2; exit 1; }
   echo "$explain" | grep -q 'inference plan: scheme=' ||
     { echo "$explain"; echo "plan smoke: plan header missing" >&2; exit 1; }
+  echo "$explain" | grep -q 'variant=rgb_only' ||
+    { echo "$explain"; echo "plan smoke: no rgb_only schedule" >&2; exit 1; }
+  # A forced solver must run the all-NCHW layout and say why.
+  forced="$(cd build && ROADFUSION_SOLVER=blocked ./tools/roadfusion infer \
+      --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
+    { echo "$forced"; echo "plan smoke: forced-solver infer failed" >&2; exit 1; }
+  echo "$forced" | grep -q 'reason=forced_solver' ||
+    { echo "$forced"; echo "plan smoke: forced solver not labeled" >&2; exit 1; }
   echo "plan smoke: OK"
 fi
 
