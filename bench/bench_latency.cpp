@@ -12,9 +12,8 @@
 // allocations) against the compiled inference plan (DESIGN.md §16:
 // blocked NCHWc8 layout, fused cross-layer epilogues, minimal buffer
 // schedule inside a workspace arena) — the one path that serves every
-// eval-mode request — on both kernel backends, for the three request
-// kinds the plan compiles: fused, RGB-only (fusion weight 0) and a
-// stream cache hit. Per-call heap-allocation counts come from the
+// eval-mode request — for the three request kinds the plan compiles:
+// fused, RGB-only (fusion weight 0) and a stream cache hit. Per-call heap-allocation counts come from the
 // operator-new hooks in tests/alloc_hooks.cpp. The JSON records the
 // active CPU feature tier plus the solver the dispatch registry binds for
 // every conv one planned predict sends through it.
@@ -31,7 +30,6 @@
 #include <vector>
 
 #include "alloc_hooks.hpp"
-#include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "bench_common.hpp"
@@ -76,7 +74,7 @@ tensor::Tensor graph_predict(const roadseg::SegmentationModel& net,
   return autograd::sigmoid(result.logits).value();
 }
 
-/// One (backend, path) cell of the steady-state comparison.
+/// One path cell of the steady-state comparison.
 struct PathMeasurement {
   double latency_ms = 0.0;
   double allocs_per_call = 0.0;
@@ -107,7 +105,6 @@ PathMeasurement measure_path(Fn&& call, int repeats) {
 }
 
 struct PathRow {
-  std::string backend;
   std::string path;
   PathMeasurement m;
 };
@@ -141,8 +138,7 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------------------------
   // Steady-state path comparison (DESIGN.md §11, §16): graph vs the
-  // compiled plan's request kinds, both backends, with per-call
-  // heap-allocation counts. Weight values do not affect latency, so a
+  // compiled plan's request kinds, with per-call heap-allocation counts. Weight values do not affect latency, so a
   // seeded untrained model keeps this section deterministic and
   // cache-independent.
   // -------------------------------------------------------------------
@@ -161,37 +157,29 @@ int main(int argc, char** argv) {
   roadseg::StreamFeatureCache cache;
 
   std::vector<PathRow> rows;
-  const std::string previous_backend = autograd::kernels::backend_name();
-  for (const char* backend : {"reference", "blocked"}) {
-    autograd::kernels::set_backend(backend);
-    rows.push_back({backend, "graph",
-                    measure_path([&] { (void)graph_predict(net, rgb, depth); },
-                                 path_repeats)});
-    rows.push_back({backend, "compiled",
-                    measure_path([&] { (void)net.predict(rgb, depth); },
-                                 path_repeats)});
-    rows.push_back(
-        {backend, "compiled_rgb_only",
-         measure_path([&] { (void)net.predict_fused(rgb, depth, 0.0f); },
-                      path_repeats)});
-    // Unchanged depth: after the warm-up's first (missing) call every
-    // timed call is a hit.
-    rows.push_back({backend, "compiled_stream_hit",
-                    measure_path(
-                        [&] {
-                          (void)net.predict_stream(rgb, depth, 1.0f, cache,
-                                                   true);
-                        },
-                        path_repeats)});
-  }
-  autograd::kernels::set_backend(previous_backend);
+  rows.push_back({"graph",
+                  measure_path([&] { (void)graph_predict(net, rgb, depth); },
+                               path_repeats)});
+  rows.push_back({"compiled",
+                  measure_path([&] { (void)net.predict(rgb, depth); },
+                               path_repeats)});
+  rows.push_back(
+      {"compiled_rgb_only",
+       measure_path([&] { (void)net.predict_fused(rgb, depth, 0.0f); },
+                    path_repeats)});
+  // Unchanged depth: after the warm-up's first (missing) call every timed
+  // call is a hit.
+  rows.push_back(
+      {"compiled_stream_hit",
+       measure_path(
+           [&] { (void)net.predict_stream(rgb, depth, 1.0f, cache, true); },
+           path_repeats)});
 
   // Per-layer solver selections: record the conv problems of one planned
   // predict, then ask the dispatch layer what it binds for each. The
   // interior encoder convs run the plan's own nchwc_direct kernel and
   // never reach this registry, so the table covers the stems and the
-  // decoder. It reads `reference` because that is the default
-  // GemmBackend.
+  // decoder.
   tune::clear_recorded_problems();
   tune::set_problem_recording(true);
   (void)net.predict(rgb, depth);
@@ -203,14 +191,12 @@ int main(int argc, char** argv) {
               "%d repeats)\n",
               static_cast<long long>(height), static_cast<long long>(width),
               path_repeats);
-  bench::print_row({"backend", "path", "latency(ms)", "allocs/call",
-                    "KiB/call"},
-                   14);
+  bench::print_row({"path", "latency(ms)", "allocs/call", "KiB/call"}, 20);
   for (const PathRow& row : rows) {
-    bench::print_row({row.backend, row.path, fmt(row.m.latency_ms, 3),
+    bench::print_row({row.path, fmt(row.m.latency_ms, 3),
                       fmt(row.m.allocs_per_call, 1),
                       fmt(row.m.bytes_per_call / 1024.0, 1)},
-                     14);
+                     20);
   }
   bench::JsonWriter json;
   json.begin_object()
@@ -224,7 +210,6 @@ int main(int argc, char** argv) {
       .begin_array("paths");
   for (const PathRow& row : rows) {
     json.begin_object()
-        .field("backend", row.backend)
         .field("path", row.path)
         .field("latency_ms", row.m.latency_ms, 4)
         .field("allocs_per_call", row.m.allocs_per_call, 1)
@@ -233,25 +218,17 @@ int main(int argc, char** argv) {
   }
   json.end_array().begin_array("layer_solvers");
   for (const tune::ConvProblem& p : layer_problems) {
-    const auto binding = tune::bind(p, true);
     json.begin_object()
         .field("layer", p.key())
-        .field("solver", std::string(binding->solver != nullptr
-                                         ? binding->solver->name()
-                                         : "legacy"))
+        .field("solver", std::string(tune::bind(p, true)->solver->name()))
         .end_object();
   }
-  json.end_array().begin_object("speedup_graph_to_compiled");
-  for (size_t i = 0; i + 1 < rows.size(); i += 4) {
-    // rows come in (graph, compiled, rgb_only, stream_hit) quads per
-    // backend
-    json.field(rows[i].backend,
-               rows[i].m.latency_ms / rows[i + 1].m.latency_ms, 3);
-    std::printf("%s: compiled plan is %.2fx the graph path\n",
-                rows[i].backend.c_str(),
-                rows[i].m.latency_ms / rows[i + 1].m.latency_ms);
-  }
-  json.end_object().end_object();
+  // rows[0] is the graph path, rows[1] the compiled fused predict.
+  const double speedup = rows[0].m.latency_ms / rows[1].m.latency_ms;
+  std::printf("compiled plan is %.2fx the graph path\n", speedup);
+  json.end_array()
+      .field("speedup_graph_to_compiled", speedup, 3)
+      .end_object();
   std::printf("%s\n", json.str().c_str());
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -269,15 +246,14 @@ int main(int argc, char** argv) {
     for (const PathRow& row : rows) {
       if (row.path != "graph" && row.m.allocs_per_call != 0.0) {
         std::fprintf(stderr,
-                     "FAIL: %s path on %s backend allocates %.1f "
-                     "times per call (expected 0)\n",
-                     row.path.c_str(), row.backend.c_str(),
-                     row.m.allocs_per_call);
+                     "FAIL: %s path allocates %.1f times per call "
+                     "(expected 0)\n",
+                     row.path.c_str(), row.m.allocs_per_call);
         return 1;
       }
     }
     std::printf("smoke check passed: compiled fused, rgb_only and "
-                "stream_hit paths allocation-free on both backends\n");
+                "stream_hit paths allocation-free\n");
     return 0;
   }
 

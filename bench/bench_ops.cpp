@@ -1,12 +1,11 @@
-// Operator-level micro-benchmarks (google-benchmark) plus the kernel
-// backend comparison.
+// Operator-level micro-benchmarks (google-benchmark) plus the conv solver
+// comparison.
 //
 // Not a paper figure: supporting measurements for the overhead discussion
 // in Sec. IV-B — what a Fusion-filter, the AWN, the edge extractor and the
 // Feature Disparity metric cost relative to the network's backbone convs —
-// and, since the blocked-GEMM backend landed, the machine-readable
-// reference-vs-blocked comparison over the RoadSeg encoder conv shapes —
-// now with a per-solver GFLOP/s block per shape (see src/tune/):
+// and the machine-readable per-solver GFLOP/s table over the RoadSeg
+// encoder conv shapes (see src/tune/):
 //
 //   bench_ops --kernels-json              JSON to stdout, skip the
 //                                         google-benchmark suite
@@ -15,14 +14,13 @@
 //                                         snapshot is produced this way)
 #include <benchmark/benchmark.h>
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 
-#include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "bench_common.hpp"
 #include "core/awn.hpp"
@@ -42,9 +40,7 @@ using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
 
-void conv_forward_with_backend(benchmark::State& state, const char* backend) {
-  const std::string previous = ag::kernels::backend_name();
-  ag::kernels::set_backend(backend);
+void BM_Conv3x3Forward(benchmark::State& state) {
   Rng rng(1);
   const int64_t c = state.range(0);
   const ag::Variable x =
@@ -55,18 +51,8 @@ void conv_forward_with_backend(benchmark::State& state, const char* backend) {
     benchmark::DoNotOptimize(
         ag::conv2d(x, w, ag::Variable(), ag::ConvGeometry{3, 1, 1}));
   }
-  ag::kernels::set_backend(previous);
-}
-
-void BM_Conv3x3Forward(benchmark::State& state) {
-  conv_forward_with_backend(state, "reference");
 }
 BENCHMARK(BM_Conv3x3Forward)->Arg(8)->Arg(16)->Arg(32);
-
-void BM_Conv3x3ForwardBlocked(benchmark::State& state) {
-  conv_forward_with_backend(state, "blocked");
-}
-BENCHMARK(BM_Conv3x3ForwardBlocked)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_Conv3x3Backward(benchmark::State& state) {
   Rng rng(2);
@@ -170,9 +156,9 @@ void BM_DatasetSampleGeneration(benchmark::State& state) {
 BENCHMARK(BM_DatasetSampleGeneration);
 
 // ---------------------------------------------------------------------------
-// Kernel backend comparison (reference vs blocked) over the conv shapes of
-// the RoadSeg encoder at the default 32x96 bench resolution, emitted as
-// JSON so the perf trajectory across PRs is machine-readable.
+// Solver comparison over the conv shapes of the RoadSeg encoder at the
+// default 32x96 bench resolution, emitted as JSON so the perf trajectory
+// across PRs is machine-readable.
 // ---------------------------------------------------------------------------
 
 struct ConvShape {
@@ -196,37 +182,6 @@ constexpr ConvShape kEncoderShapes[] = {
     {"stage4.conv2", 32, 32, 3, 1, 1, 2, 6},
 };
 
-/// Seconds per forward GEMM of `shape` under the active backend (mean over
-/// an adaptive iteration count, 2 warmup runs). Times the (cout, cin*k*k) x
-/// (cin*k*k, ho*wo) product the conv lowers to — the part the backend
-/// actually implements; the im2col lowering is shared code outside the
-/// dispatch, so it is done once up front and excluded.
-double time_conv_gemm(const ConvShape& shape) {
-  Rng rng(17);
-  const Tensor x = Tensor::normal(
-      Shape::chw(shape.cin, shape.height, shape.width), rng);
-  const ag::ConvGeometry geom{shape.kernel, shape.stride, shape.padding};
-  const Tensor columns =
-      ag::kernels::im2col(x.raw(), shape.cin, shape.height, shape.width, geom);
-  const Tensor wmat = Tensor::normal(
-      Shape::mat(shape.cout, shape.cin * shape.kernel * shape.kernel), rng);
-  auto run = [&] {
-    benchmark::DoNotOptimize(ag::kernels::gemm(wmat, columns));
-  };
-  run();
-  run();
-  using clock = std::chrono::steady_clock;
-  int64_t iters = 0;
-  const clock::time_point start = clock::now();
-  double elapsed = 0.0;
-  while (elapsed < 0.12 || iters < 8) {
-    run();
-    ++iters;
-    elapsed = std::chrono::duration<double>(clock::now() - start).count();
-  }
-  return elapsed / static_cast<double>(iters);
-}
-
 int64_t conv_macs(const ConvShape& shape) {
   const ag::ConvGeometry geom{shape.kernel, shape.stride, shape.padding};
   return shape.cout * shape.cin * shape.kernel * shape.kernel *
@@ -246,14 +201,11 @@ tune::ConvProblem shape_problem(const ConvShape& shape) {
   return problem;
 }
 
-/// Runs both legacy backends plus every registered solver (best over its
-/// parameter candidates) over the encoder shapes and returns the JSON
-/// report. The reference/blocked columns still time kernels::gemm()
-/// directly, so their numbers stay comparable with earlier snapshots; the
-/// "solvers" block goes through the tune subsystem's measurement loop.
+/// Runs every registered solver (best over its parameter candidates)
+/// through the tune subsystem's measurement loop over the encoder shapes
+/// and returns the JSON report.
 std::string kernel_comparison_json() {
-  const std::string previous = ag::kernels::backend_name();
-  const tune::TuneOptions tune_options;  // full floors, same as legacy
+  const tune::TuneOptions tune_options;  // full measurement floors
   bench::JsonWriter json;
   json.begin_object()
       .field("bench", std::string("bench_ops/kernels"))
@@ -266,11 +218,6 @@ std::string kernel_comparison_json() {
   int64_t int8_wins = 0;
   int64_t shape_count = 0;
   for (const ConvShape& shape : kEncoderShapes) {
-    const double gflop = 2.0 * static_cast<double>(conv_macs(shape)) / 1e9;
-    ag::kernels::set_backend("reference");
-    const double reference_s = time_conv_gemm(shape);
-    ag::kernels::set_backend("blocked");
-    const double blocked_s = time_conv_gemm(shape);
     const tune::ProblemTuneResult tuned =
         tune::tune_problem(shape_problem(shape), tune_options);
     json.begin_object()
@@ -282,14 +229,6 @@ std::string kernel_comparison_json() {
         .field("h", shape.height)
         .field("w", shape.width)
         .field("macs", conv_macs(shape));
-    json.begin_object("reference")
-        .field("ms", reference_s * 1e3, 4)
-        .field("gflops", gflop / reference_s, 3)
-        .end_object();
-    json.begin_object("blocked")
-        .field("ms", blocked_s * 1e3, 4)
-        .field("gflops", gflop / blocked_s, 3)
-        .end_object();
     // Best GFLOP/s per solver across its parameter candidates, in registry
     // order for a stable column layout.
     json.begin_object("solvers");
@@ -306,20 +245,18 @@ std::string kernel_comparison_json() {
     }
     json.end_object();
     const tune::SolverMeasurement& winner = tuned.best();
-    // tuned_vs_blocked compares within the solver measurement harness (the
-    // default-parameter blocked solver as the baseline) so the ratio is not
-    // polluted by the legacy column's per-call allocation; >= 1.0 for every
-    // shape where the blocked solver applies, by construction.
-    const tune::SolverMeasurement* blocked_solver = tuned.find("blocked");
-    const double blocked_gflops = blocked_solver != nullptr
-                                      ? blocked_solver->gflops
-                                      : gflop / blocked_s;
+    // Every ratio below is taken inside the solver measurement harness;
+    // the default-parameter blocked solver is the baseline, which applies
+    // to every encoder shape (cout >= 8), so tuned_vs_blocked >= 1.0 by
+    // construction.
+    const double reference_gflops = tuned.find("reference")->gflops;
+    const double blocked_gflops = tuned.find("blocked")->gflops;
     json.field("best_solver",
                winner.params.empty()
                    ? winner.solver
                    : winner.solver + "[" + winner.params + "]")
         .field("best_gflops", winner.gflops, 3);
-    json.field("speedup", reference_s / blocked_s, 3);
+    json.field("speedup", blocked_gflops / reference_gflops, 3);
     json.field("tuned_vs_blocked", winner.gflops / blocked_gflops, 3);
     // Int8 columns: the same shape keyed as int8 measures the quantized
     // solver family (dynamic activation scales, same MAC count, so the
@@ -341,7 +278,7 @@ std::string kernel_comparison_json() {
         .field("int8_vs_best_fp32", int8_winner.gflops / winner.gflops, 3)
         .end_object();
     json.end_object();
-    speedup_log_sum += std::log(reference_s / blocked_s);
+    speedup_log_sum += std::log(blocked_gflops / reference_gflops);
     tuned_log_sum += std::log(winner.gflops / blocked_gflops);
     int8_log_sum += std::log(int8_winner.gflops / blocked_gflops);
     if (int8_winner.gflops > winner.gflops) {
@@ -359,7 +296,6 @@ std::string kernel_comparison_json() {
       .field("int8_wins_vs_best_fp32", int8_wins)
       .field("shape_count", shape_count)
       .end_object();
-  ag::kernels::set_backend(previous);
   return json.str();
 }
 

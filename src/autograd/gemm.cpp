@@ -1,7 +1,6 @@
 #include "autograd/gemm.hpp"
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -257,12 +256,11 @@ void micro_kernel_infer(int64_t kb, const float* a_panel, const float* b,
   }
 }
 
-/// Runs the full blocked loop nest over C[0:m, 0:n] (row stride ldc, must
-/// be zero-initialized). Each call owns its packing buffers, so concurrent
-/// calls on disjoint row ranges share nothing.
-void gemm_block_loop(const MatView& a, const MatView& b, float* c,
-                     int64_t ldc, int64_t m, int64_t n, int64_t k,
-                     const BlockedGemmConfig& config) {
+/// Runs the full blocked loop nest over the row-major (m, n) C, which must
+/// be zero-initialized. Each call owns its packing buffers, so concurrent
+/// GEMMs share nothing.
+void gemm_block_loop(const MatView& a, const MatView& b, float* c, int64_t m,
+                     int64_t n, int64_t k, const BlockedGemmConfig& config) {
   const int64_t mc = std::min(config.mc, m);
   const int64_t kc = std::min(config.kc, k);
   const int64_t nc = std::min(config.nc, n);
@@ -302,7 +300,7 @@ void gemm_block_loop(const MatView& a, const MatView& b, float* c,
           const int64_t nrem = std::min<int64_t>(kNr, nb - jp);
           for (int64_t ip = 0; ip < mb; ip += kMr) {
             micro_kernel(kb, a_pack.data() + (ip / kMr) * kb * kMr, b_tile,
-                         b_stride, c + (i0 + ip) * ldc + j0 + jp, ldc,
+                         b_stride, c + (i0 + ip) * n + j0 + jp, n,
                          std::min<int64_t>(kMr, mb - ip), nrem);
           }
         }
@@ -311,43 +309,16 @@ void gemm_block_loop(const MatView& a, const MatView& b, float* c,
   }
 }
 
-/// Entry point shared by the three GEMM forms: allocates C, optionally
-/// splits the rows across `config.threads` workers.
+/// Entry point shared by the three GEMM forms: allocates C and runs the
+/// blocked loop over it.
 Tensor blocked_gemm(const MatView& a, const MatView& b, int64_t m, int64_t n,
                     int64_t k, const BlockedGemmConfig& config) {
-  ROADFUSION_CHECK(config.mc >= 1 && config.kc >= 1 && config.nc >= 1 &&
-                       config.threads >= 1,
+  ROADFUSION_CHECK(config.mc >= 1 && config.kc >= 1 && config.nc >= 1,
                    "blocked_gemm: invalid blocking config (mc "
                        << config.mc << ", kc " << config.kc << ", nc "
-                       << config.nc << ", threads " << config.threads << ")");
+                       << config.nc << ")");
   Tensor out(Shape::mat(m, n));  // zero-initialized
-  float* c = out.raw();
-  // Chunk rows to register-tile multiples so no tile straddles two workers.
-  const int64_t max_workers = (m + kMr - 1) / kMr;
-  const int64_t workers =
-      std::min<int64_t>(config.threads, std::max<int64_t>(1, max_workers));
-  if (workers <= 1) {
-    gemm_block_loop(a, b, c, n, m, n, k, config);
-    return out;
-  }
-  const int64_t chunk = round_up((m + workers - 1) / workers, kMr);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(workers));
-  for (int64_t w = 0; w < workers; ++w) {
-    const int64_t r0 = w * chunk;
-    const int64_t r1 = std::min(m, r0 + chunk);
-    if (r0 >= r1) {
-      break;
-    }
-    threads.emplace_back([&, r0, r1] {
-      const MatView a_rows{a.data + r0 * a.row_stride, a.row_stride,
-                           a.col_stride};
-      gemm_block_loop(a_rows, b, c + r0 * n, n, r1 - r0, n, k, config);
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
+  gemm_block_loop(a, b, out.raw(), m, n, k, config);
   return out;
 }
 
@@ -427,7 +398,7 @@ void gemm_prepacked(const PackedA& a, const float* b, int64_t ldb, int64_t n,
                     float* c, int64_t ldc, const ConvEpilogue* epi) {
   const int64_t m = a.m;
   const int64_t k = a.k;
-  // Same tile walk as the legacy blocked loop's single-block direct-B
+  // Same tile walk as the general blocked loop's single-block direct-B
   // case; only the store differs (overwrite + fused epilogue).
   for (int64_t jp = 0; jp < n; jp += kNr) {
     const int64_t nrem = std::min<int64_t>(kNr, n - jp);

@@ -1,4 +1,5 @@
-// Cache-blocked, register-tiled GEMM — the "blocked" convolution backend.
+// Cache-blocked, register-tiled GEMM — the fp32 kernel family behind the
+// "blocked" solvers and the autograd conv GEMMs.
 //
 // The classic three-level blocking scheme (BLIS/GotoBLAS style): the
 // operands are cut into Mc x Kc and Kc x Nc blocks that fit the cache
@@ -6,16 +7,7 @@
 // register-tiled micro-kernel (kMr x kNr accumulators) does the arithmetic
 // with no C traffic inside the K loop. Strided views let one macro-kernel
 // serve all three GEMM forms the convolution ops need (A*B, A^T*B, A*B^T)
-// without materializing transposes.
-//
-// Row-parallelism: when `BlockedGemmConfig::threads > 1` the rows of C are
-// split into contiguous chunks (aligned to the register tile) and each
-// chunk runs the full blocked loop on its own std::thread with private
-// packing buffers — no shared mutable state, so the path is trivially
-// race-free (pinned by the ThreadSanitizer leg of tools/run_tier1.sh).
-//
-// Selected at runtime through the backend registry in kernels.hpp
-// (`kernels::set_backend("blocked")`, env ROADFUSION_KERNEL_BACKEND).
+// without materializing transposes. Every GEMM runs on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -37,25 +29,22 @@ struct BlockedGemmConfig {
   int64_t mc = 128;  ///< rows of A packed per block (L2 resident)
   int64_t kc = 384;  ///< reduction depth per block (panel height)
   int64_t nc = 4096; ///< columns of B per block (streamed in kNr panels)
-  int threads = 1;   ///< row-parallel workers; 1 = run on the caller
 };
 
 /// Mutable process-wide blocking configuration. Mutate only while no GEMM
-/// is in flight (tests and benches tune it between runs); the defaults are
-/// read concurrently by worker threads, which is safe because reads do not
-/// mutate.
+/// is in flight (tests and benches tune it between runs); concurrent reads
+/// are safe.
 BlockedGemmConfig& blocked_gemm_config();
 
-/// Register-tile row height of the micro-kernel. Row-parallel work splits
-/// in multiples of this, so a solver is only worth `threads` workers when
-/// M covers at least `threads * kMicroTileRows` rows.
+/// Register-tile row height of the micro-kernel; the blocked solvers apply
+/// only when M covers at least one tile.
 inline constexpr int64_t kMicroTileRows = 4;
 
 /// C = A * B with A (m, k), B (k, n), both row-major.
 Tensor blocked_matmul(const Tensor& a, const Tensor& b);
 
 /// Same, under an explicit blocking configuration instead of the process
-/// global — the solver registry runs per-shape tuned Mc/Kc/Nc/threads
+/// global — the solver registry runs per-shape tuned Mc/Kc/Nc
 /// through this without mutating state other callers read.
 Tensor blocked_matmul(const Tensor& a, const Tensor& b,
                       const BlockedGemmConfig& config);
@@ -86,7 +75,7 @@ struct PackedA {
 
 /// True when an (m, k) A operand fits a single cache block of the current
 /// blocking config — the precondition for `prepack_a` / `gemm_prepacked`
-/// producing bits identical to the legacy blocked loop.
+/// producing bits identical to the general blocked loop.
 bool prepack_viable(int64_t m, int64_t k);
 
 /// Packs a strided (m, k) A view into panel layout (one-time, load-path

@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
-#include <mutex>
 
-#include "autograd/gemm.hpp"
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "obs/metrics.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 
 namespace roadfusion::autograd::kernels {
@@ -17,61 +12,7 @@ namespace {
 
 namespace t = roadfusion::tensor;
 
-/// Registry storage. Entries are heap-allocated so the active-backend
-/// pointer stays valid when the vector grows.
-struct Registry {
-  std::mutex mutex;
-  std::vector<std::unique_ptr<GemmBackend>> backends;
-  std::atomic<const GemmBackend*> active{nullptr};
-
-  /// Caller must hold `mutex`.
-  const GemmBackend* find_locked(const std::string& name) const {
-    for (const auto& backend : backends) {
-      if (backend->name == name) {
-        return backend.get();
-      }
-    }
-    return nullptr;
-  }
-};
-
-Registry& registry() {
-  static Registry instance;
-  static std::once_flag once;
-  std::call_once(once, [] {
-    Registry& r = instance;
-    r.backends.push_back(std::make_unique<GemmBackend>(GemmBackend{
-        "reference", &t::matmul, &t::matmul_at, &t::matmul_bt}));
-    r.backends.push_back(std::make_unique<GemmBackend>(
-        GemmBackend{"blocked", &blocked_matmul, &blocked_matmul_at,
-                    &blocked_matmul_bt}));
-    const std::string requested =
-        env_string("ROADFUSION_KERNEL_BACKEND", "reference");
-    const GemmBackend* initial = r.find_locked(requested);
-    ROADFUSION_CHECK(initial != nullptr,
-                     "ROADFUSION_KERNEL_BACKEND='"
-                         << requested
-                         << "' names an unknown backend (registered: "
-                            "reference, blocked)");
-    r.active.store(initial, std::memory_order_release);
-    blocked_gemm_config().threads =
-        env_int_checked("ROADFUSION_KERNEL_THREADS", 1, 1);
-  });
-  return instance;
-}
-
-const GemmBackend& active_backend() {
-  return *registry().active.load(std::memory_order_acquire);
-}
-
 std::atomic<uint64_t> im2col_calls{0};
-
-// Function-local so it is constant-initialized before any set_backend call
-// from another translation unit's static initializer.
-std::atomic<uint64_t>& backend_generation_counter() {
-  static std::atomic<uint64_t> generation{0};
-  return generation;
-}
 
 // Constant-initialized, so installation from another translation unit's
 // static initializer is ordered-safe.
@@ -107,79 +48,6 @@ std::atomic<ConvForwardHook> conv_hook{nullptr};
 }();
 
 }  // namespace
-
-void register_gemm_backend(const GemmBackend& backend) {
-  ROADFUSION_CHECK(!backend.name.empty() && backend.matmul != nullptr &&
-                       backend.matmul_at != nullptr &&
-                       backend.matmul_bt != nullptr,
-                   "register_gemm_backend: incomplete backend");
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (auto& existing : r.backends) {
-    if (existing->name == backend.name) {
-      ROADFUSION_CHECK(r.active.load(std::memory_order_acquire) !=
-                           existing.get(),
-                       "register_gemm_backend: cannot replace the active "
-                       "backend '"
-                           << backend.name << "'");
-      *existing = backend;
-      return;
-    }
-  }
-  r.backends.push_back(std::make_unique<GemmBackend>(backend));
-}
-
-void set_backend(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  const GemmBackend* backend = r.find_locked(name);
-  ROADFUSION_CHECK(backend != nullptr,
-                   "set_backend: unknown kernel backend '"
-                       << name << "' (registered: "
-                       << [&r] {
-                            std::string names;
-                            for (const auto& b : r.backends) {
-                              names += names.empty() ? b->name
-                                                     : ", " + b->name;
-                            }
-                            return names;
-                          }() << ")");
-  r.active.store(backend, std::memory_order_release);
-  backend_generation_counter().fetch_add(1, std::memory_order_relaxed);
-}
-
-std::string backend_name() { return active_backend().name; }
-
-uint64_t backend_generation() {
-  return backend_generation_counter().load(std::memory_order_relaxed);
-}
-
-bool backend_is(std::string_view name) {
-  return active_backend().name == name;
-}
-
-std::vector<std::string> backend_names() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<std::string> names;
-  names.reserve(r.backends.size());
-  for (const auto& backend : r.backends) {
-    names.push_back(backend->name);
-  }
-  return names;
-}
-
-Tensor gemm(const Tensor& a, const Tensor& b) {
-  return active_backend().matmul(a, b);
-}
-
-Tensor gemm_at(const Tensor& a, const Tensor& b) {
-  return active_backend().matmul_at(a, b);
-}
-
-Tensor gemm_bt(const Tensor& a, const Tensor& b) {
-  return active_backend().matmul_bt(a, b);
-}
 
 void set_conv_forward_hook(ConvForwardHook hook) {
   conv_hook.store(hook, std::memory_order_release);

@@ -1,13 +1,11 @@
 // Raw numeric kernels behind the autograd ops: im2col/col2im lowering for
-// convolutions, the GEMM backend registry the conv ops dispatch through,
-// depthwise 3x3 correlation for the Sobel edge op, and max-pool index
+// convolutions, the hook the conv forward dispatches through, depthwise 3x3
+// correlation for the Sobel edge op, and max-pool index
 // bookkeeping. All functions operate on plain Tensors; the autograd layer
 // in ops.cpp composes them into differentiable ops.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -18,65 +16,15 @@ using tensor::Shape;
 using tensor::Tensor;
 
 // ---------------------------------------------------------------------------
-// GEMM backend registry
-// ---------------------------------------------------------------------------
-//
-// The convolution family lowers to three GEMM forms; a backend supplies
-// all three. Two backends ship built in:
-//   "reference" — the always-available triple-loop kernels in tensor/ops
-//   "blocked"   — cache-blocked, register-tiled GEMM (gemm.hpp)
-// Selection order: register_gemm_backend()/set_backend() calls, with the
-// initial backend taken from ROADFUSION_KERNEL_BACKEND (default
-// "reference"). The active backend is a process-wide atomic; switching it
-// while forwards are in flight is safe (each GEMM call reads it once) but
-// mixes backends across ops, so runtimes set it before serving.
-
-/// One GEMM implementation set. All functions take row-major rank-2
-/// tensors and return a freshly allocated result.
-struct GemmBackend {
-  std::string name;
-  Tensor (*matmul)(const Tensor& a, const Tensor& b);     ///< (m,k)x(k,n)
-  Tensor (*matmul_at)(const Tensor& a, const Tensor& b);  ///< (k,m)^T x (k,n)
-  Tensor (*matmul_bt)(const Tensor& a, const Tensor& b);  ///< (m,k) x (n,k)^T
-};
-
-/// Registers (or replaces, by name) a backend. The registered backend is
-/// not activated; call set_backend() to switch to it.
-void register_gemm_backend(const GemmBackend& backend);
-
-/// Switches the active backend; throws on an unknown name.
-void set_backend(const std::string& name);
-
-/// Name of the active backend ("reference" | "blocked" | registered).
-std::string backend_name();
-
-/// Allocation-free name check of the active backend (hot-path safe).
-bool backend_is(std::string_view name);
-
-/// Monotone counter bumped by every set_backend() call. Caches whose
-/// contents depend on the active backend (the tune binding cache) compare
-/// this against the generation they were built at and drop themselves on
-/// mismatch. One relaxed atomic load — hot-path safe.
-uint64_t backend_generation();
-
-/// Names of every registered backend, registration order.
-std::vector<std::string> backend_names();
-
-/// Dispatching entry points used by the conv/conv-transpose ops.
-Tensor gemm(const Tensor& a, const Tensor& b);
-Tensor gemm_at(const Tensor& a, const Tensor& b);
-Tensor gemm_bt(const Tensor& a, const Tensor& b);
-
-// ---------------------------------------------------------------------------
 // Conv-forward dispatch hook (solver-registry bridge)
 // ---------------------------------------------------------------------------
 //
 // The per-shape solver registry lives in src/tune, which links against this
 // library — so the conv op cannot call it directly. Instead the registry
-// installs a function pointer here at static-init time; the op offers each
-// lowered forward GEMM to the hook and falls back to the legacy gemm()
-// dispatch when no hook is installed or the hook declines. The hook slot is
-// a constant-initialized atomic, safe to read before main().
+// installs a function pointer here at static-init time; the op hands each
+// lowered forward GEMM to the hook, and calls blocked_matmul directly only
+// when no hook is installed. The hook slot is a constant-initialized
+// atomic, safe to read before main().
 
 struct ConvEpilogue;  // gemm.hpp
 
@@ -88,13 +36,12 @@ struct ConvForwardCall {
   int64_t kernel = 1, stride = 1, padding = 0;
   const Tensor* wmat = nullptr;     ///< (cout, cin*kernel^2) weights
   const Tensor* columns = nullptr;  ///< im2col matrix (cin*kernel^2, Ho*Wo)
-  float* out = nullptr;             ///< (cout, Ho*Wo), overwritten if handled
+  float* out = nullptr;             ///< (cout, Ho*Wo), overwritten
   const ConvEpilogue* epi = nullptr;  ///< optional fused post-ops
 };
 
-/// Returns true when it executed the GEMM (+ epilogue) into `call.out`;
-/// false means "run the legacy path".
-using ConvForwardHook = bool (*)(const ConvForwardCall& call);
+/// Executes the GEMM (+ epilogue) into `call.out`.
+using ConvForwardHook = void (*)(const ConvForwardCall& call);
 
 void set_conv_forward_hook(ConvForwardHook hook);
 ConvForwardHook conv_forward_hook();

@@ -231,10 +231,9 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
     cached_columns->reserve(static_cast<size_t>(batch));
   }
   // The per-shape solver registry (src/tune), when linked, takes each
-  // sample's GEMM through the hook; the bias rides along as an epilogue
-  // (same add sequence as the legacy loop below, so results are
-  // bit-identical). A null or declining hook runs the legacy backend
-  // dispatch unchanged.
+  // sample's GEMM through the hook; the bias rides along as an epilogue.
+  // Without the registry the blocked GEMM runs directly, followed by the
+  // same epilogue pass.
   const kernels::ConvForwardHook hook = kernels::conv_forward_hook();
   kernels::ConvEpilogue epi;
   epi.bias = has_bias ? b.value().raw() : nullptr;
@@ -254,18 +253,14 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
     call.columns = &columns;
     call.out = dst;
     call.epi = has_bias ? &epi : nullptr;
-    if (hook == nullptr || !hook(call)) {
-      Tensor res = kernels::gemm(wmat, columns);
+    if (hook != nullptr) {
+      hook(call);
+    } else {
+      const Tensor res = kernels::blocked_matmul(wmat, columns);
       std::memcpy(dst, res.raw(),
                   static_cast<size_t>(cout * out_plane) * sizeof(float));
       if (has_bias) {
-        const float* pb = b.value().raw();
-        for (int64_t c = 0; c < cout; ++c) {
-          float* row = dst + c * out_plane;
-          for (int64_t i = 0; i < out_plane; ++i) {
-            row[i] += pb[c];
-          }
-        }
+        kernels::apply_epilogue(dst, cout, out_plane, epi);
       }
     }
     if (keep_columns) {
@@ -299,11 +294,11 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
         }
         const Tensor& columns =
             cached ? (*cached_columns)[static_cast<size_t>(s)] : recomputed;
-        const Tensor dw_s = kernels::gemm_bt(gout_mat, columns);
+        const Tensor dw_s = kernels::blocked_matmul_bt(gout_mat, columns);
         t::axpy_inplace(dw, 1.0f, dw_s);
       }
       if (xn.requires_grad) {
-        const Tensor dcol = kernels::gemm_at(wmat_b, gout_mat);
+        const Tensor dcol = kernels::blocked_matmul_at(wmat_b, gout_mat);
         kernels::col2im_accumulate(dcol, cin, h, width, geom,
                                    dx.raw() + s * cin * h * width);
       }
@@ -385,7 +380,8 @@ Variable conv_transpose2d(const Variable& x, const Variable& w,
   for (int64_t s = 0; s < batch; ++s) {
     const Tensor x_mat =
         copy_mat(x.value().raw() + s * cin * in_plane, cin, in_plane);
-    const Tensor columns = kernels::gemm_at(wmat, x_mat);  // (ckk, in_plane)
+    const Tensor columns =
+        kernels::blocked_matmul_at(wmat, x_mat);  // (ckk, in_plane)
     kernels::col2im_accumulate(columns, cout, out_h, out_w, geom,
                                out.raw() + s * cout * out_plane);
     if (has_bias) {
@@ -415,14 +411,14 @@ Variable conv_transpose2d(const Variable& x, const Variable& w,
       const Tensor grad_columns = kernels::im2col(
           node.grad.raw() + s * cout * out_plane, cout, out_h, out_w, geom);
       if (xn.requires_grad) {
-        const Tensor dx_mat = kernels::gemm(wmat_b, grad_columns);
+        const Tensor dx_mat = kernels::blocked_matmul(wmat_b, grad_columns);
         std::memcpy(dx.raw() + s * cin * in_plane, dx_mat.raw(),
                     static_cast<size_t>(cin * in_plane) * sizeof(float));
       }
       if (wn.requires_grad) {
         const Tensor x_mat =
             copy_mat(xn.value.raw() + s * cin * in_plane, cin, in_plane);
-        const Tensor dw_s = kernels::gemm_bt(x_mat, grad_columns);
+        const Tensor dw_s = kernels::blocked_matmul_bt(x_mat, grad_columns);
         t::axpy_inplace(dw, 1.0f, dw_s);
       }
     }

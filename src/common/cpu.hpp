@@ -49,9 +49,9 @@ CpuTier active_tier();
 /// while no inference is in flight (tests, CLI startup).
 void set_active_tier(CpuTier tier);
 
-/// Monotone counter bumped by every effective tier change, mirroring
-/// kernels::backend_generation(): caches keyed on the active tier compare
-/// against it and rebuild on mismatch.
+/// Monotone counter bumped by every effective tier change: caches keyed on
+/// the active tier (the tune binding cache) compare against it and rebuild
+/// on mismatch.
 uint64_t tier_generation();
 
 /// Lower-case tier name ("scalar" | "sse2" | "avx2"), static storage.

@@ -4,8 +4,6 @@
 #include <cctype>
 #include <cstdlib>
 
-#include "common/check.hpp"
-
 namespace roadfusion {
 
 std::string env_string(const std::string& name, const std::string& fallback) {
@@ -26,20 +24,6 @@ int env_int(const std::string& name, int fallback) {
   if (end == value || *end != '\0') {
     return fallback;
   }
-  return static_cast<int>(parsed);
-}
-
-int env_int_checked(const std::string& name, int fallback, int min_value) {
-  const char* value = std::getenv(name.c_str());
-  if (value == nullptr || value[0] == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  ROADFUSION_CHECK(end != value && *end == '\0',
-                   name << "='" << value << "' is not an integer");
-  ROADFUSION_CHECK(parsed >= min_value, name << " must be >= " << min_value
-                                             << ", got " << parsed);
   return static_cast<int>(parsed);
 }
 

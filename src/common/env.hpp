@@ -14,13 +14,6 @@ std::string env_string(const std::string& name, const std::string& fallback);
 /// unparsable.
 int env_int(const std::string& name, int fallback);
 
-/// Strict variant for configuration knobs where a malformed value is a user
-/// error, not a soft default: unset/empty returns `fallback`, but a value
-/// that is not a plain base-10 integer ("3x", "fast", "1.5") or that falls
-/// below `min_value` throws roadfusion::Error with a one-line message
-/// naming the variable and the offending value.
-int env_int_checked(const std::string& name, int fallback, int min_value);
-
 /// Returns true when env var `name` is set to a truthy value ("1", "true",
 /// "on", "yes" — case-insensitive).
 bool env_flag(const std::string& name, bool fallback = false);

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstring>
 
 #include "autograd/kernels.hpp"
 #include "common/check.hpp"
@@ -26,10 +25,10 @@ Tensor he_normal(const Shape& shape, int64_t fan_in, Rng& rng) {
 }
 
 // Pre-pack cache effectiveness counters (DESIGN.md §11): a hit is a conv
-// inference call served by the fused pre-packed path, a miss fell back to
-// the dispatching GEMM (reference backend, or a weight too large for a
-// single cache block). References cached so the hot path pays one atomic
-// increment, not a registry lookup.
+// inference call served by the fused pre-packed path, a miss ran an unpacked
+// solver (a forced one, or a weight too large for a single cache block).
+// References cached so the hot path pays one atomic increment, not a
+// registry lookup.
 obs::Counter& prepack_hits() {
   static obs::Counter& counter = obs::MetricsRegistry::global().counter(
       "roadfusion_prepack_hits",
@@ -40,7 +39,7 @@ obs::Counter& prepack_hits() {
 obs::Counter& prepack_misses() {
   static obs::Counter& counter = obs::MetricsRegistry::global().counter(
       "roadfusion_prepack_misses",
-      "Conv inference calls that fell back to the dispatching GEMM");
+      "Conv inference calls served by an unpacked solver");
   return counter;
 }
 
@@ -187,62 +186,29 @@ Tensor Conv2d::forward_infer(const Tensor& x,
                                        : 0.0f;
   const std::shared_ptr<const tune::Binding> binding =
       tune::bind(problem, cache->prepacked);
-  if (binding->solver != nullptr) {
-    tune::SolverArgs args;
-    args.wmat = &cache->wmat;
-    args.packed = cache->prepacked ? &cache->packed : nullptr;
-    args.epi = has_epi ? &epi : nullptr;
-    args.qweights = use_int8 ? &cache->qweights : nullptr;
-    args.act_scale = act_scale;
-    // "Hit" keeps its DESIGN.md §11 meaning: served by the fused
-    // pre-packed path (which only the prepacked solver runs); int8 calls
-    // count on their own meter.
-    obs::Counter& counter = use_int8 ? int8_convs()
-                            : binding->solver->wants_packed()
-                                ? prepack_hits()
-                                : prepack_misses();
-    for (int64_t s = 0; s < batch; ++s) {
-      const Tensor columns = kernels::im2col(
-          x.raw() + s * in_channels_ * h * w, in_channels_, h, w, geom_);
-      if (calibrate) {
-        quant::observe_activation(
-            problem_key,
-            kernels::tensor_absmax(columns.raw(), columns.numel()));
-      }
-      args.columns = &columns;
-      args.out = out.raw() + s * out_channels_ * out_plane;
-      tune::run(*binding, problem, args);
-      counter.inc();
-    }
-    return out;
-  }
-  // Null binding: a GemmBackend other than reference/blocked is active —
-  // honor it through the legacy dispatch (the compatibility shim).
-  const bool fused = cache->prepacked && kernels::backend_is("blocked");
+  tune::SolverArgs args;
+  args.wmat = &cache->wmat;
+  args.packed = cache->prepacked ? &cache->packed : nullptr;
+  args.epi = has_epi ? &epi : nullptr;
+  args.qweights = use_int8 ? &cache->qweights : nullptr;
+  args.act_scale = act_scale;
+  // "Hit" keeps its DESIGN.md §11 meaning: served by the fused pre-packed
+  // path (which only the prepacked solver runs); int8 calls count on their
+  // own meter.
+  obs::Counter& counter = use_int8 ? int8_convs()
+                          : binding->solver->wants_packed() ? prepack_hits()
+                                                            : prepack_misses();
   for (int64_t s = 0; s < batch; ++s) {
     const Tensor columns = kernels::im2col(
         x.raw() + s * in_channels_ * h * w, in_channels_, h, w, geom_);
     if (calibrate) {
       quant::observe_activation(
-          problem_key,
-          kernels::tensor_absmax(columns.raw(), columns.numel()));
+          problem_key, kernels::tensor_absmax(columns.raw(), columns.numel()));
     }
-    float* dst = out.raw() + s * out_channels_ * out_plane;
-    if (fused) {
-      kernels::gemm_prepacked(cache->packed, columns.raw(), out_plane,
-                              out_plane, dst, out_plane,
-                              has_epi ? &epi : nullptr);
-      prepack_hits().inc();
-    } else {
-      const Tensor res = kernels::gemm(cache->wmat, columns);
-      std::memcpy(dst, res.raw(),
-                  static_cast<size_t>(out_channels_ * out_plane) *
-                      sizeof(float));
-      if (has_epi) {
-        kernels::apply_epilogue(dst, out_channels_, out_plane, epi);
-      }
-      prepack_misses().inc();
-    }
+    args.columns = &columns;
+    args.out = out.raw() + s * out_channels_ * out_plane;
+    tune::run(*binding, problem, args);
+    counter.inc();
   }
   return out;
 }
@@ -343,11 +309,9 @@ Tensor ConvTranspose2d::forward_infer(const Tensor& x) const {
   const int64_t out_plane = out_h * out_w;
   const int64_t ckk = out_channels_ * geom_.kernel * geom_.kernel;
   const std::shared_ptr<const InferCache> cache = infer_cache();
-  const bool fused = cache->prepacked && kernels::backend_is("blocked");
   // Transposed problems dispatch through the solver registry like forward
   // convs (tconv_* solvers); the raw B pointer keeps the prepacked
-  // solver's zero-copy plane-in-place path. Null binding = third-party
-  // GemmBackend: honor it through the legacy dispatch below.
+  // solver's zero-copy plane-in-place path.
   tune::ConvProblem problem;
   problem.transposed = true;
   problem.c = in_channels_;
@@ -364,33 +328,16 @@ Tensor ConvTranspose2d::forward_infer(const Tensor& x) const {
   Tensor out(Shape::nchw(batch, out_channels_, out_h, out_w));
   for (int64_t s = 0; s < batch; ++s) {
     const float* x_plane = x.raw() + s * in_channels_ * in_plane;
-    Tensor columns;
-    if (binding->solver != nullptr) {
-      columns = Tensor::uninitialized(Shape::mat(ckk, in_plane));
-      tune::SolverArgs args;
-      args.wmat = &cache->wmat;
-      args.packed = cache->prepacked ? &cache->packed : nullptr;
-      args.b = x_plane;
-      args.ldb = in_plane;
-      args.out = columns.raw();
-      tune::run(*binding, problem, args);
-      (binding->solver->wants_packed() ? prepack_hits() : prepack_misses())
-          .inc();
-    } else if (fused) {
-      // The sample plane is already a row-major (Cin, in_plane) matrix, so
-      // the legacy path's copy into x_mat disappears entirely.
-      columns = Tensor::uninitialized(Shape::mat(ckk, in_plane));
-      kernels::gemm_prepacked(cache->packed, x_plane, in_plane, in_plane,
-                              columns.raw(), in_plane, nullptr);
-      prepack_hits().inc();
-    } else {
-      Tensor x_mat = Tensor::uninitialized(Shape::mat(in_channels_, in_plane));
-      std::memcpy(x_mat.raw(), x_plane,
-                  static_cast<size_t>(in_channels_ * in_plane) *
-                      sizeof(float));
-      columns = kernels::gemm_at(cache->wmat, x_mat);
-      prepack_misses().inc();
-    }
+    Tensor columns = Tensor::uninitialized(Shape::mat(ckk, in_plane));
+    tune::SolverArgs args;
+    args.wmat = &cache->wmat;
+    args.packed = cache->prepacked ? &cache->packed : nullptr;
+    args.b = x_plane;
+    args.ldb = in_plane;
+    args.out = columns.raw();
+    tune::run(*binding, problem, args);
+    (binding->solver->wants_packed() ? prepack_hits() : prepack_misses())
+        .inc();
     kernels::col2im_accumulate(columns, out_channels_, out_h, out_w, geom_,
                                out.raw() + s * out_channels_ * out_plane);
     if (bias_) {

@@ -36,10 +36,8 @@ struct Complexity {
 };
 
 /// 2-D convolution layer with optional bias. Weight layout (Cout,Cin,K,K);
-/// He-normal initialization. The forward lowers to im2col + GEMM and
-/// dispatches through the kernel backend registry (autograd/kernels.hpp),
-/// so `kernels::set_backend` / ROADFUSION_KERNEL_BACKEND selects the GEMM
-/// implementation for every Conv2d in the process.
+/// He-normal initialization. The forward lowers to im2col + GEMM, and the
+/// solver registry (tune/dispatch.hpp) picks the GEMM kernel per shape.
 class Conv2d : public Module {
  public:
   Conv2d(const std::string& name, int64_t in_channels, int64_t out_channels,
@@ -52,10 +50,10 @@ class Conv2d : public Module {
 
   /// Raw no-graph inference forward (DESIGN.md §11). `epi` carries the
   /// caller's fused post-ops (eval batch-norm affine, ReLU); this layer's
-  /// own bias is folded in automatically — do not set `epi.bias`. Uses the
-  /// pre-packed weight cache when the blocked backend is active and the
-  /// weight fits a single GEMM cache block; bit-identical to
-  /// forward + the separate post-ops either way. Allocation-free in the
+  /// own bias is folded in automatically — do not set `epi.bias`. Offers
+  /// the pre-packed weight cache to the bound solver when the weight fits a
+  /// single GEMM cache block; bit-identical to forward + the separate
+  /// post-ops under the default solvers. Allocation-free in the
   /// steady state under an active WorkspaceScope.
   Tensor forward_infer(const Tensor& x,
                        autograd::kernels::ConvEpilogue epi = {}) const;
@@ -122,8 +120,8 @@ class ConvTranspose2d : public Module {
 
   Variable forward(const Variable& x) const;
 
-  /// Raw no-graph inference forward; bias handled internally. Uses a
-  /// pre-packed A^T view of the weight on the blocked backend when viable.
+  /// Raw no-graph inference forward; bias handled internally. Offers a
+  /// pre-packed A^T view of the weight to the bound solver when viable.
   Tensor forward_infer(const Tensor& x) const;
 
   void prepare_inference() override;

@@ -957,8 +957,7 @@ std::string bound_solver(int64_t cin, int64_t cout, int64_t kernel,
   problem.s = kernel;
   problem.stride = stride;
   problem.pad = pad;
-  const auto binding = tune::bind(problem, true);
-  return binding->solver != nullptr ? binding->solver->name() : "legacy";
+  return tune::bind(problem, true)->solver->name();
 }
 
 /// The first conv a layer step runs (its solver heads the explain line).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "autograd/kernels.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "tensor/shape.hpp"
@@ -31,11 +30,6 @@ InferenceEngine::InferenceEngine(roadseg::SegmentationModel& model,
                    "engine needs default_deadline_ms >= 0, got "
                        << config.default_deadline_ms);
   model.set_training(false);
-  if (!config.kernel_backend.empty()) {
-    // Process-wide selection; done before the workers start so every
-    // batched forward runs the requested backend from the first request.
-    autograd::kernels::set_backend(config.kernel_backend);
-  }
   // Build every layer's inference cache (packed weights, eval BN factors)
   // up front so the workers never race a lazy rebuild on the first batch.
   model.prepare_inference();

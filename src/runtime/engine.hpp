@@ -109,10 +109,6 @@ struct EngineConfig {
   int64_t max_wait_us = 200;  ///< straggler window once a batch has a head
   size_t queue_capacity = 64;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Conv kernel backend activated at engine construction ("reference",
-  /// "blocked", or any registered name — see autograd/kernels.hpp). The
-  /// selection is process-wide; empty keeps the current backend.
-  std::string kernel_backend;
   /// Run the sensor health check on every submit: invalid requests throw
   /// InvalidInputError, degraded ones serve RGB-only. Off restores the
   /// PR-1 behaviour (shape checks only, garbage flows into the model).

@@ -157,9 +157,16 @@ bool train_or_load(roadseg::RoadSegNet& net, const RoadDataset& dataset,
        cache_key(net.config(), dataset.config(), config))
           .string();
   if (std::filesystem::exists(path)) {
-    load_model(net, path);
-    log_info("loaded cached model: ", path);
-    return false;
+    // An unreadable entry is a cache miss: load_model validates before it
+    // restores anything, so the net is untouched and retraining overwrites
+    // the entry.
+    try {
+      load_model(net, path);
+      log_info("loaded cached model: ", path);
+      return false;
+    } catch (const CheckpointError& e) {
+      log_info("ignoring unreadable cached model (", e.what(), ")");
+    }
   }
   log_info("training ", core::to_string(net.config().scheme),
            " (no cache hit at ", path, ")");

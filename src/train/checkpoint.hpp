@@ -43,8 +43,9 @@ std::string cache_key(const roadseg::RoadSegConfig& net_config,
                       const TrainConfig& train_config);
 
 /// Loads the checkpoint if `cache_dir` holds one for this configuration;
-/// otherwise trains the network and saves it. Returns true when training
-/// actually ran. An empty `cache_dir` always trains.
+/// otherwise trains the network and saves it. An entry load_model rejects
+/// is logged and treated as a miss (retrained and overwritten). Returns
+/// true when training actually ran. An empty `cache_dir` always trains.
 bool train_or_load(roadseg::RoadSegNet& net, const RoadDataset& dataset,
                    const TrainConfig& config, const std::string& cache_dir);
 

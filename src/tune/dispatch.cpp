@@ -42,10 +42,10 @@ struct State {
   std::mutex mutex;
   std::shared_ptr<const BindingMap> bindings =
       std::make_shared<const BindingMap>();
-  /// kernels::backend_generation() at which `bindings` was built. Heuristic
-  /// resolution reads the active GemmBackend, so a set_backend() call makes
-  /// every cached binding stale — bind() compares generations and drops the
-  /// map wholesale on mismatch.
+  /// common::tier_generation() at which `bindings` was built. AVX2 solver
+  /// applicability reads the active CPU tier, so a tier switch makes every
+  /// cached binding stale — bind() compares generations and drops the map
+  /// wholesale on mismatch.
   std::atomic<uint64_t> generation{0};
   PerfDb db;
   std::string forced;
@@ -66,7 +66,7 @@ void drop_bindings_locked(State& s) {
 }
 
 /// Bumps the per-solver selection counter — once per binding resolution,
-/// not per conv call, so the label set stays bounded by #solvers + 1.
+/// not per conv call, so the label set stays bounded by #solvers.
 void count_selection(const char* solver_name) {
   obs::MetricsRegistry::global()
       .counter(std::string("roadfusion_solver_selected_total{solver=\"") +
@@ -82,7 +82,8 @@ bool usable(const Solver* solver, const ConvProblem& problem,
          solver->is_applicable(problem);
 }
 
-/// Cheapest estimate() among the usable solvers; null when none apply.
+/// Heuristic: the cheapest estimate() among the usable solvers; null when
+/// none apply.
 Binding cheapest_binding(const ConvProblem& problem, bool packed_available) {
   Binding binding;
   double best_cost = 0.0;
@@ -93,41 +94,10 @@ Binding cheapest_binding(const ConvProblem& problem, bool packed_available) {
     const double cost = solver->estimate(problem);
     if (binding.solver == nullptr || cost < best_cost) {
       binding.solver = solver;
-      binding.source = BindingSource::kHeuristic;
       best_cost = cost;
     }
   }
   return binding;
-}
-
-/// Heuristic fallback, gated on the legacy GemmBackend so existing
-/// configurations keep their exact behavior: "reference" pins the
-/// reference solver (the transposed-form reference for decoder problems),
-/// "blocked" picks the cheapest estimate() (the fused pre-packed path
-/// where available, the blocked loop otherwise), and any other registered
-/// backend gets a null binding — the call site then runs the legacy
-/// kernels::gemm() dispatch, which is what keeps third-party GemmBackend
-/// registrations working. Int8 problems skip the backend gate entirely:
-/// quantized inference has no legacy path to defer to, so the cheapest
-/// applicable int8 solver binds under every backend.
-Binding heuristic_binding(const ConvProblem& problem, bool packed_available) {
-  if (problem.dtype == "int8") {
-    return cheapest_binding(problem, packed_available);
-  }
-  if (ag::backend_is("reference")) {
-    Binding binding;
-    const Solver* reference =
-        find_solver(problem.transposed ? "tconv_reference" : "reference");
-    if (usable(reference, problem, packed_available)) {
-      binding.solver = reference;
-      binding.source = BindingSource::kHeuristic;
-    }
-    return binding;
-  }
-  if (!ag::backend_is("blocked")) {
-    return Binding{};
-  }
-  return cheapest_binding(problem, packed_available);
 }
 
 /// Caller holds state().mutex. Resolution order: force > DB > heuristic.
@@ -147,7 +117,7 @@ Binding resolve_locked(State& s, const ConvProblem& problem,
     log_verbose("tune: perf DB record for ", problem.key(), " names '",
                 record->solver, "' which is not usable here; falling back");
   }
-  return heuristic_binding(problem, packed_available);
+  return cheapest_binding(problem, packed_available);
 }
 
 /// One-time environment pickup: a forced solver and/or an initial DB.
@@ -178,9 +148,8 @@ void init_from_env(State& s) {
 }
 
 /// The bridge installed into the autograd conv op (see kernels.hpp): the
-/// op offers each sample's lowered GEMM here; returning false routes it
-/// down the legacy backend dispatch.
-bool conv_forward_hook_impl(const ag::ConvForwardCall& call) {
+/// op hands each sample's lowered GEMM here.
+void conv_forward_hook_impl(const ag::ConvForwardCall& call) {
   ConvProblem problem;
   problem.n = 1;
   problem.c = call.cin;
@@ -192,16 +161,12 @@ bool conv_forward_hook_impl(const ag::ConvForwardCall& call) {
   problem.stride = call.stride;
   problem.pad = call.padding;
   const std::shared_ptr<const Binding> binding = bind(problem, false);
-  if (binding->solver == nullptr) {
-    return false;
-  }
   SolverArgs args;
   args.wmat = call.wmat;
   args.columns = call.columns;
   args.out = call.out;
   args.epi = call.epi;
   run(*binding, problem, args);
-  return true;
 }
 
 // Installed at static init; ordered-safe because the hook slot in
@@ -219,13 +184,10 @@ std::shared_ptr<const Binding> bind(const ConvProblem& problem,
                                     bool packed_available) {
   State& s = state();
   std::call_once(s.env_once, [&s] { init_from_env(s); });
-  // A backend switch OR a CPU dispatch-tier switch invalidates every
-  // heuristic binding (the resolver is gated on the active backend, and
-  // AVX2-solver applicability on the active tier). Both counters only ever
-  // increment, so the combined word changes whenever either does. Steady
-  // state pays two relaxed loads.
-  const uint64_t generation =
-      (common::tier_generation() << 32) ^ ag::backend_generation();
+  // A CPU dispatch-tier switch invalidates every binding (AVX2-solver
+  // applicability depends on the active tier). Steady state pays one
+  // relaxed load.
+  const uint64_t generation = common::tier_generation();
   if (s.generation.load(std::memory_order_acquire) != generation) {
     std::lock_guard<std::mutex> lock(s.mutex);
     if (s.generation.load(std::memory_order_relaxed) != generation) {
@@ -253,8 +215,10 @@ std::shared_ptr<const Binding> bind(const ConvProblem& problem,
   }
   auto binding = std::make_shared<const Binding>(
       resolve_locked(s, problem, packed_available));
-  count_selection(binding->solver != nullptr ? binding->solver->name()
-                                             : "legacy");
+  ROADFUSION_CHECK(binding->solver != nullptr,
+                   "tune: no registered solver applies to conv problem "
+                       << problem.key());
+  count_selection(binding->solver->name());
   auto next = std::make_shared<BindingMap>(*current);
   (*next)[key] = binding;
   std::atomic_store(&s.bindings,

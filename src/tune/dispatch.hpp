@@ -1,23 +1,22 @@
-// Solver binding and dispatch — the runtime half of the tune subsystem.
+// Solver binding and dispatch — the runtime half of the tune subsystem and
+// the only way a conv kernel is chosen.
 //
 // `bind()` resolves a ConvProblem to a solver once and caches the result;
 // the conv paths then `run()` the binding per sample. Resolution order:
 //
 //   1. ROADFUSION_SOLVER / force_solver(name)   (global override)
 //   2. the loaded perf DB's record for the key  (measured winner)
-//   3. heuristic: cheapest estimate() among applicable solvers, gated on
-//      the legacy GemmBackend — "reference" maps to the reference solver,
-//      "blocked" picks by estimate, any other registered backend yields a
-//      null binding so the call site falls back to kernels::gemm(). That
-//      fallback is what makes the old backend switch a compatibility shim
-//      rather than a second dispatch mechanism.
+//   3. heuristic: cheapest estimate() among applicable solvers
+//
+// Every valid problem has an applicable scalar oracle (reference,
+// tconv_reference, int8_reference), so resolution always yields a solver;
+// a problem nothing can serve fails a check naming its key.
 //
 // Hot-path contract: after the first call per (problem, packed) pair, a
 // bind() is one shared_ptr atomic load plus a hash lookup — no allocation,
 // preserving the zero-allocation steady state pinned by test_workspace.
-// Loading a DB, forcing a solver, or switching the legacy GemmBackend
-// invalidates the cache wholesale (atomic map swap): heuristic bindings
-// are gated on the active backend, so they must not outlive it.
+// Loading a DB, forcing a solver, or switching the CPU dispatch tier
+// invalidates the cache wholesale (atomic map swap).
 #pragma once
 
 #include <memory>
@@ -32,23 +31,22 @@
 namespace roadfusion::tune {
 
 enum class BindingSource {
-  kNone,       ///< no solver bound — call site runs the legacy path
   kForced,     ///< ROADFUSION_SOLVER / force_solver override
   kDatabase,   ///< perf DB record
   kHeuristic,  ///< estimate() fallback
 };
 
 struct Binding {
-  const Solver* solver = nullptr;
+  const Solver* solver = nullptr;  ///< never null once bound
   std::string params;  ///< tuned parameters from the DB record, or ""
-  BindingSource source = BindingSource::kNone;
+  BindingSource source = BindingSource::kHeuristic;
 };
 
 /// Resolves (and caches) the binding for `problem`. `packed_available`
 /// tells the resolver whether the caller holds pre-packed weights; it is
 /// part of the cache key. The first call reads ROADFUSION_SOLVER and
-/// ROADFUSION_PERF_DB. Never returns null (the Binding itself may carry a
-/// null solver).
+/// ROADFUSION_PERF_DB. Never returns null, and the bound solver is never
+/// null; throws when no registered solver applies to `problem`.
 std::shared_ptr<const Binding> bind(const ConvProblem& problem,
                                     bool packed_available);
 

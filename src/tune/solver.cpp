@@ -41,7 +41,7 @@ int64_t parse_param(const std::string& params, const char* key,
 
 /// Copies a freshly allocated (m, n) GEMM result into the caller's output
 /// and applies the epilogue — the same store + post-op sequence as the
-/// legacy non-fused conv paths, so results stay bit-identical to them.
+/// autograd conv op, so results stay bit-identical to it.
 void store_with_epilogue(const Tensor& res, const ConvProblem& problem,
                          const SolverArgs& args) {
   std::memcpy(args.out, res.raw(),
@@ -81,7 +81,7 @@ float int8_activation_scale(const SolverArgs& args) {
 }
 
 /// Copies the raw transposed-problem B operand into a contiguous tensor —
-/// the operand shape the legacy (non-fused) decoder GEMMs consumed.
+/// the operand shape the unpacked A^T * B GEMMs consume.
 Tensor materialize_b(const SolverArgs& args, int64_t k, int64_t n) {
   Tensor b = Tensor::uninitialized(t::Shape::mat(k, n));
   if (args.ldb == n) {
@@ -117,37 +117,24 @@ class ReferenceSolver final : public Solver {
   }
 };
 
-/// Cache-blocked GEMM at a fixed worker count. threads == 1 is the plain
-/// "blocked" solver with searchable Mc/Kc/Nc; higher counts are the
-/// row-parallel variants (bit-identical: rows accumulate independently).
+/// Cache-blocked GEMM with searchable Mc/Kc/Nc.
 class BlockedSolver final : public Solver {
  public:
-  BlockedSolver(const char* name, const char* span, int threads)
-      : name_(name), span_(span), threads_(threads) {}
-
-  const char* name() const override { return name_; }
-  const char* span_name() const override { return span_; }
+  const char* name() const override { return "blocked"; }
+  const char* span_name() const override { return "solver.blocked"; }
 
   bool is_applicable(const ConvProblem& problem) const override {
-    // Each worker needs at least one register tile of rows.
-    return fp32_and_valid(problem) &&
-           problem.gemm_m() >= threads_ * ag::kMicroTileRows;
+    // M must cover at least one register tile.
+    return fp32_and_valid(problem) && problem.gemm_m() >= ag::kMicroTileRows;
   }
 
   double estimate(const ConvProblem& problem) const override {
-    // Spawn/join cost is charged WITHOUT assuming idle cores (the serving
-    // container is single-core), so threaded variants never win the
-    // heuristic — they must earn selection through a measured DB record.
-    return 0.45 * static_cast<double>(problem.macs()) +
-           150000.0 * (threads_ - 1);
+    return 0.45 * static_cast<double>(problem.macs());
   }
 
   std::vector<std::string> search_space(
       const ConvProblem& problem) const override {
     (void)problem;
-    if (threads_ != 1) {
-      return {""};
-    }
     // Mc/Nc shrink candidates for L1-resident small shapes plus one larger
     // Kc. run() clamps kc back to >= the reduction depth, so every
     // candidate stays a single-Kc-block schedule — bit-identical to the
@@ -158,7 +145,6 @@ class BlockedSolver final : public Solver {
   void run(const ConvProblem& problem, const SolverArgs& args,
            const std::string& params) const override {
     ag::BlockedGemmConfig config = ag::blocked_gemm_config();
-    config.threads = threads_;
     if (!params.empty()) {
       config.mc = parse_param(params, "mc", config.mc);
       config.nc = parse_param(params, "nc", config.nc);
@@ -170,11 +156,6 @@ class BlockedSolver final : public Solver {
     store_with_epilogue(
         ag::blocked_matmul(*args.wmat, *args.columns, config), problem, args);
   }
-
- private:
-  const char* name_;
-  const char* span_;
-  int threads_;
 };
 
 /// The fused inference fast path: pre-packed A panels, overwrite store,
@@ -222,10 +203,9 @@ bool avx2_ready() {
 
 /// AVX2 fp32 kernel: 16x6 FMA register tile, per-call A pack, direct-B
 /// streaming. FMA contracts each multiply-add, so outputs differ from the
-/// SSE2 family within reassociation tolerance — like the threaded solvers,
-/// it is priced so it never wins the heuristic and must earn selection
-/// through a measured DB record (or an explicit force), keeping default-path
-/// numerics bit-stable across machines.
+/// SSE2 family within reassociation tolerance, so it is priced to never win
+/// the heuristic and must earn selection through a measured DB record (or an
+/// explicit force), keeping default-path numerics bit-stable across machines.
 class BlockedAvx2Solver final : public Solver {
  public:
   const char* name() const override { return "blocked_avx2"; }
@@ -236,9 +216,10 @@ class BlockedAvx2Solver final : public Solver {
   }
 
   double estimate(const ConvProblem& problem) const override {
-    // Same shape as the threaded pricing: strictly above "blocked" for
-    // every problem size, so selection always comes from measurement.
-    return 0.45 * static_cast<double>(problem.macs()) + 150000.0;
+    // Strictly above "reference", which applies wherever this does, so it
+    // never wins the heuristic — not even at cout < 4, where "blocked"
+    // drops out — and selection always comes from measurement.
+    return 1.0 * static_cast<double>(problem.macs()) + 150000.0;
   }
 
   void run(const ConvProblem& problem, const SolverArgs& args,
@@ -331,9 +312,9 @@ class Int8BlockedSolver final : public Solver {
 /// round-nearest-even sequence as quantize_value, so outputs are
 /// bit-identical to both SSE2-era int8 solvers. Measured wins are
 /// shape-dependent (the reduction depth pads to 32, so shallow convs waste
-/// work, and the column-major activation pack is store-bound at large N) —
-/// like the threaded solvers it is priced to never win the heuristic and
-/// must earn selection through a measured DB record.
+/// work, and the column-major activation pack is store-bound at large N), so
+/// it is priced to never win the heuristic and must earn selection through a
+/// measured DB record.
 class Int8Avx2Solver final : public Solver {
  public:
   const char* name() const override { return "int8_avx2"; }
@@ -344,8 +325,8 @@ class Int8Avx2Solver final : public Solver {
   }
 
   double estimate(const ConvProblem& problem) const override {
-    // Same shape as the threaded pricing: strictly above int8_blocked for
-    // every problem size, so selection always comes from measurement.
+    // Strictly above int8_blocked for every problem size, so selection
+    // always comes from measurement.
     return 0.20 * static_cast<double>(problem.macs()) + 150000.0;
   }
 
@@ -372,9 +353,8 @@ class Int8Avx2Solver final : public Solver {
 
 // ---------------------------------------------------------------------------
 // Transposed-conv solvers: the decoder's columns = wmat^T (c, k*r*s) x
-// input plane (c, h*w) GEMM, previously hard-wired in ConvTranspose2d.
-// Each wraps one legacy form bit-identically; col2im + bias stay in the
-// layer.
+// input plane (c, h*w) GEMM. Each wraps one GEMM form; col2im + bias stay
+// in the layer.
 // ---------------------------------------------------------------------------
 
 class TConvReferenceSolver final : public Solver {
@@ -453,10 +433,8 @@ class TConvPrepackedSolver final : public Solver {
 
 const std::vector<const Solver*>& solvers() {
   static const ReferenceSolver reference;
-  static const BlockedSolver blocked{"blocked", "solver.blocked", 1};
+  static const BlockedSolver blocked;
   static const PrepackedSolver prepacked;
-  static const BlockedSolver mt2{"blocked_mt2", "solver.blocked_mt2", 2};
-  static const BlockedSolver mt4{"blocked_mt4", "solver.blocked_mt4", 4};
   static const BlockedAvx2Solver blocked_avx2;
   static const Int8ReferenceSolver int8_reference;
   static const Int8BlockedSolver int8_blocked;
@@ -465,9 +443,9 @@ const std::vector<const Solver*>& solvers() {
   static const TConvBlockedSolver tconv_blocked;
   static const TConvPrepackedSolver tconv_prepacked;
   static const std::vector<const Solver*> all{
-      &reference,       &blocked,        &prepacked,     &mt2,
-      &mt4,             &blocked_avx2,   &int8_reference, &int8_blocked,
-      &int8_avx2,       &tconv_reference, &tconv_blocked, &tconv_prepacked};
+      &reference,      &blocked,      &prepacked,       &blocked_avx2,
+      &int8_reference, &int8_blocked, &int8_avx2,       &tconv_reference,
+      &tconv_blocked,  &tconv_prepacked};
   return all;
 }
 

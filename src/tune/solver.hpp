@@ -2,18 +2,16 @@
 //
 // MIOpen's solver.hpp pattern scaled to this repository: each existing GEMM
 // path (reference triple loop, cache-blocked with searchable Mc/Kc/Nc,
-// fused pre-packed, row-threaded variants) is wrapped as a Solver with
-// `is_applicable` / `estimate` / `run`. Call sites no longer pick a kernel
-// by the global GemmBackend switch; they ask the dispatcher (dispatch.hpp)
-// for the binding of their ConvProblem, which consults the perf DB, the
-// ROADFUSION_SOLVER override, or the heuristic estimate.
+// fused pre-packed, AVX2, int8, transposed) is wrapped as a Solver with
+// `is_applicable` / `estimate` / `run`. Call sites ask the dispatcher
+// (dispatch.hpp) for the binding of their ConvProblem, which consults the
+// ROADFUSION_SOLVER override, the perf DB, or the heuristic estimate.
 //
 // Numerical contract: every solver in the "blocked" family is bit-identical
 // to blocked_matmul when the reduction fits one Kc block (true for every
 // shape this repository runs, and enforced for tuned configs by clamping
 // candidate Kc to >= the problem's reduction depth). The "reference" solver
-// matches within GEMM reassociation tolerance, exactly like the legacy
-// reference backend.
+// is the scalar oracle and matches within GEMM reassociation tolerance.
 #pragma once
 
 #include <string>

@@ -210,6 +210,33 @@ TEST_F(CheckpointTest, TrainOrLoadTrainsThenCaches) {
                   .allclose(net.predict(sample.rgb, sample.depth), 1e-6f));
 }
 
+TEST_F(CheckpointTest, TrainOrLoadRetrainsOverUnreadableEntry) {
+  RoadDataset dataset(data_config(), Split::kTrain);
+  TrainConfig config;
+  config.epochs = 1;
+  config.batch_size = 4;
+  Rng rng(7);
+  RoadSegNet net(net_config(), rng);
+  // A legacy RFC1 header whose big-endian entry count reads as 335544320
+  // on this little-endian format: load_model must reject it...
+  const std::filesystem::path path =
+      dir_ / cache_key(net_config(), dataset.config(), config);
+  {
+    std::ofstream out(path, std::ios::binary);
+    const char bytes[] = {'R', 'F', 'C', '1', 0, 0, 0, 0x14, 0, 0, 0, 0x72};
+    out.write(bytes, sizeof(bytes));
+  }
+  EXPECT_THROW(load_model(net, path.string()), CheckpointError);
+
+  // ...while train_or_load treats it as a miss: retrain, then overwrite the
+  // entry with one that loads.
+  EXPECT_TRUE(train_or_load(net, dataset, config, dir_.string()));
+  Rng rng2(8);
+  RoadSegNet reloaded(net_config(), rng2);
+  EXPECT_NO_THROW(load_model(reloaded, path.string()));
+  EXPECT_FALSE(train_or_load(reloaded, dataset, config, dir_.string()));
+}
+
 TEST_F(CheckpointTest, EmptyCacheDirAlwaysTrains) {
   RoadDataset dataset(data_config(), Split::kTrain);
   TrainConfig config;

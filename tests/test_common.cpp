@@ -63,45 +63,6 @@ TEST(Env, IntParsingAndFallbacks) {
   ::unsetenv("ROADFUSION_TEST_INT");
 }
 
-TEST(Env, CheckedIntAcceptsWellFormedValues) {
-  ::unsetenv("ROADFUSION_TEST_INT");
-  EXPECT_EQ(env_int_checked("ROADFUSION_TEST_INT", 7, 1), 7);
-  ::setenv("ROADFUSION_TEST_INT", "", 1);
-  EXPECT_EQ(env_int_checked("ROADFUSION_TEST_INT", 7, 1), 7);
-  ::setenv("ROADFUSION_TEST_INT", "42", 1);
-  EXPECT_EQ(env_int_checked("ROADFUSION_TEST_INT", 7, 1), 42);
-  ::setenv("ROADFUSION_TEST_INT", "1", 1);
-  EXPECT_EQ(env_int_checked("ROADFUSION_TEST_INT", 7, 1), 1);
-  ::unsetenv("ROADFUSION_TEST_INT");
-}
-
-TEST(Env, CheckedIntRejectsMalformedValues) {
-  // Unlike env_int's silent fallback, the checked variant must fail loudly
-  // with the variable name and the offending value in the message.
-  for (const char* bad : {"not_a_number", "12abc", "4.5", " 8 ", "0x10"}) {
-    ::setenv("ROADFUSION_TEST_INT", bad, 1);
-    try {
-      env_int_checked("ROADFUSION_TEST_INT", 7, 1);
-      FAIL() << "expected Error for '" << bad << "'";
-    } catch (const Error& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find("ROADFUSION_TEST_INT"), std::string::npos) << bad;
-      EXPECT_NE(what.find(bad), std::string::npos) << bad;
-    }
-  }
-  ::unsetenv("ROADFUSION_TEST_INT");
-}
-
-TEST(Env, CheckedIntEnforcesMinimum) {
-  ::setenv("ROADFUSION_TEST_INT", "0", 1);
-  EXPECT_THROW(env_int_checked("ROADFUSION_TEST_INT", 7, 1), Error);
-  ::setenv("ROADFUSION_TEST_INT", "-3", 1);
-  EXPECT_THROW(env_int_checked("ROADFUSION_TEST_INT", 7, 1), Error);
-  ::setenv("ROADFUSION_TEST_INT", "-3", 1);
-  EXPECT_EQ(env_int_checked("ROADFUSION_TEST_INT", 7, -10), -3);
-  ::unsetenv("ROADFUSION_TEST_INT");
-}
-
 TEST(Env, FlagTruthiness) {
   ::unsetenv("ROADFUSION_TEST_FLAG");
   EXPECT_FALSE(env_flag("ROADFUSION_TEST_FLAG"));

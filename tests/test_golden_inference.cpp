@@ -1,18 +1,18 @@
 // Golden end-to-end regression: RoadSegNet::predict on a fixed-seed
-// network and scene must produce the same thresholded road mask under the
-// reference and blocked kernel backends, and that mask must match a
-// checked-in checksum. The probability maps themselves may differ in the
-// last float bits between backends (different accumulation orders), but
-// the >= 0.5 decision mask is far from any threshold crossing at these
-// seeds, so it is bit-stable — any change to conv semantics, the encoder
-// topology, or the RNG stream trips this test.
+// network and scene must produce a thresholded road mask that matches a
+// checked-in checksum, under the default solver bindings and under every
+// forced solver (the scalar reference oracle included). The probability
+// maps themselves may differ in the last float bits between solvers
+// (different accumulation orders), but the >= 0.5 decision mask is far
+// from any threshold crossing at these seeds, so it is bit-stable — any
+// change to conv semantics, the encoder topology, or the RNG stream trips
+// this test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "autograd/kernels.hpp"
 #include "common/cpu.hpp"
 #include "core/fusion_scheme.hpp"
 #include "plan/plan.hpp"
@@ -43,11 +43,8 @@ uint64_t fnv1a(const std::vector<uint8_t>& bytes) {
 // run this test and copy the hash printed in the failure message.
 constexpr uint64_t kGoldenMaskHash = 0x680d27ae7ceb1800ull;
 
-std::vector<uint8_t> predict_mask_scheme(const std::string& backend,
-                                         core::FusionScheme scheme,
+std::vector<uint8_t> predict_mask_scheme(core::FusionScheme scheme,
                                          bool int8_mode) {
-  const std::string previous = autograd::kernels::backend_name();
-  autograd::kernels::set_backend(backend);
   if (int8_mode) {
     // Empty scale table: every conv quantizes activations dynamically
     // from its own absmax — fully deterministic, no calibration input.
@@ -72,32 +69,20 @@ std::vector<uint8_t> predict_mask_scheme(const std::string& backend,
   if (int8_mode) {
     quant::set_enabled(false);
   }
-  autograd::kernels::set_backend(previous);
   return mask;
 }
 
-std::vector<uint8_t> predict_mask(const std::string& backend) {
+std::vector<uint8_t> predict_mask() {
   RoadSegConfig defaults;
-  return predict_mask_scheme(backend, defaults.scheme, /*int8_mode=*/false);
-}
-
-TEST(GoldenInference, MaskBitStableAcrossBackends) {
-  const std::vector<uint8_t> reference = predict_mask("reference");
-  const std::vector<uint8_t> blocked = predict_mask("blocked");
-  ASSERT_EQ(reference.size(), blocked.size());
-  EXPECT_EQ(reference, blocked)
-      << "thresholded masks must be identical across kernel backends";
+  return predict_mask_scheme(defaults.scheme, /*int8_mode=*/false);
 }
 
 TEST(GoldenInference, MaskMatchesCheckedInChecksum) {
-  const std::vector<uint8_t> reference = predict_mask("reference");
-  const uint64_t hash = fnv1a(reference);
+  const uint64_t hash = fnv1a(predict_mask());
   EXPECT_EQ(hash, kGoldenMaskHash)
       << "mask hash changed: 0x" << std::hex << hash
       << " — if the architecture or RNG stream changed intentionally, "
          "update kGoldenMaskHash";
-  const std::vector<uint8_t> blocked = predict_mask("blocked");
-  EXPECT_EQ(fnv1a(blocked), kGoldenMaskHash);
 }
 
 TEST(GoldenInference, MaskBitStableUnderEveryRegisteredSolver) {
@@ -109,7 +94,7 @@ TEST(GoldenInference, MaskBitStableUnderEveryRegisteredSolver) {
   for (const std::string& name : tune::solver_names()) {
     SCOPED_TRACE(name);
     tune::force_solver(name);
-    const std::vector<uint8_t> mask = predict_mask("blocked");
+    const std::vector<uint8_t> mask = predict_mask();
     tune::force_solver("");
     EXPECT_EQ(fnv1a(mask), kGoldenMaskHash)
         << "solver '" << name << "' changes the golden mask";
@@ -161,10 +146,11 @@ TEST(GoldenInference, MaskBitStableUnderCompiledPlan) {
 }
 
 TEST(GoldenInference, Int8MaskBitStableUnderForcedInt8Solvers) {
-  // Both int8 GEMMs accumulate in exact int32 with shared rounding, so
-  // forcing either one must reproduce the per-scheme int8 golden hashes.
-  // int8_avx2 only exists as an applicable choice on AVX2 hosts.
-  std::vector<std::string> solvers = {"int8_blocked"};
+  // Every int8 GEMM accumulates in exact int32 with shared rounding, so
+  // forcing any one (the int8_reference oracle included) must reproduce the
+  // per-scheme int8 golden hashes. int8_avx2 only exists as an applicable
+  // choice on AVX2 hosts.
+  std::vector<std::string> solvers = {"int8_reference", "int8_blocked"};
   if (common::active_tier() >= common::CpuTier::kAvx2) {
     solvers.push_back("int8_avx2");
   }
@@ -173,7 +159,7 @@ TEST(GoldenInference, Int8MaskBitStableUnderForcedInt8Solvers) {
       SCOPED_TRACE(name + "/" + golden.name);
       tune::force_solver(name);
       const std::vector<uint8_t> mask =
-          predict_mask_scheme("blocked", golden.scheme, /*int8_mode=*/true);
+          predict_mask_scheme(golden.scheme, /*int8_mode=*/true);
       tune::force_solver("");
       EXPECT_EQ(fnv1a(mask), golden.hash)
           << "solver '" << name << "' changes the int8 golden mask";
@@ -184,13 +170,8 @@ TEST(GoldenInference, Int8MaskBitStableUnderForcedInt8Solvers) {
 TEST(GoldenInference, Int8MaskMatchesCheckedInChecksumPerScheme) {
   for (const SchemeGolden& golden : kInt8GoldenMasks) {
     SCOPED_TRACE(golden.name);
-    const std::vector<uint8_t> reference =
-        predict_mask_scheme("reference", golden.scheme, /*int8_mode=*/true);
-    const std::vector<uint8_t> blocked =
-        predict_mask_scheme("blocked", golden.scheme, /*int8_mode=*/true);
-    EXPECT_EQ(reference, blocked)
-        << "int8 masks must be identical across kernel backends";
-    const uint64_t hash = fnv1a(reference);
+    const uint64_t hash =
+        fnv1a(predict_mask_scheme(golden.scheme, /*int8_mode=*/true));
     EXPECT_EQ(hash, golden.hash)
         << "int8 mask hash for scheme '" << golden.name << "' changed: 0x"
         << std::hex << hash
@@ -205,7 +186,7 @@ TEST(GoldenInference, Int8MaskDiffersFromFp32Golden) {
   // fp32 semantics, the quantized solvers silently stopped binding.
   RoadSegConfig defaults;
   const std::vector<uint8_t> int8_mask =
-      predict_mask_scheme("reference", defaults.scheme, /*int8_mode=*/true);
+      predict_mask_scheme(defaults.scheme, /*int8_mode=*/true);
   // Same shape as the fp32 mask, still a nontrivial road segmentation.
   size_t road = 0;
   for (const uint8_t bit : int8_mask) {
@@ -217,8 +198,8 @@ TEST(GoldenInference, Int8MaskDiffersFromFp32Golden) {
 
 TEST(GoldenInference, MaskIsNontrivial) {
   // Guards the golden hash against degenerate all-road / no-road masks,
-  // which would make the backend comparison vacuous.
-  const std::vector<uint8_t> mask = predict_mask("reference");
+  // which would make the solver comparison vacuous.
+  const std::vector<uint8_t> mask = predict_mask();
   size_t road = 0;
   for (const uint8_t bit : mask) {
     road += bit;

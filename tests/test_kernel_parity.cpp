@@ -1,9 +1,11 @@
-// Differential kernel-parity suite: the blocked GEMM backend must agree
-// with the reference backend on every conv geometry the repository can
-// express — forward, input gradient, and weight gradient — plus the three
-// raw GEMM forms at sizes that straddle the register-tile and cache-block
-// boundaries. A seeded fuzz loop sweeps ~200 random geometries on top of
-// the hand-picked grid.
+// Differential kernel-parity suite: the autograd conv (solver-dispatched
+// forward, blocked-GEMM backward) must agree with a scalar reference conv
+// built from im2col, the tensor::matmul* triple loops and col2im on every
+// conv geometry the repository can express — forward, input gradient,
+// weight gradient and bias gradient — plus the three raw GEMM forms at
+// sizes that straddle the register-tile and cache-block boundaries. A
+// seeded fuzz loop sweeps ~200 random geometries on top of the hand-picked
+// grid.
 //
 // Tolerance: the reference matmul_bt accumulates in double while the
 // blocked kernel accumulates in float, so exact equality is out; parity is
@@ -38,20 +40,14 @@ using tensor::Tensor;
 
 constexpr float kTol = 1e-5f;
 
-/// Restores the active backend and the blocked-GEMM blocking parameters on
-/// scope exit, so a failing test cannot leak state into later tests.
-class BackendGuard {
+/// Restores the blocked-GEMM blocking parameters on scope exit, so a
+/// failing test cannot leak state into later tests.
+class BlockingGuard {
  public:
-  BackendGuard()
-      : backend_(kernels::backend_name()),
-        config_(kernels::blocked_gemm_config()) {}
-  ~BackendGuard() {
-    kernels::set_backend(backend_);
-    kernels::blocked_gemm_config() = config_;
-  }
+  BlockingGuard() : config_(kernels::blocked_gemm_config()) {}
+  ~BlockingGuard() { kernels::blocked_gemm_config() = config_; }
 
  private:
-  std::string backend_;
   kernels::BlockedGemmConfig config_;
 };
 
@@ -84,14 +80,12 @@ struct ConvResult {
   Tensor y, dx, dw, db;
 };
 
-/// Runs conv2d forward + backward under `backend`. The loss is a fixed
-/// random weighting of the output (sum(y * r)) so every output position
-/// feeds a distinct gradient — a plain sum would hide kernels that permute
-/// output columns.
-ConvResult run_conv(const std::string& backend, const ConvCase& c,
-                    const Tensor& x_t, const Tensor& w_t, const Tensor& b_t,
-                    const Tensor& weighting) {
-  kernels::set_backend(backend);
+/// Runs the autograd conv2d forward + backward. The loss is a fixed random
+/// weighting of the output (sum(y * r)) so every output position feeds a
+/// distinct gradient — a plain sum would hide kernels that permute output
+/// columns.
+ConvResult run_conv(const ConvCase& c, const Tensor& x_t, const Tensor& w_t,
+                    const Tensor& b_t, const Tensor& weighting) {
   Variable x = Variable::leaf(x_t, /*requires_grad=*/true);
   Variable w = Variable::leaf(w_t, /*requires_grad=*/true);
   Variable b = Variable::leaf(b_t, /*requires_grad=*/true);
@@ -101,9 +95,46 @@ ConvResult run_conv(const std::string& backend, const ConvCase& c,
   return {y.value(), x.grad(), w.grad(), b.grad()};
 }
 
+/// The same forward and gradients from the scalar oracle: im2col, the
+/// tensor::matmul* triple loops and col2im. Under the loss sum(y * r) the
+/// output gradient is the weighting r itself.
+ConvResult reference_conv(const ConvCase& c, const Tensor& x_t,
+                          const Tensor& w_t, const Tensor& b_t,
+                          const Tensor& weighting) {
+  const ConvGeometry geom{c.kernel, c.stride, c.padding};
+  const int64_t out_plane = geom.out_extent(c.h) * geom.out_extent(c.w);
+  const int64_t ckk = c.cin * c.kernel * c.kernel;
+  const int64_t in_size = c.cin * c.h * c.w;
+  const Tensor wmat = w_t.reshaped(Shape::mat(c.cout, ckk));
+  ConvResult r{Tensor(weighting.shape()), Tensor(x_t.shape()),
+               Tensor(Shape::mat(c.cout, ckk)), Tensor(b_t.shape())};
+  for (int64_t s = 0; s < c.n; ++s) {
+    const Tensor columns =
+        kernels::im2col(x_t.raw() + s * in_size, c.cin, c.h, c.w, geom);
+    Tensor gout(Shape::mat(c.cout, out_plane));
+    std::memcpy(gout.raw(), weighting.raw() + s * c.cout * out_plane,
+                static_cast<size_t>(c.cout * out_plane) * sizeof(float));
+    const Tensor y = tensor::matmul(wmat, columns);
+    for (int64_t ch = 0; ch < c.cout; ++ch) {
+      for (int64_t i = 0; i < out_plane; ++i) {
+        r.y.at((s * c.cout + ch) * out_plane + i) =
+            y.at(ch * out_plane + i) + b_t.at(ch);
+        r.db.at(ch) += gout.at(ch * out_plane + i);
+      }
+    }
+    const Tensor dw = tensor::matmul_bt(gout, columns);
+    for (int64_t i = 0; i < dw.numel(); ++i) {
+      r.dw.at(i) += dw.at(i);
+    }
+    kernels::col2im_accumulate(tensor::matmul_at(wmat, gout), c.cin, c.h,
+                               c.w, geom, r.dx.raw() + s * in_size);
+  }
+  r.dw = r.dw.reshaped(w_t.shape());
+  return r;
+}
+
 void expect_conv_parity(const ConvCase& c) {
   SCOPED_TRACE(c.str());
-  BackendGuard guard;
   Rng rng(91);
   const Tensor x_t = Tensor::normal(Shape::nchw(c.n, c.cin, c.h, c.w), rng);
   const Tensor w_t =
@@ -114,13 +145,12 @@ void expect_conv_parity(const ConvCase& c) {
       Shape::nchw(c.n, c.cout, geom.out_extent(c.h), geom.out_extent(c.w)),
       rng);
 
-  const ConvResult reference =
-      run_conv("reference", c, x_t, w_t, b_t, weighting);
-  const ConvResult blocked = run_conv("blocked", c, x_t, w_t, b_t, weighting);
-  expect_allclose(reference.y, blocked.y, "forward");
-  expect_allclose(reference.dx, blocked.dx, "input-grad");
-  expect_allclose(reference.dw, blocked.dw, "weight-grad");
-  expect_allclose(reference.db, blocked.db, "bias-grad");
+  const ConvResult reference = reference_conv(c, x_t, w_t, b_t, weighting);
+  const ConvResult actual = run_conv(c, x_t, w_t, b_t, weighting);
+  expect_allclose(reference.y, actual.y, "forward");
+  expect_allclose(reference.dx, actual.dx, "input-grad");
+  expect_allclose(reference.dw, actual.dw, "weight-grad");
+  expect_allclose(reference.db, actual.db, "bias-grad");
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +259,7 @@ TEST(KernelParity, GemmBlockBoundaries) {
 TEST(KernelParity, GemmMultipleCacheBlocks) {
   // Shrink the cache blocks so a modest problem spans several Mc/Kc/Nc
   // iterations, exercising the packed multi-block accumulation path.
-  BackendGuard guard;
+  BlockingGuard guard;
   kernels::BlockedGemmConfig& config = kernels::blocked_gemm_config();
   config.mc = 8;
   config.kc = 16;
@@ -239,25 +269,10 @@ TEST(KernelParity, GemmMultipleCacheBlocks) {
   expect_gemm_parity({9, 17, 25});
 }
 
-TEST(KernelParity, GemmThreadedRowSplit) {
-  BackendGuard guard;
-  kernels::blocked_gemm_config().threads = 4;
-  expect_gemm_parity({64, 50, 40});
-  expect_gemm_parity({6, 20, 30});   // fewer row tiles than workers
-  expect_gemm_parity({1, 300, 5});   // single row: collapses to one worker
-}
-
-TEST(KernelParity, ConvThreadedMatchesSingleThread) {
-  BackendGuard guard;
-  kernels::blocked_gemm_config().threads = 3;
-  expect_conv_parity({2, 8, 12, 32, 96, 3, 2, 1});
-}
-
 // ---------------------------------------------------------------------------
 // Solver registry parity: every registered solver (every tuned parameter
 // candidate) must agree with the reference matmul on the conv GEMM it
-// serves — the same contract the backend pair above satisfies, extended to
-// the per-shape solvers of src/tune/.
+// serves.
 // ---------------------------------------------------------------------------
 
 void expect_registry_solver_parity(const tune::ConvProblem& p) {
@@ -564,42 +579,10 @@ TEST(KernelParity, TransposedSolversMatchReferenceGemm) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry semantics
-// ---------------------------------------------------------------------------
-
-TEST(KernelRegistry, BuiltinsRegistered) {
-  const std::vector<std::string> names = kernels::backend_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "reference"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "blocked"), names.end());
-}
-
-TEST(KernelRegistry, SetBackendRoundTrip) {
-  BackendGuard guard;
-  kernels::set_backend("blocked");
-  EXPECT_EQ(kernels::backend_name(), "blocked");
-  kernels::set_backend("reference");
-  EXPECT_EQ(kernels::backend_name(), "reference");
-}
-
-TEST(KernelRegistry, UnknownBackendThrows) {
-  EXPECT_THROW(kernels::set_backend("simd9000"), Error);
-}
-
-TEST(KernelRegistry, CannotReplaceActiveBackend) {
-  BackendGuard guard;
-  kernels::set_backend("reference");
-  kernels::GemmBackend impostor{"reference", &tensor::matmul,
-                                &tensor::matmul_at, &tensor::matmul_bt};
-  EXPECT_THROW(kernels::register_gemm_backend(impostor), Error);
-}
-
-// ---------------------------------------------------------------------------
 // im2col caching: forward columns must be reused by backward
 // ---------------------------------------------------------------------------
 
 TEST(Im2colCache, OneLoweringPerConvPerSamplePerStep) {
-  BackendGuard guard;
-  kernels::set_backend("blocked");
   Rng rng(5);
   const int64_t batch = 3;
   Variable x = Variable::leaf(

@@ -16,8 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
-#include "autograd/kernels.hpp"
 #include "eval/quant_gate.hpp"
 #include "kitti/dataset.hpp"
 #include "obs/metrics.hpp"
@@ -25,29 +25,25 @@
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/rng.hpp"
 #include "train/trainer.hpp"
+#include "tune/dispatch.hpp"
 
 namespace roadfusion::eval {
 namespace {
 
-namespace ag = roadfusion::autograd::kernels;
 using roadseg::RoadSegConfig;
 using roadseg::RoadSegNet;
 using tensor::Rng;
 
-/// Restores backend + quant state on scope exit.
+/// Restores solver + quant state on scope exit.
 class GateGuard {
  public:
-  GateGuard() : backend_(ag::backend_name()) {}
   ~GateGuard() {
-    ag::set_backend(backend_);
+    tune::force_solver("");
     quant::set_enabled(false);
     quant::set_calibrating(false);
     quant::clear_scale_table();
     quant::clear_calibration();
   }
-
- private:
-  std::string backend_;
 };
 
 kitti::RoadDataset small_split() {
@@ -68,10 +64,6 @@ RoadSegConfig gate_net_config() {
 /// it through run_quant_gate, which restores quant state itself.
 RoadSegNet& trained_net() {
   static RoadSegNet* net = [] {
-    // Pin the backend for the training pass so the shared weights do not
-    // depend on which test runs first.
-    const std::string previous = ag::backend_name();
-    ag::set_backend("blocked");
     kitti::DatasetConfig data;
     data.max_per_category = 10;
     const kitti::RoadDataset train_split(data, kitti::Split::kTrain);
@@ -82,7 +74,6 @@ RoadSegNet& trained_net() {
     train::fit(*fresh, train_split, config);
     fresh->set_training(false);
     fresh->prepare_inference();
-    ag::set_backend(previous);
     return fresh;
   }();
   return *net;
@@ -90,7 +81,6 @@ RoadSegNet& trained_net() {
 
 TEST(QuantGate, CalibratedInt8StaysWithinAccuracyThreshold) {
   GateGuard guard;
-  ag::set_backend("blocked");
   const kitti::RoadDataset split = small_split();
   RoadSegNet& net = trained_net();
 
@@ -125,7 +115,6 @@ TEST(QuantGate, CalibratedInt8StaysWithinAccuracyThreshold) {
 // starts passing the gate, the gate is no longer measuring anything.
 TEST(QuantGate, MisScaledTableFailsTheGate) {
   GateGuard guard;
-  ag::set_backend("blocked");
   const kitti::RoadDataset split = small_split();
   RoadSegNet& net = trained_net();
 
@@ -145,28 +134,28 @@ TEST(QuantGate, MisScaledTableFailsTheGate) {
   EXPECT_GT(result.f_delta + result.iou_delta, 2.0);
 }
 
-// The reference and blocked backends serve bit-identical int8 results
-// (shared quantized operands, exact int32 accumulation), so with one
-// shared scale table the gate verdict must not depend on the backend.
-TEST(QuantGate, VerdictIsBackendIndependent) {
+// The int8 solvers serve bit-identical results (shared quantized operands,
+// exact int32 accumulation), so with one shared scale table the gate
+// verdict must not depend on whether the heuristic bindings or the forced
+// reference solver serve the fp32 convs around them.
+TEST(QuantGate, VerdictIsSolverIndependent) {
   GateGuard guard;
   const kitti::RoadDataset split = small_split();
   RoadSegNet& net = trained_net();
 
-  ag::set_backend("blocked");
   const QuantGateResult calibrated = run_quant_gate(net, split, {});
   ASSERT_TRUE(calibrated.passed);
 
-  ag::set_backend("reference");
-  const QuantGateResult reference =
-      run_quant_gate(net, split, {}, &calibrated.table);
-  ag::set_backend("blocked");
-  const QuantGateResult blocked =
-      run_quant_gate(net, split, {}, &calibrated.table);
-  EXPECT_TRUE(reference.passed);
-  EXPECT_TRUE(blocked.passed);
-  EXPECT_DOUBLE_EQ(reference.int8.f_score, blocked.int8.f_score);
-  EXPECT_DOUBLE_EQ(reference.int8.iou, blocked.int8.iou);
+  std::vector<QuantGateResult> results;
+  for (const char* solver : {"", "reference"}) {
+    tune::force_solver(solver);
+    results.push_back(run_quant_gate(net, split, {}, &calibrated.table));
+  }
+  for (const QuantGateResult& result : results) {
+    EXPECT_TRUE(result.passed);
+  }
+  EXPECT_DOUBLE_EQ(results[0].int8.f_score, results[1].int8.f_score);
+  EXPECT_DOUBLE_EQ(results[0].int8.iou, results[1].int8.iou);
 }
 
 }  // namespace

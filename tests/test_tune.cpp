@@ -16,12 +16,10 @@
 #include <vector>
 
 #include "autograd/gemm.hpp"
-#include "autograd/kernels.hpp"
 #include "common/check.hpp"
 #include "common/cpu.hpp"
 #include "obs/metrics.hpp"
 #include "roadseg/roadseg_net.hpp"
-#include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "tune/dispatch.hpp"
 #include "tune/perf_db.hpp"
@@ -37,22 +35,17 @@ using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
 
-/// Restores global dispatcher + backend state on scope exit so a failing
-/// test cannot leak a forced solver or a loaded DB into later tests.
+/// Restores global dispatcher state on scope exit so a failing test
+/// cannot leak a forced solver or a loaded DB into later tests.
 class DispatchGuard {
  public:
-  DispatchGuard() : backend_(ag::backend_name()) {}
   ~DispatchGuard() {
     force_solver("");
     clear_perf_db();
     clear_recorded_problems();
     set_problem_recording(false);
-    ag::set_backend(backend_);
     clear_binding_cache();
   }
-
- private:
-  std::string backend_;
 };
 
 /// Pins the CPU dispatch tier for a test body and restores it on exit.
@@ -198,7 +191,8 @@ TEST(ConvProblemKey, TransposedGemmDimensions) {
 TEST(SolverRegistry, BuiltinsRegistered) {
   const std::vector<std::string> names = solver_names();
   for (const char* expected : {"reference", "blocked", "blocked_prepacked",
-                               "blocked_mt2", "blocked_mt4"}) {
+                               "blocked_avx2", "tconv_reference",
+                               "int8_reference"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
@@ -427,67 +421,60 @@ TEST(PerfDbPersistence, MissingFileReportsNotFound) {
 // Binding resolution: heuristic, DB, forced
 // ---------------------------------------------------------------------------
 
-TEST(Dispatch, HeuristicFollowsLegacyBackendSwitch) {
+TEST(Dispatch, HeuristicBindsCheapestApplicableSolver) {
   DispatchGuard guard;
   clear_perf_db();
-  const ConvProblem p = stage2_conv2();
-
-  ag::set_backend("reference");
   clear_binding_cache();
-  const auto ref = bind(p, false);
-  ASSERT_NE(ref->solver, nullptr);
-  EXPECT_STREQ(ref->solver->name(), "reference");
-  EXPECT_EQ(ref->source, BindingSource::kHeuristic);
-
-  ag::set_backend("blocked");
-  clear_binding_cache();
-  const auto blocked = bind(p, false);
-  ASSERT_NE(blocked->solver, nullptr);
-  EXPECT_STREQ(blocked->solver->name(), "blocked");
-  const auto packed = bind(p, true);
-  ASSERT_NE(packed->solver, nullptr);
-  EXPECT_STREQ(packed->solver->name(), "blocked_prepacked")
-      << "with packed weights on hand the fused pre-packed path is cheapest";
+  ConvProblem tiny = stage2_conv2();
+  tiny.k = 3;  // gemm_m below the 4-row micro-tile: blocked cannot apply
+  ConvProblem transposed;
+  transposed.transposed = true;
+  transposed.c = 32;
+  transposed.h = 2;
+  transposed.w = 6;
+  transposed.k = 24;
+  transposed.r = 2;
+  transposed.s = 2;
+  transposed.stride = 2;
+  transposed.pad = 0;
+  ConvProblem int8 = stage2_conv2();
+  int8.dtype = "int8";
+  struct Case {
+    const char* what;
+    ConvProblem problem;
+    bool packed;
+    const char* solver;
+  };
+  // int8_avx2 and blocked_avx2 are priced to never win the heuristic, so
+  // the expectations hold at every CPU tier.
+  const Case cases[] = {
+      {"packed", stage2_conv2(), true, "blocked_prepacked"},
+      {"unpacked", stage2_conv2(), false, "blocked"},
+      {"unpacked, cout < 4", tiny, false, "reference"},
+      {"transposed, packed", transposed, true, "tconv_prepacked"},
+      {"transposed, unpacked", transposed, false, "tconv_blocked"},
+      {"int8", int8, false, "int8_blocked"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto binding = bind(c.problem, c.packed);
+    ASSERT_NE(binding->solver, nullptr);
+    EXPECT_STREQ(binding->solver->name(), c.solver);
+    EXPECT_EQ(binding->source, BindingSource::kHeuristic);
+  }
 }
 
-TEST(Dispatch, BackendSwitchInvalidatesBindingsWithoutManualClear) {
-  // Heuristic bindings are gated on the active backend; set_backend bumps
-  // kernels::backend_generation() and the dispatcher must drop its cache
-  // on its own — no clear_binding_cache() between the two binds here.
+TEST(Dispatch, UnbindableProblemFailsNamingItsKey) {
   DispatchGuard guard;
-  clear_perf_db();
-  const ConvProblem p = stage2_conv2();
-
-  ag::set_backend("reference");
-  clear_binding_cache();
-  const auto ref = bind(p, false);
-  ASSERT_NE(ref->solver, nullptr);
-  EXPECT_STREQ(ref->solver->name(), "reference");
-
-  ag::set_backend("blocked");
-  const auto blocked = bind(p, false);
-  ASSERT_NE(blocked->solver, nullptr);
-  EXPECT_STREQ(blocked->solver->name(), "blocked")
-      << "a backend switch must invalidate cached bindings automatically";
-}
-
-TEST(Dispatch, Int8ProblemsBindCheapestInt8SolverUnderAnyBackend) {
-  // The legacy backend gate only governs fp32 solver choice; an int8
-  // problem key has exactly the int8 family to choose from, so the
-  // cheapest one binds even while the reference backend is pinned.
-  DispatchGuard guard;
-  clear_perf_db();
   ConvProblem p = stage2_conv2();
   p.dtype = "int8";
-  for (const char* backend : {"reference", "blocked"}) {
-    SCOPED_TRACE(backend);
-    ag::set_backend(backend);
-    const auto binding = bind(p, false);
-    ASSERT_NE(binding->solver, nullptr);
-    // int8_avx2 never wins the heuristic (priced like the threaded
-    // solvers); the cheapest heuristic-eligible choice stays int8_blocked
-    // at every tier.
-    EXPECT_STREQ(binding->solver->name(), "int8_blocked");
+  p.c = 200;  // beyond kMaxInt8Depth: no int8 solver applies
+  try {
+    bind(p, true);
+    FAIL() << "bind must fail when no solver applies";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(p.key()), std::string::npos)
+        << e.what();
   }
 }
 
@@ -496,7 +483,6 @@ TEST(Dispatch, TierSwitchInvalidatesBindingsWithoutManualClear) {
     GTEST_SKIP() << "host has no AVX2 tier to switch between";
   }
   DispatchGuard guard;
-  ag::set_backend("blocked");
   // A DB record naming blocked_avx2: usable only while the active tier
   // reaches kAvx2. Dropping the tier must invalidate the cached binding
   // (no manual clear) and fall back to the heuristic choice.
@@ -513,38 +499,9 @@ TEST(Dispatch, TierSwitchInvalidatesBindingsWithoutManualClear) {
   EXPECT_STREQ(bind(p, true)->solver->name(), "blocked_avx2");
 }
 
-TEST(Dispatch, TransposedProblemsFollowBackendLikeForwardOnes) {
-  DispatchGuard guard;
-  clear_perf_db();
-  ConvProblem p;
-  p.transposed = true;
-  p.c = 32;
-  p.h = 2;
-  p.w = 6;
-  p.k = 24;
-  p.r = 2;
-  p.s = 2;
-  p.stride = 2;
-  p.pad = 0;
-
-  ag::set_backend("reference");
-  const auto ref = bind(p, false);
-  ASSERT_NE(ref->solver, nullptr);
-  EXPECT_STREQ(ref->solver->name(), "tconv_reference");
-
-  ag::set_backend("blocked");
-  const auto unpacked = bind(p, false);
-  ASSERT_NE(unpacked->solver, nullptr);
-  EXPECT_STREQ(unpacked->solver->name(), "tconv_blocked");
-  const auto packed = bind(p, true);
-  ASSERT_NE(packed->solver, nullptr);
-  EXPECT_STREQ(packed->solver->name(), "tconv_prepacked");
-}
-
 TEST(Dispatch, DatabaseRecordOverridesHeuristic) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   clear_perf_db();
   const auto before = bind(p, true);
   ASSERT_NE(before->solver, nullptr);
@@ -563,7 +520,6 @@ TEST(Dispatch, DatabaseRecordOverridesHeuristic) {
 TEST(Dispatch, DatabaseParamsReachTheBinding) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   PerfDb db;
   db.set(p.key(), {"blocked", "mc=64,nc=1024", 10.0});
   set_perf_db(std::move(db));
@@ -576,7 +532,6 @@ TEST(Dispatch, DatabaseParamsReachTheBinding) {
 TEST(Dispatch, DbRecordNamingUnknownSolverFallsBackToHeuristic) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   PerfDb db;
   db.set(p.key(), {"solver_from_the_future", "", 99.0});
   set_perf_db(std::move(db));
@@ -588,7 +543,6 @@ TEST(Dispatch, DbRecordNamingUnknownSolverFallsBackToHeuristic) {
 TEST(Dispatch, ForcedSolverWinsOverDatabase) {
   DispatchGuard guard;
   const ConvProblem p = stage2_conv2();
-  ag::set_backend("blocked");
   PerfDb db;
   db.set(p.key(), {"blocked", "", 10.0});
   set_perf_db(std::move(db));
@@ -610,7 +564,6 @@ TEST(Dispatch, ForcingUnknownSolverThrows) {
 TEST(Dispatch, ForcedSolverNotApplicableFallsBack) {
   DispatchGuard guard;
   clear_perf_db();
-  ag::set_backend("blocked");
   force_solver("blocked_prepacked");
   const ConvProblem p = stage2_conv2();
   const auto binding = bind(p, false);  // no packed weights on hand
@@ -619,28 +572,9 @@ TEST(Dispatch, ForcedSolverNotApplicableFallsBack) {
   EXPECT_EQ(binding->source, BindingSource::kHeuristic);
 }
 
-TEST(Dispatch, UnmanagedBackendYieldsNullBinding) {
-  DispatchGuard guard;
-  clear_perf_db();
-  // A third-party GemmBackend registration has no solver wrapper; the
-  // dispatcher must step aside so the legacy path runs it.
-  static bool registered = [] {
-    ag::register_gemm_backend({"tune_test_custom", &tensor::matmul,
-                               &tensor::matmul_at, &tensor::matmul_bt});
-    return true;
-  }();
-  (void)registered;
-  ag::set_backend("tune_test_custom");
-  clear_binding_cache();
-  const auto binding = bind(stage2_conv2(), false);
-  EXPECT_EQ(binding->solver, nullptr);
-  EXPECT_EQ(binding->source, BindingSource::kNone);
-}
-
 TEST(Dispatch, SelectionCounterIsExported) {
   DispatchGuard guard;
   clear_perf_db();
-  ag::set_backend("blocked");
   clear_binding_cache();
   bind(stage2_conv2(), false);
   const std::string text = obs::MetricsRegistry::global().render_prometheus();
@@ -651,7 +585,6 @@ TEST(Dispatch, SelectionCounterIsExported) {
 TEST(Dispatch, ProblemRecordingCollectsUniqueShapes) {
   DispatchGuard guard;
   clear_perf_db();
-  ag::set_backend("blocked");
   clear_recorded_problems();
   set_problem_recording(true);
   const ConvProblem a = stage2_conv2();
@@ -673,7 +606,6 @@ TEST(Dispatch, ProblemRecordingCollectsUniqueShapes) {
 
 TEST(DispatchConcurrency, ParallelBindersSurviveDbSwaps) {
   DispatchGuard guard;
-  ag::set_backend("blocked");
   clear_perf_db();
   constexpr int kBinders = 4;
   constexpr int kItersPerBinder = 400;
@@ -710,7 +642,7 @@ TEST(DispatchConcurrency, ParallelBindersSurviveDbSwaps) {
   stop.store(true, std::memory_order_relaxed);
   swapper.join();
   EXPECT_EQ(null_bindings.load(), 0)
-      << "backend 'blocked' must always resolve to a real solver";
+      << "every bind must resolve to a real solver";
 }
 
 // ---------------------------------------------------------------------------
@@ -824,8 +756,7 @@ TEST(SolverParity, BlockedFamilyIsBitIdenticalToBlockedDefault) {
     return out;
   };
   const Tensor baseline = run_solver("blocked", "");
-  for (const char* name :
-       {"blocked", "blocked_prepacked", "blocked_mt2", "blocked_mt4"}) {
+  for (const char* name : {"blocked", "blocked_prepacked"}) {
     const Solver* solver = find_solver(name);
     ASSERT_NE(solver, nullptr);
     for (const std::string& params : solver->search_space(p)) {
@@ -889,7 +820,6 @@ TEST(Tuner, TuneProblemsRecordsOneWinnerPerKey) {
 
 TEST(TuneEndToEnd, PerfDbRebindsNetworkConvsBitExactly) {
   DispatchGuard guard;
-  ag::set_backend("blocked");
   clear_perf_db();
   clear_binding_cache();
 

@@ -3,8 +3,8 @@
 // Locks the pieces of the zero-allocation inference path together:
 //  * bit-exactness — the compiled plan (DESIGN.md §16) serves every
 //    eval-mode predict and produces the same float bits as the
-//    Variable-graph path for every fusion scheme, fusion weight and
-//    kernel backend;
+//    Variable-graph path for every fusion scheme and fusion weight, under
+//    the default solver bindings and the forced reference solver;
 //  * the workspace planner — a dry run's plan is deterministic, a
 //    reserved arena replays the workload hit-only, and best-fit reuse
 //    serves smaller batches from a larger batch's arena;
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "alloc_hooks.hpp"
-#include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "core/fusion_scheme.hpp"
 #include "nn/module.hpp"
@@ -32,6 +31,7 @@
 #include "runtime/engine.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/workspace.hpp"
+#include "tune/dispatch.hpp"
 
 namespace roadfusion::roadseg {
 namespace {
@@ -88,17 +88,23 @@ Tensor graph_predict(const RoadSegNet& net, const Scene& scene,
   return autograd::sigmoid(result.logits).value();
 }
 
-class BackendGuard {
+/// Forces `solver` globally for a test body ("" = the heuristic
+/// bindings) and clears the override on exit.
+class SolverGuard {
  public:
-  explicit BackendGuard(const std::string& backend)
-      : previous_(autograd::kernels::backend_name()) {
-    autograd::kernels::set_backend(backend);
+  explicit SolverGuard(const std::string& solver) {
+    tune::force_solver(solver);
   }
-  ~BackendGuard() { autograd::kernels::set_backend(previous_); }
-
- private:
-  std::string previous_;
+  ~SolverGuard() { tune::force_solver(""); }
 };
+
+/// The two solver configurations every bit-exactness check runs under:
+/// the heuristic bindings and the scalar reference oracle.
+constexpr const char* kSolverModes[] = {"", "reference"};
+
+std::string solver_label(const std::string& solver) {
+  return solver.empty() ? "heuristic" : solver;
+}
 
 // ---------------------------------------------------------------------------
 // Bit-exactness of the compiled plan against the Variable graph
@@ -111,16 +117,16 @@ uint64_t plan_runs(const std::string& variant) {
       .value();
 }
 
-TEST(PlannedInference, BitExactAcrossSchemesWeightsAndBackends) {
+TEST(PlannedInference, BitExactAcrossSchemesWeightsAndSolvers) {
   const Scene scene = make_scene(7);
-  for (const char* backend : {"reference", "blocked"}) {
-    const BackendGuard guard(backend);
+  for (const char* solver : kSolverModes) {
+    const SolverGuard guard(solver);
     for (const core::FusionScheme scheme : core::all_fusion_schemes()) {
       Rng rng(2022);
       RoadSegNet net(small_config(scheme), rng);
       net.set_training(false);
       for (const float weight : {1.0f, 0.5f, 0.0f}) {
-        const std::string what = std::string(backend) + "/scheme" +
+        const std::string what = solver_label(solver) + "/scheme" +
                                  std::to_string(static_cast<int>(scheme)) +
                                  "/w" + std::to_string(weight);
         const std::string variant = weight == 0.0f ? "rgb_only" : "fused";
@@ -160,7 +166,6 @@ TEST(PlannedInference, PlanServesOnlyInEvalMode) {
 // ---------------------------------------------------------------------------
 
 TEST(WorkspacePlanner, PlanSnapshotIsDeterministic) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -184,7 +189,6 @@ TEST(WorkspacePlanner, PlanSnapshotIsDeterministic) {
 }
 
 TEST(WorkspacePlanner, SecondPassDrawsEveryBlockFromTheArena) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -204,7 +208,6 @@ TEST(WorkspacePlanner, SecondPassDrawsEveryBlockFromTheArena) {
 }
 
 TEST(WorkspacePlanner, ReservedArenaReplaysTheWorkloadHitOnly) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -231,7 +234,6 @@ TEST(WorkspacePlanner, ReservedArenaReplaysTheWorkloadHitOnly) {
 }
 
 TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
-  const BackendGuard guard("blocked");
   Rng rng(11);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -262,8 +264,8 @@ TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
 
 TEST(ZeroAllocation, SteadyStatePredictAllocatesNothing) {
   const Scene scene = make_scene(7);
-  for (const char* backend : {"reference", "blocked"}) {
-    const BackendGuard guard(backend);
+  for (const char* solver : kSolverModes) {
+    const SolverGuard guard(solver);
     for (const core::FusionScheme scheme :
          {core::FusionScheme::kBaseline,
           core::FusionScheme::kWeightedSharing}) {
@@ -279,7 +281,8 @@ TEST(ZeroAllocation, SteadyStatePredictAllocatesNothing) {
         const Tensor out = net.predict(scene.rgb, scene.depth);
         const auto counters = thread_alloc_counters();
         EXPECT_EQ(counters.allocations, 0u)
-            << backend << "/scheme" << static_cast<int>(scheme) << " pass "
+            << solver_label(solver) << "/scheme" << static_cast<int>(scheme)
+            << " pass "
             << pass << " allocated " << counters.allocations << " times ("
             << counters.bytes << " bytes)";
         expect_bitwise_equal(expected, out, "steady-state output");
@@ -289,7 +292,6 @@ TEST(ZeroAllocation, SteadyStatePredictAllocatesNothing) {
 }
 
 TEST(ZeroAllocation, DegradedRgbOnlyPredictAllocatesNothing) {
-  const BackendGuard guard("blocked");
   Rng rng(2022);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -310,7 +312,6 @@ TEST(ZeroAllocation, DegradedRgbOnlyPredictAllocatesNothing) {
 // ---------------------------------------------------------------------------
 
 TEST(PrepackCache, CheckpointReloadRebuildsPackedWeights) {
-  const BackendGuard guard("blocked");
   const Scene scene = make_scene(7);
   Rng rng_a(1);
   RoadSegNet model_a(small_config(), rng_a);
@@ -333,7 +334,7 @@ TEST(PrepackCache, CheckpointReloadRebuildsPackedWeights) {
   expect_bitwise_equal(after, b_output, "post-reload predict");
 }
 
-TEST(PrepackCache, CountersAdvancePerBackend) {
+TEST(PrepackCache, CountersAdvancePerSolver) {
   const Scene scene = make_scene(7);
   Rng rng(2022);
   RoadSegNet net(small_config(), rng);
@@ -342,23 +343,21 @@ TEST(PrepackCache, CountersAdvancePerBackend) {
   auto& hits = registry.counter("roadfusion_prepack_hits");
   auto& misses = registry.counter("roadfusion_prepack_misses");
   {
-    const BackendGuard guard("blocked");
     const uint64_t hits_before = hits.value();
     (void)net.predict(scene.rgb, scene.depth);
     EXPECT_GT(hits.value(), hits_before)
-        << "blocked-backend predict must serve convs from the packed cache";
+        << "default predict must serve convs from the packed cache";
   }
   {
-    const BackendGuard guard("reference");
+    const SolverGuard guard("reference");
     const uint64_t misses_before = misses.value();
     (void)net.predict(scene.rgb, scene.depth);
     EXPECT_GT(misses.value(), misses_before)
-        << "reference-backend predict must count fallback convs";
+        << "forced-reference predict must count unpacked convs";
   }
 }
 
 TEST(ArenaMetrics, GaugesReflectLiveWorkspaces) {
-  const BackendGuard guard("blocked");
   Rng rng(2022);
   RoadSegNet net(small_config(), rng);
   net.set_training(false);
@@ -401,7 +400,6 @@ TEST(EngineIntegration, WorkersServeBitIdenticalResultsFromArenas) {
   runtime::EngineConfig config;
   config.threads = 2;
   config.max_batch = 2;
-  config.kernel_backend = "blocked";
   runtime::InferenceEngine engine(net, config);
 
   constexpr int kScenes = 6;

@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "autograd/kernels.hpp"
 #include "cli_args.hpp"
 #include "common/env.hpp"
 #include "eval/disparity_profile.hpp"
@@ -109,18 +108,7 @@ runtime::EngineConfig engine_config(const cli::Args& args) {
   config.max_wait_us = args.get_int("max-wait-us", 200);
   config.queue_capacity =
       static_cast<size_t>(args.get_int("queue-cap", 64));
-  config.kernel_backend = args.get("kernel-backend", "");
   return config;
-}
-
-/// Applies --kernel-backend for commands that drive the model directly
-/// (no engine in between). Default: keep the process-wide selection
-/// (ROADFUSION_KERNEL_BACKEND or "reference").
-void apply_kernel_backend(const cli::Args& args) {
-  const std::string backend = args.get("kernel-backend", "");
-  if (!backend.empty()) {
-    autograd::kernels::set_backend(backend);
-  }
 }
 
 /// Loads --perf-db FILE into the solver registry so serving binds the
@@ -249,14 +237,11 @@ int cmd_train(const cli::Args& args) {
     std::printf(
         "roadfusion train [--scheme Baseline|AU|AB|BS|WS] [--alpha A]\n"
         "                 [--epochs N] [--cap N] [--normals] [--augment]\n"
-        "                 [--seed N] [--data dir] [--out model.rfc]\n"
-        "                 [--kernel-backend reference|blocked]\n");
+        "                 [--seed N] [--data dir] [--out model.rfc]\n");
     return 0;
   }
   args.allow_only({"scheme", "alpha", "epochs", "cap", "normals", "augment",
-                   "seed", "out", "data", "data-seed", "kernel-backend",
-                   "help"});
-  apply_kernel_backend(args);
+                   "seed", "out", "data", "data-seed", "help"});
   const auto train_set = make_data(args, kitti::Split::kTrain);
 
   tensor::Rng rng(static_cast<uint64_t>(args.get_int("seed", 42)));
@@ -314,8 +299,7 @@ int cmd_infer(const cli::Args& args) {
         "roadfusion infer --model model.rfc [--scheme WS]\n"
         "                 [--category UM|UMM|UU] [--lighting day|night|"
         "overexposure|shadows]\n"
-        "                 [--scene-seed N] [--normals] [--threads N]\n"
-        "                 [--kernel-backend reference|blocked] [--out dir]\n"
+        "                 [--scene-seed N] [--normals] [--threads N] [--out dir]\n"
         "                 [--perf-db FILE] [--quant FILE] "
         "[--trace trace.json]\n"
         "                 [--explain-plan]\n\n"
@@ -325,7 +309,7 @@ int cmd_infer(const cli::Args& args) {
     return 0;
   }
   args.allow_only({"model", "scheme", "category", "lighting", "scene-seed",
-                   "normals", "threads", "kernel-backend", "out", "trace",
+                   "normals", "threads", "out", "trace",
                    "perf-db", "quant", "explain-plan", "help"});
   apply_perf_db(args);
   apply_quant(args);
@@ -421,8 +405,7 @@ int cmd_batch_infer(const cli::Args& args) {
         "[--normals]\n"
         "                       [--threads N] [--max-batch N] "
         "[--max-wait-us N]\n"
-        "                       [--queue-cap N] "
-        "[--kernel-backend reference|blocked]\n"
+        "                       [--queue-cap N]\n"
         "                       [--deadline-ms N] [--max-retries N]\n"
         "                       [--inject-faults SPEC] [--out dir]\n\n"
         "Runs every scene of a dataset (a directory of PPM/PGM triples\n"
@@ -455,7 +438,7 @@ int cmd_batch_infer(const cli::Args& args) {
   }
   args.allow_only({"model", "scheme", "data", "cap", "count", "normals",
                    "data-seed", "threads", "max-batch", "max-wait-us",
-                   "queue-cap", "kernel-backend", "deadline-ms",
+                   "queue-cap", "deadline-ms",
                    "max-retries", "backoff-ms", "backoff-cap-ms",
                    "backoff-seed", "shards", "rate", "burst",
                    "inject-faults", "out", "trace", "perf-db",
@@ -745,7 +728,6 @@ int cmd_metrics_dump(const cli::Args& args) {
         "                        [--max-wait-us N] [--queue-cap N]\n"
         "                        [--scheme Baseline|AU|AB|BS|WS] [--normals]\n"
         "                        [--cap N] [--data-seed N]\n"
-        "                        [--kernel-backend reference|blocked]\n"
         "                        [--perf-db FILE] [--quant FILE]\n"
         "                        [--trace trace.json]\n\n"
         "Runs N synthetic scenes (untrained weights — no checkpoint needed)\n"
@@ -757,7 +739,7 @@ int cmd_metrics_dump(const cli::Args& args) {
   }
   args.allow_only({"count", "threads", "max-batch", "max-wait-us",
                    "queue-cap", "scheme", "normals", "cap", "data-seed",
-                   "kernel-backend", "trace", "perf-db", "quant", "help"});
+                   "trace", "perf-db", "quant", "help"});
   apply_perf_db(args);
   apply_quant(args);
   const kitti::RoadDataset scenes(dataset_config(args), kitti::Split::kTest);
@@ -879,8 +861,7 @@ int cmd_calibrate(const cli::Args& args) {
         "roadfusion calibrate [--out FILE] [--model model.rfc]\n"
         "                     [--scheme Baseline|AU|AB|BS|WS] [--normals]\n"
         "                     [--cap N] [--data-seed N]\n"
-        "                     [--max-f-delta X] [--max-iou-delta X]\n"
-        "                     [--kernel-backend reference|blocked]\n\n"
+        "                     [--max-f-delta X] [--max-iou-delta X]\n\n"
         "Calibrates int8 activation scales: one fp32 evaluation pass over\n"
         "the synthetic validation split records each conv layer's im2col\n"
         "absmax, then the int8 path is scored with the derived scale table\n"
@@ -895,9 +876,7 @@ int cmd_calibrate(const cli::Args& args) {
     return 0;
   }
   args.allow_only({"model", "scheme", "normals", "out", "cap", "data-seed",
-                   "max-f-delta", "max-iou-delta", "kernel-backend", "data",
-                   "help"});
-  apply_kernel_backend(args);
+                   "max-f-delta", "max-iou-delta", "data", "help"});
   const auto split = make_data(args, kitti::Split::kTest);
   tensor::Rng rng(1);
   roadseg::RoadSegNet net(net_config(args), rng);
@@ -969,8 +948,7 @@ int cmd_eval_matrix(const cli::Args& args) {
         "                       [--alpha A] [--seed N] [--data-seed N]\n"
         "                       [--scenarios LIST] [--corruption-seed N]\n"
         "                       [--tolerance X] [--image-space] [--smoke]\n"
-        "                       [--out FILE]\n"
-        "                       [--kernel-backend reference|blocked]\n\n"
+        "                       [--out FILE]\n\n"
         "Trains one tiny model per fusion scheme, replays the scenario\n"
         "corruption suite against every scheme plus an RGB-only degraded\n"
         "baseline, and gates: fused MaxF must not trail RGB-only by more\n"
@@ -987,8 +965,7 @@ int cmd_eval_matrix(const cli::Args& args) {
   }
   args.allow_only({"epochs", "cap", "train-cap", "alpha", "seed", "data-seed",
                    "scenarios", "corruption-seed", "tolerance", "image-space",
-                   "smoke", "out", "kernel-backend", "help"});
-  apply_kernel_backend(args);
+                   "smoke", "out", "help"});
   const bool smoke = args.has("smoke");
 
   kitti::DatasetConfig data_config;
@@ -1083,7 +1060,6 @@ int cmd_stream(const cli::Args& args) {
         "                  [--lighting day|night|overexposure|shadows]\n"
         "                  [--scene-seed N] [--threads N] [--max-batch N]\n"
         "                  [--max-wait-us N] [--queue-cap N]\n"
-        "                  [--kernel-backend reference|blocked]\n"
         "                  [--perf-db FILE] [--quant FILE]\n"
         "                  [--trace trace.json]\n\n"
         "Drives a temporally coherent frame sequence (one scene, ego\n"
@@ -1101,7 +1077,7 @@ int cmd_stream(const cli::Args& args) {
                    "advance", "slo-ms", "no-reuse", "verify", "category",
                    "lighting", "scene-seed", "noise-seed", "corruption-seed",
                    "threads", "max-batch", "max-wait-us", "queue-cap",
-                   "kernel-backend", "perf-db", "quant", "trace", "help"});
+                   "perf-db", "quant", "trace", "help"});
   apply_perf_db(args);
   apply_quant(args);
 

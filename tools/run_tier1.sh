@@ -5,9 +5,9 @@
 #   tools/run_tier1.sh --tsan     # additionally build the runtime + fault
 #                                 # tolerance + kernel parity + observability
 #                                 # tests under ThreadSanitizer and run them
-#                                 # (parity runs the threaded blocked-GEMM
-#                                 # path; tracing/metrics are lock-free hot
-#                                 # paths)
+#                                 # (concurrent solver bind()/DB reloads in
+#                                 # test_tune; tracing/metrics are lock-free
+#                                 # hot paths)
 #   tools/run_tier1.sh --asan     # additionally build the kernel parity +
 #                                 # golden + fault tolerance + workspace
 #                                 # tests under AddressSanitizer and run
@@ -52,7 +52,10 @@
 #                                 # via AllocProbe), then train a throwaway
 #                                 # model and assert `roadfusion infer
 #                                 # --explain-plan` prints a blocked-layout
-#                                 # schedule
+#                                 # schedule whose stems bind
+#                                 # blocked_prepacked (never the reference
+#                                 # oracle), and that ROADFUSION_SOLVER=
+#                                 # reference rebinds them
 #   tools/run_tier1.sh --scenario-smoke
 #                                 # additionally drive the corruption
 #                                 # round trip: `roadfusion eval-matrix
@@ -191,6 +194,26 @@ if [[ "$plan_smoke" == 1 ]]; then
     { echo "$explain"; echo "plan smoke: plan header missing" >&2; exit 1; }
   echo "$explain" | grep -q 'variant=rgb_only' ||
     { echo "$explain"; echo "plan smoke: no rgb_only schedule" >&2; exit 1; }
+  # The registry binds every NCHW step by its cost estimates: no step may
+  # fall to the scalar reference oracle, and the stems run the fused
+  # pre-packed GEMM.
+  if echo "$explain" | grep -q 'solver=reference'; then
+    echo "$explain"; echo "plan smoke: default plan binds the reference solver" >&2; exit 1
+  fi
+  stems="$(echo "$explain" | grep -E 'layer=(rgb|depth)\.stage0 ')" ||
+    { echo "$explain"; echo "plan smoke: no stem steps in the schedule" >&2; exit 1; }
+  if echo "$stems" | grep -vq 'solver=blocked_prepacked'; then
+    echo "$stems"; echo "plan smoke: a stem does not bind blocked_prepacked" >&2; exit 1
+  fi
+  # The oracle stays reachable: forcing it rebinds the stems.
+  oracle="$(cd build && ROADFUSION_SOLVER=reference ./tools/roadfusion infer \
+      --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
+    { echo "$oracle"; echo "plan smoke: forced-reference infer failed" >&2; exit 1; }
+  oracle_stems="$(echo "$oracle" | grep -E 'layer=(rgb|depth)\.stage0 ')" ||
+    { echo "$oracle"; echo "plan smoke: no stem steps under the oracle" >&2; exit 1; }
+  if echo "$oracle_stems" | grep -vq 'solver=reference'; then
+    echo "$oracle_stems"; echo "plan smoke: ROADFUSION_SOLVER=reference did not bind the stems" >&2; exit 1
+  fi
   # A forced solver must run the all-NCHW layout and say why.
   forced="$(cd build && ROADFUSION_SOLVER=blocked ./tools/roadfusion infer \
       --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
@@ -213,7 +236,7 @@ if [[ "$tune_smoke" == 1 ]]; then
   # One synthetic scene through serving with the DB: the reload line must
   # appear and the per-solver selection counter must be exported.
   metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
-      --kernel-backend blocked --perf-db tune_smoke.db 2>&1)"
+      --perf-db tune_smoke.db 2>&1)"
   echo "$metrics" | grep -q 'reloaded [1-9][0-9]* tuned record' ||
     { echo "tune smoke: serving did not reload the DB" >&2; exit 1; }
   echo "$metrics" | grep -q 'roadfusion_solver_selected_total{solver=' ||
@@ -226,8 +249,7 @@ if [[ "$quant_smoke" == 1 ]]; then
   cmake --build build -j --target roadfusion
   quant_table="build/quant_smoke.table"
   rm -f "$quant_table" "$quant_table.tmp"
-  (cd build && ./tools/roadfusion calibrate --out quant_smoke.table --cap 2 \
-      --kernel-backend blocked)
+  (cd build && ./tools/roadfusion calibrate --out quant_smoke.table --cap 2)
   [[ -s "$quant_table" ]] || { echo "quant smoke: $quant_table missing or empty" >&2; exit 1; }
   [[ ! -e "$quant_table.tmp" ]] || { echo "quant smoke: stale $quant_table.tmp left behind" >&2; exit 1; }
   head -1 "$quant_table" | grep -q '^RFQT1$' ||
@@ -235,7 +257,7 @@ if [[ "$quant_smoke" == 1 ]]; then
   # One synthetic scene served under --quant: int8 must be announced and
   # the int8 solvers must actually bind.
   metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
-      --kernel-backend blocked --quant quant_smoke.table 2>&1)"
+      --quant quant_smoke.table 2>&1)"
   echo "$metrics" | grep -q 'quant: int8 inference enabled' ||
     { echo "quant smoke: serving did not enable int8" >&2; exit 1; }
   echo "$metrics" | grep -q 'roadfusion_solver_selected_total{solver="int8_' ||
