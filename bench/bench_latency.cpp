@@ -13,10 +13,11 @@
 // blocked NCHWc8 layout, fused cross-layer epilogues, minimal buffer
 // schedule inside a workspace arena) — the one path that serves every
 // eval-mode request — for the three request kinds the plan compiles:
-// fused, RGB-only (fusion weight 0) and a stream cache hit. Per-call heap-allocation counts come from the
-// operator-new hooks in tests/alloc_hooks.cpp. The JSON records the
-// active CPU feature tier plus the solver the dispatch registry binds for
-// every conv one planned predict sends through it.
+// fused, RGB-only (fusion weight 0) and a stream cache hit. Per-call
+// heap-allocation counts come from the operator-new hooks in
+// tests/alloc_hooks.cpp. The JSON records the host (active CPU feature
+// tier, hardware concurrency) plus every conv step of the compiled fused
+// schedule with the kernel it runs.
 //
 // Flags:
 //   --smoke        seconds-fast mode: path comparison only, few repeats,
@@ -27,6 +28,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_hooks.hpp"
@@ -36,8 +38,6 @@
 #include "common/cpu.hpp"
 #include "plan/plan.hpp"
 #include "tensor/shape.hpp"
-#include "tune/dispatch.hpp"
-#include "tune/problem.hpp"
 
 namespace {
 
@@ -175,17 +175,10 @@ int main(int argc, char** argv) {
            [&] { (void)net.predict_stream(rgb, depth, 1.0f, cache, true); },
            path_repeats)});
 
-  // Per-layer solver selections: record the conv problems of one planned
-  // predict, then ask the dispatch layer what it binds for each. The
-  // interior encoder convs run the plan's own nchwc_direct kernel and
-  // never reach this registry, so the table covers the stems and the
-  // decoder.
-  tune::clear_recorded_problems();
-  tune::set_problem_recording(true);
-  (void)net.predict(rgb, depth);
-  tune::set_problem_recording(false);
-  const std::vector<tune::ConvProblem> layer_problems =
-      tune::recorded_problems();
+  // The conv steps the compiled fused schedule runs, with their kernels:
+  // serving's convs run the plan's own kernels, not registry bindings.
+  const std::vector<plan::ConvStep> conv_steps =
+      plan::conv_steps(net, 1, height, width);
 
   std::printf("\nSteady-state predict: graph path vs compiled plan (%lldx%lld, "
               "%d repeats)\n",
@@ -207,6 +200,8 @@ int main(int argc, char** argv) {
       .field("image_width", static_cast<int64_t>(width))
       .field("cpu_tier",
              std::string(common::tier_name(common::active_tier())))
+      .field("hardware_concurrency",
+             static_cast<int64_t>(std::thread::hardware_concurrency()))
       .begin_array("paths");
   for (const PathRow& row : rows) {
     json.begin_object()
@@ -217,10 +212,11 @@ int main(int argc, char** argv) {
         .end_object();
   }
   json.end_array().begin_array("layer_solvers");
-  for (const tune::ConvProblem& p : layer_problems) {
+  for (const plan::ConvStep& step : conv_steps) {
     json.begin_object()
-        .field("layer", p.key())
-        .field("solver", std::string(tune::bind(p, true)->solver->name()))
+        .field("layer", step.layer)
+        .field("kind", step.kind)
+        .field("kernel", step.kernel)
         .end_object();
   }
   // rows[0] is the graph path, rows[1] the compiled fused predict.

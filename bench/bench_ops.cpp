@@ -20,6 +20,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "autograd/ops.hpp"
 #include "bench_common.hpp"
@@ -210,7 +211,9 @@ std::string kernel_comparison_json() {
   json.begin_object()
       .field("bench", std::string("bench_ops/kernels"))
       .field("resolution", std::string("32x96"))
-      .field("threads", static_cast<int64_t>(1));
+      .field("threads", static_cast<int64_t>(1))
+      .field("hardware_concurrency",
+             static_cast<int64_t>(std::thread::hardware_concurrency()));
   json.begin_array("shapes");
   double speedup_log_sum = 0.0;
   double tuned_log_sum = 0.0;

@@ -133,7 +133,13 @@ class ConvTranspose2d : public Module {
   Complexity complexity(int64_t in_h, int64_t in_w) const;
 
   const ConvGeometry& geometry() const { return geom_; }
+  int64_t in_channels() const { return in_channels_; }
   int64_t out_channels() const { return out_channels_; }
+  /// Weight tensor, layout (Cin, Cout, K, K).
+  const Tensor& weight_value() const { return weight_->var.value(); }
+  const Tensor* bias_value() const {
+    return bias_ ? &bias_->var.value() : nullptr;
+  }
 
  private:
   struct InferCache {

@@ -42,12 +42,17 @@ enum class Layout {
 /// scalar chain of the GEMM path — bias add, then (v - mean) * invstd
 /// followed by gamma * xh + beta, then ReLU — and every padded lane's
 /// parameters are zero so padded output lanes stay exactly 0.0f.
+///
+/// A transposed conv (2x2, stride 2, no padding: every output pixel has
+/// exactly one tap) uses the same weight order and carries at most a bias.
 struct PackedConv {
   std::string name;  ///< layer name for --explain-plan / spans
   int64_t cin = 0;
   int64_t cout = 0;
-  int64_t kernel = 1;  ///< 1 or 3; padding is implied (3 -> pad 1)
+  /// Forward: 1 or 3, padding implied (3 -> pad 1). Transposed: 2.
+  int64_t kernel = 1;
   int64_t stride = 1;
+  bool transposed = false;
   std::vector<float> w;  ///< blocks_of(cout) * cin * kernel^2 * kLanes
   /// Lane-padded epilogue parameter arrays (blocks_of(cout) * kLanes each;
   /// empty = stage skipped). The four bn_* arrays are set together.
@@ -60,8 +65,9 @@ struct PackedConv {
 };
 
 /// One buffer of the plan. NCHW slots are workspace-arena tensors of
-/// (n, c, h, w); NCHWc slots are zeroed regions of nchwc_floats(...)
-/// elements at `offset` in the run's one scratch buffer.
+/// (n, c, h, w); NCHWc slots are regions of nchwc_floats(...) elements at
+/// `offset` in the run's one scratch buffer whose border ring is zeroed
+/// when their writer runs (the writer fills every interior lane).
 struct SlotDef {
   Layout layout = Layout::kNchw;
   int64_t n = 0, c = 0, h = 0, w = 0;  ///< logical dims (border excluded)
@@ -88,6 +94,8 @@ enum class LayerRef {
   kDepthStage,  ///< depth encoder stage `stage`
   kDepthToRgb,  ///< depth->rgb fusion filter of `stage`
   kRgbToDepth,  ///< rgb->depth fusion filter of `stage` (AllFilter_B)
+  kDecoderUp,   ///< decoder transition `stage` (deepest first): tconv + refine
+  kDecoderHead,  ///< decoder 1x1 head and the logits conversion
 };
 
 enum class StepKind {
@@ -95,29 +103,37 @@ enum class StepKind {
   /// solver bindings, forced solvers and int8 apply to it as to any conv.
   /// src -> dst; src = -1 reads the network input of the step's branch.
   kLayer,
-  kConvertToNchwc,  ///< src (NCHW) -> dst (NCHWc)
+  /// src (NCHW) -> dst (NCHWc); src = -1 reads the network input of the
+  /// step's branch.
+  kConvertToNchwc,
   kConvertToNchw,   ///< src (NCHWc) -> dst (NCHW)
   /// Blocked direct conv src -> dst with the fused epilogue chain:
   /// bias -> BN affine -> (+ pre slot, the residual shortcut) -> ReLU ->
   /// (+ fusion_weight * post slot, the cross-layer fusion sum).
   kConvNchwc,
+  /// Blocked 2x2/s2 transposed conv src -> dst (the decoder's upsampling)
+  /// with the epilogue +bias -> (+ pre slot, the skip connection).
+  kTConvNchwc,
   kAddInPlace,  ///< dst += src (AllFilter_B depth update), either layout
   kAccumulate,  ///< dst += fusion_weight * src (fusion sum), either layout
   /// WeightedSharing head on NCHW: w = AWN(dst, aux) per sample, then
   /// dst += fusion_weight * (w * aux). Reads aux only, so a cached aux
   /// survives for the next frame.
   kAwnFuse,
-  kDecoder,  ///< decoder + head over the NCHW skip slots -> logits
+  /// All-NCHW schedule only: Decoder::forward_infer over the NCHW skip
+  /// slots -> logits. The blocked schedule runs the decoder as
+  /// kTConvNchwc / kConvNchwc steps instead.
+  kDecoder,
 };
 
 struct Step {
   StepKind kind = StepKind::kLayer;
   int src = -1;
   int dst = -1;
-  int pre = -1;   ///< kConvNchwc: residual shortcut slot
+  int pre = -1;   ///< kConvNchwc: residual shortcut; kTConvNchwc: skip
   int post = -1;  ///< kConvNchwc: fusion-sum slot (scaled by fusion weight)
   int aux = -1;   ///< kAwnFuse: depth features slot
-  const PackedConv* conv = nullptr;  ///< kConvNchwc only
+  const PackedConv* conv = nullptr;  ///< kConvNchwc / kTConvNchwc only
   LayerRef layer = LayerRef::kNone;
   int stage = 0;  ///< for spans / --explain-plan
   /// Network layers (convs, AWN) this step executes, for

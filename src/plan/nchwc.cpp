@@ -68,19 +68,66 @@ PackedConv pack_conv(const nn::Conv2d& conv, const nn::BatchNorm2d* bn,
   return pc;
 }
 
+PackedConv pack_tconv(const nn::ConvTranspose2d& conv, std::string name) {
+  PackedConv pc;
+  pc.name = std::move(name);
+  pc.cin = conv.in_channels();
+  pc.cout = conv.out_channels();
+  pc.kernel = 2;
+  pc.stride = 2;
+  pc.transposed = true;
+  ROADFUSION_CHECK(conv.geometry().kernel == 2 && conv.geometry().stride == 2 &&
+                       conv.geometry().padding == 0,
+                   "pack_tconv: unsupported geometry for " << pc.name);
+  pc.w.assign(static_cast<size_t>(blocks_of(pc.cout) * pc.cin * 4 * kLanes),
+              0.0f);
+  const float* wsrc = conv.weight_value().raw();  // (cin, cout, 2, 2)
+  for (int64_t ic = 0; ic < pc.cin; ++ic) {
+    for (int64_t oc = 0; oc < pc.cout; ++oc) {
+      for (int64_t t = 0; t < 4; ++t) {
+        pc.w[static_cast<size_t>(
+            (((oc / kLanes) * pc.cin + ic) * 4 + t) * kLanes + oc % kLanes)] =
+            wsrc[(ic * pc.cout + oc) * 4 + t];
+      }
+    }
+  }
+  if (const tensor::Tensor* bias = conv.bias_value()) {
+    pc.bias = lane_pad(bias->raw(), pc.cout);
+  }
+  return pc;
+}
+
+void zero_border(float* p, int64_t n, int64_t c, int64_t h, int64_t w) {
+  const int64_t row = (w + 2) * kLanes;
+  const int64_t plane = (h + 2) * row;
+  for (int64_t b = 0; b < n * blocks_of(c); ++b) {
+    float* base = p + b * plane;
+    std::fill(base, base + row, 0.0f);
+    for (int64_t y = 1; y <= h; ++y) {
+      std::fill(base + y * row, base + y * row + kLanes, 0.0f);
+      std::fill(base + (y + 1) * row - kLanes, base + (y + 1) * row, 0.0f);
+    }
+    std::fill(base + (h + 1) * row, base + plane, 0.0f);
+  }
+}
+
 void convert_to_nchwc(const float* src, int64_t n, int64_t c, int64_t h,
                       int64_t w, float* dst) {
   const int64_t row = (w + 2) * kLanes;
   const int64_t plane = (h + 2) * row;
-  const int64_t sample = blocks_of(c) * plane;
+  const int64_t cb = blocks_of(c);
   for (int64_t img = 0; img < n; ++img) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      const float* s = src + (img * c + ch) * h * w;
-      float* d = dst + img * sample + (ch / kLanes) * plane + (ch % kLanes);
+    for (int64_t b = 0; b < cb; ++b) {
+      const int64_t real = std::min(kLanes, c - b * kLanes);
+      const float* s = src + (img * c + b * kLanes) * h * w;
+      float* d = dst + (img * cb + b) * plane;
       for (int64_t y = 0; y < h; ++y) {
         float* drow = d + (y + 1) * row + kLanes;
         for (int64_t x = 0; x < w; ++x) {
-          drow[x * kLanes] = s[y * w + x];
+          float* px = drow + x * kLanes;
+          for (int64_t l = 0; l < kLanes; ++l) {
+            px[l] = l < real ? s[l * h * w + y * w + x] : 0.0f;
+          }
         }
       }
     }
@@ -107,6 +154,36 @@ void convert_to_nchw(const float* src, int64_t n, int64_t c, int64_t h,
   }
 }
 
+namespace {
+
+/// The AVX2 kernels' operand block for `pc` (output geometry and fused
+/// slots left for the caller).
+NchwcConvArgs avx2_args(const float* src, int64_t n, int64_t in_h,
+                        int64_t in_w, const PackedConv& pc, float* dst) {
+  NchwcConvArgs args;
+  args.src = src;
+  args.n = n;
+  args.in_h = in_h;
+  args.in_w = in_w;
+  args.cin = pc.cin;
+  args.cout = pc.cout;
+  args.kernel = pc.kernel;
+  args.stride = pc.stride;
+  args.w = pc.w.data();
+  args.bias = pc.bias.empty() ? nullptr : pc.bias.data();
+  if (!pc.bn_mean.empty()) {
+    args.bn_mean = pc.bn_mean.data();
+    args.bn_invstd = pc.bn_invstd.data();
+    args.bn_gamma = pc.bn_gamma.data();
+    args.bn_beta = pc.bn_beta.data();
+  }
+  args.relu = pc.relu;
+  args.dst = dst;
+  return args;
+}
+
+}  // namespace
+
 void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                 const PackedConv& pc, float* dst, int64_t out_h,
                 int64_t out_w, const float* pre, const float* post,
@@ -114,25 +191,7 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
   if (common::active_tier() >= common::CpuTier::kAvx2) {
     // The AVX2 lane kernel runs the identical per-element mul+add chain
     // (no FMA contraction), so switching tiers never changes a bit.
-    NchwcConvArgs args;
-    args.src = src;
-    args.n = n;
-    args.in_h = in_h;
-    args.in_w = in_w;
-    args.cin = pc.cin;
-    args.cout = pc.cout;
-    args.kernel = pc.kernel;
-    args.stride = pc.stride;
-    args.w = pc.w.data();
-    args.bias = pc.bias.empty() ? nullptr : pc.bias.data();
-    if (!pc.bn_mean.empty()) {
-      args.bn_mean = pc.bn_mean.data();
-      args.bn_invstd = pc.bn_invstd.data();
-      args.bn_gamma = pc.bn_gamma.data();
-      args.bn_beta = pc.bn_beta.data();
-    }
-    args.relu = pc.relu;
-    args.dst = dst;
+    NchwcConvArgs args = avx2_args(src, n, in_h, in_w, pc, dst);
     args.out_h = out_h;
     args.out_w = out_w;
     args.pre = pre;
@@ -219,6 +278,66 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
               }
             }
             dp[l] = v;
+          }
+        }
+      }
+    }
+  }
+}
+
+void tconv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
+                 const PackedConv& pc, float* dst, const float* pre) {
+  const int64_t out_w = 2 * in_w;
+  if (common::active_tier() >= common::CpuTier::kAvx2) {
+    NchwcConvArgs args = avx2_args(src, n, in_h, in_w, pc, dst);
+    args.out_h = 2 * in_h;
+    args.out_w = out_w;
+    args.pre = pre;
+    if (tconv_nchwc_avx2(args)) {
+      return;
+    }
+  }
+  const int64_t srow = (in_w + 2) * kLanes;
+  const int64_t splane = (in_h + 2) * srow;
+  const int64_t ssample = blocks_of(pc.cin) * splane;
+  const int64_t dplane = (2 * in_h + 2) * (out_w + 2) * kLanes;
+  const int64_t ocb = blocks_of(pc.cout);
+  for (int64_t img = 0; img < n; ++img) {
+    for (int64_t ob = 0; ob < ocb; ++ob) {
+      const float* bias_l =
+          pc.bias.empty() ? nullptr : pc.bias.data() + ob * kLanes;
+      const int64_t dblock = (img * ocb + ob) * dplane;
+      for (int64_t iy = 0; iy < in_h; ++iy) {
+        for (int64_t ix = 0; ix < in_w; ++ix) {
+          const float* spx =
+              src + img * ssample + (iy + 1) * srow + (ix + 1) * kLanes;
+          const float* wptr = pc.w.data() + ob * pc.cin * 4 * kLanes;
+          float acc[4][kLanes] = {};  // one chain per tap and lane
+          for (int64_t ic = 0; ic < pc.cin; ++ic) {
+            // Real lanes only, as in conv_nchwc.
+            const float a = spx[(ic / kLanes) * splane + (ic % kLanes)];
+            for (int64_t t = 0; t < 4; ++t) {
+              for (int64_t l = 0; l < kLanes; ++l) {
+                acc[t][l] += wptr[t * kLanes + l] * a;
+              }
+            }
+            wptr += 4 * kLanes;
+          }
+          for (int64_t t = 0; t < 4; ++t) {
+            const int64_t at = dblock + ((2 * iy + t / 2 + 1) * (out_w + 2) +
+                                         (2 * ix + t % 2 + 1)) *
+                                            kLanes;
+            for (int64_t l = 0; l < kLanes; ++l) {
+              float v = 0.0f;
+              v += acc[t][l];  // col2im's accumulate into a zeroed plane
+              if (bias_l != nullptr) {
+                v += bias_l[l];
+              }
+              if (pre != nullptr) {
+                v += pre[at + l];
+              }
+              dst[at + l] = v;
+            }
           }
         }
       }

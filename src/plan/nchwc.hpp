@@ -2,17 +2,24 @@
 //
 // Layout: a feature map (N, C, H, W) becomes N * ceil(C/8) channel
 // blocks, each storing an (H+2) x (W+2) spatial plane with 8 channel
-// lanes innermost. The extra ring is a permanently-zero border so the
-// pad-1 convolutions read it instead of branching on bounds; channel
-// lanes past C are permanently zero as well (the conv epilogue parameters
-// for padded lanes are zero, so no step ever writes them non-zero).
+// lanes innermost. The extra ring is a zero border so the pad-1
+// convolutions read it instead of branching on bounds: the executor
+// zeroes it (zero_border) before a step writes the slot, and every
+// writer — conversion, conv, transposed conv — fills all 8 lanes of every
+// interior pixel. Channel lanes past C hold 0 (the conversion writes them
+// as zeros; padded conv weights and epilogue parameters are zero), and
+// in any case a padded lane is never read into a real lane: the kernels
+// take input channels from real lanes only.
 //
 // Exactness contract: the direct conv accumulates each output element
 // over (in_channel, ky, kx) in exactly the im2col row order with a single
 // scalar accumulator chain per element — the same order the blocked GEMM
 // uses when the whole reduction fits one Kc cache block — and the fused
-// epilogue replays the GEMM epilogue's scalar chain. Plans therefore
-// reproduce the graph path bit-for-bit (test_plan pins this).
+// epilogue replays the GEMM epilogue's scalar chain. The transposed conv
+// sums over in_channel in GEMM order, then replays col2im's accumulate
+// into a zeroed plane (0 + acc; 2x2 / stride 2, so one tap per output),
+// then +bias, then the skip add. Plans therefore reproduce the graph path
+// bit-for-bit (test_plan pins this).
 #pragma once
 
 #include "plan/ir.hpp"
@@ -20,6 +27,7 @@
 
 namespace roadfusion::nn {
 class Conv2d;
+class ConvTranspose2d;
 class BatchNorm2d;
 }  // namespace roadfusion::nn
 
@@ -30,7 +38,15 @@ namespace roadfusion::plan {
 PackedConv pack_conv(const nn::Conv2d& conv, const nn::BatchNorm2d* bn,
                      bool relu, std::string name);
 
-/// NCHW -> NCHWc8. `dst` must be zeroed (border and padded lanes stay 0).
+/// Repacks a 2x2 / stride-2 / no-padding transposed conv (the decoder's
+/// upsampling) for tconv_nchwc.
+PackedConv pack_tconv(const nn::ConvTranspose2d& conv, std::string name);
+
+/// Zeroes the border ring of an NCHWc8 buffer (interior untouched).
+void zero_border(float* p, int64_t n, int64_t c, int64_t h, int64_t w);
+
+/// NCHW -> NCHWc8 over the interior: real lanes get the source values,
+/// padded lanes 0. The border is left to zero_border.
 void convert_to_nchwc(const float* src, int64_t n, int64_t c, int64_t h,
                       int64_t w, float* dst);
 
@@ -47,6 +63,13 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                 const PackedConv& pc, float* dst, int64_t out_h,
                 int64_t out_w, const float* pre, const float* post,
                 float fusion_weight);
+
+/// Blocked 2x2 / stride-2 transposed conv src (in_h x in_w) -> dst
+/// (2 in_h x 2 in_w) with the epilogue
+///   0 + acc (col2im) -> +bias -> +pre (skip connection).
+/// `pre` is an NCHWc8 buffer of the output geometry, or null.
+void tconv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
+                 const PackedConv& pc, float* dst, const float* pre);
 
 /// dst += src over two same-geometry NCHWc8 buffers (plain add — the
 /// AllFilter_B depth-branch update order).

@@ -1,8 +1,9 @@
-// AVX2 TU for the NCHWc8 direct convolution — the only file in src/plan/
-// built with -mavx2 (see CMakeLists.txt here). Deliberately compiled
-// WITHOUT -mfma and written with separate _mm256_mul_ps/_mm256_add_ps so
-// each channel lane executes exactly the scalar kernel's accumulation
-// chain: acc[l] += w[l] * a per (ic, ky, kx) tap in im2col row order.
+// AVX2 TU for the NCHWc8 direct and transposed convolutions — the only
+// file in src/plan/ built with -mavx2 (see CMakeLists.txt here).
+// Deliberately compiled WITHOUT -mfma and written with separate
+// _mm256_mul_ps/_mm256_add_ps so each channel lane executes exactly the
+// scalar kernels' accumulation chain: acc[l] += w[l] * a per (ic, ky, kx)
+// tap in im2col row order (per ic, for the transposed conv).
 // Helpers live in the anonymous namespace so nothing compiled with AVX2
 // flags can ODR-merge into another TU.
 #include "plan/nchwc_avx2.hpp"
@@ -66,12 +67,13 @@ inline void store_column(__m256 v, float* dp, const float* pre_p,
   _mm256_storeu_ps(dp, v);
 }
 
-}  // namespace
-
-bool conv_nchwc_avx2(const NchwcConvArgs& a) {
-  const int64_t k = a.kernel;
+/// The direct conv for a compile-time kernel size, so the tap loops
+/// unroll; the per-element chain is the same for every K.
+template <int64_t K>
+void conv_body(const NchwcConvArgs& a) {
+  constexpr int64_t k = K;
   const int64_t s = a.stride;
-  const int64_t tap0 = 1 - (k == 3 ? 1 : 0);
+  constexpr int64_t tap0 = 1 - (k == 3 ? 1 : 0);
   const int64_t srow = (a.in_w + 2) * kLanes;
   const int64_t splane = (a.in_h + 2) * srow;
   const int64_t cb = (a.cin + kLanes - 1) / kLanes;
@@ -177,12 +179,73 @@ bool conv_nchwc_avx2(const NchwcConvArgs& a) {
       }
     }
   }
+}
+
+}  // namespace
+
+bool conv_nchwc_avx2(const NchwcConvArgs& a) {
+  if (a.kernel == 3) {
+    conv_body<3>(a);
+  } else if (a.kernel == 1) {
+    conv_body<1>(a);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+bool tconv_nchwc_avx2(const NchwcConvArgs& a) {
+  const int64_t srow = (a.in_w + 2) * kLanes;
+  const int64_t splane = (a.in_h + 2) * srow;
+  const int64_t ssample = (a.cin + kLanes - 1) / kLanes * splane;
+  const int64_t dplane = (a.out_h + 2) * (a.out_w + 2) * kLanes;
+  const int64_t ocb = (a.cout + kLanes - 1) / kLanes;
+  for (int64_t img = 0; img < a.n; ++img) {
+    for (int64_t ob = 0; ob < ocb; ++ob) {
+      const int64_t dblock = (img * ocb + ob) * dplane;
+      for (int64_t iy = 0; iy < a.in_h; ++iy) {
+        for (int64_t ix = 0; ix < a.in_w; ++ix) {
+          const float* spx =
+              a.src + img * ssample + (iy + 1) * srow + (ix + 1) * kLanes;
+          const float* wptr = a.w + ob * a.cin * 4 * kLanes;
+          // One accumulator per tap; each input value feeds all four.
+          __m256 acc[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
+                           _mm256_setzero_ps(), _mm256_setzero_ps()};
+          for (int64_t ic = 0; ic < a.cin; ++ic) {
+            const __m256 x = _mm256_broadcast_ss(
+                spx + (ic / kLanes) * splane + (ic % kLanes));
+            for (int t = 0; t < 4; ++t) {
+              acc[t] = _mm256_add_ps(
+                  acc[t], _mm256_mul_ps(_mm256_loadu_ps(wptr + t * kLanes), x));
+            }
+            wptr += 4 * kLanes;
+          }
+          // Replays the scalar epilogue: 0 + acc (col2im) -> +bias -> +pre.
+          for (int t = 0; t < 4; ++t) {
+            const int64_t at = dblock + ((2 * iy + t / 2 + 1) * (a.out_w + 2) +
+                                         (2 * ix + t % 2 + 1)) *
+                                            kLanes;
+            __m256 v = _mm256_add_ps(_mm256_setzero_ps(), acc[t]);
+            if (a.bias != nullptr) {
+              v = _mm256_add_ps(v, _mm256_loadu_ps(a.bias + ob * kLanes));
+            }
+            if (a.pre != nullptr) {
+              v = _mm256_add_ps(v, _mm256_loadu_ps(a.pre + at));
+            }
+            _mm256_storeu_ps(a.dst + at, v);
+          }
+        }
+      }
+    }
+  }
   return true;
 }
 
 #else  // !ROADFUSION_NCHWC_AVX2
 
 bool conv_nchwc_avx2(const NchwcConvArgs&) { return false; }
+
+bool tconv_nchwc_avx2(const NchwcConvArgs&) { return false; }
 
 #endif
 

@@ -1,4 +1,5 @@
-// AVX2 lane kernel for the NCHWc8 direct convolution (DESIGN.md §16).
+// AVX2 lane kernels for the NCHWc8 direct and transposed convolutions
+// (DESIGN.md §16).
 //
 // Same ODR ground rules as autograd/gemm_avx2.hpp: this header must stay
 // free of heavyweight includes and the implementation TU is the only file
@@ -41,8 +42,15 @@ struct NchwcConvArgs {
 
 /// Runs the blocked direct conv with 8-lane AVX2 vectors (one mul+add per
 /// weight tap per output column). Returns false when this binary was built
-/// without AVX2 support; the caller must then use the scalar kernel. The
-/// caller is responsible for the runtime CPUID gate.
+/// without AVX2 support or the kernel size is not 1 or 3; the caller must
+/// then use the scalar kernel. The caller is responsible for the runtime
+/// CPUID gate.
 bool conv_nchwc_avx2(const NchwcConvArgs& args);
+
+/// The 2x2 / stride-2 transposed-conv analogue (`w` packed
+/// [ocb][cin][ky][kx][8]; epilogue 0 + acc -> +bias -> +pre; the BN, ReLU
+/// and post fields are ignored). Returns false when this binary was built
+/// without AVX2 support.
+bool tconv_nchwc_avx2(const NchwcConvArgs& args);
 
 }  // namespace roadfusion::plan

@@ -40,7 +40,8 @@ using tensor::Tensor;
 
 /// Fixed executor capacity — slot storage lives in a stack array so a
 /// plan run performs no per-call container allocation. Generous: the
-/// deepest supported network (8 stages) compiles to fewer than 100 slots.
+/// deepest supported network (8 stages) compiles to fewer than 100 slots
+/// (test_plan compiles every scheme and schedule at 8 stages).
 constexpr int kMaxPlanSlots = 128;
 constexpr int kMaxPlanStages = 8;
 /// Compiled schedules kept per model; the oldest is evicted first. The
@@ -96,17 +97,19 @@ struct CompiledPlan {
   PlanKey key;
   std::vector<SlotDef> slots;
   std::vector<Step> steps;
-  std::vector<int> skip_slots;  ///< NCHW fused pyramid, stage 0 first
+  std::vector<int> skip_slots;  ///< fused pyramid (plan layout), stage 0 first
+  /// NCHW slot holding the logits, or -1 when the kDecoder step returns
+  /// them (the all-NCHW schedule).
+  int logits = -1;
   std::vector<int> cached;      ///< slot of each StreamFeatureCache::slots[k]
   /// NCHW slots to drop right after each step (their last reader) —
   /// computed liveness that keeps the arena footprint minimal.
   std::vector<std::vector<int>> release_after;
-  /// One scratch buffer holds every NCHWc slot at its compiled offset: a
-  /// single arena block per run instead of one per slot, so the arena's
-  /// best-fit reuse across batch sizes is not fragmented by them. It is
-  /// released after step `scratch_last_use`.
+  /// Every NCHWc slot lives at its compiled offset in the workspace's
+  /// scratch block (tensor::Workspace::scratch), which outlives the run:
+  /// the pool keeps one, sized for the largest schedule it has run, so
+  /// the schedules of every batch size share it.
   int64_t scratch_floats = 0;
-  int scratch_last_use = -1;
 };
 
 /// Geometry-independent plan state hung off the RoadSegNet: packed
@@ -118,10 +121,15 @@ struct PlanContext {
   /// the blocked kernel's order would differ from the GEMM's: every
   /// schedule then runs NCHW.
   bool exceeds_kc = false;
+  PackedConv rgb_stem;
+  PackedConv depth_stem;
   std::vector<std::shared_ptr<const BlockPack>> rgb_blocks;    ///< [stage-1]
   std::vector<std::shared_ptr<const BlockPack>> depth_blocks;  ///< [stage-1]
-  std::vector<PackedConv> d2r;  ///< [stage]; stage 0 runs NCHW, entry unused
+  std::vector<PackedConv> d2r;  ///< [stage]
   std::vector<PackedConv> r2d;  ///< AllFilter_B only, same indexing
+  std::vector<PackedConv> up;      ///< decoder transitions, deepest first
+  std::vector<PackedConv> refine;  ///< same indexing
+  PackedConv head;
   std::mutex mutex;
   std::vector<std::shared_ptr<const CompiledPlan>> plans;  ///< oldest first
 };
@@ -189,14 +197,18 @@ std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
 }
 
 /// The bit-exactness argument (nchwc.hpp) requires the graph-path GEMM to
-/// run its whole reduction in one Kc cache block.
+/// run its whole reduction in one Kc cache block. A transposed conv's
+/// GEMM reduces over the input channels alone.
 bool fits_one_kc_block(const PackedConv& pc) {
-  return pc.cin * pc.kernel * pc.kernel <=
-         autograd::kernels::blocked_gemm_config().kc;
+  const int64_t depth =
+      pc.transposed ? pc.cin : pc.cin * pc.kernel * pc.kernel;
+  return depth <= autograd::kernels::blocked_gemm_config().kc;
 }
 
 NchwReason nchw_reason(const PlanContext& ctx) {
-  if (quant::enabled()) {
+  // Calibration observes the fp32 layers' im2col inputs, which only the
+  // layer path produces.
+  if (quant::enabled() || quant::calibrating()) {
     return NchwReason::kQuant;
   }
   if (!tune::forced_solver().empty()) {
@@ -222,6 +234,16 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
     return fits_one_kc_block(bp.conv1) && fits_one_kc_block(bp.conv2) &&
            (bp.proj == nullptr || fits_one_kc_block(*bp.proj));
   };
+  const auto pack_one = [&](PackedConv pc) {
+    fits = fits && fits_one_kc_block(pc);
+    return pc;
+  };
+  const auto pack_stem = [&](const Encoder& encoder, const char* name) {
+    return pack_one(pack_conv(encoder.stem().conv(), &encoder.stem().bn(),
+                              true, name));
+  };
+  ctx->rgb_stem = pack_stem(net.rgb_encoder(), "rgb.stage0");
+  ctx->depth_stem = pack_stem(net.depth_encoder(), "depth.stage0");
   for (int stage = 1; stage < stages; ++stage) {
     auto rgb = pack_block(net.rgb_encoder().block(stage),
                           "rgb.stage" + std::to_string(stage));
@@ -237,15 +259,26 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
   const auto pack_filters = [&](const std::vector<core::FusionFilter>& filters,
                                 const std::string& prefix,
                                 std::vector<PackedConv>& out) {
-    out.resize(static_cast<size_t>(stages));
-    for (size_t stage = 1; stage < filters.size(); ++stage) {
-      out[stage] = pack_conv(filters[stage].conv(), nullptr, false,
-                             prefix + ".stage" + std::to_string(stage));
-      fits = fits && fits_one_kc_block(out[stage]);
+    for (size_t stage = 0; stage < filters.size(); ++stage) {
+      out.push_back(pack_one(pack_conv(filters[stage].conv(), nullptr, false,
+                                       prefix + ".stage" +
+                                           std::to_string(stage))));
     }
   };
   pack_filters(net.depth_to_rgb_filters(), "d2r", ctx->d2r);
   pack_filters(net.rgb_to_depth_filters(), "r2d", ctx->r2d);
+  const roadseg::Decoder& decoder = net.decoder();
+  for (int i = 0; i + 1 < stages; ++i) {
+    const std::string tag = std::to_string(stages - 1 - i);
+    ctx->up.push_back(
+        pack_one(pack_tconv(decoder.up(static_cast<size_t>(i)),
+                            "decoder.up" + tag)));
+    const nn::ConvBnRelu& refine = decoder.refine(static_cast<size_t>(i));
+    ctx->refine.push_back(pack_one(pack_conv(
+        refine.conv(), &refine.bn(), true, "decoder.refine" + tag)));
+  }
+  ctx->head = pack_one(pack_conv(decoder.head(), nullptr, false,
+                                 "decoder.head"));
   ctx->exceeds_kc = !fits;
   obs::MetricsRegistry::global()
       .counter("roadfusion_plan_builds_total",
@@ -266,16 +299,14 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   const auto& channels = net.config().stage_channels;
   const bool hit = key.variant == Variant::kStreamHit;
   const bool miss = key.variant == Variant::kStreamMiss;
-  // Stage 0 always runs NCHW: its inputs arrive NCHW and the stems are
-  // too shallow for the blocked layout to pay for its conversions.
-  const auto layout_at = [&](int stage) {
-    return stage == 0 ? Layout::kNchw : key.layout;
-  };
-  const auto new_slot = [&](int stage, Layout layout, std::string label) {
+  const Layout layout = key.layout;
+  // A slot at `stage`'s resolution with `c` channels (-1: the stage's).
+  const auto new_slot = [&](int stage, Layout slot_layout, std::string label,
+                            int64_t c = -1) {
     SlotDef def;
-    def.layout = layout;
+    def.layout = slot_layout;
     def.n = key.n;
-    def.c = channels[static_cast<size_t>(stage)];
+    def.c = c >= 0 ? c : channels[static_cast<size_t>(stage)];
     def.h = Encoder::stage_extent(stage, key.h);
     def.w = Encoder::stage_extent(stage, key.w);
     def.label = std::move(label);
@@ -318,18 +349,29 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     st.stage = stage;
     push(st);
   };
-  // One encoder stage of `branch`: a layer step on NCHW, or conv1,
-  // (projection), conv2 on NCHWc8 with the shortcut fused as `pre`. A
-  // `post` slot adds the fusion sum: in conv2's epilogue on NCHWc8, as a
+  const auto conv_step = [&](StepKind kind, const PackedConv& pc,
+                             LayerRef layer, int stage, int src, int dst,
+                             int pre, int post) {
+    Step st;
+    st.kind = kind;
+    st.layer = layer;
+    st.src = src;
+    st.dst = dst;
+    st.pre = pre;
+    st.post = post;
+    st.conv = &pc;
+    st.stage = stage;
+    st.layers = 1;
+    push(st);
+  };
+  // One encoder stage of `branch`: a layer step on NCHW, or on NCHWc8 the
+  // stem (reading the network input, converted at the point of use so
+  // only one branch's converted input is live at a time) or conv1,
+  // (projection), conv2 with the shortcut fused as `pre`. A `post` slot
+  // adds the fusion sum: in the last conv's epilogue on NCHWc8, as a
   // following accumulate step on NCHW.
   const auto emit_stage = [&](LayerRef branch, int stage, int input,
                               int post, const std::string& label) {
-    const Layout layout = layout_at(stage);
-    // Converting at the point of use keeps only one branch's full-size
-    // stage-0 features in the blocked layout at a time.
-    if (input >= 0) {
-      input = to_layout(input, layout, stage, label + ".in");
-    }
     const int out = new_slot(stage, layout, label);
     if (layout == Layout::kNchw) {
       Step st;
@@ -351,24 +393,27 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       }
       return out;
     }
-    const BlockPack& bp =
-        *(branch == LayerRef::kRgbStage
-              ? ctx.rgb_blocks
-              : ctx.depth_blocks)[static_cast<size_t>(stage - 1)];
+    const bool rgb_branch = branch == LayerRef::kRgbStage;
     const auto conv = [&](const PackedConv& pc, int src, int dst, int pre,
                           int post_slot) {
-      Step st;
-      st.kind = StepKind::kConvNchwc;
-      st.layer = branch;
-      st.src = src;
-      st.dst = dst;
-      st.pre = pre;
-      st.post = post_slot;
-      st.conv = &pc;
-      st.stage = stage;
-      st.layers = 1;
-      push(st);
+      conv_step(StepKind::kConvNchwc, pc, branch, stage, src, dst, pre,
+                post_slot);
     };
+    if (stage == 0) {
+      Step in;
+      in.kind = StepKind::kConvertToNchwc;
+      in.layer = branch;
+      in.dst = new_slot(0, layout, label + ".in",
+                        rgb_branch ? net.config().rgb_channels
+                                   : net.config().depth_channels);
+      push(in);
+      conv(rgb_branch ? ctx.rgb_stem : ctx.depth_stem, in.dst, out, -1,
+           post);
+      return out;
+    }
+    const BlockPack& bp =
+        *(rgb_branch ? ctx.rgb_blocks
+                     : ctx.depth_blocks)[static_cast<size_t>(stage - 1)];
     const int t1 = new_slot(stage, layout, label + ".conv1");
     conv(bp.conv1, input, t1, -1, -1);
     int pre = input;  // identity shortcut (requires matching geometry)
@@ -381,7 +426,6 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   };
   const auto emit_filter = [&](LayerRef which, int stage, int input,
                                const std::string& label) {
-    const Layout layout = layout_at(stage);
     const int out = new_slot(stage, layout, label);
     Step st;
     st.layer = which;
@@ -404,7 +448,6 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   int r_in = -1;  // -1: the network input of the branch
   int d_in = -1;
   for (int stage = 0; stage < ctx.stages; ++stage) {
-    const Layout layout = layout_at(stage);
     const std::string tag = ".stage" + std::to_string(stage);
     const bool last = stage == ctx.stages - 1;
     int fused = -1;
@@ -475,11 +518,11 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       fused = emit_stage(LayerRef::kRgbStage, stage, r_in, matched,
                          "fused" + tag);
     }
-    plan->skip_slots.push_back(
-        to_layout(fused, Layout::kNchw, stage, "skip" + tag));
+    // Only the WeightedSharing AWN head leaves the plan layout.
+    plan->skip_slots.push_back(to_layout(fused, layout, stage, "skip" + tag));
     r_in = fused;
   }
-  {
+  if (layout == Layout::kNchw) {
     Step dec;
     dec.kind = StepKind::kDecoder;
     dec.stage = ctx.stages;
@@ -487,6 +530,26 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     // the 1x1 head.
     dec.layers = 2 * (ctx.stages - 1) + 1;
     push(dec);
+  } else {
+    // Per transition: the upsampling tconv with the skip add as its
+    // epilogue, then the refine conv; then the head, whose one-channel
+    // output is the only slot converted back to NCHW.
+    int x = plan->skip_slots.back();
+    for (int i = 0; i + 1 < ctx.stages; ++i) {
+      const int target = ctx.stages - 2 - i;
+      const auto at = static_cast<size_t>(i);
+      const std::string tag = std::to_string(target + 1);
+      const int up = new_slot(target, layout, "up" + tag);
+      conv_step(StepKind::kTConvNchwc, ctx.up[at], LayerRef::kDecoderUp, i, x,
+                up, plan->skip_slots[static_cast<size_t>(target)], -1);
+      x = new_slot(target, layout, "refine" + tag);
+      conv_step(StepKind::kConvNchwc, ctx.refine[at], LayerRef::kDecoderUp, i,
+                up, x, -1, -1);
+    }
+    const int head = new_slot(0, layout, "head", 1);
+    conv_step(StepKind::kConvNchwc, ctx.head, LayerRef::kDecoderHead, 0, x,
+              head, -1, -1);
+    plan->logits = to_layout(head, Layout::kNchw, 0, "logits");
   }
   ROADFUSION_CHECK(plan->slots.size() <= kMaxPlanSlots,
                    "inference plan needs " << plan->slots.size()
@@ -567,16 +630,8 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     def.offset = offset;
     placed.push_back({offset, offset + size, first, last});
     plan->scratch_floats = std::max(plan->scratch_floats, offset + size);
-    plan->scratch_last_use = std::max(plan->scratch_last_use, last);
   }
 
-  // Schedule metrics: how many network layers landed in each layout.
-  const PlanMetrics& m = metrics();
-  for (const Step& st : plan->steps) {
-    (st.kind == StepKind::kConvNchwc ? m.layers_nchwc : m.layers_nchw)
-        ->inc(static_cast<uint64_t>(st.layers));
-  }
-  m.compiles->inc();
   return plan;
 }
 
@@ -633,27 +688,40 @@ Tensor run_layer(const RoadSegNet& net, const Step& st, const Tensor& x) {
     case LayerRef::kRgbToDepth:
       return net.rgb_to_depth_filters()[stage].match_infer(x);
     case LayerRef::kNone:
+    case LayerRef::kDecoderUp:
+    case LayerRef::kDecoderHead:
       break;
   }
   ROADFUSION_CHECK(false, "inference plan: layer step without a layer");
 }
 
-/// Per LayerRef: the explain-plan name prefix and the trace span prefix
-/// (the graph path's names, so traces read the same whichever path
-/// served; null = no span of its own).
-constexpr const char* kLayerNames[] = {"", "rgb", "depth", "d2r", "r2d"};
-constexpr const char* kLayerSpans[] = {nullptr, "rgb_encoder.stage",
-                                       "depth_encoder.stage", "fusion.stage",
-                                       "fusion.stage"};
+/// Per LayerRef: the explain-plan name prefix of a layer step and the
+/// trace span prefix (the graph path's names, so traces read the same
+/// whichever path served; null = no span of its own).
+constexpr const char* kLayerNames[] = {"",    "rgb", "depth", "d2r",
+                                       "r2d", "",    ""};
+constexpr const char* kLayerSpans[] = {
+    nullptr,        "rgb_encoder.stage", "depth_encoder.stage",
+    "fusion.stage", "fusion.stage",      "decoder.up",
+    "decoder.head"};
 
 Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
                const Tensor& rgb, const Tensor& depth, float fusion_weight,
                StreamFeatureCache* cache) {
   std::array<std::optional<Tensor>, kMaxPlanSlots> local;
-  std::optional<Tensor> scratch;
+  // The blocked slots live in the workspace's scratch block; a run outside
+  // any workspace owns its scratch.
+  std::unique_ptr<float[]> own_scratch;
+  float* scratch = nullptr;
   if (plan.scratch_floats > 0) {
-    scratch.emplace(
-        Tensor::uninitialized(tensor::Shape::vec(plan.scratch_floats)));
+    const auto floats = static_cast<size_t>(plan.scratch_floats);
+    tensor::Workspace* const workspace = tensor::Workspace::current();
+    if (workspace != nullptr) {
+      scratch = workspace->scratch(floats);
+    } else {
+      own_scratch.reset(new float[floats]);
+      scratch = own_scratch.get();
+    }
   }
   // NCHW or cached slots as tensors.
   const auto tensor_at = [&](int idx) -> Tensor& {
@@ -664,20 +732,21 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
   const auto data = [&](int idx) -> float* {
     const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
     return def.layout == Layout::kNchwc && def.cache_index < 0
-               ? scratch->raw() + def.offset
+               ? scratch + def.offset
                : tensor_at(idx).raw();
   };
-  // A fresh output buffer. Cached slots were shaped by bind_cache.
+  // A fresh output buffer. Cached slots were shaped (zeroed) by
+  // bind_cache.
   const auto define = [&](int idx) -> float* {
     const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
     if (def.cache_index >= 0) {
       return data(idx);
     }
     if (def.layout == Layout::kNchwc) {
-      // Zeroed: the conv kernels only write the interior, the border ring
-      // and padded lanes must stay 0.
+      // Every NCHWc writer fills all lanes of the interior; only the
+      // border ring the pad-1 convs read must be zeroed.
       float* p = data(idx);
-      std::fill(p, p + nchwc_floats(def.n, def.c, def.h, def.w), 0.0f);
+      zero_border(p, def.n, def.c, def.h, def.w);
       return p;
     }
     return local[static_cast<size_t>(idx)]
@@ -705,9 +774,21 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
         break;
       }
       case StepKind::kConvertToNchwc: {
-        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        convert_to_nchwc(data(st.src), sd.n, sd.c, sd.h, sd.w,
-                         define(st.dst));
+        const SlotDef& dd = plan.slots[static_cast<size_t>(st.dst)];
+        const float* src = nullptr;
+        if (st.src >= 0) {
+          src = data(st.src);
+        } else {
+          // Batch, height and width were checked against the key; this
+          // pins the channel count.
+          const Tensor& x = st.layer == LayerRef::kDepthStage ? depth : rgb;
+          ROADFUSION_CHECK(x.numel() == dd.n * dd.c * dd.h * dd.w,
+                           "inference plan: input " << x.shape().str()
+                                                    << " does not match "
+                                                    << dd.label);
+          src = x.raw();
+        }
+        convert_to_nchwc(src, dd.n, dd.c, dd.h, dd.w, define(st.dst));
         break;
       }
       case StepKind::kConvertToNchw: {
@@ -724,6 +805,13 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
                    dd.h, dd.w, st.pre >= 0 ? data(st.pre) : nullptr,
                    st.post >= 0 ? data(st.post) : nullptr,
                    fusion_weight);
+        break;
+      }
+      case StepKind::kTConvNchwc: {
+        obs::ScopedSpan span("plan.tconv", st.stage);
+        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
+        tconv_nchwc(data(st.src), sd.n, sd.h, sd.w, *st.conv, define(st.dst),
+                    st.pre >= 0 ? data(st.pre) : nullptr);
         break;
       }
       case StepKind::kAddInPlace:
@@ -768,16 +856,19 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
     for (int idx : plan.release_after[j]) {
       local[static_cast<size_t>(idx)].reset();
     }
-    if (static_cast<int>(j) == plan.scratch_last_use) {
-      scratch.reset();
-    }
   };
   // Each run of consecutive steps of one layer and stage reports one
   // span, named as in the graph path, so traces read the same whichever
-  // path served.
+  // path served; the decoder steps (the schedule's tail) nest inside one
+  // "decoder" span, as the graph's do.
   const auto run_all = [&] {
+    std::optional<obs::ScopedSpan> decoder_span;
     for (size_t j = 0; j < plan.steps.size();) {
       const Step& first = plan.steps[j];
+      if (!decoder_span && (first.layer == LayerRef::kDecoderUp ||
+                            first.layer == LayerRef::kDecoderHead)) {
+        decoder_span.emplace("decoder");
+      }
       size_t end = j + 1;
       while (end < plan.steps.size() &&
              plan.steps[end].layer == first.layer &&
@@ -807,7 +898,8 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
   } else {
     run_all();
   }
-  return std::move(*out);
+  return std::move(plan.logits >= 0 ? *local[static_cast<size_t>(plan.logits)]
+                                    : *out);
 }
 
 // ---------------------------------------------------------------------------
@@ -828,12 +920,30 @@ std::shared_ptr<const CompiledPlan> lookup(PlanContext& ctx,
     }
   }
   auto plan = compile(ctx, net, key);
+  // Serving counters move here, not in compile(): explain() compiles too.
+  const PlanMetrics& m = metrics();
+  m.compiles->inc();
+  int layers = 0;
+  for (const Step& st : plan->steps) {
+    layers += st.layers;
+  }
+  // Layers count under their schedule's layout (the AWN head's NCHW
+  // pooling inside a blocked schedule counts as blocked).
+  (key.layout == Layout::kNchwc ? m.layers_nchwc : m.layers_nchw)
+      ->inc(static_cast<uint64_t>(layers));
   if (ctx.plans.size() >= kMaxCachedPlans) {
     ctx.plans.erase(ctx.plans.begin());
-    metrics().evictions->inc();
+    m.evictions->inc();
   }
   ctx.plans.push_back(plan);
   return plan;
+}
+
+/// A CHW input shape as the batch-1 NCHW shape it is read as.
+tensor::Shape as_nchw(const tensor::Shape& shape) {
+  return shape.rank() == 3
+             ? tensor::Shape::nchw(1, shape.dim(0), shape.dim(1), shape.dim(2))
+             : shape;
 }
 
 Tensor run_hook(const roadseg::SegmentationModel& model,
@@ -844,7 +954,8 @@ Tensor run_hook(const roadseg::SegmentationModel& model,
   // handed a RoadSegNet.
   const auto& net = static_cast<const RoadSegNet&>(model);
   auto& ctx = *static_cast<PlanContext*>(state.get());
-  net.check_inputs(rgb.shape(), depth.shape(), fusion_weight);
+  const tensor::Shape rgb_shape = as_nchw(rgb.shape());
+  net.check_inputs(rgb_shape, as_nchw(depth.shape()), fusion_weight);
   const PlanMetrics& m = metrics();
   const NchwReason reason = nchw_reason(ctx);
   if (reason != NchwReason::kNone) {
@@ -852,9 +963,9 @@ Tensor run_hook(const roadseg::SegmentationModel& model,
     m.declined_by_reason[static_cast<size_t>(reason)]->inc();
   }
   PlanKey key;
-  key.n = rgb.shape().batch();
-  key.h = rgb.shape().height();
-  key.w = rgb.shape().width();
+  key.n = rgb_shape.batch();
+  key.h = rgb_shape.height();
+  key.w = rgb_shape.width();
   key.layout = reason == NchwReason::kNone ? Layout::kNchwc : Layout::kNchw;
   key.variant = fusion_weight == 0.0f ? Variant::kRgbOnly : Variant::kFused;
 
@@ -885,7 +996,15 @@ Tensor run_hook(const roadseg::SegmentationModel& model,
     plan = lookup(ctx, net, key);
   }
   m.runs[static_cast<size_t>(key.variant)]->inc();
-  Tensor out = execute(net, *plan, rgb, depth, fusion_weight, cache);
+  // The blocked schedule converts CHW inputs in place; the layer steps of
+  // the all-NCHW one need rank-4 tensors.
+  std::optional<Tensor> rgb4, depth4;
+  if (key.layout == Layout::kNchw && rgb.shape().rank() == 3) {
+    rgb4 = rgb.reshaped(rgb_shape);
+    depth4 = depth.reshaped(as_nchw(depth.shape()));
+  }
+  Tensor out = execute(net, *plan, rgb4 ? *rgb4 : rgb,
+                       depth4 ? *depth4 : depth, fusion_weight, cache);
   if (key.variant == Variant::kStreamMiss) {
     cache->valid = true;
   }
@@ -931,7 +1050,7 @@ std::string epilogue_str(const Step& st) {
     add("bn");
   }
   if (st.pre >= 0) {
-    add("residual");
+    add(st.kind == StepKind::kTConvNchwc ? "skip" : "residual");
   }
   if (st.conv != nullptr && st.conv->relu) {
     add("relu");
@@ -977,9 +1096,51 @@ const nn::Conv2d& first_conv(const RoadSegNet& net, const Step& st) {
     case LayerRef::kRgbToDepth:
       return net.rgb_to_depth_filters()[stage].conv();
     case LayerRef::kNone:
+    case LayerRef::kDecoderUp:
+    case LayerRef::kDecoderHead:
       break;
   }
   ROADFUSION_CHECK(false, "inference plan: layer step without a layer");
+}
+
+/// The blocked kernels' name as explain and benches report it.
+const char* nchwc_kernel() {
+  return common::active_tier() >= common::CpuTier::kAvx2 ? "nchwc_direct_avx2"
+                                                         : "nchwc_direct";
+}
+
+/// The kernel a conv-running step dispatches to: the blocked kernel, or
+/// for an NCHW step the solver the registry binds for its first conv.
+std::string step_kernel(const RoadSegNet& net, const CompiledPlan& plan,
+                        const Step& st) {
+  switch (st.kind) {
+    case StepKind::kConvNchwc:
+    case StepKind::kTConvNchwc:
+      return nchwc_kernel();
+    case StepKind::kLayer: {
+      const SlotDef* src =
+          st.src >= 0 ? &plan.slots[static_cast<size_t>(st.src)] : nullptr;
+      const nn::Conv2d& conv = first_conv(net, st);
+      return bound_solver(conv.in_channels(), conv.out_channels(),
+                          conv.geometry().kernel, conv.geometry().stride,
+                          conv.geometry().padding,
+                          src != nullptr ? src->h : plan.key.h,
+                          src != nullptr ? src->w : plan.key.w);
+    }
+    case StepKind::kDecoder:
+      return bound_solver(net.config().stage_channels[0],
+                          net.config().stage_channels[0], 3, 1, 1,
+                          plan.key.h, plan.key.w);
+    default:
+      return "";
+  }
+}
+
+/// "conv3x3/s1" / "tconv2x2/s2" for a blocked conv step.
+std::string conv_kind(const PackedConv& pc) {
+  return std::string(pc.transposed ? "tconv" : "conv") +
+         std::to_string(pc.kernel) + "x" + std::to_string(pc.kernel) + "/s" +
+         std::to_string(pc.stride);
 }
 
 void print_plan(std::ostream& os, const RoadSegNet& net,
@@ -996,21 +1157,12 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
     const Step& st = plan.steps[j];
     os << "  [" << j << "] ";
     switch (st.kind) {
-      case StepKind::kLayer: {
-        const int64_t in_h =
-            st.src >= 0 ? plan.slots[static_cast<size_t>(st.src)].h : key.h;
-        const int64_t in_w =
-            st.src >= 0 ? plan.slots[static_cast<size_t>(st.src)].w : key.w;
-        const nn::Conv2d& conv = first_conv(net, st);
-        os << "layer       layout=nchw solver="
-           << bound_solver(conv.in_channels(), conv.out_channels(),
-                           conv.geometry().kernel, conv.geometry().stride,
-                           conv.geometry().padding, in_h, in_w)
+      case StepKind::kLayer:
+        os << "layer       layout=nchw solver=" << step_kernel(net, plan, st)
            << " layer=" << kLayerNames[static_cast<size_t>(st.layer)]
            << ".stage" << st.stage << " " << slot_str(plan, st.src)
            << " -> " << slot_str(plan, st.dst);
         break;
-      }
       case StepKind::kConvertToNchwc:
         os << "to_nchwc    " << slot_str(plan, st.src) << " -> "
            << slot_str(plan, st.dst);
@@ -1020,10 +1172,9 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
            << slot_str(plan, st.dst);
         break;
       case StepKind::kConvNchwc:
-        os << "conv" << st.conv->kernel << "x" << st.conv->kernel << "/s"
-           << st.conv->stride << "   layout=nchwc8 solver=nchwc_direct"
-           << (common::active_tier() >= common::CpuTier::kAvx2 ? "_avx2"
-                                                               : "")
+      case StepKind::kTConvNchwc:
+        os << conv_kind(*st.conv) << (st.conv->transposed ? "  " : "   ")
+           << "layout=nchwc8 solver=" << nchwc_kernel()
            << " layer=" << st.conv->name
            << " epilogue=" << epilogue_str(st) << " "
            << slot_str(plan, st.src) << " -> " << slot_str(plan, st.dst);
@@ -1047,10 +1198,7 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
            << " += w * AWN-scaled " << slot_str(plan, st.aux);
         break;
       case StepKind::kDecoder:
-        os << "decoder     layout=nchw solver="
-           << bound_solver(net.config().stage_channels[0],
-                           net.config().stage_channels[0], 3, 1, 1, key.h,
-                           key.w)
+        os << "decoder     layout=nchw solver=" << step_kernel(net, plan, st)
            << " skips={";
         for (size_t i = 0; i < plan.skip_slots.size(); ++i) {
           os << (i == 0 ? "" : ", ") << "%" << plan.skip_slots[i];
@@ -1058,14 +1206,18 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
         os << "} -> logits";
         break;
     }
-    if (!plan.release_after[j].empty()) {
-      os << "  free={";
-      for (size_t i = 0; i < plan.release_after[j].size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "%" << plan.release_after[j][i];
+    // Slots dead after this step: released NCHW tensors and NCHWc
+    // scratch regions free for later slots.
+    const char* sep = "  free={%";
+    for (size_t i = 0; i < plan.slots.size(); ++i) {
+      const SlotDef& def = plan.slots[i];
+      if (def.last_use == static_cast<int>(j) && def.cache_index < 0 &&
+          static_cast<int>(i) != st.dst) {
+        os << sep << i;
+        sep = ", %";
       }
-      os << "}";
     }
-    os << "\n";
+    os << (*sep == ',' ? "}\n" : "\n");
   }
 }
 
@@ -1107,6 +1259,36 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
     print_plan(os, net, *compile(ctx, net, key), reason);
   }
   return os.str();
+}
+
+std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
+                                 int64_t h, int64_t w) {
+  const std::shared_ptr<void> state = net.inference_plan();
+  std::vector<ConvStep> out;
+  if (state == nullptr) {
+    return out;
+  }
+  const auto& ctx = *static_cast<const PlanContext*>(state.get());
+  PlanKey key;
+  key.n = n;
+  key.h = h;
+  key.w = w;
+  key.layout = nchw_reason(ctx) == NchwReason::kNone ? Layout::kNchwc
+                                                     : Layout::kNchw;
+  const std::shared_ptr<const CompiledPlan> plan = compile(ctx, net, key);
+  for (const Step& st : plan->steps) {
+    if (st.conv != nullptr) {
+      out.push_back({st.conv->name, conv_kind(*st.conv),
+                     step_kernel(net, *plan, st)});
+    } else if (st.kind == StepKind::kLayer) {
+      out.push_back({std::string(kLayerNames[static_cast<size_t>(st.layer)]) +
+                         ".stage" + std::to_string(st.stage),
+                     "layer", step_kernel(net, *plan, st)});
+    } else if (st.kind == StepKind::kDecoder) {
+      out.push_back({"decoder", "decoder", step_kernel(net, *plan, st)});
+    }
+  }
+  return out;
 }
 
 }  // namespace roadfusion::plan

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace roadfusion::roadseg {
 class RoadSegNet;
@@ -44,5 +45,18 @@ void install_hooks();
 /// --explain-plan`. Reports why when the net has no plan.
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w);
+
+/// One conv-running step of a compiled schedule.
+struct ConvStep {
+  std::string layer;   ///< e.g. "rgb.stage0", "decoder.up4", "decoder.head"
+  std::string kind;    ///< "conv3x3/s1", "tconv2x2/s2"; NCHW: "layer", "decoder"
+  std::string kernel;  ///< "nchwc_direct[_avx2]", or an NCHW step's solver
+};
+
+/// The conv steps of the fused schedule `net` serves at (n, 3, h, w), in
+/// execution order (empty when the net has no plan). Like explain(), this
+/// compiles outside the plan cache and moves no serving counter.
+std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
+                                 int64_t h, int64_t w);
 
 }  // namespace roadfusion::plan

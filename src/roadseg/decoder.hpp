@@ -42,6 +42,12 @@ class Decoder : public nn::Module {
   /// Complexity for a stage-0 feature map of the given spatial size.
   Complexity complexity(int64_t full_h, int64_t full_w) const;
 
+  /// Layers by transition, deepest first: up(i) upsamples stage
+  /// (stages - 1 - i) onto stage (stages - 2 - i), refine(i) follows it.
+  const nn::ConvTranspose2d& up(size_t i) const { return up_.at(i); }
+  const nn::ConvBnRelu& refine(size_t i) const { return refine_.at(i); }
+  const nn::Conv2d& head() const { return head_; }
+
  private:
   std::vector<int64_t> stage_channels_;
   std::vector<nn::ConvTranspose2d> up_;     // deepest first

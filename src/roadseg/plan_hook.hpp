@@ -25,7 +25,8 @@ struct StreamFeatureCache;
 /// plan state (null when the model shape has no plan, e.g. more than 8
 /// stages). `run` executes one inference against a state `build`
 /// returned for `model` and yields the (N, 1, H, W) logits, bit-identical
-/// to `forward_fused(...).logits`. A non-null `cache` selects the stream
+/// to `forward_fused(...).logits`; rank-3 (C, H, W) inputs are read as
+/// batch 1 without a copy. A non-null `cache` selects the stream
 /// schedules: the cache's slots are reused when `depth_unchanged` holds
 /// and they match the schedule, and repopulated otherwise.
 struct PlanHooks {

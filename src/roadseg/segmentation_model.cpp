@@ -1,7 +1,7 @@
 #include "roadseg/segmentation_model.hpp"
 
 #include <cmath>
-#include <optional>
+#include <utility>
 
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
@@ -85,24 +85,19 @@ tensor::Tensor run_predict(const SegmentationModel& model,
   }
   const std::shared_ptr<void> plan = model.inference_plan();
   const auto probabilities = [&] {
-    // CHW inputs are reshaped into (arena) copies; NCHW ones are used as
-    // they are.
-    std::optional<tensor::Tensor> rgb_nchw, depth_nchw;
-    if (chw) {
-      rgb_nchw = as_nchw(rgb);
-      depth_nchw = as_nchw(depth);
-    }
-    const tensor::Tensor& rgb4 = chw ? *rgb_nchw : rgb;
-    const tensor::Tensor& depth4 = chw ? *depth_nchw : depth;
+    // The plan reads CHW inputs in place; the graph needs NCHW (arena)
+    // copies of them.
     tensor::Tensor out =
         plan != nullptr
-            ? plan_hooks().run(model, plan, rgb4, depth4, fusion_weight,
-                               cache, depth_unchanged)
-            : graph_logits(model, rgb4, depth4, fusion_weight, cache);
+            ? plan_hooks().run(model, plan, rgb, depth, fusion_weight, cache,
+                               depth_unchanged)
+        : chw ? graph_logits(model, as_nchw(rgb), as_nchw(depth),
+                             fusion_weight, cache)
+              : graph_logits(model, rgb, depth, fusion_weight, cache);
     sigmoid_in_place(out);
     if (chw) {
-      out = out.reshaped(tensor::Shape::chw(1, rgb.shape().dim(1),
-                                            rgb.shape().dim(2)));
+      out = std::move(out).reshaped(
+          tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
     }
     return out;
   };

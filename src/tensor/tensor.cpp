@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/check.hpp"
 #include "tensor/workspace.hpp"
@@ -176,11 +177,15 @@ float Tensor::at4(int64_t n, int64_t c, int64_t h, int64_t w) const {
   return data_[static_cast<size_t>(shape_.offset4(n, c, h, w))];
 }
 
-Tensor Tensor::reshaped(const Shape& shape) const {
+Tensor Tensor::reshaped(const Shape& shape) const& {
+  return Tensor(*this).reshaped(shape);
+}
+
+Tensor Tensor::reshaped(const Shape& shape) && {
   ROADFUSION_CHECK(shape.numel() == numel(),
                    "reshape " << shape_.str() << " -> " << shape.str()
                               << " changes numel");
-  Tensor out = *this;
+  Tensor out = std::move(*this);
   out.shape_ = shape;
   return out;
 }

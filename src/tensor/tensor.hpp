@@ -82,8 +82,10 @@ class Tensor {
   float* raw() { return data_; }
   const float* raw() const { return data_; }
 
-  /// Reinterprets the storage with a new shape of identical numel.
-  Tensor reshaped(const Shape& shape) const;
+  /// Reinterprets the storage with a new shape of identical numel: a
+  /// copy of an lvalue, while an rvalue hands over its storage.
+  Tensor reshaped(const Shape& shape) const&;
+  Tensor reshaped(const Shape& shape) &&;
 
   /// Sets every element to `value`.
   void fill(float value);

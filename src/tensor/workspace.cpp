@@ -87,7 +87,7 @@ using detail::BlockHeader;
 using detail::PoolCore;
 
 size_t WorkspacePlan::total_bytes() const {
-  size_t total = 0;
+  size_t total = scratch_floats * sizeof(float);
   for (size_t n : block_floats) {
     total += n * sizeof(float);
   }
@@ -194,7 +194,34 @@ void Workspace::release(float* payload) {
   detail::unref_core(core);
 }
 
+float* Workspace::scratch(size_t n) {
+  ROADFUSION_CHECK(n > 0, "Workspace::scratch of zero floats");
+  if (n > scratch_floats_) {
+    grow_scratch(n);
+    const std::lock_guard<std::mutex> lock(core_->mutex);
+    ++core_->misses;
+  } else {
+    const std::lock_guard<std::mutex> lock(core_->mutex);
+    ++core_->hits;
+  }
+  return scratch_.get();
+}
+
+void Workspace::grow_scratch(size_t n) {
+  scratch_.reset();  // before the larger block is made
+  scratch_.reset(new float[n]);
+  const size_t grown = (n - scratch_floats_) * sizeof(float);
+  scratch_floats_ = n;
+  const std::lock_guard<std::mutex> lock(core_->mutex);
+  core_->reserved_bytes += grown;
+  core_->in_use_bytes += grown;
+  core_->peak_bytes = std::max(core_->peak_bytes, core_->in_use_bytes);
+}
+
 void Workspace::reserve(const WorkspacePlan& plan) {
+  if (plan.scratch_floats > scratch_floats_) {
+    grow_scratch(plan.scratch_floats);
+  }
   for (size_t n : plan.block_floats) {
     if (n == 0) {
       continue;
@@ -216,6 +243,7 @@ WorkspacePlan Workspace::plan_snapshot() const {
   std::lock_guard<std::mutex> lock(core_->mutex);
   plan.block_floats = core_->miss_floats;
   std::sort(plan.block_floats.begin(), plan.block_floats.end());
+  plan.scratch_floats = scratch_floats_;
   plan.peak_bytes = core_->peak_bytes;
   return plan;
 }

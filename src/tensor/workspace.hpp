@@ -17,6 +17,14 @@
 // batch, smaller batches draw from the same (larger) blocks and allocate
 // nothing.
 //
+// The one buffer that would defeat this is a run's largest transient (the
+// compiled plan's blocked-layout scratch, DESIGN.md §16): its size grows
+// with the batch, so best-fit would keep one block per batch size the
+// pool ever saw, in whatever order they came, and smaller buffers would
+// squat in the large ones. It lives outside the free list instead, as the
+// pool's scratch block (`scratch`), which a larger request replaces: the
+// pool then holds one such block, of the largest size asked for.
+//
 // Integration: `WorkspaceScope` installs a Workspace as the calling
 // thread's ambient pool; while it is active, every `Tensor` allocation on
 // that thread draws from the pool (see tensor.hpp). Escaping tensors are
@@ -31,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -63,11 +72,13 @@ BlockHeader* header_of(float* payload);
 /// even its first forward allocates nothing.
 struct WorkspacePlan {
   std::vector<size_t> block_floats;  ///< sorted capacities, in floats
+  size_t scratch_floats = 0;         ///< the scratch block's capacity
   size_t peak_bytes = 0;             ///< max concurrently-live payload bytes
 
   size_t total_bytes() const;
   bool operator==(const WorkspacePlan& other) const {
     return block_floats == other.block_floats &&
+           scratch_floats == other.scratch_floats &&
            peak_bytes == other.peak_bytes;
   }
 };
@@ -100,13 +111,20 @@ class Workspace {
   /// and after the Workspace was destroyed (the block is then freed).
   static void release(float* payload);
 
-  /// Pre-populates the free list per `plan` so the next forward pass
-  /// finds every block it needs (used by engine workers at startup).
+  /// The pool's scratch block, of >= n floats (see file comment). A
+  /// larger n replaces it (a recorded miss; the old block is freed first),
+  /// so the previous pointer is invalid after the call. It stays in use
+  /// for the pool's life and has one user at a time: the run that asked
+  /// for it last, on the pool's thread.
+  float* scratch(size_t n);
+
+  /// Pre-populates the free list and the scratch block per `plan` so the
+  /// next forward pass finds every block it needs.
   void reserve(const WorkspacePlan& plan);
 
   /// Plan extracted from this arena's allocation history: every block
-  /// ever acquired, plus the peak footprint. Deterministic for a
-  /// deterministic forward pass.
+  /// ever acquired and the scratch block, plus the peak footprint.
+  /// Deterministic for a deterministic forward pass.
   WorkspacePlan plan_snapshot() const;
 
   WorkspaceStats stats() const;
@@ -124,7 +142,12 @@ class Workspace {
 
  private:
   friend class WorkspaceScope;
+  /// Replaces the scratch block with one of n floats.
+  void grow_scratch(size_t n);
+
   detail::PoolCore* core_;
+  std::unique_ptr<float[]> scratch_;
+  size_t scratch_floats_ = 0;
 };
 
 /// RAII guard: installs `workspace` as the calling thread's ambient pool

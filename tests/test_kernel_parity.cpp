@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -26,6 +27,9 @@
 #include "autograd/ops.hpp"
 #include "common/check.hpp"
 #include "common/cpu.hpp"
+#include "nn/blocks.hpp"
+#include "nn/layers.hpp"
+#include "plan/nchwc.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "tune/problem.hpp"
@@ -605,6 +609,179 @@ TEST(Im2colCache, OneLoweringPerConvPerSamplePerStep) {
       << "backward must reuse the forward's cached columns, not re-lower";
   EXPECT_EQ(w1.grad().shape(), Shape::nchw(6, 3, 3, 3));
   EXPECT_EQ(x.grad().shape(), Shape::nchw(batch, 3, 10, 12));
+}
+
+// ---------------------------------------------------------------------------
+// NCHWc8 plan kernels: the blocked transposed conv (the decoder's 2x2/s2
+// upsampling with the skip add fused as `pre`) and the stage-0 stems (cin
+// 1 and 3, with and without the fused fusion sum) must reproduce the
+// layers' own forward_infer bit-for-bit on the scalar and the AVX2 tier,
+// at batch 2 and widths off the AVX2 kernels' 6-column tile.
+// ---------------------------------------------------------------------------
+
+/// Restores the active CPU tier on scope exit.
+class TierGuard {
+ public:
+  TierGuard() : tier_(common::active_tier()) {}
+  ~TierGuard() { common::set_active_tier(tier_); }
+
+ private:
+  common::CpuTier tier_;
+};
+
+std::vector<float> to_blocked(const Tensor& t) {
+  const Shape& s = t.shape();
+  std::vector<float> out(static_cast<size_t>(plan::nchwc_floats(
+                             s.batch(), s.channels(), s.height(), s.width())),
+                         0.0f);
+  plan::convert_to_nchwc(t.raw(), s.batch(), s.channels(), s.height(),
+                         s.width(), out.data());
+  return out;
+}
+
+/// Gives every non-weight state entry of `module` (bias, BN affine and
+/// running statistics) non-trivial values; running variances stay > 0.
+void randomize_state(nn::Module& module, Rng& rng) {
+  std::vector<nn::StateEntry> state;
+  module.collect_state("", state);
+  for (const nn::StateEntry& entry : state) {
+    if (entry.name.find("weight") != std::string::npos) {
+      continue;
+    }
+    const bool var = entry.name.find("running_var") != std::string::npos;
+    const Tensor values = var ? Tensor::uniform(entry.tensor->shape(), rng)
+                              : Tensor::normal(entry.tensor->shape(), rng);
+    for (int64_t i = 0; i < values.numel(); ++i) {
+      entry.tensor->at(i) = var ? 0.5f + values.at(i) : values.at(i);
+    }
+  }
+}
+
+/// Runs `kernel` into a NaN-filled destination with a zeroed border on
+/// every tier: no lane may stay unwritten, the NCHW view must memcmp-equal
+/// `oracle`, and every tier's whole buffer must equal the scalar one's.
+template <typename Kernel>
+void expect_nchwc_kernel(const Tensor& oracle, Kernel&& kernel,
+                         const std::string& what) {
+  const Shape& s = oracle.shape();
+  const int64_t floats =
+      plan::nchwc_floats(s.batch(), s.channels(), s.height(), s.width());
+  const TierGuard guard;
+  std::vector<float> scalar;
+  for (const common::CpuTier tier :
+       {common::CpuTier::kScalar, common::CpuTier::kAvx2}) {
+    common::set_active_tier(tier);
+    if (common::active_tier() != tier) {
+      continue;  // host without AVX2
+    }
+    const std::string at = what + " tier=" + common::tier_name(tier);
+    std::vector<float> dst(static_cast<size_t>(floats),
+                           std::numeric_limits<float>::quiet_NaN());
+    plan::zero_border(dst.data(), s.batch(), s.channels(), s.height(),
+                      s.width());
+    kernel(dst.data());
+    for (int64_t i = 0; i < floats; ++i) {
+      ASSERT_FALSE(std::isnan(dst[static_cast<size_t>(i)]))
+          << at << ": float " << i << " left unwritten";
+    }
+    Tensor out(s);
+    plan::convert_to_nchw(dst.data(), s.batch(), s.channels(), s.height(),
+                          s.width(), out.raw());
+    EXPECT_EQ(std::memcmp(out.raw(), oracle.raw(),
+                          static_cast<size_t>(oracle.numel()) * sizeof(float)),
+              0)
+        << at << ": differs from the layer";
+    if (scalar.empty()) {
+      scalar = std::move(dst);
+    } else {
+      EXPECT_EQ(std::memcmp(scalar.data(), dst.data(),
+                            static_cast<size_t>(floats) * sizeof(float)),
+                0)
+          << at << ": differs from the scalar tier";
+    }
+  }
+}
+
+TEST(NchwcKernels, TransposedConvMatchesLayerPlusSkipOnEveryTier) {
+  constexpr int64_t kBatch = 2;
+  constexpr int64_t kInH = 3;
+  Rng rng(29);
+  for (const int64_t cin : {1, 3, 6, 8, 10, 12, 17}) {
+    for (const int64_t cout : {1, 3, 6, 8, 10, 12, 17}) {
+      for (const int64_t in_w : {5, 13}) {
+        // Half the layers carry a bias, so both epilogue shapes run.
+        nn::ConvTranspose2d layer("up", cin, cout, 2, 2, 0,
+                                  /*bias=*/(cin + cout) % 2 == 0, rng);
+        randomize_state(layer, rng);
+        const Tensor x = Tensor::normal(Shape::nchw(kBatch, cin, kInH, in_w),
+                                        rng);
+        const Tensor skip =
+            Tensor::normal(Shape::nchw(kBatch, cout, 2 * kInH, 2 * in_w), rng);
+        const Tensor up = layer.forward_infer(x);
+        // The decoder's skip add: up += skip, elementwise.
+        Tensor up_skip = up;
+        for (int64_t i = 0; i < up_skip.numel(); ++i) {
+          up_skip.at(i) += skip.at(i);
+        }
+        const plan::PackedConv pc = plan::pack_tconv(layer, "up");
+        const std::vector<float> xb = to_blocked(x);
+        const std::vector<float> sb = to_blocked(skip);
+        for (const bool with_skip : {false, true}) {
+          expect_nchwc_kernel(
+              with_skip ? up_skip : up,
+              [&](float* dst) {
+                plan::tconv_nchwc(xb.data(), kBatch, kInH, in_w, pc, dst,
+                                  with_skip ? sb.data() : nullptr);
+              },
+              "tconv " + std::to_string(cin) + "->" + std::to_string(cout) +
+                  " w" + std::to_string(in_w) +
+                  (with_skip ? " +skip" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(NchwcKernels, StemConvsMatchLayerOnEveryTier) {
+  constexpr int64_t kBatch = 2;
+  constexpr int64_t kH = 5;
+  constexpr float kFusionWeight = 0.35f;
+  Rng rng(31);
+  for (const int64_t cin : {1, 3}) {
+    for (const int64_t cout : {1, 3, 8, 10, 17}) {
+      for (const int64_t w : {7, 13}) {
+        nn::ConvBnRelu stem("stem", cin, cout, 3, 1, 1, rng);
+        randomize_state(stem, rng);
+        stem.set_training(false);
+        const Tensor x = Tensor::normal(Shape::nchw(kBatch, cin, kH, w), rng);
+        const Tensor post =
+            Tensor::normal(Shape::nchw(kBatch, cout, kH, w), rng);
+        const Tensor y = stem.forward_infer(x);
+        // The stage-0 fusion sum the plan folds into the stem's epilogue:
+        // fused = r + w * d, the scaled addend rounded first.
+        Tensor fused = y;
+        for (int64_t i = 0; i < fused.numel(); ++i) {
+          const float scaled = post.at(i) * kFusionWeight;
+          fused.at(i) += scaled;
+        }
+        const plan::PackedConv pc =
+            plan::pack_conv(stem.conv(), &stem.bn(), true, "stem");
+        const std::vector<float> xb = to_blocked(x);
+        const std::vector<float> pb = to_blocked(post);
+        for (const bool with_post : {false, true}) {
+          expect_nchwc_kernel(
+              with_post ? fused : y,
+              [&](float* dst) {
+                plan::conv_nchwc(xb.data(), kBatch, kH, w, pc, dst, kH, w,
+                                 nullptr, with_post ? pb.data() : nullptr,
+                                 kFusionWeight);
+              },
+              "stem " + std::to_string(cin) + "->" + std::to_string(cout) +
+                  " w" + std::to_string(w) + (with_post ? " +post" : ""));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

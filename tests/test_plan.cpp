@@ -212,47 +212,50 @@ TEST(PlanLayout, ForcedSolverRunsNchwWithReasonAndMatchesGraph) {
   obs::Counter& forced =
       counter("roadfusion_plan_declined_total{reason=\"forced_solver\"}");
   for (const FusionScheme scheme : kSchemes) {
-    const std::string name = core::to_string(scheme);
-    Rng rng(14);
-    RoadSegNet net(config_for(scheme), rng);
-    net.set_training(false);
-    net.prepare_inference();
-    const Tensor rgb = Tensor::normal(Shape::nchw(2, 3, 16, 32), rng);
-    const Tensor depth = Tensor::normal(Shape::nchw(2, 1, 16, 32), rng);
-    tune::force_solver("blocked");
-    const uint64_t declined_before = declined.value();
-    const uint64_t forced_before = forced.value();
-    const std::string report = explain(net, 2, 16, 32);
-    StreamFeatureCache cache;
-    std::vector<std::pair<Tensor, Tensor>> served;
-    served.emplace_back(plan_logits(net, rgb, depth, 1.0f),
-                        graph_logits(net, rgb, depth, 1.0f));
-    served.emplace_back(plan_logits(net, rgb, depth, 0.0f),
-                        graph_logits(net, rgb, depth, 0.0f));
-    served.emplace_back(plan_logits(net, rgb, depth, 0.5f, &cache, false),
-                        graph_logits(net, rgb, depth, 0.5f));
-    served.emplace_back(plan_logits(net, rgb, depth, 1.0f, &cache, true),
-                        graph_logits(net, rgb, depth, 1.0f));
-    tune::force_solver("");
-    EXPECT_EQ(declined.value(), declined_before + 4) << name;
-    EXPECT_EQ(forced.value(), forced_before + 4) << name;
-    EXPECT_EQ(cache.hits, scheme == FusionScheme::kAllFilterB ? 0 : 1)
-        << name;
-    EXPECT_NE(report.find("layout=nchw reason=forced_solver"),
-              std::string::npos)
-        << report;
-    EXPECT_EQ(report.find("nchwc_direct"), std::string::npos) << report;
-    for (size_t i = 0; i < served.size(); ++i) {
-      expect_bitwise_equal(served[i].first, served[i].second,
-                           name + " forced solver request " +
-                               std::to_string(i));
+    for (const char* solver : {"blocked", "reference"}) {
+      const std::string name =
+          std::string(core::to_string(scheme)) + " forced " + solver;
+      Rng rng(14);
+      RoadSegNet net(config_for(scheme), rng);
+      net.set_training(false);
+      net.prepare_inference();
+      const Tensor rgb = Tensor::normal(Shape::nchw(2, 3, 16, 32), rng);
+      const Tensor depth = Tensor::normal(Shape::nchw(2, 1, 16, 32), rng);
+      tune::force_solver(solver);
+      const uint64_t declined_before = declined.value();
+      const uint64_t forced_before = forced.value();
+      const std::string report = explain(net, 2, 16, 32);
+      StreamFeatureCache cache;
+      std::vector<std::pair<Tensor, Tensor>> served;
+      served.emplace_back(plan_logits(net, rgb, depth, 1.0f),
+                          graph_logits(net, rgb, depth, 1.0f));
+      served.emplace_back(plan_logits(net, rgb, depth, 0.0f),
+                          graph_logits(net, rgb, depth, 0.0f));
+      served.emplace_back(plan_logits(net, rgb, depth, 0.5f, &cache, false),
+                          graph_logits(net, rgb, depth, 0.5f));
+      served.emplace_back(plan_logits(net, rgb, depth, 1.0f, &cache, true),
+                          graph_logits(net, rgb, depth, 1.0f));
+      tune::force_solver("");
+      EXPECT_EQ(declined.value(), declined_before + 4) << name;
+      EXPECT_EQ(forced.value(), forced_before + 4) << name;
+      EXPECT_EQ(cache.hits, scheme == FusionScheme::kAllFilterB ? 0 : 1)
+          << name;
+      EXPECT_NE(report.find("layout=nchw reason=forced_solver"),
+                std::string::npos)
+          << report;
+      EXPECT_EQ(report.find("nchwc_direct"), std::string::npos) << report;
+      for (size_t i = 0; i < served.size(); ++i) {
+        expect_bitwise_equal(served[i].first, served[i].second,
+                             name + " forced solver request " +
+                                 std::to_string(i));
+      }
+      // Unforced, the same net serves the blocked layout again.
+      const uint64_t after = declined.value();
+      expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f),
+                           graph_logits(net, rgb, depth, 1.0f),
+                           name + " unforced");
+      EXPECT_EQ(declined.value(), after) << name;
     }
-    // Unforced, the same net serves the blocked layout again.
-    const uint64_t after = declined.value();
-    expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f),
-                         graph_logits(net, rgb, depth, 1.0f),
-                         name + " unforced");
-    EXPECT_EQ(declined.value(), after) << name;
   }
 }
 
@@ -349,6 +352,91 @@ TEST(PlanCache, GeometrySweepStaysBoundedAndExact) {
   }
   EXPECT_EQ(cached(), 16u);
   EXPECT_GT(evictions.value() - evictions_before, inputs.size());
+}
+
+TEST(PlanParity, EightStageNetFitsTheExecutorForEverySchemeAndSchedule) {
+  install_hooks();
+  obs::Counter& declined = counter("roadfusion_plan_declined_total");
+  for (const FusionScheme scheme : kSchemes) {
+    const std::string name = core::to_string(scheme);
+    RoadSegConfig config = config_for(scheme);
+    config.stage_channels = {4, 5, 6, 7, 8, 9, 10, 11};  // kMaxPlanStages
+    Rng rng(24);
+    RoadSegNet net(config, rng);
+    net.set_training(false);
+    const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 128, 128), rng);
+    const uint64_t declined_before = declined.value();
+    StreamFeatureCache cache;
+    const struct {
+      float fw;
+      StreamFeatureCache* cache;
+      bool depth_unchanged;
+      const char* what;
+    } requests[] = {{1.0f, nullptr, false, "fused"},
+                    {0.0f, nullptr, false, "rgb_only"},
+                    {0.5f, &cache, false, "stream_miss"},
+                    {1.0f, &cache, true, "stream_hit"}};
+    for (const auto& request : requests) {
+      const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 128, 128), rng);
+      expect_bitwise_equal(
+          plan_logits(net, rgb, depth, request.fw, request.cache,
+                      request.depth_unchanged),
+          graph_logits(net, rgb, depth, request.fw),
+          name + " 8 stages " + request.what);
+    }
+    EXPECT_EQ(declined.value(), declined_before) << name;
+    EXPECT_EQ(cache.hits, scheme == FusionScheme::kAllFilterB ? 0 : 1)
+        << name;
+  }
+}
+
+TEST(PlanMetrics, ExplainMovesNoServingCounter) {
+  install_hooks();
+  Rng rng(25);
+  RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
+  net.set_training(false);
+  obs::Counter& compiles = counter("roadfusion_plan_compiles_total");
+  obs::Counter& nchwc = counter("roadfusion_plan_layers_total{layout=\"nchwc\"}");
+  obs::Counter& nchw = counter("roadfusion_plan_layers_total{layout=\"nchw\"}");
+  const uint64_t compiles_before = compiles.value();
+  const uint64_t nchwc_before = nchwc.value();
+  const uint64_t nchw_before = nchw.value();
+  EXPECT_FALSE(explain(net, 1, 32, 48).empty());
+  tune::force_solver("blocked");
+  EXPECT_FALSE(explain(net, 1, 32, 48).empty());
+  tune::force_solver("");
+  EXPECT_EQ(compiles.value(), compiles_before);
+  EXPECT_EQ(nchwc.value(), nchwc_before);
+  EXPECT_EQ(nchw.value(), nchw_before);
+}
+
+TEST(PlanMetrics, BlockedCompilesScheduleNoNchwLayer) {
+  install_hooks();
+  obs::Counter& compiles = counter("roadfusion_plan_compiles_total");
+  obs::Counter& nchwc = counter("roadfusion_plan_layers_total{layout=\"nchwc\"}");
+  obs::Counter& nchw = counter("roadfusion_plan_layers_total{layout=\"nchw\"}");
+  for (const FusionScheme scheme : kSchemes) {
+    Rng rng(26);
+    RoadSegNet net(config_for(scheme), rng);
+    net.set_training(false);
+    const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
+    const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
+    const uint64_t compiles_before = compiles.value();
+    const uint64_t nchwc_before = nchwc.value();
+    const uint64_t nchw_before = nchw.value();
+    StreamFeatureCache cache;
+    (void)plan_logits(net, rgb, depth, 1.0f);
+    (void)plan_logits(net, rgb, depth, 0.0f);
+    (void)plan_logits(net, rgb, depth, 1.0f, &cache, false);
+    (void)plan_logits(net, rgb, depth, 1.0f, &cache, true);
+    const std::string name = core::to_string(scheme);
+    // fused + rgb_only, plus stream miss and hit where the scheme caches.
+    EXPECT_EQ(compiles.value() - compiles_before,
+              scheme == FusionScheme::kAllFilterB ? 2u : 4u)
+        << name;
+    EXPECT_GT(nchwc.value(), nchwc_before) << name;
+    EXPECT_EQ(nchw.value(), nchw_before) << name;
+  }
 }
 
 TEST(PlanZeroAlloc, SteadyStatePredictsAreAllocationFree) {

@@ -825,6 +825,10 @@ TEST(TuneEndToEnd, PerfDbRebindsNetworkConvsBitExactly) {
 
   Rng rng(1);
   roadseg::RoadSegConfig config;
+  // A conv deeper than one Kc block (48 * 3 * 3 > kc) sends every predict
+  // to the all-NCHW schedule, whose layers dispatch through the registry;
+  // the blocked schedule's kernels never consult it.
+  config.stage_channels = {8, 12, 16, 48};
   roadseg::RoadSegNet net(config, rng);
   net.set_training(false);
   net.prepare_inference();
@@ -854,14 +858,17 @@ TEST(TuneEndToEnd, PerfDbRebindsNetworkConvsBitExactly) {
       << "heuristic must bind the pre-packed solver for viable shapes";
 
   // A DB that pins each recorded shape to the plain blocked solver where it
-  // applies (shapes too small for the blocked loops keep their heuristic):
-  // the bindings must change (hits -> misses), the math must not.
+  // applies (shapes too small for the blocked loops keep their heuristic,
+  // and so does the Kc-deep one: a tuned record runs it in one Kc block,
+  // a different summation order than the heuristic's two): the bindings
+  // must change (hits -> misses), the math must not.
   const Solver* blocked = find_solver("blocked");
   ASSERT_NE(blocked, nullptr);
   PerfDb db;
   size_t pinned = 0;
   for (const ConvProblem& p : problems) {
-    if (blocked->is_applicable(p)) {
+    if (blocked->is_applicable(p) &&
+        p.gemm_k() <= ag::blocked_gemm_config().kc) {
       db.set(p.key(), {"blocked", "mc=64", 10.0});
       ++pinned;
     }

@@ -241,6 +241,13 @@ TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
   Rng scene_rng(5);
   const Tensor rgb4 = Tensor::uniform(Shape::nchw(4, 3, 32, 48), scene_rng);
   const Tensor depth4 = Tensor::uniform(Shape::nchw(4, 1, 32, 48), scene_rng);
+  // The inputs live outside the arena: a blocked plan run leaves its
+  // logits block behind, which an input drawn from the arena between
+  // predicts would take.
+  Rng small_rng(6);
+  const Tensor rgb2 = Tensor::uniform(Shape::nchw(2, 3, 32, 48), small_rng);
+  const Tensor depth2 = Tensor::uniform(Shape::nchw(2, 1, 32, 48), small_rng);
+  const Scene single = make_scene(9);
 
   Workspace workspace;
   const WorkspaceScope scope(workspace);
@@ -248,14 +255,67 @@ TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
   const uint64_t misses_after_batch4 = workspace.stats().misses;
 
   // Smaller batches draw from the batch-4 blocks via best-fit: no growth.
-  Rng small_rng(6);
-  const Tensor rgb2 = Tensor::uniform(Shape::nchw(2, 3, 32, 48), small_rng);
-  const Tensor depth2 = Tensor::uniform(Shape::nchw(2, 1, 32, 48), small_rng);
   (void)net.predict(rgb2, depth2);
-  const Scene single = make_scene(9);
   (void)net.predict(single.rgb, single.depth);
   EXPECT_EQ(workspace.stats().misses, misses_after_batch4)
       << "smaller batches must reuse the larger batch's arena";
+}
+
+TEST(WorkspacePlanner, ScratchBlockIsReplacedByALargerRequest) {
+  Workspace workspace;
+  float* const first = workspace.scratch(100);
+  EXPECT_EQ(workspace.scratch(60), first) << "a smaller request reuses it";
+  (void)workspace.scratch(400);
+  (void)workspace.scratch(200);
+  const auto stats = workspace.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 2u);
+  // The outgrown 100-float block is gone, not kept beside the new one.
+  EXPECT_EQ(stats.reserved_bytes, 400 * sizeof(float));
+  EXPECT_EQ(stats.in_use_bytes, 400 * sizeof(float));
+  const WorkspacePlan plan = workspace.plan_snapshot();
+  EXPECT_EQ(plan.scratch_floats, 400u);
+  EXPECT_TRUE(plan.block_floats.empty());
+
+  Workspace fresh;
+  fresh.reserve(plan);
+  EXPECT_EQ(fresh.stats().reserved_bytes, plan.total_bytes());
+  (void)fresh.scratch(400);
+  EXPECT_EQ(fresh.stats().misses, 0u);
+}
+
+TEST(WorkspacePlanner, PlanScratchIsSizedByTheLargestBatchInAnyOrder) {
+  Rng rng(11);
+  RoadSegNet net(small_config(core::FusionScheme::kWeightedSharing), rng);
+  net.set_training(false);
+  net.prepare_inference();
+  std::vector<Scene> batches;
+  Rng scene_rng(5);
+  for (int64_t n = 1; n <= 4; ++n) {
+    batches.push_back(
+        {Tensor::uniform(Shape::nchw(n, 3, 32, 48), scene_rng),
+         Tensor::uniform(Shape::nchw(n, 1, 32, 48), scene_rng)});
+  }
+  // Serving sees batch sizes in whatever order requests pile up; the
+  // blocked slots' footprint must not depend on it.
+  const auto scratch_after = [&](const std::vector<int>& order,
+                                 float weight) {
+    Workspace workspace;
+    const WorkspaceScope scope(workspace);
+    for (int k : order) {
+      const Scene& b = batches[static_cast<size_t>(k)];
+      (void)net.predict_fused(b.rgb, b.depth, weight);
+    }
+    return workspace.plan_snapshot().scratch_floats;
+  };
+  for (const float weight : {1.0f, 0.0f}) {
+    const size_t largest_only = scratch_after({3}, weight);
+    EXPECT_GT(largest_only, 0u);
+    EXPECT_EQ(scratch_after({0, 1, 2, 3}, weight), largest_only)
+        << "weight " << weight;
+    EXPECT_EQ(scratch_after({3, 0, 2, 1}, weight), largest_only)
+        << "weight " << weight;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -343,10 +403,19 @@ TEST(PrepackCache, CountersAdvancePerSolver) {
   auto& hits = registry.counter("roadfusion_prepack_hits");
   auto& misses = registry.counter("roadfusion_prepack_misses");
   {
+    // The blocked schedule runs every conv in the plan's own kernels.
     const uint64_t hits_before = hits.value();
+    const uint64_t misses_before = misses.value();
     (void)net.predict(scene.rgb, scene.depth);
+    EXPECT_EQ(hits.value(), hits_before);
+    EXPECT_EQ(misses.value(), misses_before);
+  }
+  {
+    const uint64_t hits_before = hits.value();
+    (void)net.decoder().head().forward_infer(
+        Tensor::uniform(Shape::nchw(1, 6, 32, 48), rng));
     EXPECT_GT(hits.value(), hits_before)
-        << "default predict must serve convs from the packed cache";
+        << "a layer's default forward_infer must serve from the packed cache";
   }
   {
     const SolverGuard guard("reference");

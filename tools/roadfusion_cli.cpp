@@ -36,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "autograd/variable.hpp"
 #include "cli_args.hpp"
 #include "common/env.hpp"
 #include "eval/disparity_profile.hpp"
@@ -778,10 +779,12 @@ int cmd_tune(const cli::Args& args) {
         "                [--scheme Baseline|AU|AB|BS|WS] [--normals]\n"
         "                [--cap N] [--data-seed N]\n\n"
         "Discovers the model's unique conv shapes by running one synthetic\n"
-        "scene, benchmarks every applicable solver (and its parameter\n"
-        "candidates) per shape, and writes the winners to a perf DB keyed\n"
-        "by shape + CPU signature. Serving commands consume it via\n"
-        "--perf-db FILE or ROADFUSION_PERF_DB.\n\n"
+        "scene through the autograd graph, benchmarks every applicable\n"
+        "solver (and its parameter candidates) per shape, and writes the\n"
+        "winners to a perf DB keyed by shape + CPU signature. Commands\n"
+        "consume it via --perf-db FILE or ROADFUSION_PERF_DB; it moves the\n"
+        "graph's bindings and those of the all-NCHW plan schedule (the\n"
+        "blocked schedule serving runs by default binds no solver).\n\n"
         "  --db FILE   output path (default: $ROADFUSION_PERF_DB or\n"
         "              roadfusion_perf.db)\n"
         "  --smoke     few iterations per measurement — fast, CI-grade\n"
@@ -800,12 +803,19 @@ int cmd_tune(const cli::Args& args) {
   net.set_training(false);
   net.prepare_inference();
 
-  // Discover the conv shapes this configuration actually runs: record every
-  // unique problem bound during one representative predict.
+  // Discover the conv shapes the registry binds: record every unique
+  // problem of one representative graph forward.
   tune::clear_recorded_problems();
   tune::set_problem_recording(true);
   const kitti::Sample& sample = scenes.sample(0);
-  net.predict(sample.rgb, sample.depth);
+  {
+    const autograd::InferenceModeGuard no_grad;
+    const auto batch1 = [](const tensor::Tensor& chw) {
+      return autograd::Variable::constant(chw.reshaped(tensor::Shape::nchw(
+          1, chw.shape().dim(0), chw.shape().dim(1), chw.shape().dim(2))));
+    };
+    (void)net.forward(batch1(sample.rgb), batch1(sample.depth));
+  }
   tune::set_problem_recording(false);
   const std::vector<tune::ConvProblem> problems = tune::recorded_problems();
   ROADFUSION_CHECK(!problems.empty(),

@@ -30,8 +30,11 @@
 #                                 # per-call heap allocations
 #   tools/run_tier1.sh --tune-smoke
 #                                 # additionally run `roadfusion tune --smoke`
-#                                 # and assert the perf DB is produced,
-#                                 # reloaded, and consumed by serving
+#                                 # and assert the perf DB is produced and
+#                                 # reloaded by serving, which stays on the
+#                                 # blocked plan (the DB moves registry
+#                                 # bindings: the graph's, the all-NCHW
+#                                 # schedule's)
 #   tools/run_tier1.sh --quant-smoke
 #                                 # additionally run `roadfusion calibrate`,
 #                                 # assert the RFQT1 scale table is produced
@@ -51,11 +54,12 @@
 #                                 # diff per scheme + zero-alloc steady state
 #                                 # via AllocProbe), then train a throwaway
 #                                 # model and assert `roadfusion infer
-#                                 # --explain-plan` prints a blocked-layout
-#                                 # schedule whose stems bind
-#                                 # blocked_prepacked (never the reference
-#                                 # oracle), and that ROADFUSION_SOLVER=
-#                                 # reference rebinds them
+#                                 # --explain-plan` prints a schedule whose
+#                                 # stems, transposed convs, refines and
+#                                 # head are blocked-layout nchwc_direct
+#                                 # steps (never the reference oracle), and
+#                                 # that ROADFUSION_SOLVER=reference binds
+#                                 # the oracle on the stems and decoder
 #   tools/run_tier1.sh --scenario-smoke
 #                                 # additionally drive the corruption
 #                                 # round trip: `roadfusion eval-matrix
@@ -194,26 +198,35 @@ if [[ "$plan_smoke" == 1 ]]; then
     { echo "$explain"; echo "plan smoke: plan header missing" >&2; exit 1; }
   echo "$explain" | grep -q 'variant=rgb_only' ||
     { echo "$explain"; echo "plan smoke: no rgb_only schedule" >&2; exit 1; }
-  # The registry binds every NCHW step by its cost estimates: no step may
-  # fall to the scalar reference oracle, and the stems run the fused
-  # pre-packed GEMM.
+  # Every layer runs the blocked layout by default: the stems, transposed
+  # convs, decoder refines and head are nchwc_direct steps, no step falls
+  # to the scalar reference oracle, and no decoder runs NCHW.
   if echo "$explain" | grep -q 'solver=reference'; then
     echo "$explain"; echo "plan smoke: default plan binds the reference solver" >&2; exit 1
   fi
-  stems="$(echo "$explain" | grep -E 'layer=(rgb|depth)\.stage0 ')" ||
-    { echo "$explain"; echo "plan smoke: no stem steps in the schedule" >&2; exit 1; }
-  if echo "$stems" | grep -vq 'solver=blocked_prepacked'; then
-    echo "$stems"; echo "plan smoke: a stem does not bind blocked_prepacked" >&2; exit 1
+  for layer in 'rgb\.stage0' 'depth\.stage0' 'decoder\.up[0-9]+' \
+               'decoder\.refine[0-9]+' 'decoder\.head'; do
+    steps="$(echo "$explain" | grep -E "layer=$layer ")" ||
+      { echo "$explain"; echo "plan smoke: no layer=$layer step in the schedule" >&2; exit 1; }
+    if echo "$steps" | grep -vq 'layout=nchwc8 solver=nchwc_direct'; then
+      echo "$steps"; echo "plan smoke: a layer=$layer step is not a blocked-layout kernel" >&2; exit 1
+    fi
+  done
+  if echo "$explain" | grep -qE '\] decoder +layout=nchw '; then
+    echo "$explain"; echo "plan smoke: default plan runs the decoder NCHW" >&2; exit 1
   fi
-  # The oracle stays reachable: forcing it rebinds the stems.
+  # The oracle stays reachable: forcing it runs the all-NCHW schedule,
+  # whose stems and decoder bind it.
   oracle="$(cd build && ROADFUSION_SOLVER=reference ./tools/roadfusion infer \
       --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
     { echo "$oracle"; echo "plan smoke: forced-reference infer failed" >&2; exit 1; }
-  oracle_stems="$(echo "$oracle" | grep -E 'layer=(rgb|depth)\.stage0 ')" ||
-    { echo "$oracle"; echo "plan smoke: no stem steps under the oracle" >&2; exit 1; }
-  if echo "$oracle_stems" | grep -vq 'solver=reference'; then
-    echo "$oracle_stems"; echo "plan smoke: ROADFUSION_SOLVER=reference did not bind the stems" >&2; exit 1
-  fi
+  for step in 'layer=(rgb|depth)\.stage0 ' '\] decoder '; do
+    lines="$(echo "$oracle" | grep -E "$step")" ||
+      { echo "$oracle"; echo "plan smoke: no '$step' step under the oracle" >&2; exit 1; }
+    if echo "$lines" | grep -vq 'solver=reference'; then
+      echo "$lines"; echo "plan smoke: ROADFUSION_SOLVER=reference did not bind '$step'" >&2; exit 1
+    fi
+  done
   # A forced solver must run the all-NCHW layout and say why.
   forced="$(cd build && ROADFUSION_SOLVER=blocked ./tools/roadfusion infer \
       --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
@@ -234,13 +247,14 @@ if [[ "$tune_smoke" == 1 ]]; then
   head -1 "$tune_db" | grep -q '^RFPD1 cpu=' ||
     { echo "tune smoke: bad DB header" >&2; exit 1; }
   # One synthetic scene through serving with the DB: the reload line must
-  # appear and the per-solver selection counter must be exported.
+  # appear. The DB moves registry bindings only (the graph's and the
+  # all-NCHW schedule's), so serving must stay on the blocked plan.
   metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
       --perf-db tune_smoke.db 2>&1)"
   echo "$metrics" | grep -q 'reloaded [1-9][0-9]* tuned record' ||
     { echo "tune smoke: serving did not reload the DB" >&2; exit 1; }
-  echo "$metrics" | grep -q 'roadfusion_solver_selected_total{solver=' ||
-    { echo "tune smoke: no solver selection metric exported" >&2; exit 1; }
+  echo "$metrics" | grep -q 'roadfusion_plan_layers_total{layout="nchw"} 0$' ||
+    { echo "$metrics"; echo "tune smoke: a tuned DB pulled serving off the blocked plan" >&2; exit 1; }
   echo "tune smoke: OK ($(grep -c ' solver=' "$tune_db") records)"
 fi
 
