@@ -217,8 +217,6 @@ std::string kernel_comparison_json() {
   json.begin_array("shapes");
   double speedup_log_sum = 0.0;
   double tuned_log_sum = 0.0;
-  double int8_log_sum = 0.0;
-  int64_t int8_wins = 0;
   int64_t shape_count = 0;
   for (const ConvShape& shape : kEncoderShapes) {
     const tune::ProblemTuneResult tuned =
@@ -261,32 +259,9 @@ std::string kernel_comparison_json() {
         .field("best_gflops", winner.gflops, 3);
     json.field("speedup", blocked_gflops / reference_gflops, 3);
     json.field("tuned_vs_blocked", winner.gflops / blocked_gflops, 3);
-    // Int8 columns: the same shape keyed as int8 measures the quantized
-    // solver family (dynamic activation scales, same MAC count, so the
-    // effective-GFLOP/s numbers are directly comparable with the fp32
-    // columns). int8_vs_blocked shares tuned_vs_blocked's baseline: the
-    // default-parameter blocked solver inside the same harness.
-    tune::ConvProblem int8_problem = shape_problem(shape);
-    int8_problem.dtype = "int8";
-    const tune::ProblemTuneResult int8_tuned =
-        tune::tune_problem(int8_problem, tune_options);
-    const tune::SolverMeasurement& int8_winner = int8_tuned.best();
-    json.begin_object("int8");
-    for (const tune::SolverMeasurement& m : int8_tuned.measurements) {
-      json.field(m.solver, m.gflops, 3);
-    }
-    json.field("best_solver", int8_winner.solver)
-        .field("best_gflops", int8_winner.gflops, 3)
-        .field("int8_vs_blocked", int8_winner.gflops / blocked_gflops, 3)
-        .field("int8_vs_best_fp32", int8_winner.gflops / winner.gflops, 3)
-        .end_object();
     json.end_object();
     speedup_log_sum += std::log(blocked_gflops / reference_gflops);
     tuned_log_sum += std::log(winner.gflops / blocked_gflops);
-    int8_log_sum += std::log(int8_winner.gflops / blocked_gflops);
-    if (int8_winner.gflops > winner.gflops) {
-      ++int8_wins;
-    }
     ++shape_count;
   }
   json.end_array()
@@ -294,9 +269,6 @@ std::string kernel_comparison_json() {
              std::exp(speedup_log_sum / static_cast<double>(shape_count)), 3)
       .field("geomean_tuned_vs_blocked",
              std::exp(tuned_log_sum / static_cast<double>(shape_count)), 3)
-      .field("geomean_int8_vs_blocked",
-             std::exp(int8_log_sum / static_cast<double>(shape_count)), 3)
-      .field("int8_wins_vs_best_fp32", int8_wins)
       .field("shape_count", shape_count)
       .end_object();
   return json.str();

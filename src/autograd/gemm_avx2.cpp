@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
@@ -165,37 +164,12 @@ void tile_8x6(int64_t k, const float* panel, const float* b, int64_t ldb,
   }
 }
 
-/// Horizontal sum of the eight int32 lanes.
-inline int32_t hsum_epi32(__m256i v) {
-  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                            _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
-  return _mm_cvtsi128_si32(s);
-}
-
-/// 32 reduction steps of one (weight chunk, activation chunk) pair into an
-/// int32 accumulator vector. The sign trick makes vpmaddubsw exact: with
-/// u = |w| (unsigned) and s = act * sign(w) (signed, zeroed where w == 0),
-/// each u*s product equals w*act and lies in [-16129, 16129], so the
-/// int16 pair sums are bounded by 32258 — no saturation.
-inline __m256i dot32(__m256i wv, __m256i av, __m256i ones, __m256i acc) {
-  const __m256i u = _mm256_abs_epi8(wv);
-  const __m256i s = _mm256_sign_epi8(av, wv);
-  return _mm256_add_epi32(acc,
-                          _mm256_madd_epi16(_mm256_maddubs_epi16(u, s), ones));
-}
-
 #endif  // ROADFUSION_GEMM_AVX2
 
 }  // namespace
 
 int64_t avx2_apack_floats(int64_t m, int64_t k) {
   return round_up(m, kMr) * k;
-}
-
-int64_t avx2_int8_packed_bytes(int64_t k, int64_t n) {
-  return round_up(k, 32) * n;
 }
 
 #if defined(ROADFUSION_GEMM_AVX2)
@@ -247,115 +221,6 @@ void avx2_gemm_infer(const float* a, int64_t m, int64_t k, float* apack,
   }
 }
 
-void avx2_int8_pack_activations(const float* b, int64_t k, int64_t n,
-                                float inv, int8_t* out) {
-  const int64_t kp = round_up(k, 32);
-  const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256 hi = _mm256_set1_ps(127.0f);
-  const __m256 lo = _mm256_set1_ps(-127.0f);
-  for (int64_t p = 0; p < k; ++p) {
-    const float* row = b + p * n;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      // Vectorized quantize of 8 row-contiguous values (mul / clamp /
-      // round-nearest-even — the quantize_value sequence), then scatter
-      // the 8 bytes into their k-padded column slots.
-      __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(row + j), vinv);
-      scaled = _mm256_min_ps(scaled, hi);
-      scaled = _mm256_max_ps(scaled, lo);
-      const __m256i q = _mm256_cvtps_epi32(scaled);
-      // int32 -> int8 (exact: already in [-127, 127]).
-      const __m128i q16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
-                                          _mm256_extracti128_si256(q, 1));
-      const __m128i q8 = _mm_packs_epi16(q16, q16);
-      const uint64_t bytes =
-          static_cast<uint64_t>(_mm_cvtsi128_si64(q8));
-      for (int64_t t = 0; t < 8; ++t) {
-        out[(j + t) * kp + p] =
-            static_cast<int8_t>((bytes >> (8 * t)) & 0xFF);
-      }
-    }
-    for (; j < n; ++j) {
-      float scaled = row[j] * inv;
-      scaled = scaled > 127.0f ? 127.0f : scaled;
-      scaled = scaled < -127.0f ? -127.0f : scaled;
-      out[j * kp + p] = static_cast<int8_t>(__builtin_lrintf(scaled));
-    }
-  }
-  if (kp > k) {
-    for (int64_t j = 0; j < n; ++j) {
-      std::memset(out + j * kp + k, 0, static_cast<size_t>(kp - k));
-    }
-  }
-}
-
-void avx2_int8_gemm(const int8_t* wdata, const float* wscales, int64_t m,
-                    int64_t k, const int8_t* bpack, int64_t n,
-                    float act_scale, float* c, const ConvEpilogue* epi) {
-  const int64_t kp = round_up(k, 32);
-  const __m256i ones = _mm256_set1_epi16(1);
-  // Zero-padded per-row weight image so the chunk loop covers kp
-  // uniformly (padded activation bytes are zero, so the tail contributes
-  // nothing). kMaxInt8Depth = 1040 bounds the stack footprint.
-  alignas(32) int8_t wpad[1056 + 32];
-  for (int64_t i = 0; i < m; ++i) {
-    std::memcpy(wpad, wdata + i * k, static_cast<size_t>(k));
-    std::memset(wpad + k, 0, static_cast<size_t>(kp - k));
-    const float dequant = wscales[i] * act_scale;
-    float* c_row = c + i * n;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      // Four columns share each weight-chunk load.
-      const int8_t* col0 = bpack + j * kp;
-      __m256i a0 = _mm256_setzero_si256(), a1 = _mm256_setzero_si256();
-      __m256i a2 = _mm256_setzero_si256(), a3 = _mm256_setzero_si256();
-      for (int64_t p = 0; p < kp; p += 32) {
-        const __m256i wv = _mm256_load_si256(
-            reinterpret_cast<const __m256i*>(wpad + p));
-        a0 = dot32(wv,
-                   _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i*>(col0 + p)),
-                   ones, a0);
-        a1 = dot32(wv,
-                   _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i*>(col0 + kp + p)),
-                   ones, a1);
-        a2 = dot32(wv,
-                   _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i*>(col0 + 2 * kp + p)),
-                   ones, a2);
-        a3 = dot32(wv,
-                   _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i*>(col0 + 3 * kp + p)),
-                   ones, a3);
-      }
-      // Dequant per element — (float)acc * dequant, the exact scalar
-      // sequence of int8_gemm_reference.
-      c_row[j] = static_cast<float>(hsum_epi32(a0)) * dequant;
-      c_row[j + 1] = static_cast<float>(hsum_epi32(a1)) * dequant;
-      c_row[j + 2] = static_cast<float>(hsum_epi32(a2)) * dequant;
-      c_row[j + 3] = static_cast<float>(hsum_epi32(a3)) * dequant;
-    }
-    for (; j < n; ++j) {
-      const int8_t* col = bpack + j * kp;
-      __m256i acc = _mm256_setzero_si256();
-      for (int64_t p = 0; p < kp; p += 32) {
-        acc = dot32(_mm256_load_si256(
-                        reinterpret_cast<const __m256i*>(wpad + p)),
-                    _mm256_loadu_si256(
-                        reinterpret_cast<const __m256i*>(col + p)),
-                    ones, acc);
-      }
-      c_row[j] = static_cast<float>(hsum_epi32(acc)) * dequant;
-    }
-    if (epi != nullptr) {
-      for (int64_t jj = 0; jj < n; ++jj) {
-        c_row[jj] = epilogue_value(c_row[jj], i, *epi);
-      }
-    }
-  }
-}
-
 #else  // !ROADFUSION_GEMM_AVX2
 
 bool avx2_kernels_compiled() { return false; }
@@ -372,17 +237,6 @@ void avx2_gemm_infer(const float*, int64_t, int64_t, float*, const float*,
                      int64_t, int64_t, float*, int64_t,
                      const ConvEpilogue*) {
   avx2_unavailable("avx2_gemm_infer");
-}
-
-void avx2_int8_pack_activations(const float*, int64_t, int64_t, float,
-                                int8_t*) {
-  avx2_unavailable("avx2_int8_pack_activations");
-}
-
-void avx2_int8_gemm(const int8_t*, const float*, int64_t, int64_t,
-                    const int8_t*, int64_t, float, float*,
-                    const ConvEpilogue*) {
-  avx2_unavailable("avx2_int8_gemm");
 }
 
 #endif  // ROADFUSION_GEMM_AVX2

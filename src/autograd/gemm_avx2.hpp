@@ -1,7 +1,7 @@
 // AVX2 micro-kernels — the kAvx2 dispatch tier (DESIGN.md §16).
 //
-// Two kernels, both registered as solvers in src/tune behind the runtime
-// CPUID probe (common/cpu.hpp):
+// One kernel, registered as a solver in src/tune behind the runtime CPUID
+// probe (common/cpu.hpp):
 //
 //  * fp32 `avx2_gemm_infer`: a 16x6 FMA register tile (12 YMM
 //    accumulators + 2 B loads + 1 A broadcast = 15 of the 16 YMM
@@ -10,13 +10,6 @@
 //    this kernel backs the `blocked_avx2` solver, which never wins the
 //    heuristic and must be selected explicitly (perf DB record, tuning,
 //    or ROADFUSION_SOLVER), keeping default-path numerics bit-stable.
-//
-//  * int8 `avx2_int8_gemm`: `vpmaddubsw` over sign-normalized operands
-//    (u = |w|, s = act * sign(w)), 32 reduction steps per YMM op.
-//    |products| <= 127*127 bounds each int16 pair sum by 32258 < 32767 —
-//    no saturation — so the int32 accumulation is exact and the kernel
-//    is bit-identical to int8_gemm_reference / int8_gemm_packed, like
-//    every member of the int8 family.
 //
 // The implementation TU is compiled with -mavx2 -mfma (see
 // src/autograd/CMakeLists.txt). To keep that safe on pre-AVX2 machines,
@@ -54,27 +47,5 @@ int64_t avx2_apack_floats(int64_t m, int64_t k);
 void avx2_gemm_infer(const float* a, int64_t m, int64_t k, float* apack,
                      const float* b, int64_t ldb, int64_t n, float* c,
                      int64_t ldc, const ConvEpilogue* epi);
-
-/// Bytes of packed-activation storage `avx2_int8_pack_activations` writes
-/// for a (k, n) operand: n columns of k rounded up to 32 (the YMM chunk).
-int64_t avx2_int8_packed_bytes(int64_t k, int64_t n);
-
-/// Quantizes a row-major (k, n) fp32 activation matrix at per-tensor
-/// quantization reciprocal `inv` (see quantize_inv) into column-major
-/// k-padded int8: column j occupies out[j * round_up(k, 32) ...], tail k
-/// padded with zeros. Identical quantization math to quantize_value
-/// (round-nearest-even via cvtps, clamp to ±127).
-void avx2_int8_pack_activations(const float* b, int64_t k, int64_t n,
-                                float inv, int8_t* out);
-
-/// Int8 GEMM over `avx2_int8_pack_activations` output: exact int32
-/// accumulation via vpmaddubsw/vpmaddwd, dequant
-/// `(float)acc * (wscales[i] * act_scale)`, epilogue applied per element —
-/// bit-identical to int8_gemm_reference. `wdata` is the row-major (m, k)
-/// int8 weight image, `wscales` the per-row scales (QuantizedWeights
-/// fields, passed raw to keep std::vector out of the AVX2 TU).
-void avx2_int8_gemm(const int8_t* wdata, const float* wscales, int64_t m,
-                    int64_t k, const int8_t* bpack, int64_t n,
-                    float act_scale, float* c, const ConvEpilogue* epi);
 
 }  // namespace roadfusion::autograd::kernels

@@ -10,11 +10,11 @@
 // "avx2") so portability fallbacks are testable on any host.
 //
 // Consumers:
-//  * the SSE2 micro-kernels in gemm.cpp / int8_gemm.cpp gate their vector
+//  * the SSE2 micro-kernels in gemm.cpp gate their vector
 //    path on `active_tier() >= CpuTier::kSse2` (the latent-portability
 //    fix: previously the guard was compile-time only);
-//  * the AVX2 solvers (`blocked_avx2`, `int8_avx2`) declare applicability
-//    against `active_tier() >= CpuTier::kAvx2`;
+//  * the AVX2 solver (`blocked_avx2`) declares applicability against
+//    `active_tier() >= CpuTier::kAvx2`;
 //  * the tune dispatcher folds `tier_generation()` into its binding-cache
 //    key so a tier flip (tests, env) drops stale solver bindings.
 #pragma once

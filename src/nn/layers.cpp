@@ -6,7 +6,6 @@
 #include "autograd/kernels.hpp"
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
-#include "quant/runtime.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
 #include "tune/dispatch.hpp"
@@ -43,21 +42,11 @@ obs::Counter& prepack_misses() {
   return counter;
 }
 
-// Conv inference calls served by the int8 quantized solvers (neither a
-// prepack hit nor a miss — quantized weights are their own cache).
-obs::Counter& int8_convs() {
-  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
-      "roadfusion_int8_conv_total",
-      "Conv inference calls served by the int8 quantized path");
-  return counter;
-}
-
 // Eager registration so the counters show up in metrics dumps (and keep a
 // stable zero) even before the first inference call.
 [[maybe_unused]] const bool prepack_counters_registered = [] {
   prepack_hits();
   prepack_misses();
-  int8_convs();
   return true;
 }();
 
@@ -103,10 +92,8 @@ Variable Conv2d::forward(const Variable& x) const {
 
 std::shared_ptr<const Conv2d::InferCache> Conv2d::infer_cache() const {
   const uint64_t epoch = current_inference_epoch();
-  const bool quant_on = quant::enabled();
   std::shared_ptr<const InferCache> cache = std::atomic_load(&cache_);
-  if (cache != nullptr && cache->epoch == epoch &&
-      cache->quantized == quant_on) {
+  if (cache != nullptr && cache->epoch == epoch) {
     return cache;
   }
   // Cache tensors outlive any forward pass, so they must not draw from
@@ -121,11 +108,6 @@ std::shared_ptr<const Conv2d::InferCache> Conv2d::infer_cache() const {
     fresh->packed =
         kernels::prepack_a(fresh->wmat.raw(), ckk, 1, out_channels_, ckk);
     fresh->prepacked = true;
-  }
-  fresh->quantized = quant_on;
-  if (quant_on && ckk <= kernels::kMaxInt8Depth) {
-    fresh->qweights =
-        kernels::quantize_weights(fresh->wmat.raw(), out_channels_, ckk);
   }
   std::shared_ptr<const InferCache> ready = std::move(fresh);
   std::atomic_store(&cache_, ready);
@@ -164,47 +146,19 @@ Tensor Conv2d::forward_infer(const Tensor& x,
   problem.s = geom_.kernel;
   problem.stride = geom_.stride;
   problem.pad = geom_.padding;
-  // Calibration (fp32 passes only) and calibrated static scales both key
-  // on the CANONICAL fp32 problem string — the scale table identifies a
-  // layer's activation tensor, which does not depend on the serving dtype,
-  // so the key is built before the int8 re-keying below. Built once per
-  // forward, off the fp32 fast path.
-  const bool use_int8 = cache->quantized && cache->qweights.m > 0;
-  const bool calibrate = !use_int8 && quant::calibrating();
-  std::string problem_key;
-  if (calibrate || (use_int8 && quant::scale_table_size() > 0)) {
-    problem_key = problem.key();
-  }
-  // Quantized mode: key the problem as int8 so the int8 solvers bind.
-  // The reduction-depth guard matches quantize_weights' envelope; a layer
-  // outside it simply stays fp32.
-  if (use_int8) {
-    problem.dtype = "int8";
-  }
-  const float act_scale =
-      use_int8 && !problem_key.empty() ? quant::activation_scale(problem_key)
-                                       : 0.0f;
   const std::shared_ptr<const tune::Binding> binding =
       tune::bind(problem, cache->prepacked);
   tune::SolverArgs args;
   args.wmat = &cache->wmat;
   args.packed = cache->prepacked ? &cache->packed : nullptr;
   args.epi = has_epi ? &epi : nullptr;
-  args.qweights = use_int8 ? &cache->qweights : nullptr;
-  args.act_scale = act_scale;
   // "Hit" keeps its DESIGN.md §11 meaning: served by the fused pre-packed
-  // path (which only the prepacked solver runs); int8 calls count on their
-  // own meter.
-  obs::Counter& counter = use_int8 ? int8_convs()
-                          : binding->solver->wants_packed() ? prepack_hits()
-                                                            : prepack_misses();
+  // path (which only the prepacked solver runs).
+  obs::Counter& counter = binding->solver->wants_packed() ? prepack_hits()
+                                                          : prepack_misses();
   for (int64_t s = 0; s < batch; ++s) {
     const Tensor columns = kernels::im2col(
         x.raw() + s * in_channels_ * h * w, in_channels_, h, w, geom_);
-    if (calibrate) {
-      quant::observe_activation(
-          problem_key, kernels::tensor_absmax(columns.raw(), columns.numel()));
-    }
     args.columns = &columns;
     args.out = out.raw() + s * out_channels_ * out_plane;
     tune::run(*binding, problem, args);

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "autograd/gemm.hpp"
-#include "autograd/int8_gemm.hpp"
 #include "autograd/ops.hpp"
 #include "nn/module.hpp"
 #include "tensor/rng.hpp"
@@ -87,18 +86,13 @@ class Conv2d : public Module {
 
  private:
   /// Load-time products of the weight: the (Cout, Cin*K*K) matrix view
-  /// copy, the blocked GEMM's packed A panels when viable, and — in
-  /// quantized mode — the per-output-channel int8 weights. Immutable once
-  /// built; swapped atomically on epoch change or a quant-mode toggle
-  /// (`quantized` remembers the mode that built the cache, so flipping
-  /// quant::set_enabled self-heals without an epoch bump).
+  /// copy and the blocked GEMM's packed A panels when viable. Immutable
+  /// once built; swapped atomically on epoch change.
   struct InferCache {
     uint64_t epoch = 0;
     Tensor wmat;
     autograd::kernels::PackedA packed;
     bool prepacked = false;
-    autograd::kernels::QuantizedWeights qweights;
-    bool quantized = false;
   };
   std::shared_ptr<const InferCache> infer_cache() const;
 

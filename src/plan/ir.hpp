@@ -100,7 +100,7 @@ enum class LayerRef {
 
 enum class StepKind {
   /// An existing layer on plain NCHW through its `forward_infer`, so
-  /// solver bindings, forced solvers and int8 apply to it as to any conv.
+  /// solver bindings and forced solvers apply to it as to any conv.
   /// src -> dst; src = -1 reads the network input of the step's branch.
   kLayer,
   /// src (NCHW) -> dst (NCHWc); src = -1 reads the network input of the

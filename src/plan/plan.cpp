@@ -13,6 +13,7 @@
 #include "autograd/gemm.hpp"
 #include "common/check.hpp"
 #include "common/cpu.hpp"
+#include "common/env.hpp"
 #include "core/awn.hpp"
 #include "core/fusion_filter.hpp"
 #include "core/fusion_scheme.hpp"
@@ -21,7 +22,6 @@
 #include "obs/trace.hpp"
 #include "plan/ir.hpp"
 #include "plan/nchwc.hpp"
-#include "quant/runtime.hpp"
 #include "roadseg/encoder.hpp"
 #include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
@@ -68,9 +68,8 @@ const char* variant_name(Variant variant) {
 
 /// Why a plan runs every stage NCHW through the layer calls instead of
 /// the blocked layout.
-enum class NchwReason { kNone, kQuant, kForcedSolver, kKcDepth };
-constexpr const char* kReasonNames[] = {"none", "quant", "forced_solver",
-                                        "kc_depth"};
+enum class NchwReason { kNone, kForcedSolver, kKcDepth };
+constexpr const char* kReasonNames[] = {"none", "forced_solver", "kc_depth"};
 
 const char* reason_name(NchwReason reason) {
   return kReasonNames[static_cast<size_t>(reason)];
@@ -138,7 +137,7 @@ struct PlanContext {
 /// builds no metric names.
 struct PlanMetrics {
   obs::Counter* declined = nullptr;
-  std::array<obs::Counter*, 4> declined_by_reason{};  ///< by NchwReason
+  std::array<obs::Counter*, 3> declined_by_reason{};  ///< by NchwReason
   std::array<obs::Counter*, 4> runs{};                ///< by Variant
   obs::Counter* compiles = nullptr;
   obs::Counter* evictions = nullptr;
@@ -206,11 +205,6 @@ bool fits_one_kc_block(const PackedConv& pc) {
 }
 
 NchwReason nchw_reason(const PlanContext& ctx) {
-  // Calibration observes the fp32 layers' im2col inputs, which only the
-  // layer path produces.
-  if (quant::enabled() || quant::calibrating()) {
-    return NchwReason::kQuant;
-  }
   if (!tune::forced_solver().empty()) {
     return NchwReason::kForcedSolver;
   }
@@ -1245,6 +1239,17 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
   const auto& ctx = *static_cast<const PlanContext*>(state.get());
   const NchwReason reason = nchw_reason(ctx);
   std::ostringstream os;
+  // The kernel-selection knobs, with the values serving actually uses.
+  const auto or_unset = [](const std::string& value) {
+    return value.empty() ? std::string("unset") : value;
+  };
+  os << "knob ROADFUSION_SOLVER=" << or_unset(tune::forced_solver()) << "\n"
+     << "knob ROADFUSION_PERF_DB="
+     << or_unset(env_string("ROADFUSION_PERF_DB", ""))
+     << " records=" << tune::perf_db_size() << "\n"
+     << "knob ROADFUSION_CPU_FEATURES="
+     << or_unset(env_string("ROADFUSION_CPU_FEATURES", ""))
+     << " tier=" << common::tier_name(common::active_tier()) << "\n";
   for (const Variant variant : kVariants) {
     if (ctx.scheme == FusionScheme::kAllFilterB &&
         (variant == Variant::kStreamMiss || variant == Variant::kStreamHit)) {

@@ -11,11 +11,11 @@
 // direct conv kernel (no im2col), the cross-layer elementwise chain
 // (residual add, fusion-filter match, fusion sum) is fused into conv
 // epilogues, and transient buffers are released at their last use so
-// the workspace arena sees the minimal buffer schedule. In quantized
-// mode, under a forced solver, or when a conv reduces over more than one
-// Kc block, every stage instead runs NCHW through the layers' own
-// forward_infer calls, with the same fusion steps, and
-// roadfusion_plan_declined_total{reason} counts the call.
+// the workspace arena sees the minimal buffer schedule. Under a forced
+// solver, or when a conv reduces over more than one Kc block, every stage
+// instead runs NCHW through the layers' own forward_infer calls, with the
+// same fusion steps, and roadfusion_plan_declined_total{reason} counts
+// the call.
 //
 // Integration happens through roadseg/plan_hook.hpp: linking rf_plan into
 // a binary installs the hooks at static init (install_hooks() does it
@@ -38,11 +38,13 @@ namespace roadfusion::plan {
 void install_hooks();
 
 /// Human-readable schedules for `net` at input geometry (n, 3, h, w):
-/// a header per variant (fused, rgb_only and, unless AllFilter_B,
-/// stream_miss and stream_hit) with the layout and the reason for an
-/// NCHW one, then one line per step with layout, kernel/solver, fused
-/// epilogue stages and buffer slots — the backing of `roadfusion infer
-/// --explain-plan`. Reports why when the net has no plan.
+/// one `knob NAME=value` line per kernel-selection environment knob
+/// (ROADFUSION_SOLVER, ROADFUSION_PERF_DB with the records in force,
+/// ROADFUSION_CPU_FEATURES with the active tier), then a header per
+/// variant (fused, rgb_only and, unless AllFilter_B, stream_miss and
+/// stream_hit) with the layout and the reason for an NCHW one, then one
+/// line per step with layout, kernel/solver, fused epilogue stages and
+/// buffer slots — the backing of `roadfusion infer --explain-plan`. Reports why when the net has no plan.
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w);
 

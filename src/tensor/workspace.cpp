@@ -23,10 +23,6 @@ struct PoolCore {
   size_t peak_bytes = 0;
   uint64_t hits = 0;
   uint64_t misses = 0;
-  /// Capacity of every block this pool created (one entry per miss) —
-  /// exactly the blocks a fresh arena must hold to replay the same
-  /// workload hit-only, i.e. the plan.
-  std::vector<size_t> miss_floats;
   std::atomic<int64_t> refs{1};
 
   PoolCore* prev = nullptr;  ///< global registry links (for global_stats)
@@ -85,14 +81,6 @@ BlockHeader* header_of(float* payload) {
 
 using detail::BlockHeader;
 using detail::PoolCore;
-
-size_t WorkspacePlan::total_bytes() const {
-  size_t total = scratch_floats * sizeof(float);
-  for (size_t n : block_floats) {
-    total += n * sizeof(float);
-  }
-  return total;
-}
 
 Workspace::Workspace() : core_(new PoolCore()) {
   std::lock_guard<std::mutex> lock(detail::registry_mutex());
@@ -162,7 +150,6 @@ float* Workspace::acquire(size_t n) {
     } else {
       ++core_->misses;
       core_->reserved_bytes += n * sizeof(float);
-      core_->miss_floats.push_back(n);
     }
     const size_t payload = (best != nullptr ? best->capacity : n);
     core_->in_use_bytes += payload * sizeof(float);
@@ -196,56 +183,21 @@ void Workspace::release(float* payload) {
 
 float* Workspace::scratch(size_t n) {
   ROADFUSION_CHECK(n > 0, "Workspace::scratch of zero floats");
-  if (n > scratch_floats_) {
-    grow_scratch(n);
-    const std::lock_guard<std::mutex> lock(core_->mutex);
-    ++core_->misses;
-  } else {
+  if (n <= scratch_floats_) {
     const std::lock_guard<std::mutex> lock(core_->mutex);
     ++core_->hits;
+    return scratch_.get();
   }
-  return scratch_.get();
-}
-
-void Workspace::grow_scratch(size_t n) {
   scratch_.reset();  // before the larger block is made
   scratch_.reset(new float[n]);
   const size_t grown = (n - scratch_floats_) * sizeof(float);
   scratch_floats_ = n;
   const std::lock_guard<std::mutex> lock(core_->mutex);
+  ++core_->misses;
   core_->reserved_bytes += grown;
   core_->in_use_bytes += grown;
   core_->peak_bytes = std::max(core_->peak_bytes, core_->in_use_bytes);
-}
-
-void Workspace::reserve(const WorkspacePlan& plan) {
-  if (plan.scratch_floats > scratch_floats_) {
-    grow_scratch(plan.scratch_floats);
-  }
-  for (size_t n : plan.block_floats) {
-    if (n == 0) {
-      continue;
-    }
-    BlockHeader* block = detail::new_block(core_, n);
-    std::lock_guard<std::mutex> lock(core_->mutex);
-    core_->reserved_bytes += n * sizeof(float);
-    block->next = core_->free_list;
-    core_->free_list = block;
-  }
-}
-
-WorkspacePlan Workspace::plan_snapshot() const {
-  // Every miss created exactly one block, and the created set is exactly
-  // what a fresh arena must pre-hold to replay the same workload with
-  // hits only — reuse across disjoint lifetimes is already folded in,
-  // because a reused block never missed a second time.
-  WorkspacePlan plan;
-  std::lock_guard<std::mutex> lock(core_->mutex);
-  plan.block_floats = core_->miss_floats;
-  std::sort(plan.block_floats.begin(), plan.block_floats.end());
-  plan.scratch_floats = scratch_floats_;
-  plan.peak_bytes = core_->peak_bytes;
-  return plan;
+  return scratch_.get();
 }
 
 WorkspaceStats Workspace::stats() const {

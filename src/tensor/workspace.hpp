@@ -41,7 +41,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 namespace roadfusion::tensor {
 
@@ -64,24 +63,6 @@ struct BlockHeader {
 BlockHeader* header_of(float* payload);
 
 }  // namespace detail
-
-/// Deterministic snapshot of a dry run — the "plan" of the planner. Holds
-/// the multiset of block capacities a forward pass acquired plus the peak
-/// concurrent footprint. Produced by Workspace::plan_snapshot after a dry
-/// run; consumed by Workspace::reserve to pre-populate a fresh arena so
-/// even its first forward allocates nothing.
-struct WorkspacePlan {
-  std::vector<size_t> block_floats;  ///< sorted capacities, in floats
-  size_t scratch_floats = 0;         ///< the scratch block's capacity
-  size_t peak_bytes = 0;             ///< max concurrently-live payload bytes
-
-  size_t total_bytes() const;
-  bool operator==(const WorkspacePlan& other) const {
-    return block_floats == other.block_floats &&
-           scratch_floats == other.scratch_floats &&
-           peak_bytes == other.peak_bytes;
-  }
-};
 
 /// Point-in-time usage of one arena.
 struct WorkspaceStats {
@@ -118,15 +99,6 @@ class Workspace {
   /// for it last, on the pool's thread.
   float* scratch(size_t n);
 
-  /// Pre-populates the free list and the scratch block per `plan` so the
-  /// next forward pass finds every block it needs.
-  void reserve(const WorkspacePlan& plan);
-
-  /// Plan extracted from this arena's allocation history: every block
-  /// ever acquired and the scratch block, plus the peak footprint.
-  /// Deterministic for a deterministic forward pass.
-  WorkspacePlan plan_snapshot() const;
-
   WorkspaceStats stats() const;
 
   /// Zeroes hit/miss counters (peak and reserved persist).
@@ -142,8 +114,6 @@ class Workspace {
 
  private:
   friend class WorkspaceScope;
-  /// Replaces the scratch block with one of n floats.
-  void grow_scratch(size_t n);
 
   detail::PoolCore* core_;
   std::unique_ptr<float[]> scratch_;

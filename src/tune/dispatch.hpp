@@ -9,8 +9,8 @@
 //   3. heuristic: cheapest estimate() among applicable solvers
 //
 // Every valid problem has an applicable scalar oracle (reference,
-// tconv_reference, int8_reference), so resolution always yields a solver;
-// a problem nothing can serve fails a check naming its key.
+// tconv_reference), so resolution always yields a solver; a problem
+// nothing can serve fails a check naming its key.
 //
 // Hot-path contract: after the first call per (problem, packed) pair, a
 // bind() is one shared_ptr atomic load plus a hash lookup — no allocation,

@@ -42,13 +42,13 @@ bool ConvProblem::valid() const {
 std::string ConvProblem::key() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "%s-n%lld-c%lld-h%lld-w%lld-k%lld-r%lld-s%lld-st%lld-p%lld-%s",
+                "%s-n%lld-c%lld-h%lld-w%lld-k%lld-r%lld-s%lld-st%lld-p%lld-fp32",
                 transposed ? "convt" : "conv",
                 static_cast<long long>(n), static_cast<long long>(c),
                 static_cast<long long>(h), static_cast<long long>(w),
                 static_cast<long long>(k), static_cast<long long>(r),
                 static_cast<long long>(s), static_cast<long long>(stride),
-                static_cast<long long>(pad), dtype.c_str());
+                static_cast<long long>(pad));
   return buf;
 }
 
@@ -74,18 +74,14 @@ std::optional<ConvProblem> ConvProblem::parse_key(const std::string& key) {
       !consume_field(key, pos, "p", p.pad)) {
     return std::nullopt;
   }
-  if (pos >= key.size()) {
-    return std::nullopt;  // dtype suffix missing
-  }
-  p.dtype = key.substr(pos);
-  if (p.dtype.find('-') != std::string::npos || !p.valid()) {
+  if (key.compare(pos, std::string::npos, "fp32") != 0 || !p.valid()) {
     return std::nullopt;
   }
   return p;
 }
 
 size_t ConvProblemHash::operator()(const ConvProblem& p) const {
-  // FNV-1a over the integer fields, then the dtype characters.
+  // FNV-1a over every field.
   uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -103,10 +99,6 @@ size_t ConvProblemHash::operator()(const ConvProblem& p) const {
   mix(static_cast<uint64_t>(p.stride));
   mix(static_cast<uint64_t>(p.pad));
   mix(p.transposed ? 1u : 0u);
-  for (const char ch : p.dtype) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
   return static_cast<size_t>(h);
 }
 

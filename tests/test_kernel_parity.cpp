@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "autograd/gemm.hpp"
-#include "autograd/int8_gemm.hpp"
 #include "autograd/kernels.hpp"
 #include "autograd/ops.hpp"
 #include "common/check.hpp"
@@ -385,126 +384,6 @@ TEST(KernelParity, Avx2FuzzSweep) {
     p.pad = p.r == 3 ? 1 : 0;
     p.stride = stride_dist(gen);
     expect_registry_solver_parity(p);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Int8 solver sweep: the quantized solvers cannot match fp32 bitwise, but
-// their error is analytically bounded. With per-row weight scale
-// s_w = amax_w(row)/127 and activation scale s_a, each product's
-// quantization error is |w*e_b + b*e_w - e_w*e_b| with |e_w| <= s_w/2,
-// |e_b| <= s_a/2, so over a depth-K reduction:
-//
-//   |c_fp32 - c_int8| <= K * (amax_w(row)*s_a/2 + amax_b*s_w/2 + s_w*s_a/4)
-//
-// a function of K and the scales — for dynamic scales this collapses to
-// roughly K * amax_w(row) * amax_b / 126. Both int8 solvers must also
-// agree with each other bit-for-bit (exact int32 accumulation, shared
-// rounding), which is asserted by memcmp.
-// ---------------------------------------------------------------------------
-
-void expect_int8_solver_parity(tune::ConvProblem p, float act_scale_factor) {
-  p.dtype = "int8";
-  SCOPED_TRACE(p.key() + " act_scale_factor=" +
-               std::to_string(act_scale_factor));
-  ASSERT_LE(p.gemm_k(), kernels::kMaxInt8Depth);
-  Rng rng(53);
-  const Tensor wmat = Tensor::normal(Shape::mat(p.gemm_m(), p.gemm_k()), rng);
-  const Tensor columns =
-      Tensor::normal(Shape::mat(p.gemm_k(), p.gemm_n()), rng);
-  const Tensor expected = tensor::matmul(wmat, columns);
-  const kernels::QuantizedWeights qweights =
-      kernels::quantize_weights(wmat.raw(), p.gemm_m(), p.gemm_k());
-
-  // Per-row weight absmax and the activation absmax drive the bound.
-  std::vector<float> w_amax(static_cast<size_t>(p.gemm_m()), 0.0f);
-  for (int64_t i = 0; i < p.gemm_m(); ++i) {
-    for (int64_t j = 0; j < p.gemm_k(); ++j) {
-      w_amax[static_cast<size_t>(i)] =
-          std::max(w_amax[static_cast<size_t>(i)],
-                   std::abs(wmat.at(i * p.gemm_k() + j)));
-    }
-  }
-  const float b_amax =
-      kernels::tensor_absmax(columns.raw(), columns.numel());
-  // act_scale_factor = 0: dynamic quantization (solver probes absmax).
-  // > 1: a static calibrated scale that over-covers the operand, like a
-  // table built from a wider calibration split.
-  const float act_scale =
-      act_scale_factor > 0.0f
-          ? kernels::quantize_scale(b_amax) * act_scale_factor
-          : 0.0f;
-  const float s_a = act_scale > 0.0f ? act_scale
-                                     : kernels::quantize_scale(b_amax);
-
-  const std::vector<const tune::Solver*> applicable =
-      tune::applicable_solvers(p, true);
-  // int8_reference + int8_blocked everywhere; int8_avx2 joins on hosts
-  // whose active dispatch tier reaches it.
-  const size_t expected_count =
-      common::active_tier() >= common::CpuTier::kAvx2 ? 3u : 2u;
-  ASSERT_EQ(applicable.size(), expected_count)
-      << "expected the full int8 solver family for the active CPU tier";
-  std::vector<Tensor> outputs;
-  for (const tune::Solver* solver : applicable) {
-    SCOPED_TRACE(solver->name());
-    Tensor out = Tensor::zeros(Shape::mat(p.gemm_m(), p.gemm_n()));
-    tune::SolverArgs args;
-    args.columns = &columns;
-    args.out = out.raw();
-    args.qweights = &qweights;
-    args.act_scale = act_scale;
-    solver->run(p, args, "");
-    const float k_f = static_cast<float>(p.gemm_k());
-    for (int64_t i = 0; i < p.gemm_m(); ++i) {
-      const float s_w = qweights.scales[static_cast<size_t>(i)];
-      const float tol = k_f * (w_amax[static_cast<size_t>(i)] * s_a * 0.5f +
-                               b_amax * s_w * 0.5f + s_w * s_a * 0.25f) +
-                        1e-6f;
-      for (int64_t j = 0; j < p.gemm_n(); ++j) {
-        const int64_t idx = i * p.gemm_n() + j;
-        ASSERT_NEAR(expected.at(idx), out.at(idx), tol)
-            << solver->name() << " exceeds the quantization bound at row "
-            << i << " col " << j;
-      }
-    }
-    outputs.push_back(std::move(out));
-  }
-  for (size_t i = 1; i < outputs.size(); ++i) {
-    ASSERT_EQ(std::memcmp(outputs[0].raw(), outputs[i].raw(),
-                          static_cast<size_t>(expected.numel()) *
-                              sizeof(float)),
-              0)
-        << "int8 solvers must be bit-identical (" << applicable[0]->name()
-        << " vs " << applicable[i]->name() << ")";
-  }
-}
-
-TEST(KernelParity, Int8SolversWithinQuantizationBound) {
-  std::vector<tune::ConvProblem> problems;
-  {
-    tune::ConvProblem p;  // stem_rgb
-    p.c = 3, p.h = 32, p.w = 96, p.k = 8, p.pad = 1;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // stage1.conv2 — deepest encoder reduction
-    p.c = 12, p.h = 16, p.w = 48, p.k = 12, p.pad = 1;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // stage3 projection, 1x1 stride 2
-    p.c = 16, p.h = 8, p.w = 24, p.k = 24, p.r = 1, p.s = 1, p.stride = 2;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // score conv: gemm_m == 1 (ragged row tile)
-    p.c = 8, p.h = 32, p.w = 96, p.k = 1, p.r = 1, p.s = 1;
-    problems.push_back(p);
-  }
-  for (const tune::ConvProblem& p : problems) {
-    expect_int8_solver_parity(p, 0.0f);   // dynamic per-call scale
-    expect_int8_solver_parity(p, 1.25f);  // static over-covering scale
   }
 }
 

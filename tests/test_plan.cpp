@@ -6,6 +6,7 @@
 // bounded, and explain itself through the --explain-plan printer.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -15,9 +16,9 @@
 
 #include "alloc_hooks.hpp"
 #include "autograd/variable.hpp"
+#include "common/cpu.hpp"
 #include "obs/metrics.hpp"
 #include "plan/plan.hpp"
-#include "quant/runtime.hpp"
 #include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/tensor.hpp"
@@ -278,26 +279,6 @@ TEST(PlanLayout, DeepReductionRunsNchwWithKcReason) {
             std::string::npos);
 }
 
-TEST(PlanLayout, QuantModeRunsNchwWithQuantReason) {
-  install_hooks();
-  Rng rng(22);
-  RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
-  net.set_training(false);
-  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
-  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
-  obs::Counter& quant_runs =
-      counter("roadfusion_plan_declined_total{reason=\"quant\"}");
-  const uint64_t before = quant_runs.value();
-  quant::set_enabled(true);
-  const Tensor out = plan_logits(net, rgb, depth, 1.0f);
-  const std::string report = explain(net, 1, 16, 32);
-  quant::set_enabled(false);
-  EXPECT_EQ(quant_runs.value(), before + 1);
-  EXPECT_EQ(out.shape(), Shape::nchw(1, 1, 16, 32));
-  EXPECT_NE(report.find("layout=nchw reason=quant"), std::string::npos)
-      << report;
-}
-
 TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
   install_hooks();
   Rng rng(16);
@@ -315,6 +296,56 @@ TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
         << "missing '" << needle << "' in:\n"
         << report;
   }
+}
+
+TEST(PlanExplain, PrintsKernelSelectionKnobsWithEffectiveValues) {
+  install_hooks();
+  Rng rng(17);
+  RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
+  net.set_training(false);
+  const auto expect_line = [](const std::string& report,
+                              const std::string& line) {
+    EXPECT_NE(report.find(line + "\n"), std::string::npos)
+        << "missing '" << line << "' in:\n"
+        << report;
+  };
+  const auto env_or_unset = [](const char* name) {
+    const char* value = std::getenv(name);
+    return std::string(value != nullptr && *value != '\0' ? value : "unset");
+  };
+  const std::string perf_db_env = env_or_unset("ROADFUSION_PERF_DB");
+  const std::string cpu_env = env_or_unset("ROADFUSION_CPU_FEATURES");
+  const common::CpuTier saved_tier = common::active_tier();
+  ASSERT_TRUE(tune::forced_solver().empty());
+
+  const std::string defaults = explain(net, 1, 16, 32);
+  expect_line(defaults, "knob ROADFUSION_SOLVER=unset");
+  expect_line(defaults, "knob ROADFUSION_PERF_DB=" + perf_db_env +
+                            " records=" +
+                            std::to_string(tune::perf_db_size()));
+  expect_line(defaults, "knob ROADFUSION_CPU_FEATURES=" + cpu_env + " tier=" +
+                            common::tier_name(saved_tier));
+  // The knobs precede the first schedule.
+  EXPECT_LT(defaults.find("knob ROADFUSION_CPU_FEATURES="),
+            defaults.find("inference plan:"));
+
+  // Each line reports what is in force, however it was set.
+  tune::PerfDb db;
+  db.set("conv-n1-c3-h16-w32-k4-r3-s3-st1-p1-fp32",
+         tune::PerfRecord{"blocked", "", 1.0});
+  db.set("conv-n1-c4-h16-w32-k4-r3-s3-st1-p1-fp32",
+         tune::PerfRecord{"reference", "", 1.0});
+  tune::set_perf_db(std::move(db));
+  tune::force_solver("reference");
+  common::set_active_tier(common::CpuTier::kScalar);
+  const std::string forced = explain(net, 1, 16, 32);
+  common::set_active_tier(saved_tier);
+  tune::force_solver("");
+  tune::clear_perf_db();
+  expect_line(forced, "knob ROADFUSION_SOLVER=reference");
+  expect_line(forced, "knob ROADFUSION_PERF_DB=" + perf_db_env + " records=2");
+  expect_line(forced,
+              "knob ROADFUSION_CPU_FEATURES=" + cpu_env + " tier=scalar");
 }
 
 TEST(PlanCache, GeometrySweepStaysBoundedAndExact) {

@@ -155,23 +155,32 @@ TEST(RuntimeStatsTest, ConcurrentRecordingYieldsConsistentSnapshots) {
   Harness h;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
+  // Writer iterations the reader waits for between two polls.
+  constexpr int kPollStride = 64;
   std::atomic<bool> stop{false};
+  std::atomic<int> recorded{0};
 
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&h] {
+    writers.emplace_back([&h, &recorded] {
       for (int i = 0; i < kPerThread; ++i) {
         h.collector.record_submitted();
         h.collector.record_served(1.0);
+        recorded.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   // A reader polls snapshots while writers run: served must never exceed
-  // submitted, and both must be monotonically non-decreasing.
-  std::thread reader([&h, &stop] {
+  // submitted, and both must be monotonically non-decreasing. Between
+  // polls it yields until the writers have moved on, so it cannot starve
+  // them of the collector's lock: a snapshot sorts every recorded latency
+  // under that lock, and under ThreadSanitizer a reader polling back to
+  // back (even with a bare yield) stalled the writers for minutes.
+  std::thread reader([&h, &stop, &recorded] {
     uint64_t last_submitted = 0;
     uint64_t last_served = 0;
     while (!stop.load()) {
+      const int seen = recorded.load(std::memory_order_relaxed);
       const RuntimeStats stats = h.collector.snapshot();
       EXPECT_GE(stats.requests_submitted, last_submitted);
       EXPECT_GE(stats.requests_served, last_served);
@@ -180,6 +189,10 @@ TEST(RuntimeStatsTest, ConcurrentRecordingYieldsConsistentSnapshots) {
       EXPECT_LE(stats.requests_served, stats.requests_submitted);
       last_submitted = stats.requests_submitted;
       last_served = stats.requests_served;
+      while (!stop.load() &&
+             recorded.load(std::memory_order_relaxed) < seen + kPollStride) {
+        std::this_thread::yield();
+      }
     }
   });
   for (std::thread& writer : writers) {

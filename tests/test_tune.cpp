@@ -109,7 +109,11 @@ TEST(ConvProblemKey, ParseRejectsMalformedKeys) {
   for (const char* bad :
        {"", "pool-n1-c3-h8-w8-k4-r3-s3-st1-p1-fp32", "conv-n1-c3",
         "conv-n1-cX-h8-w8-k4-r3-s3-st1-p1-fp32",
-        "conv-n1-c3-h8-w8-k4-r3-s3-st1-p1"}) {
+        "conv-n1-c3-h8-w8-k4-r3-s3-st1-p1",
+        // Every problem is fp32: another element type does not parse.
+        "conv-n1-c3-h8-w8-k4-r3-s3-st1-p1-fp16",
+        "conv-n1-c3-h8-w8-k4-r3-s3-st1-p1-fp32x",
+        "conv-n1-c3-h8-w8-k4-r3-s3-st1-p1-fp32-fp32"}) {
     EXPECT_FALSE(ConvProblem::parse_key(bad).has_value()) << bad;
   }
 }
@@ -152,16 +156,6 @@ TEST(ConvProblemKey, TransposedCanonicalFormatAndRoundTrip) {
   EXPECT_EQ(*parsed, p);
 }
 
-TEST(ConvProblemKey, Int8DtypeRoundTrips) {
-  ConvProblem p = stage2_conv2();
-  p.dtype = "int8";
-  EXPECT_EQ(p.key(), "conv-n1-c16-h8-w24-k16-r3-s3-st1-p0-int8");
-  const std::optional<ConvProblem> parsed = ConvProblem::parse_key(p.key());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->dtype, "int8");
-  EXPECT_EQ(*parsed, p);
-}
-
 TEST(ConvProblemKey, TransposedGemmDimensions) {
   // Transposed GEMM form: columns (K*R*S, H*W) = wmat^T (K*R*S, C) x
   // input plane (C, H*W) — the reduction is over input channels, not
@@ -190,12 +184,10 @@ TEST(ConvProblemKey, TransposedGemmDimensions) {
 
 TEST(SolverRegistry, BuiltinsRegistered) {
   const std::vector<std::string> names = solver_names();
-  for (const char* expected : {"reference", "blocked", "blocked_prepacked",
-                               "blocked_avx2", "tconv_reference",
-                               "int8_reference"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "reference", "blocked", "blocked_prepacked",
+                       "blocked_avx2", "tconv_reference", "tconv_blocked",
+                       "tconv_prepacked"}));
   EXPECT_EQ(find_solver("no_such_solver"), nullptr);
   EXPECT_NE(find_solver("blocked"), nullptr);
 }
@@ -228,9 +220,7 @@ TEST(SolverRegistry, TinyOutputChannelCountExcludesBlockedLoops) {
 }
 
 TEST(SolverRegistry, Avx2SolversGatedByTier) {
-  ConvProblem p = stage2_conv2();
-  ConvProblem p8 = p;
-  p8.dtype = "int8";
+  const ConvProblem p = stage2_conv2();
   auto contains = [](const std::vector<const Solver*>& list,
                      const char* name) {
     return std::any_of(list.begin(), list.end(), [name](const Solver* s) {
@@ -240,12 +230,10 @@ TEST(SolverRegistry, Avx2SolversGatedByTier) {
   {
     TierGuard tier(common::CpuTier::kSse2);
     EXPECT_FALSE(contains(applicable_solvers(p, false), "blocked_avx2"));
-    EXPECT_FALSE(contains(applicable_solvers(p8, true), "int8_avx2"));
   }
   if (avx2_tier_available()) {
     TierGuard tier(common::CpuTier::kAvx2);
     EXPECT_TRUE(contains(applicable_solvers(p, false), "blocked_avx2"));
-    EXPECT_TRUE(contains(applicable_solvers(p8, true), "int8_avx2"));
   }
 }
 
@@ -278,38 +266,6 @@ TEST(SolverRegistry, TransposedProblemsGetTconvFamilyOnly) {
       << "tconv_prepacked requires pre-packed weights on hand";
 }
 
-TEST(SolverRegistry, Int8ProblemsGetInt8FamilyOnly) {
-  ConvProblem p = stage2_conv2();
-  p.dtype = "int8";
-  auto names = [&p] {
-    std::vector<std::string> out;
-    for (const Solver* s : applicable_solvers(p, true)) {
-      out.push_back(s->name());
-    }
-    return out;
-  };
-  {
-    TierGuard tier(common::CpuTier::kSse2);
-    EXPECT_EQ(names(), (std::vector<std::string>{"int8_reference",
-                                                 "int8_blocked"}));
-  }
-  if (avx2_tier_available()) {
-    TierGuard tier(common::CpuTier::kAvx2);
-    EXPECT_EQ(names(), (std::vector<std::string>{"int8_reference",
-                                                 "int8_blocked",
-                                                 "int8_avx2"}));
-  }
-}
-
-TEST(SolverRegistry, Int8BeyondDepthCapHasNoSolver) {
-  ConvProblem p = stage2_conv2();
-  p.dtype = "int8";
-  p.c = 200;  // gemm_k = 200 * 9 = 1800 > kMaxInt8Depth: accumulator
-              // exactness would be lost, so no int8 solver offers itself
-  EXPECT_GT(p.gemm_k(), ag::kMaxInt8Depth);
-  EXPECT_TRUE(applicable_solvers(p, true).empty());
-}
-
 // ---------------------------------------------------------------------------
 // Perf DB: format, round-trip, recovery
 // ---------------------------------------------------------------------------
@@ -319,7 +275,7 @@ PerfDb sample_db() {
   db.set("conv-n1-c3-h32-w96-k8-r3-s3-st1-p1-fp32",
          {"blocked_prepacked", "", 20.5});
   db.set("conv-n1-c12-h16-w48-k12-r3-s3-st1-p1-fp32",
-         {"blocked", "mc=64,kc=512", 21.1});
+         {"blocked", "mc=64,nc=1024", 21.1});
   return db;
 }
 
@@ -337,7 +293,7 @@ TEST(PerfDbFormat, SerializeParseRoundTripsByteIdentically) {
       load.db.find("conv-n1-c12-h16-w48-k12-r3-s3-st1-p1-fp32");
   ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->solver, "blocked");
-  EXPECT_EQ(record->params, "mc=64,kc=512");
+  EXPECT_EQ(record->params, "mc=64,nc=1024");
   EXPECT_NEAR(record->gflops, 21.1, 1e-3);
 }
 
@@ -374,6 +330,8 @@ TEST(PerfDbFormat, CorruptedLinesAreSkippedNotFatal) {
       "conv-n1-c3-h32-w96-k8-r3-s3-st1-p1-fp32 solver=blocked gflops=9.0\n"
       "conv-n1-c8-h32-w96-k12-r3-s3-st2-p1-fp32 solver=\n"
       "garbage that is not a record\n"
+      // A key of another element type: every problem is fp32.
+      "conv-n1-c3-h32-w96-k8-r3-s3-st1-p1-fp16 solver=blocked gflops=9.0\n"
       "conv-n1-c12-h16-w48-k12-r3-s3-st1-p1-fp32 solver=blocked "
       "gflops=not_a_number\n"
       "conv-n1-c16-h8-w24-k16-r3-s3-st1-p1-fp32 solver=reference "
@@ -381,7 +339,7 @@ TEST(PerfDbFormat, CorruptedLinesAreSkippedNotFatal) {
   const PerfDbLoad load = parse_perf_db(text);
   EXPECT_FALSE(load.cpu_mismatch);
   EXPECT_FALSE(load.version_mismatch);
-  EXPECT_EQ(load.skipped_lines, 3u);
+  EXPECT_EQ(load.skipped_lines, 4u);
   EXPECT_EQ(load.db.size(), 2u) << "intact records must survive corruption";
   EXPECT_NE(load.db.find("conv-n1-c16-h8-w24-k16-r3-s3-st1-p1-fp32"),
             nullptr);
@@ -437,23 +395,20 @@ TEST(Dispatch, HeuristicBindsCheapestApplicableSolver) {
   transposed.s = 2;
   transposed.stride = 2;
   transposed.pad = 0;
-  ConvProblem int8 = stage2_conv2();
-  int8.dtype = "int8";
   struct Case {
     const char* what;
     ConvProblem problem;
     bool packed;
     const char* solver;
   };
-  // int8_avx2 and blocked_avx2 are priced to never win the heuristic, so
-  // the expectations hold at every CPU tier.
+  // blocked_avx2 is priced to never win the heuristic, so the expectations
+  // hold at every CPU tier.
   const Case cases[] = {
       {"packed", stage2_conv2(), true, "blocked_prepacked"},
       {"unpacked", stage2_conv2(), false, "blocked"},
       {"unpacked, cout < 4", tiny, false, "reference"},
       {"transposed, packed", transposed, true, "tconv_prepacked"},
       {"transposed, unpacked", transposed, false, "tconv_blocked"},
-      {"int8", int8, false, "int8_blocked"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -467,8 +422,8 @@ TEST(Dispatch, HeuristicBindsCheapestApplicableSolver) {
 TEST(Dispatch, UnbindableProblemFailsNamingItsKey) {
   DispatchGuard guard;
   ConvProblem p = stage2_conv2();
-  p.dtype = "int8";
-  p.c = 200;  // beyond kMaxInt8Depth: no int8 solver applies
+  p.h = 1;  // a 1-pixel input under an unpadded 3x3 filter has no output,
+  p.w = 1;  // so no solver applies
   try {
     bind(p, true);
     FAIL() << "bind must fail when no solver applies";
@@ -726,23 +681,16 @@ TEST(SolverParity, AllRegisteredSolversMatchReference) {
   }
 }
 
-TEST(SolverParity, BlockedFamilyIsBitIdenticalToBlockedDefault) {
-  // The numerical contract that keeps the golden hash stable across DB
-  // contents: every blocked-family solver and every tuned parameter set
-  // must produce bit-identical output (Kc candidates are clamped to cover
-  // the reduction in one block).
-  ConvProblem p;
-  p.c = 12;
-  p.h = 16;
-  p.w = 48;
-  p.k = 16;
-  p.pad = 1;
+void expect_blocked_family_bit_identical(const ConvProblem& p) {
+  SCOPED_TRACE(p.key());
   Rng rng(29);
   const Tensor wmat = Tensor::normal(Shape::mat(p.gemm_m(), p.gemm_k()), rng);
   const Tensor columns =
       Tensor::normal(Shape::mat(p.gemm_k(), p.gemm_n()), rng);
-  const autograd::kernels::PackedA packed = autograd::kernels::prepack_a(
-      wmat.raw(), p.gemm_k(), 1, p.gemm_m(), p.gemm_k());
+  const autograd::kernels::PackedA packed =
+      ag::prepack_viable(p.gemm_m(), p.gemm_k())
+          ? ag::prepack_a(wmat.raw(), p.gemm_k(), 1, p.gemm_m(), p.gemm_k())
+          : autograd::kernels::PackedA{};
   auto run_solver = [&](const char* name, const std::string& params) {
     Tensor out = Tensor::zeros(Shape::mat(p.gemm_m(), p.gemm_n()));
     const Solver* solver = find_solver(name);
@@ -759,6 +707,9 @@ TEST(SolverParity, BlockedFamilyIsBitIdenticalToBlockedDefault) {
   for (const char* name : {"blocked", "blocked_prepacked"}) {
     const Solver* solver = find_solver(name);
     ASSERT_NE(solver, nullptr);
+    if (!solver->is_applicable(p)) {
+      continue;
+    }
     for (const std::string& params : solver->search_space(p)) {
       SCOPED_TRACE(std::string(name) + "[" + params + "]");
       const Tensor out = run_solver(name, params);
@@ -766,6 +717,22 @@ TEST(SolverParity, BlockedFamilyIsBitIdenticalToBlockedDefault) {
         ASSERT_EQ(baseline.at(i), out.at(i)) << "bit-diff at index " << i;
       }
     }
+  }
+}
+
+TEST(SolverParity, BlockedFamilyIsBitIdenticalToBlockedDefault) {
+  // The numerical contract that keeps the golden hash stable across DB
+  // contents: every blocked-family solver and every tuned parameter set
+  // must produce bit-identical output — including on a reduction deeper
+  // than one Kc block, where tuning must not move the block split.
+  for (const int64_t cin : {12, 48}) {  // 48 * 3 * 3 > the default Kc
+    ConvProblem p;
+    p.c = cin;
+    p.h = 16;
+    p.w = 48;
+    p.k = 16;
+    p.pad = 1;
+    expect_blocked_family_bit_identical(p);
   }
 }
 
@@ -858,22 +825,24 @@ TEST(TuneEndToEnd, PerfDbRebindsNetworkConvsBitExactly) {
       << "heuristic must bind the pre-packed solver for viable shapes";
 
   // A DB that pins each recorded shape to the plain blocked solver where it
-  // applies (shapes too small for the blocked loops keep their heuristic,
-  // and so does the Kc-deep one: a tuned record runs it in one Kc block,
-  // a different summation order than the heuristic's two): the bindings
-  // must change (hits -> misses), the math must not.
+  // applies (shapes too small for the blocked loops keep their heuristic;
+  // the Kc-deep one is pinned too, and a tuned record keeps its two-block
+  // summation order): the bindings must change (hits -> misses), the math
+  // must not.
   const Solver* blocked = find_solver("blocked");
   ASSERT_NE(blocked, nullptr);
   PerfDb db;
   size_t pinned = 0;
+  size_t deep_pinned = 0;
   for (const ConvProblem& p : problems) {
-    if (blocked->is_applicable(p) &&
-        p.gemm_k() <= ag::blocked_gemm_config().kc) {
+    if (blocked->is_applicable(p)) {
       db.set(p.key(), {"blocked", "mc=64", 10.0});
       ++pinned;
+      deep_pinned += p.gemm_k() > ag::blocked_gemm_config().kc ? 1 : 0;
     }
   }
   ASSERT_GT(pinned, 0u);
+  ASSERT_GT(deep_pinned, 0u) << "the Kc-deep shape must be pinned too";
   set_perf_db(std::move(db));
   const uint64_t h1 = hits.value();
   const uint64_t m1 = misses.value();

@@ -5,9 +5,9 @@
 //    eval-mode predict and produces the same float bits as the
 //    Variable-graph path for every fusion scheme and fusion weight, under
 //    the default solver bindings and the forced reference solver;
-//  * the workspace planner — a dry run's plan is deterministic, a
-//    reserved arena replays the workload hit-only, and best-fit reuse
-//    serves smaller batches from a larger batch's arena;
+//  * the workspace arena — a second pass draws every block from it,
+//    best-fit reuse serves smaller batches from a larger batch's arena,
+//    and the plan's scratch block is sized by the largest batch seen;
 //  * zero heap traffic — from the second predict on a thread onward, the
 //    operator-new hook (tests/alloc_hooks.cpp) observes zero allocations;
 //  * cache invalidation — a checkpoint reload rebuilds the pre-packed
@@ -40,7 +40,6 @@ using tensor::Rng;
 using tensor::Shape;
 using tensor::Tensor;
 using tensor::Workspace;
-using tensor::WorkspacePlan;
 using tensor::WorkspaceScope;
 using testhooks::reset_thread_alloc_counters;
 using testhooks::thread_alloc_counters;
@@ -162,31 +161,8 @@ TEST(PlannedInference, PlanServesOnlyInEvalMode) {
 }
 
 // ---------------------------------------------------------------------------
-// Workspace planner
+// Workspace arena
 // ---------------------------------------------------------------------------
-
-TEST(WorkspacePlanner, PlanSnapshotIsDeterministic) {
-  Rng rng(11);
-  RoadSegNet net(small_config(), rng);
-  net.set_training(false);
-  net.prepare_inference();
-  const Scene scene = make_scene(5);
-
-  const auto dry_run = [&] {
-    Workspace workspace;
-    {
-      const WorkspaceScope scope(workspace);
-      (void)net.predict(scene.rgb, scene.depth);
-    }
-    return workspace.plan_snapshot();
-  };
-  const WorkspacePlan first = dry_run();
-  const WorkspacePlan second = dry_run();
-  EXPECT_TRUE(first == second) << "dry runs must produce identical plans";
-  EXPECT_GT(first.total_bytes(), 0u);
-  EXPECT_GT(first.peak_bytes, 0u);
-  EXPECT_LE(first.peak_bytes, first.total_bytes());
-}
 
 TEST(WorkspacePlanner, SecondPassDrawsEveryBlockFromTheArena) {
   Rng rng(11);
@@ -205,32 +181,6 @@ TEST(WorkspacePlanner, SecondPassDrawsEveryBlockFromTheArena) {
   EXPECT_EQ(stats.misses, misses_after_first)
       << "steady-state pass must allocate no new blocks";
   EXPECT_GT(stats.hits, 0u);
-}
-
-TEST(WorkspacePlanner, ReservedArenaReplaysTheWorkloadHitOnly) {
-  Rng rng(11);
-  RoadSegNet net(small_config(), rng);
-  net.set_training(false);
-  net.prepare_inference();
-  const Scene scene = make_scene(5);
-
-  WorkspacePlan plan;
-  {
-    Workspace dry;
-    {
-      const WorkspaceScope scope(dry);
-      (void)net.predict(scene.rgb, scene.depth);
-    }
-    plan = dry.plan_snapshot();
-  }
-
-  Workspace fresh;
-  fresh.reserve(plan);
-  EXPECT_EQ(fresh.stats().reserved_bytes, plan.total_bytes());
-  const WorkspaceScope scope(fresh);
-  (void)net.predict(scene.rgb, scene.depth);
-  EXPECT_EQ(fresh.stats().misses, 0u)
-      << "a plan-reserved arena must serve even the first pass hit-only";
 }
 
 TEST(WorkspacePlanner, LargerBatchArenaServesSmallerBatches) {
@@ -273,15 +223,6 @@ TEST(WorkspacePlanner, ScratchBlockIsReplacedByALargerRequest) {
   // The outgrown 100-float block is gone, not kept beside the new one.
   EXPECT_EQ(stats.reserved_bytes, 400 * sizeof(float));
   EXPECT_EQ(stats.in_use_bytes, 400 * sizeof(float));
-  const WorkspacePlan plan = workspace.plan_snapshot();
-  EXPECT_EQ(plan.scratch_floats, 400u);
-  EXPECT_TRUE(plan.block_floats.empty());
-
-  Workspace fresh;
-  fresh.reserve(plan);
-  EXPECT_EQ(fresh.stats().reserved_bytes, plan.total_bytes());
-  (void)fresh.scratch(400);
-  EXPECT_EQ(fresh.stats().misses, 0u);
 }
 
 TEST(WorkspacePlanner, PlanScratchIsSizedByTheLargestBatchInAnyOrder) {
@@ -297,7 +238,8 @@ TEST(WorkspacePlanner, PlanScratchIsSizedByTheLargestBatchInAnyOrder) {
          Tensor::uniform(Shape::nchw(n, 1, 32, 48), scene_rng)});
   }
   // Serving sees batch sizes in whatever order requests pile up; the
-  // blocked slots' footprint must not depend on it.
+  // blocked slots' footprint must not depend on it. Once every result is
+  // dropped, the scratch block is all the arena still holds in use.
   const auto scratch_after = [&](const std::vector<int>& order,
                                  float weight) {
     Workspace workspace;
@@ -306,7 +248,7 @@ TEST(WorkspacePlanner, PlanScratchIsSizedByTheLargestBatchInAnyOrder) {
       const Scene& b = batches[static_cast<size_t>(k)];
       (void)net.predict_fused(b.rgb, b.depth, weight);
     }
-    return workspace.plan_snapshot().scratch_floats;
+    return workspace.stats().in_use_bytes;
   };
   for (const float weight : {1.0f, 0.0f}) {
     const size_t largest_only = scratch_after({3}, weight);

@@ -13,18 +13,14 @@
 //                                process metrics as Prometheus text
 //   tune        [options]        benchmark conv solvers per model shape,
 //                                write the winners to a perf DB
-//   calibrate   [options]        calibrate int8 activation scales over the
-//                                validation split, gate on fp32 accuracy,
-//                                write a versioned scale table
 //   eval-matrix [options]        scenario corruption suite x fusion scheme
 //                                score matrix with RGB-only regression gates
 //   stream      [options]        temporally coherent frame stream through
 //                                the front door with frame-to-frame reuse
 //
 // `infer`, `batch-infer` and `metrics-dump` accept `--trace FILE` to
-// write a Chrome trace-event JSON of the run (chrome://tracing),
-// `--perf-db FILE` to serve with tuned per-shape solver bindings, and
-// `--quant FILE` to serve int8 with a calibrated scale table.
+// write a Chrome trace-event JSON of the run (chrome://tracing) and
+// `--perf-db FILE` to serve with tuned per-shape solver bindings.
 //
 // Run `roadfusion <command> --help` for the options of each command.
 #include <chrono>
@@ -41,15 +37,12 @@
 #include "common/env.hpp"
 #include "eval/disparity_profile.hpp"
 #include "eval/evaluator.hpp"
-#include "eval/quant_gate.hpp"
 #include "kitti/dataset.hpp"
 #include "kitti/directory_dataset.hpp"
 #include "kitti/surface_normals.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "plan/plan.hpp"
-#include "quant/runtime.hpp"
-#include "quant/scale_table.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/fault_injection.hpp"
@@ -125,30 +118,6 @@ void apply_perf_db(const cli::Args& args) {
   ROADFUSION_CHECK(result.found, "--perf-db '" << path << "' not found");
   std::fprintf(stderr, "perf DB %s: reloaded %zu tuned record(s)\n",
                path.c_str(), result.db.size());
-}
-
-/// Loads --quant FILE (a calibrated scale table from `roadfusion
-/// calibrate`) and enables int8 inference. Missing or header-mismatched
-/// files fail loudly — an explicit flag, unlike the best-effort
-/// ROADFUSION_QUANT env pickup.
-void apply_quant(const cli::Args& args) {
-  const std::string path = args.get("quant", "");
-  if (path.empty()) {
-    return;
-  }
-  const quant::ScaleTableLoad result = quant::load_scale_table_file(path);
-  ROADFUSION_CHECK(result.found, "--quant '" << path << "' not found");
-  ROADFUSION_CHECK(!result.version_mismatch,
-                   "--quant '" << path << "' has an unrecognized header");
-  if (result.skipped_lines > 0) {
-    std::fprintf(stderr, "quant: %s: skipped %zu corrupted line(s)\n",
-                 path.c_str(), result.skipped_lines);
-  }
-  const size_t records = result.table.size();
-  quant::set_scale_table(result.table);
-  quant::set_enabled(true);
-  std::fprintf(stderr, "quant: int8 inference enabled (%zu scale record(s))\n",
-               records);
 }
 
 /// Enables span recording when --trace FILE was given. Call before the
@@ -301,19 +270,18 @@ int cmd_infer(const cli::Args& args) {
         "                 [--category UM|UMM|UU] [--lighting day|night|"
         "overexposure|shadows]\n"
         "                 [--scene-seed N] [--normals] [--threads N] [--out dir]\n"
-        "                 [--perf-db FILE] [--quant FILE] "
-        "[--trace trace.json]\n"
+        "                 [--perf-db FILE] [--trace trace.json]\n"
         "                 [--explain-plan]\n\n"
-        "  --explain-plan  print the compiled inference plan (per-layer\n"
-        "                  layout, kernel/solver, fused epilogue, buffer\n"
-        "                  slots; DESIGN.md §16) before running\n");
+        "  --explain-plan  print the kernel-selection knobs in force and\n"
+        "                  the compiled inference plan (per-layer layout,\n"
+        "                  kernel/solver, fused epilogue, buffer slots;\n"
+        "                  DESIGN.md §16) before running\n");
     return 0;
   }
   args.allow_only({"model", "scheme", "category", "lighting", "scene-seed",
                    "normals", "threads", "out", "trace",
-                   "perf-db", "quant", "explain-plan", "help"});
+                   "perf-db", "explain-plan", "help"});
   apply_perf_db(args);
-  apply_quant(args);
   tensor::Rng rng(1);
   roadseg::RoadSegNet net(net_config(args), rng);
   train::load_model(net, args.get("model", "model.rfc"));
@@ -433,7 +401,6 @@ int cmd_batch_infer(const cli::Args& args) {
         "                     rate=0.1,seed=7,kinds=nan+slow (see DESIGN.md"
         " §9)\n"
         "  --perf-db FILE     serve with tuned per-shape solver bindings\n"
-        "  --quant FILE       serve int8 with a calibrated scale table\n"
         "  --trace FILE       write a Chrome trace-event JSON of the run\n");
     return 0;
   }
@@ -442,10 +409,8 @@ int cmd_batch_infer(const cli::Args& args) {
                    "queue-cap", "deadline-ms",
                    "max-retries", "backoff-ms", "backoff-cap-ms",
                    "backoff-seed", "shards", "rate", "burst",
-                   "inject-faults", "out", "trace", "perf-db",
-                   "quant", "help"});
+                   "inject-faults", "out", "trace", "perf-db", "help"});
   apply_perf_db(args);
-  apply_quant(args);
   const auto scenes = make_data(args, kitti::Split::kTest);
   tensor::Rng rng(1);
   roadseg::RoadSegNet net(net_config(args), rng);
@@ -729,8 +694,7 @@ int cmd_metrics_dump(const cli::Args& args) {
         "                        [--max-wait-us N] [--queue-cap N]\n"
         "                        [--scheme Baseline|AU|AB|BS|WS] [--normals]\n"
         "                        [--cap N] [--data-seed N]\n"
-        "                        [--perf-db FILE] [--quant FILE]\n"
-        "                        [--trace trace.json]\n\n"
+        "                        [--perf-db FILE] [--trace trace.json]\n\n"
         "Runs N synthetic scenes (untrained weights — no checkpoint needed)\n"
         "through the batched inference runtime, then prints every metric of\n"
         "the process-wide registry in Prometheus text exposition format on\n"
@@ -740,9 +704,8 @@ int cmd_metrics_dump(const cli::Args& args) {
   }
   args.allow_only({"count", "threads", "max-batch", "max-wait-us",
                    "queue-cap", "scheme", "normals", "cap", "data-seed",
-                   "trace", "perf-db", "quant", "help"});
+                   "trace", "perf-db", "help"});
   apply_perf_db(args);
-  apply_quant(args);
   const kitti::RoadDataset scenes(dataset_config(args), kitti::Split::kTest);
   tensor::Rng rng(1);
   roadseg::RoadSegNet net(net_config(args), rng);
@@ -862,71 +825,6 @@ int cmd_tune(const cli::Args& args) {
                    "tune: reloading '" << path << "' failed validation");
   std::fprintf(stderr, "verified: %s reloads with %zu record(s)\n",
                path.c_str(), reload.db.size());
-  return 0;
-}
-
-int cmd_calibrate(const cli::Args& args) {
-  if (args.has("help")) {
-    std::printf(
-        "roadfusion calibrate [--out FILE] [--model model.rfc]\n"
-        "                     [--scheme Baseline|AU|AB|BS|WS] [--normals]\n"
-        "                     [--cap N] [--data-seed N]\n"
-        "                     [--max-f-delta X] [--max-iou-delta X]\n\n"
-        "Calibrates int8 activation scales: one fp32 evaluation pass over\n"
-        "the synthetic validation split records each conv layer's im2col\n"
-        "absmax, then the int8 path is scored with the derived scale table\n"
-        "active. The table is only written when the MaxF / IOU deltas stay\n"
-        "within the gate (DESIGN.md §13). Serving commands consume it via\n"
-        "--quant FILE or ROADFUSION_QUANT.\n\n"
-        "  --out FILE        output path (default: roadfusion_quant.table)\n"
-        "  --max-f-delta X   MaxF gate in percentage points (default 2.0)\n"
-        "  --max-iou-delta X IOU gate in percentage points (default 2.0)\n"
-        "  --model           optional checkpoint; untrained weights gate\n"
-        "                    fine (scales track activations, not accuracy)\n");
-    return 0;
-  }
-  args.allow_only({"model", "scheme", "normals", "out", "cap", "data-seed",
-                   "max-f-delta", "max-iou-delta", "data", "help"});
-  const auto split = make_data(args, kitti::Split::kTest);
-  tensor::Rng rng(1);
-  roadseg::RoadSegNet net(net_config(args), rng);
-  if (args.has("model")) {
-    train::load_model(net, args.get("model", "model.rfc"));
-  }
-  net.set_training(false);
-  net.prepare_inference();
-
-  eval::QuantGateConfig config;
-  config.max_f_delta = args.get_double("max-f-delta", config.max_f_delta);
-  config.max_iou_delta =
-      args.get_double("max-iou-delta", config.max_iou_delta);
-  std::fprintf(stderr, "calibrating over %lld sample(s)...\n",
-               static_cast<long long>(split->size()));
-  const eval::QuantGateResult result =
-      eval::run_quant_gate(net, *split, config);
-  print_scores("fp32", result.fp32);
-  print_scores("int8", result.int8);
-  std::printf("deltas: MaxF %.3f (gate %.2f)  IOU %.3f (gate %.2f)\n",
-              result.f_delta, config.max_f_delta, result.iou_delta,
-              config.max_iou_delta);
-  ROADFUSION_CHECK(result.passed,
-                   "calibration gate FAILED: int8 accuracy deltas exceed the "
-                   "threshold — scale table not written");
-
-  const std::string path = args.get("out", "roadfusion_quant.table");
-  result.table.save(path);
-  std::printf("gate passed: wrote %zu scale record(s) to %s\n",
-              result.table.size(), path.c_str());
-
-  // Reload through the runtime loader so the freshly written file is
-  // verified end-to-end (header, key syntax) before we report OK.
-  const quant::ScaleTableLoad reload = quant::load_scale_table_file(path);
-  ROADFUSION_CHECK(reload.found && !reload.version_mismatch &&
-                       reload.skipped_lines == 0 &&
-                       reload.table.size() == result.table.size(),
-                   "calibrate: reloading '" << path << "' failed validation");
-  std::fprintf(stderr, "verified: %s reloads with %zu record(s)\n",
-               path.c_str(), reload.table.size());
   return 0;
 }
 
@@ -1070,8 +968,7 @@ int cmd_stream(const cli::Args& args) {
         "                  [--lighting day|night|overexposure|shadows]\n"
         "                  [--scene-seed N] [--threads N] [--max-batch N]\n"
         "                  [--max-wait-us N] [--queue-cap N]\n"
-        "                  [--perf-db FILE] [--quant FILE]\n"
-        "                  [--trace trace.json]\n\n"
+        "                  [--perf-db FILE] [--trace trace.json]\n\n"
         "Drives a temporally coherent frame sequence (one scene, ego\n"
         "advancing --advance m/frame, LiDAR refreshing every\n"
         "--lidar-period frames) through the serving front door with\n"
@@ -1087,9 +984,8 @@ int cmd_stream(const cli::Args& args) {
                    "advance", "slo-ms", "no-reuse", "verify", "category",
                    "lighting", "scene-seed", "noise-seed", "corruption-seed",
                    "threads", "max-batch", "max-wait-us", "queue-cap",
-                   "perf-db", "quant", "trace", "help"});
+                   "perf-db", "trace", "help"});
   apply_perf_db(args);
-  apply_quant(args);
 
   roadseg::RoadSegConfig net_cfg;
   net_cfg.scheme = core::fusion_scheme_from_string(args.get("scheme", "WS"));
@@ -1238,8 +1134,6 @@ void print_usage(std::FILE* stream) {
       "  dataset      export synthetic samples as PPM/PGM files\n"
       "  metrics-dump run a synthetic workload, print Prometheus metrics\n"
       "  tune         benchmark conv solvers per shape, write a perf DB\n"
-      "  calibrate    calibrate int8 scales, gate on accuracy, write a "
-      "table\n"
       "  eval-matrix  scenario corruption suite x fusion scheme score "
       "matrix\n"
       "  stream       temporally coherent frames with frame-to-frame "
@@ -1283,9 +1177,6 @@ int main(int argc, char** argv) {
     }
     if (command == "tune") {
       return cmd_tune(args);
-    }
-    if (command == "calibrate") {
-      return cmd_calibrate(args);
     }
     if (command == "eval-matrix") {
       return cmd_eval_matrix(args);

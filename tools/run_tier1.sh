@@ -17,8 +17,7 @@
 #                                 # tolerance + serialization tests under
 #                                 # UndefinedBehaviorSanitizer and run them
 #                                 # (checkpoint header parsing, fault
-#                                 # injection arithmetic, int8 quantize
-#                                 # rounding and saturation)
+#                                 # injection arithmetic)
 #   tools/run_tier1.sh --coverage # additionally build with gcov
 #                                 # instrumentation, run the observability
 #                                 # suite, and fail if line coverage of
@@ -35,12 +34,6 @@
 #                                 # blocked plan (the DB moves registry
 #                                 # bindings: the graph's, the all-NCHW
 #                                 # schedule's)
-#   tools/run_tier1.sh --quant-smoke
-#                                 # additionally run `roadfusion calibrate`,
-#                                 # assert the RFQT1 scale table is produced
-#                                 # and the accuracy gate passes, then serve
-#                                 # one scene with --quant and assert the
-#                                 # int8 solvers actually bind
 #   tools/run_tier1.sh --soak-smoke
 #                                 # additionally run bench_soak --smoke: a
 #                                 # seconds-long open-loop overload drill
@@ -78,7 +71,6 @@ ubsan=0
 coverage=0
 bench_smoke=0
 tune_smoke=0
-quant_smoke=0
 soak_smoke=0
 scenario_smoke=0
 plan_smoke=0
@@ -90,12 +82,11 @@ for arg in "$@"; do
     --coverage) coverage=1 ;;
     --bench-smoke) bench_smoke=1 ;;
     --tune-smoke) tune_smoke=1 ;;
-    --quant-smoke) quant_smoke=1 ;;
     --soak-smoke) soak_smoke=1 ;;
     --scenario-smoke) scenario_smoke=1 ;;
     --plan-smoke) plan_smoke=1 ;;
     *)
-      echo "usage: tools/run_tier1.sh [--tsan] [--asan] [--ubsan] [--coverage] [--bench-smoke] [--tune-smoke] [--quant-smoke] [--soak-smoke] [--scenario-smoke] [--plan-smoke]" >&2
+      echo "usage: tools/run_tier1.sh [--tsan] [--asan] [--ubsan] [--coverage] [--bench-smoke] [--tune-smoke] [--soak-smoke] [--scenario-smoke] [--plan-smoke]" >&2
       exit 2
       ;;
   esac
@@ -111,9 +102,9 @@ if [[ "$tsan" == 1 ]]; then
   cmake --build build-tsan -j \
     --target test_runtime_queue test_runtime_engine test_fault_tolerance \
              test_kernel_parity test_tracing test_metrics test_runtime_stats \
-             test_workspace test_tune test_quant test_frontdoor test_serve_e2e \
+             test_workspace test_tune test_frontdoor test_serve_e2e \
              test_stream test_plan
-  (cd build-tsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_kernel_parity|test_tracing|test_metrics|test_workspace|test_tune|test_quant$|test_frontdoor|test_serve_e2e|test_stream|test_plan')
+  (cd build-tsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_kernel_parity|test_tracing|test_metrics|test_workspace|test_tune|test_frontdoor|test_serve_e2e|test_stream|test_plan')
 fi
 
 if [[ "$asan" == 1 ]]; then
@@ -121,18 +112,18 @@ if [[ "$asan" == 1 ]]; then
   cmake -B build-asan -S . -DROADFUSION_SANITIZE=address
   cmake --build build-asan -j \
     --target test_kernel_parity test_golden_inference test_fault_tolerance \
-             test_workspace test_tune test_quant test_frontdoor \
+             test_workspace test_tune test_frontdoor \
              test_scenario test_stream test_plan
-  (cd build-asan && ctest --output-on-failure -R 'test_kernel_parity|test_golden_inference|test_fault_tolerance|test_workspace|test_tune|test_quant$|test_frontdoor|test_scenario|test_stream|test_plan')
+  (cd build-asan && ctest --output-on-failure -R 'test_kernel_parity|test_golden_inference|test_fault_tolerance|test_workspace|test_tune|test_frontdoor|test_scenario|test_stream|test_plan')
 fi
 
 if [[ "$ubsan" == 1 ]]; then
   echo "== UndefinedBehaviorSanitizer pass over the runtime + fault tolerance + serialization tests =="
   cmake -B build-ubsan -S . -DROADFUSION_SANITIZE=undefined
   cmake --build build-ubsan -j \
-    --target test_runtime_queue test_runtime_engine test_fault_tolerance \
-             test_serialize test_checkpoint test_quant test_scenario
-  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_quant$|test_scenario')
+    --target test_runtime_queue test_runtime_engine test_runtime_stats \
+             test_fault_tolerance test_serialize test_checkpoint test_scenario
+  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_scenario')
 fi
 
 if [[ "$soak_smoke" == 1 ]]; then
@@ -184,7 +175,8 @@ if [[ "$plan_smoke" == 1 ]]; then
   # RGB-only, stream miss/hit, batched, forced solver) memcmp-equal to
   # the autograd graph for every fusion scheme, zero heap allocations per
   # predict from the second call on (AllocProbe), labeled all-NCHW
-  # layouts (quant, forced solver, Kc depth) and the bounded plan cache.
+  # layouts (forced solver, Kc depth), the kernel-selection knob lines
+  # and the bounded plan cache.
   (cd build && ctest --output-on-failure -L plan)
   # End to end: the CLI must print a blocked-layout schedule for a real
   # checkpoint.
@@ -220,6 +212,8 @@ if [[ "$plan_smoke" == 1 ]]; then
   oracle="$(cd build && ROADFUSION_SOLVER=reference ./tools/roadfusion infer \
       --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
     { echo "$oracle"; echo "plan smoke: forced-reference infer failed" >&2; exit 1; }
+  echo "$oracle" | grep -q '^knob ROADFUSION_SOLVER=reference$' ||
+    { echo "$oracle"; echo "plan smoke: explain does not report the forced solver" >&2; exit 1; }
   for step in 'layer=(rgb|depth)\.stage0 ' '\] decoder '; do
     lines="$(echo "$oracle" | grep -E "$step")" ||
       { echo "$oracle"; echo "plan smoke: no '$step' step under the oracle" >&2; exit 1; }
@@ -256,29 +250,6 @@ if [[ "$tune_smoke" == 1 ]]; then
   echo "$metrics" | grep -q 'roadfusion_plan_layers_total{layout="nchw"} 0$' ||
     { echo "$metrics"; echo "tune smoke: a tuned DB pulled serving off the blocked plan" >&2; exit 1; }
   echo "tune smoke: OK ($(grep -c ' solver=' "$tune_db") records)"
-fi
-
-if [[ "$quant_smoke" == 1 ]]; then
-  echo "== Quant smoke: calibration emits a scale table that serving consumes =="
-  cmake --build build -j --target roadfusion
-  quant_table="build/quant_smoke.table"
-  rm -f "$quant_table" "$quant_table.tmp"
-  (cd build && ./tools/roadfusion calibrate --out quant_smoke.table --cap 2)
-  [[ -s "$quant_table" ]] || { echo "quant smoke: $quant_table missing or empty" >&2; exit 1; }
-  [[ ! -e "$quant_table.tmp" ]] || { echo "quant smoke: stale $quant_table.tmp left behind" >&2; exit 1; }
-  head -1 "$quant_table" | grep -q '^RFQT1$' ||
-    { echo "quant smoke: bad scale-table header" >&2; exit 1; }
-  # One synthetic scene served under --quant: int8 must be announced and
-  # the int8 solvers must actually bind.
-  metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
-      --quant quant_smoke.table 2>&1)"
-  echo "$metrics" | grep -q 'quant: int8 inference enabled' ||
-    { echo "quant smoke: serving did not enable int8" >&2; exit 1; }
-  echo "$metrics" | grep -q 'roadfusion_solver_selected_total{solver="int8_' ||
-    { echo "quant smoke: no int8 solver bound during serving" >&2; exit 1; }
-  echo "$metrics" | grep -q 'roadfusion_int8_conv_total' ||
-    { echo "quant smoke: int8 conv counter missing" >&2; exit 1; }
-  echo "quant smoke: OK ($(grep -c ' scale=' "$quant_table") scale records)"
 fi
 
 if [[ "$coverage" == 1 ]]; then
