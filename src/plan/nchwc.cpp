@@ -184,6 +184,18 @@ NchwcConvArgs avx2_args(const float* src, int64_t n, int64_t in_h,
 
 }  // namespace
 
+NchwcTile nchwc_avx2_tile(int64_t kernel, int64_t cout) {
+  // Accumulators + weight vectors + one broadcast fit the 16 YMM
+  // registers. A 3x3 tile holds 3 weights per block; one block x 8
+  // columns beat two blocks x 4 on every plan shape (DESIGN.md §16). A
+  // 1x1 tile holds one weight per block, so two blocks share each
+  // broadcast when the layer has them.
+  if (kernel == 3) {
+    return NchwcTile{1, 8};
+  }
+  return blocks_of(cout) >= 2 ? NchwcTile{2, 6} : NchwcTile{1, 12};
+}
+
 void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                 const PackedConv& pc, float* dst, int64_t out_h,
                 int64_t out_w, const float* pre, const float* post,

@@ -20,10 +20,6 @@ namespace roadfusion::plan {
 namespace {
 
 constexpr int64_t kLanes = 8;
-// Six output columns share every weight-tap load; 96/48/24/12/6-wide
-// encoder rows tile exactly. 6 accumulators + weight + broadcast stay
-// well inside the 16 YMM registers.
-constexpr int64_t kCols = 6;
 
 /// Per-output-block epilogue constants, loaded once per channel block.
 struct EpiVecs {
@@ -36,6 +32,23 @@ struct EpiVecs {
   bool has_bn = false;
   bool relu = false;
 };
+
+EpiVecs epilogue_of(const NchwcConvArgs& a, int64_t ob) {
+  EpiVecs e;
+  if (a.bias != nullptr) {
+    e.has_bias = true;
+    e.bias = _mm256_loadu_ps(a.bias + ob * kLanes);
+  }
+  if (a.bn_mean != nullptr) {
+    e.has_bn = true;
+    e.mean = _mm256_loadu_ps(a.bn_mean + ob * kLanes);
+    e.invstd = _mm256_loadu_ps(a.bn_invstd + ob * kLanes);
+    e.gamma = _mm256_loadu_ps(a.bn_gamma + ob * kLanes);
+    e.beta = _mm256_loadu_ps(a.bn_beta + ob * kLanes);
+  }
+  e.relu = a.relu;
+  return e;
+}
 
 /// Replays the scalar epilogue chain on one 8-lane column:
 /// +bias -> BN affine -> +pre -> ReLU -> +fusion_weight * post. max_ps
@@ -67,131 +80,246 @@ inline void store_column(__m256 v, float* dp, const float* pre_p,
   _mm256_storeu_ps(dp, v);
 }
 
-/// The direct conv for a compile-time kernel size, so the tap loops
-/// unroll; the per-element chain is the same for every K.
-template <int64_t K>
-void conv_body(const NchwcConvArgs& a) {
-  constexpr int64_t k = K;
-  const int64_t s = a.stride;
-  constexpr int64_t tap0 = 1 - (k == 3 ? 1 : 0);
-  const int64_t srow = (a.in_w + 2) * kLanes;
-  const int64_t splane = (a.in_h + 2) * srow;
-  const int64_t cb = (a.cin + kLanes - 1) / kLanes;
-  const int64_t ssample = cb * splane;
-  const int64_t drow = (a.out_w + 2) * kLanes;
-  const int64_t dplane = (a.out_h + 2) * drow;
+/// Strides and epilogue operands shared by every tile of one conv call.
+struct ConvCtx {
+  const NchwcConvArgs* a = nullptr;
+  int64_t srow = 0;    // floats per padded input row
+  int64_t splane = 0;  // floats per input channel block
+  int64_t dplane = 0;  // floats per output channel block
+  bool scale_post = false;
+  __m256 fw = _mm256_setzero_ps();
+};
+
+/// Runs the epilogue over a finished tile's `blocks` x `cols` columns
+/// (`out` block-major) whose first column sits at float offset `at` of
+/// block `ob`. Shared by every tile shape, so the epilogue's code exists
+/// once rather than once per column of every instantiation.
+[[gnu::noinline]] void store_tile(const ConvCtx& t, const __m256* out,
+                                  int blocks, int cols, float* dimg,
+                                  const float* pre_img, const float* post_img,
+                                  const EpiVecs* epi, int64_t ob, int64_t at) {
+  const __m256 fw = t.fw;
+  const bool scale_post = t.scale_post;
+  for (int b = 0; b < blocks; ++b) {
+    const EpiVecs e = epi[b];  // a local copy the stores cannot alias
+    const int64_t blk = (ob + b) * t.dplane + at;
+    float* d = dimg + blk;
+    const float* pre_p = pre_img != nullptr ? pre_img + blk : nullptr;
+    const float* post_p = post_img != nullptr ? post_img + blk : nullptr;
+    for (int c = 0; c < cols; ++c) {
+      const int64_t off = c * kLanes;
+      store_column(out[b * cols + c], d + off,
+                   pre_p != nullptr ? pre_p + off : nullptr,
+                   post_p != nullptr ? post_p + off : nullptr, e, fw,
+                   scale_post);
+    }
+  }
+}
+
+/// One register tile of the direct conv: B output channel blocks x C
+/// output columns of output row `oy`, starting at column `ox`.
+///
+/// Sliding window: for each (ic, ky) the tile loads the B*K weight
+/// vectors once, then walks the W = (C-1)*S + K input columns the tile
+/// reads in ascending order, broadcasting each column once and feeding
+/// it to every output column c = (ix - kx) / S it touches, kx running
+/// K-1 -> 0. Output c therefore receives its taps at ix = c*S + kx in
+/// ascending ix, i.e. kx = 0, 1, ..., K-1 in order, inside the ky loop
+/// inside the ic loop: exactly the scalar kernel's (ic, ky, kx) chain.
+/// Input channels are walked by (cin block, lane), so the division by
+/// the lane count stays out of the tap loops.
+template <int K, int S, int B, int C>
+void conv_tile(const ConvCtx& t, const float* simg, float* dimg,
+               const float* pre_img, const float* post_img,
+               const EpiVecs* epi, int64_t ob, int64_t oy, int64_t ox) {
+  static_assert(B * C + B * K + 1 <= 16, "tile exceeds the YMM registers");
+  constexpr int W = (C - 1) * S + K;  // input columns under the tile
+  constexpr int64_t tap0 = K == 3 ? 0 : 1;  // pad 1 vs pad 0, border-shifted
+  const NchwcConvArgs& a = *t.a;
+  __m256 acc[B][C];
+#pragma GCC unroll 16
+  for (int b = 0; b < B; ++b) {
+#pragma GCC unroll 16
+    for (int c = 0; c < C; ++c) {
+      acc[b][c] = _mm256_setzero_ps();
+    }
+  }
+  const float* wblk[B];
+#pragma GCC unroll 16
+  for (int b = 0; b < B; ++b) {
+    wblk[b] = a.w + (ob + b) * a.cin * K * K * kLanes;
+  }
+  const float* src0 =
+      simg + (oy * S + tap0) * t.srow + (ox * S + tap0) * kLanes;
+  int64_t woff = 0;
+  for (int64_t ib = 0; ib * kLanes < a.cin; ++ib) {
+    const float* sblk = src0 + ib * t.splane;
+    const int64_t lanes =
+        a.cin - ib * kLanes < kLanes ? a.cin - ib * kLanes : kLanes;
+    for (int64_t lane = 0; lane < lanes; ++lane) {
+      // Not unrolled: one row's weights, window and accumulators are
+      // what fits the registers.
+#pragma GCC unroll 1
+      for (int ky = 0; ky < K; ++ky) {
+        const float* row = sblk + lane + ky * t.srow;
+        __m256 wv[B][K];
+#pragma GCC unroll 16
+        for (int b = 0; b < B; ++b) {
+#pragma GCC unroll 3
+          for (int kx = 0; kx < K; ++kx) {
+            wv[b][kx] = _mm256_loadu_ps(wblk[b] + woff + kx * kLanes);
+          }
+        }
+#pragma GCC unroll 32
+        for (int ix = 0; ix < W; ++ix) {
+          if (K == 1 && ix % S != 0) {
+            continue;  // a 1x1 stride-2 tile skips the odd columns
+          }
+          const __m256 x = _mm256_broadcast_ss(row + ix * kLanes);
+#pragma GCC unroll 3
+          for (int kx = K - 1; kx >= 0; --kx) {
+            const int off = ix - kx;
+            if (off < 0 || off % S != 0 || off / S >= C) {
+              continue;
+            }
+#pragma GCC unroll 16
+            for (int b = 0; b < B; ++b) {
+              acc[b][off / S] = _mm256_add_ps(
+                  acc[b][off / S], _mm256_mul_ps(wv[b][kx], x));
+            }
+          }
+        }
+        woff += K * kLanes;
+      }
+    }
+  }
+  // Copied out rather than passed by address: taking acc's address would
+  // keep the accumulators in memory through the tap loops.
+  __m256 out[B * C];
+#pragma GCC unroll 16
+  for (int b = 0; b < B; ++b) {
+#pragma GCC unroll 16
+    for (int c = 0; c < C; ++c) {
+      out[b * C + c] = acc[b][c];
+    }
+  }
+  store_tile(t, out, B, C, dimg, pre_img, post_img, epi, ob,
+             ((oy + 1) * (a.out_w + 2) + (ox + 1)) * kLanes);
+}
+
+/// Runs a tile of `cols` < C columns through the template of that width,
+/// so a row's remainder keeps the same chain with a smaller tile.
+template <int K, int S, int B, int C>
+void conv_tail(const ConvCtx& t, const float* simg, float* dimg,
+               const float* pre_img, const float* post_img,
+               const EpiVecs* epi, int64_t ob, int64_t oy, int64_t ox,
+               int64_t cols) {
+  if constexpr (C > 1) {
+    if (cols == C - 1) {
+      conv_tile<K, S, B, C - 1>(t, simg, dimg, pre_img, post_img, epi, ob, oy,
+                                ox);
+    } else {
+      conv_tail<K, S, B, C - 1>(t, simg, dimg, pre_img, post_img, epi, ob, oy,
+                                ox, cols);
+    }
+  }
+}
+
+/// The B-block x C-column sweep over every output row of blocks
+/// [ob, ob + B) of one image.
+template <int K, int S, int B, int C>
+void conv_rows(const ConvCtx& t, const float* simg, float* dimg,
+               const float* pre_img, const float* post_img, int64_t ob) {
+  const NchwcConvArgs& a = *t.a;
+  EpiVecs epi[B];
+  for (int b = 0; b < B; ++b) {
+    epi[b] = epilogue_of(a, ob + b);
+  }
+  for (int64_t oy = 0; oy < a.out_h; ++oy) {
+    int64_t ox = 0;
+    for (; ox + C <= a.out_w; ox += C) {
+      conv_tile<K, S, B, C>(t, simg, dimg, pre_img, post_img, epi, ob, oy,
+                            ox);
+    }
+    if (ox < a.out_w) {
+      conv_tail<K, S, B, C>(t, simg, dimg, pre_img, post_img, epi, ob, oy, ox,
+                            a.out_w - ox);
+    }
+  }
+}
+
+/// Tiles every image with B-block groups; an odd last block runs the
+/// one-block tile of the same width.
+template <int K, int S, int B, int C>
+void conv_body(const ConvCtx& t) {
+  const NchwcConvArgs& a = *t.a;
   const int64_t ocb = (a.cout + kLanes - 1) / kLanes;
-  const int64_t dsample = ocb * dplane;
-  const bool scale_post = a.fusion_weight != 1.0f;
-  const __m256 fw = _mm256_set1_ps(a.fusion_weight);
-  const int64_t col_step = s * kLanes;  // float stride between output cols
+  const int64_t ssample = (a.cin + kLanes - 1) / kLanes * t.splane;
+  const int64_t dsample = ocb * t.dplane;
   for (int64_t img = 0; img < a.n; ++img) {
     const float* simg = a.src + img * ssample;
-    for (int64_t ob = 0; ob < ocb; ++ob) {
-      const float* wblock = a.w + ob * a.cin * k * k * kLanes;
-      float* dplane_p = a.dst + img * dsample + ob * dplane;
-      const float* pre_p =
-          a.pre ? a.pre + img * dsample + ob * dplane : nullptr;
-      const float* post_p =
-          a.post ? a.post + img * dsample + ob * dplane : nullptr;
-      EpiVecs e;
-      if (a.bias != nullptr) {
-        e.has_bias = true;
-        e.bias = _mm256_loadu_ps(a.bias + ob * kLanes);
-      }
-      if (a.bn_mean != nullptr) {
-        e.has_bn = true;
-        e.mean = _mm256_loadu_ps(a.bn_mean + ob * kLanes);
-        e.invstd = _mm256_loadu_ps(a.bn_invstd + ob * kLanes);
-        e.gamma = _mm256_loadu_ps(a.bn_gamma + ob * kLanes);
-        e.beta = _mm256_loadu_ps(a.bn_beta + ob * kLanes);
-      }
-      e.relu = a.relu;
-      for (int64_t oy = 0; oy < a.out_h; ++oy) {
-        int64_t ox = 0;
-        for (; ox + kCols <= a.out_w; ox += kCols) {
-          __m256 c0 = _mm256_setzero_ps(), c1 = _mm256_setzero_ps();
-          __m256 c2 = _mm256_setzero_ps(), c3 = _mm256_setzero_ps();
-          __m256 c4 = _mm256_setzero_ps(), c5 = _mm256_setzero_ps();
-          const float* wptr = wblock;
-          for (int64_t ic = 0; ic < a.cin; ++ic) {
-            const float* sbase =
-                simg + (ic / kLanes) * splane + (ic % kLanes);
-            for (int64_t ky = 0; ky < k; ++ky) {
-              const float* srow_p = sbase + (oy * s + ky + tap0) * srow +
-                                    (ox * s + tap0) * kLanes;
-              for (int64_t kx = 0; kx < k; ++kx) {
-                const float* tap = srow_p + kx * kLanes;
-                const __m256 wv = _mm256_loadu_ps(wptr);
-                c0 = _mm256_add_ps(
-                    c0, _mm256_mul_ps(wv, _mm256_broadcast_ss(tap)));
-                c1 = _mm256_add_ps(
-                    c1,
-                    _mm256_mul_ps(wv, _mm256_broadcast_ss(tap + col_step)));
-                c2 = _mm256_add_ps(
-                    c2, _mm256_mul_ps(
-                            wv, _mm256_broadcast_ss(tap + 2 * col_step)));
-                c3 = _mm256_add_ps(
-                    c3, _mm256_mul_ps(
-                            wv, _mm256_broadcast_ss(tap + 3 * col_step)));
-                c4 = _mm256_add_ps(
-                    c4, _mm256_mul_ps(
-                            wv, _mm256_broadcast_ss(tap + 4 * col_step)));
-                c5 = _mm256_add_ps(
-                    c5, _mm256_mul_ps(
-                            wv, _mm256_broadcast_ss(tap + 5 * col_step)));
-                wptr += kLanes;
-              }
-            }
-          }
-          const int64_t at = ((oy + 1) * (a.out_w + 2) + (ox + 1)) * kLanes;
-          const __m256 acc[kCols] = {c0, c1, c2, c3, c4, c5};
-          for (int64_t c = 0; c < kCols; ++c) {
-            const int64_t col_at = at + c * kLanes;
-            store_column(acc[c], dplane_p + col_at,
-                         pre_p ? pre_p + col_at : nullptr,
-                         post_p ? post_p + col_at : nullptr, e, fw,
-                         scale_post);
-          }
-        }
-        for (; ox < a.out_w; ++ox) {
-          __m256 acc = _mm256_setzero_ps();
-          const float* wptr = wblock;
-          for (int64_t ic = 0; ic < a.cin; ++ic) {
-            const float* sbase =
-                simg + (ic / kLanes) * splane + (ic % kLanes);
-            for (int64_t ky = 0; ky < k; ++ky) {
-              const float* srow_p = sbase + (oy * s + ky + tap0) * srow +
-                                    (ox * s + tap0) * kLanes;
-              for (int64_t kx = 0; kx < k; ++kx) {
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(
-                             _mm256_loadu_ps(wptr),
-                             _mm256_broadcast_ss(srow_p + kx * kLanes)));
-                wptr += kLanes;
-              }
-            }
-          }
-          const int64_t at = ((oy + 1) * (a.out_w + 2) + (ox + 1)) * kLanes;
-          store_column(acc, dplane_p + at, pre_p ? pre_p + at : nullptr,
-                       post_p ? post_p + at : nullptr, e, fw, scale_post);
-        }
+    float* dimg = a.dst + img * dsample;
+    const float* pre_img = a.pre != nullptr ? a.pre + img * dsample : nullptr;
+    const float* post_img =
+        a.post != nullptr ? a.post + img * dsample : nullptr;
+    int64_t ob = 0;
+    for (; ob + B <= ocb; ob += B) {
+      conv_rows<K, S, B, C>(t, simg, dimg, pre_img, post_img, ob);
+    }
+    if constexpr (B > 1) {
+      for (; ob < ocb; ++ob) {
+        conv_rows<K, S, 1, C>(t, simg, dimg, pre_img, post_img, ob);
       }
     }
   }
 }
 
+/// Runs the tile nchwc_avx2_tile picked; false for a tile outside the
+/// instantiated set.
+template <int K, int S>
+bool dispatch_tile(const ConvCtx& t, NchwcTile tile) {
+  if constexpr (K == 3) {
+    if (tile.blocks == 1 && tile.cols == 8) {
+      conv_body<K, S, 1, 8>(t);
+      return true;
+    }
+  } else {
+    if (tile.blocks == 1 && tile.cols == 12) {
+      conv_body<K, S, 1, 12>(t);
+      return true;
+    }
+    if (tile.blocks == 2 && tile.cols == 6) {
+      conv_body<K, S, 2, 6>(t);
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 bool conv_nchwc_avx2(const NchwcConvArgs& a) {
-  if (a.kernel == 3) {
-    conv_body<3>(a);
-  } else if (a.kernel == 1) {
-    conv_body<1>(a);
-  } else {
-    return false;
+  ConvCtx t;
+  t.a = &a;
+  t.srow = (a.in_w + 2) * kLanes;
+  t.splane = (a.in_h + 2) * t.srow;
+  t.dplane = (a.out_h + 2) * (a.out_w + 2) * kLanes;
+  t.scale_post = a.fusion_weight != 1.0f;
+  t.fw = _mm256_set1_ps(a.fusion_weight);
+  const NchwcTile tile = nchwc_avx2_tile(a.kernel, a.cout);
+  if (a.kernel == 3 && a.stride == 1) {
+    return dispatch_tile<3, 1>(t, tile);
   }
-  return true;
+  if (a.kernel == 3 && a.stride == 2) {
+    return dispatch_tile<3, 2>(t, tile);
+  }
+  if (a.kernel == 1 && a.stride == 1) {
+    return dispatch_tile<1, 1>(t, tile);
+  }
+  if (a.kernel == 1 && a.stride == 2) {
+    return dispatch_tile<1, 2>(t, tile);
+  }
+  return false;
 }
 
 bool tconv_nchwc_avx2(const NchwcConvArgs& a) {

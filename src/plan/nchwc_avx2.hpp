@@ -40,11 +40,24 @@ struct NchwcConvArgs {
   float fusion_weight = 1.0f;
 };
 
-/// Runs the blocked direct conv with 8-lane AVX2 vectors (one mul+add per
-/// weight tap per output column). Returns false when this binary was built
-/// without AVX2 support or the kernel size is not 1 or 3; the caller must
-/// then use the scalar kernel. The caller is responsible for the runtime
-/// CPUID gate.
+/// The AVX2 direct conv's register tile: `blocks` output channel blocks
+/// x `cols` output columns of one output row, blocks * cols accumulators.
+struct NchwcTile {
+  int64_t blocks = 1;
+  int64_t cols = 1;
+};
+
+/// The tile conv_nchwc_avx2 runs for a kernel size and cout, either
+/// stride (DESIGN.md §16). Defined in nchwc.cpp, outside this ISA-flagged
+/// TU, so --explain-plan can report it on any host.
+NchwcTile nchwc_avx2_tile(int64_t kernel, int64_t cout);
+
+/// Runs the blocked direct conv with 8-lane AVX2 vectors on the sliding
+/// window tile nchwc_avx2_tile picks: each input column is broadcast once
+/// per (ic, ky) and feeds every output column of the tile it touches.
+/// Returns false when this binary was built without AVX2 support or the
+/// kernel size is not 1 or 3; the caller must then use the scalar kernel.
+/// The caller is responsible for the runtime CPUID gate.
 bool conv_nchwc_avx2(const NchwcConvArgs& args);
 
 /// The 2x2 / stride-2 transposed-conv analogue (`w` packed

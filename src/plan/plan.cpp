@@ -22,6 +22,7 @@
 #include "obs/trace.hpp"
 #include "plan/ir.hpp"
 #include "plan/nchwc.hpp"
+#include "plan/nchwc_avx2.hpp"
 #include "roadseg/encoder.hpp"
 #include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
@@ -1103,6 +1104,22 @@ const char* nchwc_kernel() {
                                                          : "nchwc_direct";
 }
 
+/// The register tile the blocked kernel runs a step with: the AVX2
+/// direct conv's sliding window (3x3) or broadcast-sharing tile (1x1) as
+/// "blocks x columns", the AVX2 transposed conv's one block x one input
+/// column, or "scalar" below the AVX2 tier.
+std::string nchwc_tile_str(const PackedConv& pc) {
+  if (common::active_tier() < common::CpuTier::kAvx2) {
+    return "scalar";
+  }
+  if (pc.transposed) {
+    return "tconv 1x1";
+  }
+  const NchwcTile tile = nchwc_avx2_tile(pc.kernel, pc.cout);
+  return std::string(pc.kernel == 3 ? "window " : "1x1 ") +
+         std::to_string(tile.blocks) + "x" + std::to_string(tile.cols);
+}
+
 /// The kernel a conv-running step dispatches to: the blocked kernel, or
 /// for an NCHW step the solver the registry binds for its first conv.
 std::string step_kernel(const RoadSegNet& net, const CompiledPlan& plan,
@@ -1169,6 +1186,7 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
       case StepKind::kTConvNchwc:
         os << conv_kind(*st.conv) << (st.conv->transposed ? "  " : "   ")
            << "layout=nchwc8 solver=" << nchwc_kernel()
+           << " tile=" << nchwc_tile_str(*st.conv)
            << " layer=" << st.conv->name
            << " epilogue=" << epilogue_str(st) << " "
            << slot_str(plan, st.src) << " -> " << slot_str(plan, st.dst);

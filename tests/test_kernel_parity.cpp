@@ -495,7 +495,8 @@ TEST(Im2colCache, OneLoweringPerConvPerSamplePerStep) {
 // upsampling with the skip add fused as `pre`) and the stage-0 stems (cin
 // 1 and 3, with and without the fused fusion sum) must reproduce the
 // layers' own forward_infer bit-for-bit on the scalar and the AVX2 tier,
-// at batch 2 and widths off the AVX2 kernels' 6-column tile.
+// at batch 2; the direct-conv sweep runs every output width up to and past
+// the AVX2 kernel's sliding-window tiles, so every tail width is covered.
 // ---------------------------------------------------------------------------
 
 /// Restores the active CPU tier on scope exit.
@@ -657,6 +658,104 @@ TEST(NchwcKernels, StemConvsMatchLayerOnEveryTier) {
               },
               "stem " + std::to_string(cin) + "->" + std::to_string(cout) +
                   " w" + std::to_string(w) + (with_post ? " +post" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(NchwcKernels, DirectConvTileSweep) {
+  constexpr int64_t kBatch = 2;
+  constexpr float kFusionWeights[] = {0.0f, 0.37f, 1.0f};
+  Rng rng(37);
+  int64_t variant = 0;  // rotates the epilogue, height and input parity
+  for (const int64_t cout : {1, 4, 8, 12, 16, 20, 24, 32}) {
+    for (const int64_t cin : {1, 3, 8, 12, 17}) {
+      for (const int64_t kernel : {1, 3}) {
+        for (const int64_t stride : {1, 2}) {
+          const int64_t pad = kernel == 3 ? 1 : 0;
+          nn::Conv2d conv("sweep", cin, cout, kernel, stride, pad,
+                          /*bias=*/(cin + cout + kernel) % 2 == 0, rng);
+          nn::BatchNorm2d bn("sweep.bn", cout);
+          randomize_state(conv, rng);
+          randomize_state(bn, rng);
+          bn.set_training(false);
+          for (const int64_t out_w :
+               {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 48}) {
+            for (int rep = 0; rep < 2; ++rep, ++variant) {
+              const bool with_bn = (variant & 1) != 0;
+              const bool relu = (variant & 2) != 0;
+              const bool with_pre = (variant & 4) != 0;
+              const int64_t post_mode = (variant >> 3) % 4;  // 0: no post
+              const int64_t out_h = 1 + variant % 3;
+              // Stride 2 alternates odd and even input extents, so the
+              // window's last column is the right border or an interior one.
+              const int64_t odd = stride == 2 ? (variant >> 1) % 2 : 0;
+              const int64_t in_h = stride * out_h - odd;
+              const int64_t in_w = stride * out_w - odd;
+              const Tensor x =
+                  Tensor::normal(Shape::nchw(kBatch, cin, in_h, in_w), rng);
+              const Shape out_shape = Shape::nchw(kBatch, cout, out_h, out_w);
+              const Tensor pre = Tensor::normal(out_shape, rng);
+              const Tensor post = Tensor::normal(out_shape, rng);
+              const float weight =
+                  post_mode == 0 ? 1.0f : kFusionWeights[post_mode - 1];
+              // The layer computes acc -> +bias -> BN (-> ReLU when no
+              // shortcut comes first); the rest of the chain is the
+              // documented epilogue: +pre -> ReLU -> +weight * post.
+              kernels::ConvEpilogue epi;
+              std::shared_ptr<const nn::BatchNorm2d::InferParams> bn_params;
+              if (with_bn) {
+                bn_params = bn.fill_epilogue(epi);
+              }
+              epi.relu = relu && !with_pre;
+              Tensor oracle = conv.forward_infer(x, epi);
+              ASSERT_EQ(oracle.shape(), out_shape);
+              for (int64_t i = 0; i < oracle.numel(); ++i) {
+                float v = oracle.at(i);
+                if (with_pre) {
+                  v += pre.at(i);
+                  if (relu) {
+                    v = v > 0.0f ? v : 0.0f;
+                  }
+                }
+                if (post_mode != 0) {
+                  if (weight != 1.0f) {
+                    const float scaled = post.at(i) * weight;
+                    v += scaled;
+                  } else {
+                    v += post.at(i);
+                  }
+                }
+                oracle.at(i) = v;
+              }
+              const plan::PackedConv pc = plan::pack_conv(
+                  conv, with_bn ? &bn : nullptr, relu, "sweep");
+              const std::vector<float> xb = to_blocked(x);
+              const std::vector<float> preb = to_blocked(pre);
+              const std::vector<float> postb = to_blocked(post);
+              expect_nchwc_kernel(
+                  oracle,
+                  [&](float* dst) {
+                    plan::conv_nchwc(xb.data(), kBatch, in_h, in_w, pc, dst,
+                                     out_h, out_w,
+                                     with_pre ? preb.data() : nullptr,
+                                     post_mode != 0 ? postb.data() : nullptr,
+                                     weight);
+                  },
+                  "conv" + std::to_string(kernel) + "/s" +
+                      std::to_string(stride) + " " + std::to_string(cin) +
+                      "->" + std::to_string(cout) + " out " +
+                      std::to_string(out_h) + "x" + std::to_string(out_w) +
+                      (with_bn ? " bn" : "") + (relu ? " relu" : "") +
+                      (with_pre ? " pre" : "") +
+                      (post_mode != 0 ? " post*" + std::to_string(weight)
+                                      : ""));
+              if (HasFatalFailure()) {
+                return;
+              }
+            }
+          }
         }
       }
     }

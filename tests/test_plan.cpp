@@ -348,6 +348,50 @@ TEST(PlanExplain, PrintsKernelSelectionKnobsWithEffectiveValues) {
               "knob ROADFUSION_CPU_FEATURES=" + cpu_env + " tier=scalar");
 }
 
+TEST(PlanExplain, PrintsEachBlockedConvStepsTile) {
+  install_hooks();
+  Rng rng(19);
+  RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
+  net.set_training(false);
+  // The first schedule line of `layer`, from its kind to its name.
+  const auto step_line = [](const std::string& report,
+                            const std::string& layer) {
+    const size_t at = report.find(" layer=" + layer + " ");
+    if (at == std::string::npos) {
+      return std::string("<no step for ") + layer + ">";
+    }
+    const size_t start = report.rfind("] ", at) + 2;
+    return report.substr(start, at + layer.size() + 7 - start);
+  };
+  const common::CpuTier saved_tier = common::active_tier();
+  for (const common::CpuTier tier :
+       {common::CpuTier::kScalar, common::CpuTier::kAvx2}) {
+    common::set_active_tier(tier);
+    if (common::active_tier() != tier) {
+      continue;  // host without AVX2
+    }
+    const bool avx2 = tier == common::CpuTier::kAvx2;
+    const std::string blocked = std::string("layout=nchwc8 solver=") +
+                                (avx2 ? "nchwc_direct_avx2" : "nchwc_direct") +
+                                " tile=";
+    const std::string window = avx2 ? "window 1x8" : "scalar";
+    const std::string report = explain(net, 1, 32, 96);
+    // A stem, a stride-2 stage conv and the full-resolution refine run
+    // the 3x3 sliding window; the stage-2 projection (10 channels, two
+    // blocks) shares each broadcast across both.
+    EXPECT_EQ(step_line(report, "rgb.stage0"),
+              "conv3x3/s1   " + blocked + window + " layer=rgb.stage0");
+    EXPECT_EQ(step_line(report, "rgb.stage1.conv1"),
+              "conv3x3/s2   " + blocked + window + " layer=rgb.stage1.conv1");
+    EXPECT_EQ(step_line(report, "decoder.refine1"),
+              "conv3x3/s1   " + blocked + window + " layer=decoder.refine1");
+    EXPECT_EQ(step_line(report, "rgb.stage2.proj"),
+              "conv1x1/s2   " + blocked + (avx2 ? "1x1 2x6" : "scalar") +
+                  " layer=rgb.stage2.proj");
+  }
+  common::set_active_tier(saved_tier);
+}
+
 TEST(PlanCache, GeometrySweepStaysBoundedAndExact) {
   install_hooks();
   Rng rng(23);

@@ -14,10 +14,13 @@
 #                                 # them (packing buffers, panel edges,
 #                                 # fault paths, arena block lifetimes)
 #   tools/run_tier1.sh --ubsan    # additionally build the runtime + fault
-#                                 # tolerance + serialization tests under
+#                                 # tolerance + serialization + kernel
+#                                 # parity + plan tests under
 #                                 # UndefinedBehaviorSanitizer and run them
 #                                 # (checkpoint header parsing, fault
-#                                 # injection arithmetic)
+#                                 # injection arithmetic, the NCHWc8
+#                                 # kernels' window reads up to the right
+#                                 # border column)
 #   tools/run_tier1.sh --coverage # additionally build with gcov
 #                                 # instrumentation, run the observability
 #                                 # suite, and fail if line coverage of
@@ -118,12 +121,13 @@ if [[ "$asan" == 1 ]]; then
 fi
 
 if [[ "$ubsan" == 1 ]]; then
-  echo "== UndefinedBehaviorSanitizer pass over the runtime + fault tolerance + serialization tests =="
+  echo "== UndefinedBehaviorSanitizer pass over the runtime + fault tolerance + serialization + kernel parity + plan tests =="
   cmake -B build-ubsan -S . -DROADFUSION_SANITIZE=undefined
   cmake --build build-ubsan -j \
     --target test_runtime_queue test_runtime_engine test_runtime_stats \
-             test_fault_tolerance test_serialize test_checkpoint test_scenario
-  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_scenario')
+             test_fault_tolerance test_serialize test_checkpoint test_scenario \
+             test_kernel_parity test_plan
+  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_scenario|test_kernel_parity|test_plan')
 fi
 
 if [[ "$soak_smoke" == 1 ]]; then
