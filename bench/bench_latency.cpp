@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
            path_repeats)});
 
   // The conv steps the compiled fused schedule runs, with their kernels:
-  // serving's convs run the plan's own kernels, not registry bindings.
+  // serving runs the plan's own NCHWc8 kernels.
   const std::vector<plan::ConvStep> conv_steps =
       plan::conv_steps(net, 1, height, width);
 

@@ -1,12 +1,12 @@
-// Operator-level micro-benchmarks (google-benchmark) plus the conv solver
+// Operator-level micro-benchmarks (google-benchmark) plus the conv kernel
 // comparison.
 //
 // Not a paper figure: supporting measurements for the overhead discussion
 // in Sec. IV-B — what a Fusion-filter, the AWN, the edge extractor and the
 // Feature Disparity metric cost relative to the network's backbone convs —
 // and the machine-readable per-kernel GFLOP/s table over every conv shape
-// of the compiled inference plan (registry solvers, see src/tune/, next
-// to the plan's NCHWc8 kernels, see src/plan/):
+// of the compiled inference plan (the graph's im2col + blocked GEMM conv,
+// see src/autograd/, next to the plan's NCHWc8 kernels, see src/plan/):
 //
 //   bench_ops --kernels-json              JSON to stdout, skip the
 //                                         google-benchmark suite
@@ -33,8 +33,6 @@
 #include "kitti/dataset.hpp"
 #include "nn/layers.hpp"
 #include "plan/nchwc.hpp"
-#include "tune/problem.hpp"
-#include "tune/tuner.hpp"
 #include "vision/bev.hpp"
 #include "vision/edges.hpp"
 
@@ -162,17 +160,33 @@ void BM_DatasetSampleGeneration(benchmark::State& state) {
 BENCHMARK(BM_DatasetSampleGeneration);
 
 // ---------------------------------------------------------------------------
-// Solver comparison over every conv shape the compiled inference plan runs
+// Kernel comparison over every conv shape the compiled inference plan runs
 // at the default 32x96 bench resolution, emitted as JSON so the perf
-// trajectory across PRs is machine-readable. Each row carries the
-// registry solvers (what the graph and the all-NCHW schedule bind) and the
-// plan's own NCHWc8 kernels (what default serving runs).
+// trajectory across PRs is machine-readable. Each row carries the graph's
+// conv (im2col + blocked GEMM: what the oracle and training run) and the
+// plan's own NCHWc8 kernels (what serving runs).
 // ---------------------------------------------------------------------------
 
 struct ConvShape {
   const char* name;  ///< network layer the shape comes from
   int64_t cin, cout, kernel, stride, padding, height, width;
   bool transposed = false;  ///< 2x2 / stride-2 decoder upsampling
+
+  int64_t out_h() const {
+    return transposed ? height * stride : (height + 2 * padding - kernel) /
+                                                  stride + 1;
+  }
+  int64_t out_w() const {
+    return transposed ? width * stride : (width + 2 * padding - kernel) /
+                                                 stride + 1;
+  }
+  /// Multiply-accumulates of one sample: every output of a forward conv
+  /// reduces over cin * k^2; every input of a transposed conv feeds
+  /// cout * k^2 outputs.
+  int64_t macs() const {
+    return transposed ? cin * cout * kernel * kernel * height * width
+                      : cout * cin * kernel * kernel * out_h() * out_w();
+  }
 };
 
 // stage_channels {8, 12, 16, 24, 32}: the stems, conv1/conv2/projection
@@ -205,29 +219,64 @@ constexpr ConvShape kPlanShapes[] = {
     {"decoder.head", 8, 1, 1, 1, 0, 32, 96},
 };
 
-tune::ConvProblem shape_problem(const ConvShape& shape) {
-  tune::ConvProblem problem;
-  problem.c = shape.cin;
-  problem.h = shape.height;
-  problem.w = shape.width;
-  problem.k = shape.cout;
-  problem.r = shape.kernel;
-  problem.s = shape.kernel;
-  problem.stride = shape.stride;
-  problem.pad = shape.padding;
-  problem.transposed = shape.transposed;
-  return problem;
+/// GFLOP/s of `run_once` on `shape`: the best of three means, each over
+/// at least 0.12 s and 8 calls, after two warm-up calls.
+template <typename Run>
+double measure_gflops(const ConvShape& shape, Run&& run_once) {
+  constexpr double kSecondsFloor = 0.12;
+  constexpr int64_t kItersFloor = 8;
+  using clock = std::chrono::steady_clock;
+  run_once();
+  run_once();  // warm caches
+  double best_seconds = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    int64_t iters = 0;
+    const clock::time_point start = clock::now();
+    double elapsed = 0.0;
+    while (elapsed < kSecondsFloor || iters < kItersFloor) {
+      run_once();
+      ++iters;
+      elapsed = std::chrono::duration<double>(clock::now() - start).count();
+    }
+    const double seconds = elapsed / static_cast<double>(iters);
+    best_seconds = rep == 0 ? seconds : std::min(best_seconds, seconds);
+  }
+  return 2.0 * static_cast<double>(shape.macs()) / best_seconds / 1e9;
 }
 
-/// GFLOP/s of the plan's NCHWc8 kernel on `shape` at the active CPU tier:
-/// the best of three means, each over the tuner's measurement floors.
+/// GFLOP/s of the graph's conv op on `shape` (im2col + blocked GEMM, or
+/// for a transposed conv the blocked A^T GEMM + col2im), with no grad
+/// recorded. The head carries its bias; BN and ReLU are separate graph
+/// ops and are not timed.
+double graph_gflops(const ConvShape& shape) {
+  Rng rng(23);
+  const bool head = shape.cout == 1;
+  const ag::Variable x = ag::Variable::constant(Tensor::normal(
+      Shape::nchw(1, shape.cin, shape.height, shape.width), rng));
+  const ag::ConvGeometry geom{shape.kernel, shape.stride, shape.padding};
+  const ag::Variable w = ag::Variable::constant(Tensor::normal(
+      shape.transposed
+          ? Shape::nchw(shape.cin, shape.cout, shape.kernel, shape.kernel)
+          : Shape::nchw(shape.cout, shape.cin, shape.kernel, shape.kernel),
+      rng));
+  const ag::Variable b =
+      head ? ag::Variable::constant(Tensor::normal(Shape::vec(1), rng))
+           : ag::Variable();
+  const ag::InferenceModeGuard no_grad;
+  return measure_gflops(shape, [&] {
+    benchmark::DoNotOptimize(shape.transposed
+                                 ? ag::conv_transpose2d(x, w, b, geom)
+                                 : ag::conv2d(x, w, b, geom));
+  });
+}
+
+/// GFLOP/s of the plan's NCHWc8 kernel on `shape` at the active CPU tier.
 /// Direct convs carry the plan's eval-BN + ReLU epilogue (the head its
 /// bias); transposed convs run without the skip add.
-double nchwc_gflops(const ConvShape& shape, const tune::TuneOptions& options) {
+double nchwc_gflops(const ConvShape& shape) {
   Rng rng(23);
-  const tune::ConvProblem problem = shape_problem(shape);
-  const int64_t out_h = problem.out_h();
-  const int64_t out_w = problem.out_w();
+  const int64_t out_h = shape.out_h();
+  const int64_t out_w = shape.out_w();
   plan::PackedConv pc;
   if (shape.transposed) {
     const nn::ConvTranspose2d layer(shape.name, shape.cin, shape.cout, 2, 2, 0,
@@ -251,7 +300,7 @@ double nchwc_gflops(const ConvShape& shape, const tune::TuneOptions& options) {
   std::vector<float> dst(
       static_cast<size_t>(plan::nchwc_floats(1, shape.cout, out_h, out_w)),
       0.0f);
-  const auto run_once = [&] {
+  const double gflops = measure_gflops(shape, [&] {
     if (shape.transposed) {
       plan::tconv_nchwc(src.data(), 1, shape.height, shape.width, pc,
                         dst.data(), nullptr);
@@ -259,34 +308,15 @@ double nchwc_gflops(const ConvShape& shape, const tune::TuneOptions& options) {
       plan::conv_nchwc(src.data(), 1, shape.height, shape.width, pc,
                        dst.data(), out_h, out_w, nullptr, nullptr, 1.0f);
     }
-  };
-  using clock = std::chrono::steady_clock;
-  run_once();
-  run_once();  // warm caches
-  double best_seconds = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    int64_t iters = 0;
-    const clock::time_point start = clock::now();
-    double elapsed = 0.0;
-    while (elapsed < options.seconds_floor() ||
-           iters < options.iters_floor()) {
-      run_once();
-      ++iters;
-      elapsed = std::chrono::duration<double>(clock::now() - start).count();
-    }
-    const double seconds = elapsed / static_cast<double>(iters);
-    best_seconds = rep == 0 ? seconds : std::min(best_seconds, seconds);
-  }
+  });
   benchmark::DoNotOptimize(dst.data());
-  return 2.0 * static_cast<double>(problem.macs()) / best_seconds / 1e9;
+  return gflops;
 }
 
-/// Runs every registered solver (best over its parameter candidates)
-/// through the tune subsystem's measurement loop, plus the plan's NCHWc8
-/// kernel on the scalar and (host permitting) the AVX2 tier, over the
-/// plan shapes and returns the JSON report.
+/// Times the graph's conv and the plan's NCHWc8 kernel on the scalar and
+/// (host permitting) the AVX2 tier over the plan shapes and returns the
+/// JSON report.
 std::string kernel_comparison_json() {
-  const tune::TuneOptions tune_options;  // full measurement floors
   const common::CpuTier host_tier = common::active_tier();
   bench::JsonWriter json;
   json.begin_object()
@@ -297,13 +327,7 @@ std::string kernel_comparison_json() {
       .field("hardware_concurrency",
              static_cast<int64_t>(std::thread::hardware_concurrency()));
   json.begin_array("shapes");
-  double speedup_log_sum = 0.0;
-  double tuned_log_sum = 0.0;
-  int64_t ratio_count = 0;  // rows with the blocked-solver ratios
   for (const ConvShape& shape : kPlanShapes) {
-    const tune::ConvProblem problem = shape_problem(shape);
-    const tune::ProblemTuneResult tuned =
-        tune::tune_problem(problem, tune_options);
     json.begin_object()
         .field("name", std::string(shape.name))
         .field("cin", shape.cin)
@@ -313,62 +337,22 @@ std::string kernel_comparison_json() {
         .field("transposed", shape.transposed)
         .field("h", shape.height)
         .field("w", shape.width)
-        .field("macs", problem.macs());
-    // Best GFLOP/s per solver across its parameter candidates, in registry
-    // order for a stable column layout, then the plan's kernels.
-    json.begin_object("solvers");
-    for (const tune::Solver* solver : tune::solvers()) {
-      double best = 0.0;
-      for (const tune::SolverMeasurement& m : tuned.measurements) {
-        if (m.solver == solver->name()) {
-          best = std::max(best, m.gflops);
-        }
-      }
-      if (best > 0.0) {
-        json.field(solver->name(), best, 3);
-      }
-    }
+        .field("macs", shape.macs());
+    json.begin_object("kernels").field("graph", graph_gflops(shape), 3);
     for (const common::CpuTier tier :
          {common::CpuTier::kScalar, common::CpuTier::kAvx2}) {
       common::set_active_tier(tier);
       if (common::active_tier() == tier) {
         json.field(tier == common::CpuTier::kAvx2 ? "nchwc_direct_avx2"
                                                   : "nchwc_direct",
-                   nchwc_gflops(shape, tune_options), 3);
+                   nchwc_gflops(shape), 3);
       }
     }
     common::set_active_tier(host_tier);
-    json.end_object();
-    const tune::SolverMeasurement& winner = tuned.best();
-    json.field("best_solver",
-               winner.params.empty()
-                   ? winner.solver
-                   : winner.solver + "[" + winner.params + "]")
-        .field("best_gflops", winner.gflops, 3);
-    // Every ratio below is taken inside the solver measurement harness
-    // against the default-parameter blocked solver (its transposed twin
-    // on the upsampling rows), so tuned_vs_blocked >= 1.0 by
-    // construction. The one-channel head is below the blocked solver's
-    // cout floor and carries no ratios.
-    const std::string prefix = shape.transposed ? "tconv_" : "";
-    const tune::SolverMeasurement* reference = tuned.find(prefix + "reference");
-    const tune::SolverMeasurement* blocked = tuned.find(prefix + "blocked");
-    if (reference != nullptr && blocked != nullptr) {
-      json.field("speedup", blocked->gflops / reference->gflops, 3);
-      json.field("tuned_vs_blocked", winner.gflops / blocked->gflops, 3);
-      speedup_log_sum += std::log(blocked->gflops / reference->gflops);
-      tuned_log_sum += std::log(winner.gflops / blocked->gflops);
-      ++ratio_count;
-    }
-    json.end_object();
+    json.end_object().end_object();
   }
   json.end_array()
-      .field("geomean_speedup",
-             std::exp(speedup_log_sum / static_cast<double>(ratio_count)), 3)
-      .field("geomean_tuned_vs_blocked",
-             std::exp(tuned_log_sum / static_cast<double>(ratio_count)), 3)
       .field("shape_count", static_cast<int64_t>(std::size(kPlanShapes)))
-      .field("geomean_shape_count", ratio_count)
       .end_object();
   return json.str();
 }

@@ -1,11 +1,7 @@
-// ConvEpilogue: the fused per-output-channel post-op descriptor shared by
-// every GEMM kernel tier (scalar, SSE2, AVX2).
-//
-// Split out of gemm.hpp so the per-ISA kernel TUs (gemm_avx2.cpp, built
-// with -mavx2 -mfma) can see the struct without pulling in tensor.hpp —
-// a TU compiled with wider ISA flags must not instantiate inline code
-// that other TUs also instantiate, or the linker may keep the AVX2 copy
-// and crash pre-AVX2 machines. This header is deliberately plain: no
+// ConvEpilogue: the per-output-channel post-op descriptor of a conv — the
+// graph conv's bias pass (gemm.hpp apply_epilogue), the eval-BN factors
+// BatchNorm2d::fill_epilogue hands out, and what plan::pack_conv snapshots
+// into the blocked kernels' lane-padded epilogue. Deliberately plain: no
 // includes, no inline functions.
 #pragma once
 

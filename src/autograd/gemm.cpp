@@ -1,6 +1,7 @@
 #include "autograd/gemm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "common/check.hpp"
@@ -21,7 +22,7 @@ using tensor::Shape;
 // Register tile. 4x8 float accumulators occupy 8 of the 16 XMM registers
 // guaranteed on baseline x86-64 (SSE2), leaving room for the two B loads
 // and the A broadcast, so the whole tile lives in registers for the k loop.
-constexpr int64_t kMr = kMicroTileRows;
+constexpr int64_t kMr = 4;
 constexpr int64_t kNr = 8;
 
 /// Strided read-only view of a logical (rows, cols) matrix. Lets the same
@@ -163,104 +164,16 @@ inline float epilogue_scalar(float v, int64_t ch, const ConvEpilogue& epi) {
   return v;
 }
 
-/// Micro-kernel variant for the inference path: same register-tiled
-/// accumulation as `micro_kernel`, but the C tile is written by OVERWRITE
-/// (no load — C need not be zeroed) with the optional epilogue applied
-/// while the accumulators are still in registers. `row0` is the absolute C
-/// row of the tile's first row (the output-channel index for the
-/// epilogue's per-channel parameters).
-void micro_kernel_infer(int64_t kb, const float* a_panel, const float* b,
-                        int64_t b_stride, float* c, int64_t ldc, int64_t mrem,
-                        int64_t nrem, int64_t row0, const ConvEpilogue* epi) {
-#if defined(ROADFUSION_GEMM_SSE2)
-  if (nrem == kNr && sse2_dispatch()) {
-    __m128 c00 = _mm_setzero_ps(), c01 = _mm_setzero_ps();
-    __m128 c10 = _mm_setzero_ps(), c11 = _mm_setzero_ps();
-    __m128 c20 = _mm_setzero_ps(), c21 = _mm_setzero_ps();
-    __m128 c30 = _mm_setzero_ps(), c31 = _mm_setzero_ps();
-    for (int64_t p = 0; p < kb; ++p) {
-      const float* ap = a_panel + p * kMr;
-      const float* bp = b + p * b_stride;
-      const __m128 b0 = _mm_loadu_ps(bp);
-      const __m128 b1 = _mm_loadu_ps(bp + 4);
-      __m128 a = _mm_set1_ps(ap[0]);
-      c00 = _mm_add_ps(c00, _mm_mul_ps(a, b0));
-      c01 = _mm_add_ps(c01, _mm_mul_ps(a, b1));
-      a = _mm_set1_ps(ap[1]);
-      c10 = _mm_add_ps(c10, _mm_mul_ps(a, b0));
-      c11 = _mm_add_ps(c11, _mm_mul_ps(a, b1));
-      a = _mm_set1_ps(ap[2]);
-      c20 = _mm_add_ps(c20, _mm_mul_ps(a, b0));
-      c21 = _mm_add_ps(c21, _mm_mul_ps(a, b1));
-      a = _mm_set1_ps(ap[3]);
-      c30 = _mm_add_ps(c30, _mm_mul_ps(a, b0));
-      c31 = _mm_add_ps(c31, _mm_mul_ps(a, b1));
-    }
-    __m128 acc[kMr][2] = {{c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
-    for (int64_t i = 0; i < mrem; ++i) {
-      __m128 v0 = acc[i][0];
-      __m128 v1 = acc[i][1];
-      if (epi != nullptr) {
-        // Each vector stage is four independent IEEE single ops, identical
-        // bit-for-bit to the scalar sequence in epilogue_scalar.
-        const int64_t ch = row0 + i;
-        if (epi->bias != nullptr) {
-          const __m128 bias = _mm_set1_ps(epi->bias[ch]);
-          v0 = _mm_add_ps(v0, bias);
-          v1 = _mm_add_ps(v1, bias);
-        }
-        if (epi->bn_mean != nullptr) {
-          const __m128 mean = _mm_set1_ps(epi->bn_mean[ch]);
-          const __m128 invstd = _mm_set1_ps(epi->bn_invstd[ch]);
-          const __m128 gamma = _mm_set1_ps(epi->bn_gamma[ch]);
-          const __m128 beta = _mm_set1_ps(epi->bn_beta[ch]);
-          v0 = _mm_add_ps(
-              _mm_mul_ps(gamma, _mm_mul_ps(_mm_sub_ps(v0, mean), invstd)),
-              beta);
-          v1 = _mm_add_ps(
-              _mm_mul_ps(gamma, _mm_mul_ps(_mm_sub_ps(v1, mean), invstd)),
-              beta);
-        }
-        if (epi->relu) {
-          // max(v, 0) == (v > 0 ? v : 0) including -0.0 and NaN operands:
-          // maxps returns the second operand on false/unordered compares.
-          const __m128 zero = _mm_setzero_ps();
-          v0 = _mm_max_ps(v0, zero);
-          v1 = _mm_max_ps(v1, zero);
-        }
-      }
-      float* c_row = c + i * ldc;
-      _mm_storeu_ps(c_row, v0);
-      _mm_storeu_ps(c_row + 4, v1);
-    }
-    return;
-  }
-#endif
-  float acc[kMr][kNr] = {};
-  for (int64_t p = 0; p < kb; ++p) {
-    const float* ap = a_panel + p * kMr;
-    const float* bp = b + p * b_stride;
-    for (int64_t i = 0; i < mrem; ++i) {
-      const float av = ap[i];
-      for (int64_t j = 0; j < nrem; ++j) {
-        acc[i][j] += av * bp[j];
-      }
-    }
-  }
-  for (int64_t i = 0; i < mrem; ++i) {
-    float* c_row = c + i * ldc;
-    for (int64_t j = 0; j < nrem; ++j) {
-      c_row[j] = epi != nullptr ? epilogue_scalar(acc[i][j], row0 + i, *epi)
-                                : acc[i][j];
-    }
-  }
-}
-
-/// Runs the full blocked loop nest over the row-major (m, n) C, which must
-/// be zero-initialized. Each call owns its packing buffers, so concurrent
-/// GEMMs share nothing.
+/// Runs the full blocked loop nest, C += A * B over the row-major (m, n)
+/// C, under the process-wide blocking config. Each call owns its packing
+/// buffers, so concurrent GEMMs share nothing.
 void gemm_block_loop(const MatView& a, const MatView& b, float* c, int64_t m,
-                     int64_t n, int64_t k, const BlockedGemmConfig& config) {
+                     int64_t n, int64_t k) {
+  const BlockedGemmConfig& config = blocked_gemm_config();
+  ROADFUSION_CHECK(config.mc >= 1 && config.kc >= 1 && config.nc >= 1,
+                   "blocked_gemm: invalid blocking config (mc "
+                       << config.mc << ", kc " << config.kc << ", nc "
+                       << config.nc << ")");
   const int64_t mc = std::min(config.mc, m);
   const int64_t kc = std::min(config.kc, k);
   const int64_t nc = std::min(config.nc, n);
@@ -312,14 +225,21 @@ void gemm_block_loop(const MatView& a, const MatView& b, float* c, int64_t m,
 /// Entry point shared by the three GEMM forms: allocates C and runs the
 /// blocked loop over it.
 Tensor blocked_gemm(const MatView& a, const MatView& b, int64_t m, int64_t n,
-                    int64_t k, const BlockedGemmConfig& config) {
-  ROADFUSION_CHECK(config.mc >= 1 && config.kc >= 1 && config.nc >= 1,
-                   "blocked_gemm: invalid blocking config (mc "
-                       << config.mc << ", kc " << config.kc << ", nc "
-                       << config.nc << ")");
+                    int64_t k) {
   Tensor out(Shape::mat(m, n));  // zero-initialized
-  gemm_block_loop(a, b, out.raw(), m, n, k, config);
+  gemm_block_loop(a, b, out.raw(), m, n, k);
   return out;
+}
+
+/// Checks the A * B operand shapes; returns (m, k, n).
+std::array<int64_t, 3> matmul_dims(const Tensor& a, const Tensor& b) {
+  ROADFUSION_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2,
+                   "blocked_matmul needs rank-2 operands");
+  const int64_t k = a.shape().dim(1);
+  ROADFUSION_CHECK(b.shape().dim(0) == k,
+                   "blocked_matmul inner dims mismatch: "
+                       << a.shape().str() << " x " << b.shape().str());
+  return {a.shape().dim(0), k, b.shape().dim(1)};
 }
 
 }  // namespace
@@ -330,20 +250,13 @@ BlockedGemmConfig& blocked_gemm_config() {
 }
 
 Tensor blocked_matmul(const Tensor& a, const Tensor& b) {
-  return blocked_matmul(a, b, blocked_gemm_config());
+  const auto [m, k, n] = matmul_dims(a, b);
+  return blocked_gemm({a.raw(), k, 1}, {b.raw(), n, 1}, m, n, k);
 }
 
-Tensor blocked_matmul(const Tensor& a, const Tensor& b,
-                      const BlockedGemmConfig& config) {
-  ROADFUSION_CHECK(a.shape().rank() == 2 && b.shape().rank() == 2,
-                   "blocked_matmul needs rank-2 operands");
-  const int64_t m = a.shape().dim(0);
-  const int64_t k = a.shape().dim(1);
-  const int64_t n = b.shape().dim(1);
-  ROADFUSION_CHECK(b.shape().dim(0) == k,
-                   "blocked_matmul inner dims mismatch: "
-                       << a.shape().str() << " x " << b.shape().str());
-  return blocked_gemm({a.raw(), k, 1}, {b.raw(), n, 1}, m, n, k, config);
+void blocked_matmul_into(const Tensor& a, const Tensor& b, float* c) {
+  const auto [m, k, n] = matmul_dims(a, b);
+  gemm_block_loop({a.raw(), k, 1}, {b.raw(), n, 1}, c, m, n, k);
 }
 
 Tensor blocked_matmul_at(const Tensor& a, const Tensor& b) {
@@ -355,8 +268,7 @@ Tensor blocked_matmul_at(const Tensor& a, const Tensor& b) {
   ROADFUSION_CHECK(b.shape().dim(0) == k,
                    "blocked_matmul_at inner dims mismatch: "
                        << a.shape().str() << "^T x " << b.shape().str());
-  return blocked_gemm({a.raw(), 1, m}, {b.raw(), n, 1}, m, n, k,
-                      blocked_gemm_config());
+  return blocked_gemm({a.raw(), 1, m}, {b.raw(), n, 1}, m, n, k);
 }
 
 Tensor blocked_matmul_bt(const Tensor& a, const Tensor& b) {
@@ -368,46 +280,7 @@ Tensor blocked_matmul_bt(const Tensor& a, const Tensor& b) {
   ROADFUSION_CHECK(b.shape().dim(1) == k,
                    "blocked_matmul_bt inner dims mismatch: "
                        << a.shape().str() << " x " << b.shape().str() << "^T");
-  return blocked_gemm({a.raw(), k, 1}, {b.raw(), 1, k}, m, n, k,
-                      blocked_gemm_config());
-}
-
-bool prepack_viable(int64_t m, int64_t k) {
-  const BlockedGemmConfig& config = blocked_gemm_config();
-  // Single (Mc, Kc) block: the blocked loop then packs A exactly once with
-  // the full reduction in one panel, so a hoisted pack is byte-identical
-  // and the monolithic k loop preserves the accumulation order.
-  return m >= 1 && k >= 1 && m <= config.mc && k <= config.kc;
-}
-
-PackedA prepack_a(const float* a, int64_t row_stride, int64_t col_stride,
-                  int64_t m, int64_t k) {
-  ROADFUSION_CHECK(prepack_viable(m, k),
-                   "prepack_a: (" << m << ", " << k
-                                  << ") exceeds a single cache block");
-  obs::ScopedSpan span("gemm.prepack");
-  PackedA packed;
-  packed.m = m;
-  packed.k = k;
-  packed.panels.resize(static_cast<size_t>(round_up(m, kMr) * k));
-  pack_a({a, row_stride, col_stride}, 0, m, 0, k, packed.panels.data());
-  return packed;
-}
-
-void gemm_prepacked(const PackedA& a, const float* b, int64_t ldb, int64_t n,
-                    float* c, int64_t ldc, const ConvEpilogue* epi) {
-  const int64_t m = a.m;
-  const int64_t k = a.k;
-  // Same tile walk as the general blocked loop's single-block direct-B
-  // case; only the store differs (overwrite + fused epilogue).
-  for (int64_t jp = 0; jp < n; jp += kNr) {
-    const int64_t nrem = std::min<int64_t>(kNr, n - jp);
-    for (int64_t ip = 0; ip < m; ip += kMr) {
-      micro_kernel_infer(k, a.panels.data() + (ip / kMr) * k * kMr, b + jp,
-                         ldb, c + ip * ldc + jp, ldc,
-                         std::min<int64_t>(kMr, m - ip), nrem, ip, epi);
-    }
-  }
+  return blocked_gemm({a.raw(), k, 1}, {b.raw(), 1, k}, m, n, k);
 }
 
 void apply_epilogue(float* c, int64_t m, int64_t n, const ConvEpilogue& epi) {

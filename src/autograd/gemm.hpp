@@ -1,5 +1,5 @@
-// Cache-blocked, register-tiled GEMM — the fp32 kernel family behind the
-// "blocked" solvers and the autograd conv GEMMs.
+// Cache-blocked, register-tiled GEMM — the fp32 kernel behind every
+// autograd conv GEMM (forward and backward).
 //
 // The classic three-level blocking scheme (BLIS/GotoBLAS style): the
 // operands are cut into Mc x Kc and Kc x Nc blocks that fit the cache
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "autograd/conv_epilogue.hpp"
 #include "tensor/tensor.hpp"
@@ -36,18 +35,13 @@ struct BlockedGemmConfig {
 /// are safe.
 BlockedGemmConfig& blocked_gemm_config();
 
-/// Register-tile row height of the micro-kernel; the blocked solvers apply
-/// only when M covers at least one tile.
-inline constexpr int64_t kMicroTileRows = 4;
-
 /// C = A * B with A (m, k), B (k, n), both row-major.
 Tensor blocked_matmul(const Tensor& a, const Tensor& b);
 
-/// Same, under an explicit blocking configuration instead of the process
-/// global — the solver registry runs per-shape tuned Mc/Kc/Nc
-/// through this without mutating state other callers read.
-Tensor blocked_matmul(const Tensor& a, const Tensor& b,
-                      const BlockedGemmConfig& config);
+/// Same product accumulated into the caller's row-major (m, n) buffer `c`
+/// (C += A * B), so a zero-filled `c` receives exactly blocked_matmul's
+/// bits without a temporary.
+void blocked_matmul_into(const Tensor& a, const Tensor& b, float* c);
 
 /// C = A^T * B with A stored (k, m), B (k, n).
 Tensor blocked_matmul_at(const Tensor& a, const Tensor& b);
@@ -55,47 +49,8 @@ Tensor blocked_matmul_at(const Tensor& a, const Tensor& b);
 /// C = A * B^T with A (m, k), B stored (n, k).
 Tensor blocked_matmul_bt(const Tensor& a, const Tensor& b);
 
-// ---------------------------------------------------------------------------
-// Inference fast path: pre-packed A operands and fused conv epilogues.
-// ---------------------------------------------------------------------------
-
-// ConvEpilogue moved to autograd/conv_epilogue.hpp (shared with the
-// per-ISA kernel TUs); included above so existing consumers are unchanged.
-
-/// An A operand packed once into the blocked GEMM's kMr-row panel layout
-/// (reduction-major, zero-padded rows) — what `pack_a` produces per cache
-/// block, hoisted out of the hot loop entirely. Only valid for operands
-/// that the blocked loop would cover in a single (Mc, Kc) block; see
-/// `prepack_viable`.
-struct PackedA {
-  std::vector<float> panels;  ///< round_up(m, kMr) x k packed floats
-  int64_t m = 0;
-  int64_t k = 0;
-};
-
-/// True when an (m, k) A operand fits a single cache block of the current
-/// blocking config — the precondition for `prepack_a` / `gemm_prepacked`
-/// producing bits identical to the general blocked loop.
-bool prepack_viable(int64_t m, int64_t k);
-
-/// Packs a strided (m, k) A view into panel layout (one-time, load-path
-/// cost; traced as "gemm.prepack"). `row_stride`/`col_stride` address the
-/// source like MatView, so a transposed weight view packs without an
-/// intermediate copy.
-PackedA prepack_a(const float* a, int64_t row_stride, int64_t col_stride,
-                  int64_t m, int64_t k);
-
-/// C = A * B with a pre-packed A and row-major B ((k, n), row stride
-/// `ldb`), writing C (row stride `ldc`) by OVERWRITE — C need not be
-/// zeroed and is touched exactly once per element. `epi`, when non-null,
-/// is applied to each C tile while it still sits in registers. Requires
-/// the single-block precondition of `prepack_viable`; bit-identical to
-/// blocked_matmul followed by `apply_epilogue`.
-void gemm_prepacked(const PackedA& a, const float* b, int64_t ldb, int64_t n,
-                    float* c, int64_t ldc, const ConvEpilogue* epi);
-
-/// Standalone epilogue pass over a row-major (m, n) C — the reference /
-/// fallback counterpart of the fused store, same per-element op sequence.
+/// Epilogue pass over a row-major (m, n) C, channel = row: the conv
+/// forward's bias add, in the per-element op order of ConvEpilogue.
 void apply_epilogue(float* c, int64_t m, int64_t n, const ConvEpilogue& epi);
 
 }  // namespace roadfusion::autograd::kernels

@@ -14,10 +14,6 @@ namespace t = roadfusion::tensor;
 
 std::atomic<uint64_t> im2col_calls{0};
 
-// Constant-initialized, so installation from another translation unit's
-// static initializer is ordered-safe.
-std::atomic<ConvForwardHook> conv_hook{nullptr};
-
 // Surfaces the ad-hoc im2col counter through the metrics registry without
 // moving its storage: a callback gauge sampled at render time. Registered
 // once at static-init (gauge because reset_im2col_call_count can lower it).
@@ -48,14 +44,6 @@ std::atomic<ConvForwardHook> conv_hook{nullptr};
 }();
 
 }  // namespace
-
-void set_conv_forward_hook(ConvForwardHook hook) {
-  conv_hook.store(hook, std::memory_order_release);
-}
-
-ConvForwardHook conv_forward_hook() {
-  return conv_hook.load(std::memory_order_acquire);
-}
 
 uint64_t im2col_call_count() {
   return im2col_calls.load(std::memory_order_relaxed);

@@ -1,5 +1,5 @@
 // Raw numeric kernels behind the autograd ops: im2col/col2im lowering for
-// convolutions, the hook the conv forward dispatches through, depthwise 3x3
+// convolutions, depthwise 3x3
 // correlation for the Sobel edge op, and max-pool index
 // bookkeeping. All functions operate on plain Tensors; the autograd layer
 // in ops.cpp composes them into differentiable ops.
@@ -14,37 +14,6 @@ namespace roadfusion::autograd::kernels {
 
 using tensor::Shape;
 using tensor::Tensor;
-
-// ---------------------------------------------------------------------------
-// Conv-forward dispatch hook (solver-registry bridge)
-// ---------------------------------------------------------------------------
-//
-// The per-shape solver registry lives in src/tune, which links against this
-// library — so the conv op cannot call it directly. Instead the registry
-// installs a function pointer here at static-init time; the op hands each
-// lowered forward GEMM to the hook, and calls blocked_matmul directly only
-// when no hook is installed. The hook slot is a constant-initialized
-// atomic, safe to read before main().
-
-struct ConvEpilogue;  // gemm.hpp
-
-/// One sample's lowered conv-forward GEMM: out = wmat * columns (+ epi).
-struct ConvForwardCall {
-  int64_t cin = 0;            ///< input channels of the conv
-  int64_t h = 0, w = 0;       ///< input spatial extents
-  int64_t cout = 0;           ///< output channels (GEMM M)
-  int64_t kernel = 1, stride = 1, padding = 0;
-  const Tensor* wmat = nullptr;     ///< (cout, cin*kernel^2) weights
-  const Tensor* columns = nullptr;  ///< im2col matrix (cin*kernel^2, Ho*Wo)
-  float* out = nullptr;             ///< (cout, Ho*Wo), overwritten
-  const ConvEpilogue* epi = nullptr;  ///< optional fused post-ops
-};
-
-/// Executes the GEMM (+ epilogue) into `call.out`.
-using ConvForwardHook = void (*)(const ConvForwardCall& call);
-
-void set_conv_forward_hook(ConvForwardHook hook);
-ConvForwardHook conv_forward_hook();
 
 // ---------------------------------------------------------------------------
 // im2col / col2im

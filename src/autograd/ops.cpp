@@ -230,38 +230,17 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
   if (keep_columns) {
     cached_columns->reserve(static_cast<size_t>(batch));
   }
-  // The per-shape solver registry (src/tune), when linked, takes each
-  // sample's GEMM through the hook; the bias rides along as an epilogue.
-  // Without the registry the blocked GEMM runs directly, followed by the
-  // same epilogue pass.
-  const kernels::ConvForwardHook hook = kernels::conv_forward_hook();
+  // Each sample's GEMM accumulates straight into its zero-filled output
+  // slice; the bias follows as an epilogue pass.
   kernels::ConvEpilogue epi;
   epi.bias = has_bias ? b.value().raw() : nullptr;
   for (int64_t s = 0; s < batch; ++s) {
     Tensor columns = kernels::im2col(
         x.value().raw() + s * cin * h * width, cin, h, width, geom);
     float* dst = out.raw() + s * cout * out_plane;
-    kernels::ConvForwardCall call;
-    call.cin = cin;
-    call.h = h;
-    call.w = width;
-    call.cout = cout;
-    call.kernel = geom.kernel;
-    call.stride = geom.stride;
-    call.padding = geom.padding;
-    call.wmat = &wmat;
-    call.columns = &columns;
-    call.out = dst;
-    call.epi = has_bias ? &epi : nullptr;
-    if (hook != nullptr) {
-      hook(call);
-    } else {
-      const Tensor res = kernels::blocked_matmul(wmat, columns);
-      std::memcpy(dst, res.raw(),
-                  static_cast<size_t>(cout * out_plane) * sizeof(float));
-      if (has_bias) {
-        kernels::apply_epilogue(dst, cout, out_plane, epi);
-      }
+    kernels::blocked_matmul_into(wmat, columns, dst);
+    if (has_bias) {
+      kernels::apply_epilogue(dst, cout, out_plane, epi);
     }
     if (keep_columns) {
       cached_columns->push_back(std::move(columns));

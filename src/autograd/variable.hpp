@@ -29,8 +29,8 @@ using NodePtr = std::shared_ptr<Node>;
 /// Thread-local switch for gradient recording. While disabled, `make_op`
 /// creates parent-less nodes with no backward closure, so the forward pass
 /// builds no tape and intermediate values die as soon as their consumers
-/// finish — the lightweight half of inference mode (the raw
-/// `forward_infer` path skips Variables entirely).
+/// finish — how the graph serves inference (the compiled plan skips
+/// Variables entirely).
 class GradMode {
  public:
   static bool enabled();

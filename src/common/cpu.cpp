@@ -28,11 +28,6 @@ CpuTier probe_hardware() {
 #endif
 }
 
-std::atomic<uint64_t>& generation() {
-  static std::atomic<uint64_t> counter{0};
-  return counter;
-}
-
 /// The active tier, initialized once from hardware ∧ env.
 std::atomic<int>& active_slot() {
   static std::atomic<int> slot{[] {
@@ -63,15 +58,7 @@ void set_active_tier(CpuTier tier) {
   if (tier > detected_tier()) {
     tier = detected_tier();
   }
-  const int previous = active_slot().exchange(static_cast<int>(tier),
-                                              std::memory_order_relaxed);
-  if (previous != static_cast<int>(tier)) {
-    generation().fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-uint64_t tier_generation() {
-  return generation().load(std::memory_order_relaxed);
+  active_slot().store(static_cast<int>(tier), std::memory_order_relaxed);
 }
 
 const char* tier_name(CpuTier tier) {

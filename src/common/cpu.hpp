@@ -1,7 +1,7 @@
 // Runtime CPU feature detection and the process-wide dispatch tier.
 //
-// The SIMD kernels in src/autograd are compiled per-TU with the ISA flags
-// they need (`-msse2` implied by x86-64, `-mavx2 -mfma` for gemm_avx2.cpp),
+// The SIMD kernels are compiled per-TU with the ISA flags they need
+// (`-msse2` implied by x86-64, `-mavx2` for src/plan/nchwc_avx2.cpp),
 // but whether they may EXECUTE is a property of the machine the binary
 // lands on, not of the build host. This header is the single source of
 // truth for that decision: a CpuTier probed once via the compiler's
@@ -13,10 +13,8 @@
 //  * the SSE2 micro-kernels in gemm.cpp gate their vector
 //    path on `active_tier() >= CpuTier::kSse2` (the latent-portability
 //    fix: previously the guard was compile-time only);
-//  * the AVX2 solver (`blocked_avx2`) declares applicability against
-//    `active_tier() >= CpuTier::kAvx2`;
-//  * the tune dispatcher folds `tier_generation()` into its binding-cache
-//    key so a tier flip (tests, env) drops stale solver bindings.
+//  * the inference plan runs its AVX2 direct-conv kernels when
+//    `active_tier() >= CpuTier::kAvx2`.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +22,9 @@
 namespace roadfusion::common {
 
 /// Instruction-set tiers this repository dispatches across, ordered so
-/// `>=` comparisons express capability. kAvx2 implies FMA (the fp32 AVX2
-/// kernel uses both, and every AVX2 part this targets has FMA; a machine
-/// with AVX2 but no FMA probes as kSse2).
+/// `>=` comparisons express capability. kAvx2 requires FMA in the probe
+/// (every AVX2 part this targets has it; a machine with AVX2 but no FMA
+/// probes as kSse2), though no kernel contracts a multiply-add.
 enum class CpuTier : int {
   kScalar = 0,
   kSse2 = 1,
@@ -45,14 +43,9 @@ CpuTier detected_tier();
 CpuTier active_tier();
 
 /// Test / tooling override: clamps the active tier to
-/// `min(tier, detected_tier())` and bumps `tier_generation()`. Call only
-/// while no inference is in flight (tests, CLI startup).
+/// `min(tier, detected_tier())`. Call only while no inference is in flight
+/// (tests, CLI startup).
 void set_active_tier(CpuTier tier);
-
-/// Monotone counter bumped by every effective tier change: caches keyed on
-/// the active tier (the tune binding cache) compare against it and rebuild
-/// on mismatch.
-uint64_t tier_generation();
 
 /// Lower-case tier name ("scalar" | "sse2" | "avx2"), static storage.
 const char* tier_name(CpuTier tier);

@@ -24,14 +24,6 @@ Variable FusionFilter::fuse(const Variable& target_features,
   return autograd::add(target_features, match(source_features));
 }
 
-tensor::Tensor FusionFilter::match_infer(
-    const tensor::Tensor& source_features) const {
-  obs::ScopedSpan span("fusion_filter.match");
-  return conv_.forward_infer(source_features);
-}
-
-void FusionFilter::prepare_inference() { conv_.prepare_inference(); }
-
 void FusionFilter::collect_parameters(
     std::vector<nn::ParameterPtr>& out) const {
   conv_.collect_parameters(out);

@@ -34,11 +34,6 @@ class FusionFilter : public nn::Module {
   Variable fuse(const Variable& target_features,
                 const Variable& source_features) const;
 
-  /// Raw no-graph inference analogue of `match` (DESIGN.md §11).
-  tensor::Tensor match_infer(const tensor::Tensor& source_features) const;
-
-  void prepare_inference() override;
-
   void collect_parameters(std::vector<nn::ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,
                      std::vector<nn::StateEntry>& out) override;

@@ -22,17 +22,7 @@ Variable ConvBnRelu::forward(const Variable& x) const {
   return autograd::relu(bn_.forward(conv_.forward(x)));
 }
 
-Tensor ConvBnRelu::forward_infer(const Tensor& x) const {
-  autograd::kernels::ConvEpilogue epi;
-  const auto bn_params = bn_.fill_epilogue(epi);
-  epi.relu = true;
-  return conv_.forward_infer(x, epi);
-}
-
-void ConvBnRelu::prepare_inference() {
-  conv_.prepare_inference();
-  bn_.prepare_inference();
-}
+void ConvBnRelu::prepare_inference() { bn_.prepare_inference(); }
 
 void ConvBnRelu::collect_parameters(std::vector<ParameterPtr>& out) const {
   conv_.collect_parameters(out);
@@ -95,36 +85,10 @@ Variable ResidualBlock::forward(const Variable& x) const {
   return autograd::relu(autograd::add(out, shortcut));
 }
 
-Tensor ResidualBlock::forward_infer(const Tensor& x) const {
-  autograd::kernels::ConvEpilogue epi2;
-  const auto bn2_params = bn2_.fill_epilogue(epi2);
-  Tensor out = conv2_.forward_infer(conv1_.forward_infer(x), epi2);
-  // Residual add + ReLU in place, per element in the legacy op order.
-  const auto add_relu = [](Tensor& acc, const Tensor& shortcut) {
-    float* po = acc.raw();
-    const float* ps = shortcut.raw();
-    const int64_t n = acc.numel();
-    for (int64_t i = 0; i < n; ++i) {
-      const float v = po[i] + ps[i];
-      po[i] = v > 0.0f ? v : 0.0f;
-    }
-  };
-  if (has_projection()) {
-    autograd::kernels::ConvEpilogue epi_proj;
-    const auto proj_params = projection_bn_->fill_epilogue(epi_proj);
-    add_relu(out, projection_->forward_infer(x, epi_proj));
-  } else {
-    add_relu(out, x);
-  }
-  return out;
-}
-
 void ResidualBlock::prepare_inference() {
   conv1_.prepare_inference();
-  conv2_.prepare_inference();
   bn2_.prepare_inference();
   if (has_projection()) {
-    projection_->prepare_inference();
     projection_bn_->prepare_inference();
   }
 }

@@ -24,10 +24,6 @@ class ConvBnRelu : public Module {
 
   Variable forward(const Variable& x) const;
 
-  /// Raw inference forward: one conv call with the eval-BN affine and the
-  /// ReLU fused into the GEMM epilogue. Bit-identical to forward().
-  Tensor forward_infer(const Tensor& x) const;
-
   void prepare_inference() override;
 
   void collect_parameters(std::vector<ParameterPtr>& out) const override;
@@ -57,10 +53,6 @@ class ResidualBlock : public Module {
   ResidualBlock(const std::string& name, const ResidualBlock& other);
 
   Variable forward(const Variable& x) const;
-
-  /// Raw inference forward: conv1 fuses BN+ReLU, conv2 and the projection
-  /// fuse their BN affines, then residual add + ReLU in place.
-  Tensor forward_infer(const Tensor& x) const;
 
   void prepare_inference() override;
 

@@ -3,17 +3,13 @@
 #include <atomic>
 #include <cmath>
 
-#include "autograd/kernels.hpp"
 #include "common/check.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/workspace.hpp"
-#include "tune/dispatch.hpp"
 
 namespace roadfusion::nn {
 namespace {
 
-namespace kernels = roadfusion::autograd::kernels;
 namespace t = roadfusion::tensor;
 
 /// He-normal initialization: stddev = sqrt(2 / fan_in).
@@ -22,33 +18,6 @@ Tensor he_normal(const Shape& shape, int64_t fan_in, Rng& rng) {
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
   return Tensor::normal(shape, rng, 0.0f, stddev);
 }
-
-// Pre-pack cache effectiveness counters (DESIGN.md §11): a hit is a conv
-// inference call served by the fused pre-packed path, a miss ran an unpacked
-// solver (a forced one, or a weight too large for a single cache block).
-// References cached so the hot path pays one atomic increment, not a
-// registry lookup.
-obs::Counter& prepack_hits() {
-  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
-      "roadfusion_prepack_hits",
-      "Conv inference calls served by the pre-packed weight cache");
-  return counter;
-}
-
-obs::Counter& prepack_misses() {
-  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
-      "roadfusion_prepack_misses",
-      "Conv inference calls served by an unpacked solver");
-  return counter;
-}
-
-// Eager registration so the counters show up in metrics dumps (and keep a
-// stable zero) even before the first inference call.
-[[maybe_unused]] const bool prepack_counters_registered = [] {
-  prepack_hits();
-  prepack_misses();
-  return true;
-}();
 
 }  // namespace
 
@@ -88,83 +57,6 @@ Conv2d::Conv2d(const std::string& name, const Conv2d& other)
 Variable Conv2d::forward(const Variable& x) const {
   return autograd::conv2d(x, weight_->var,
                           bias_ ? bias_->var : Variable(), geom_);
-}
-
-std::shared_ptr<const Conv2d::InferCache> Conv2d::infer_cache() const {
-  const uint64_t epoch = current_inference_epoch();
-  std::shared_ptr<const InferCache> cache = std::atomic_load(&cache_);
-  if (cache != nullptr && cache->epoch == epoch) {
-    return cache;
-  }
-  // Cache tensors outlive any forward pass, so they must not draw from
-  // the ambient inference pool.
-  t::NoWorkspaceScope no_pool;
-  const int64_t ckk = in_channels_ * geom_.kernel * geom_.kernel;
-  auto fresh = std::make_shared<InferCache>();
-  fresh->epoch = epoch;
-  fresh->wmat =
-      weight_->var.value().reshaped(Shape::mat(out_channels_, ckk));
-  if (kernels::prepack_viable(out_channels_, ckk)) {
-    fresh->packed =
-        kernels::prepack_a(fresh->wmat.raw(), ckk, 1, out_channels_, ckk);
-    fresh->prepacked = true;
-  }
-  std::shared_ptr<const InferCache> ready = std::move(fresh);
-  std::atomic_store(&cache_, ready);
-  return ready;
-}
-
-void Conv2d::prepare_inference() { infer_cache(); }
-
-Tensor Conv2d::forward_infer(const Tensor& x,
-                             autograd::kernels::ConvEpilogue epi) const {
-  ROADFUSION_CHECK(x.shape().rank() == 4 &&
-                       x.shape().channels() == in_channels_,
-                   "Conv2d::forward_infer: bad input " << x.shape().str());
-  const int64_t batch = x.shape().batch();
-  const int64_t h = x.shape().height();
-  const int64_t w = x.shape().width();
-  const int64_t out_h = geom_.out_extent(h);
-  const int64_t out_w = geom_.out_extent(w);
-  const int64_t out_plane = out_h * out_w;
-  const std::shared_ptr<const InferCache> cache = infer_cache();
-  epi.bias = bias_ ? bias_->var.value().raw() : nullptr;
-  const bool has_epi =
-      epi.bias != nullptr || epi.bn_mean != nullptr || epi.relu;
-  Tensor out = Tensor::uninitialized(
-      Shape::nchw(batch, out_channels_, out_h, out_w));
-  // Per-shape solver binding (src/tune): forced solver > perf DB record >
-  // heuristic. The binding is cached per problem, so the steady state pays
-  // one hash lookup — no allocation. GEMMs run per sample, so the problem
-  // is keyed with n = 1.
-  tune::ConvProblem problem;
-  problem.c = in_channels_;
-  problem.h = h;
-  problem.w = w;
-  problem.k = out_channels_;
-  problem.r = geom_.kernel;
-  problem.s = geom_.kernel;
-  problem.stride = geom_.stride;
-  problem.pad = geom_.padding;
-  const std::shared_ptr<const tune::Binding> binding =
-      tune::bind(problem, cache->prepacked);
-  tune::SolverArgs args;
-  args.wmat = &cache->wmat;
-  args.packed = cache->prepacked ? &cache->packed : nullptr;
-  args.epi = has_epi ? &epi : nullptr;
-  // "Hit" keeps its DESIGN.md §11 meaning: served by the fused pre-packed
-  // path (which only the prepacked solver runs).
-  obs::Counter& counter = binding->solver->wants_packed() ? prepack_hits()
-                                                          : prepack_misses();
-  for (int64_t s = 0; s < batch; ++s) {
-    const Tensor columns = kernels::im2col(
-        x.raw() + s * in_channels_ * h * w, in_channels_, h, w, geom_);
-    args.columns = &columns;
-    args.out = out.raw() + s * out_channels_ * out_plane;
-    tune::run(*binding, problem, args);
-    counter.inc();
-  }
-  return out;
 }
 
 void Conv2d::collect_parameters(std::vector<ParameterPtr>& out) const {
@@ -221,91 +113,6 @@ ConvTranspose2d::ConvTranspose2d(const std::string& name, int64_t in_channels,
 Variable ConvTranspose2d::forward(const Variable& x) const {
   return autograd::conv_transpose2d(x, weight_->var,
                                     bias_ ? bias_->var : Variable(), geom_);
-}
-
-std::shared_ptr<const ConvTranspose2d::InferCache>
-ConvTranspose2d::infer_cache() const {
-  const uint64_t epoch = current_inference_epoch();
-  std::shared_ptr<const InferCache> cache = std::atomic_load(&cache_);
-  if (cache != nullptr && cache->epoch == epoch) {
-    return cache;
-  }
-  t::NoWorkspaceScope no_pool;
-  const int64_t ckk = out_channels_ * geom_.kernel * geom_.kernel;
-  auto fresh = std::make_shared<InferCache>();
-  fresh->epoch = epoch;
-  fresh->wmat = weight_->var.value().reshaped(Shape::mat(in_channels_, ckk));
-  if (kernels::prepack_viable(ckk, in_channels_)) {
-    // A^T view of the (Cin, Cout*K*K) matrix: logical (ckk, cin) with
-    // row stride 1 — exactly what blocked_matmul_at feeds pack_a.
-    fresh->packed =
-        kernels::prepack_a(fresh->wmat.raw(), 1, ckk, ckk, in_channels_);
-    fresh->prepacked = true;
-  }
-  std::shared_ptr<const InferCache> ready = std::move(fresh);
-  std::atomic_store(&cache_, ready);
-  return ready;
-}
-
-void ConvTranspose2d::prepare_inference() { infer_cache(); }
-
-Tensor ConvTranspose2d::forward_infer(const Tensor& x) const {
-  ROADFUSION_CHECK(x.shape().rank() == 4 &&
-                       x.shape().channels() == in_channels_,
-                   "ConvTranspose2d::forward_infer: bad input "
-                       << x.shape().str());
-  const int64_t batch = x.shape().batch();
-  const int64_t h = x.shape().height();
-  const int64_t w = x.shape().width();
-  const int64_t out_h = geom_.transposed_out_extent(h);
-  const int64_t out_w = geom_.transposed_out_extent(w);
-  const int64_t in_plane = h * w;
-  const int64_t out_plane = out_h * out_w;
-  const int64_t ckk = out_channels_ * geom_.kernel * geom_.kernel;
-  const std::shared_ptr<const InferCache> cache = infer_cache();
-  // Transposed problems dispatch through the solver registry like forward
-  // convs (tconv_* solvers); the raw B pointer keeps the prepacked
-  // solver's zero-copy plane-in-place path.
-  tune::ConvProblem problem;
-  problem.transposed = true;
-  problem.c = in_channels_;
-  problem.h = h;
-  problem.w = w;
-  problem.k = out_channels_;
-  problem.r = geom_.kernel;
-  problem.s = geom_.kernel;
-  problem.stride = geom_.stride;
-  problem.pad = geom_.padding;
-  const std::shared_ptr<const tune::Binding> binding =
-      tune::bind(problem, cache->prepacked);
-  // col2im accumulates, so the output must start zeroed.
-  Tensor out(Shape::nchw(batch, out_channels_, out_h, out_w));
-  for (int64_t s = 0; s < batch; ++s) {
-    const float* x_plane = x.raw() + s * in_channels_ * in_plane;
-    Tensor columns = Tensor::uninitialized(Shape::mat(ckk, in_plane));
-    tune::SolverArgs args;
-    args.wmat = &cache->wmat;
-    args.packed = cache->prepacked ? &cache->packed : nullptr;
-    args.b = x_plane;
-    args.ldb = in_plane;
-    args.out = columns.raw();
-    tune::run(*binding, problem, args);
-    (binding->solver->wants_packed() ? prepack_hits() : prepack_misses())
-        .inc();
-    kernels::col2im_accumulate(columns, out_channels_, out_h, out_w, geom_,
-                               out.raw() + s * out_channels_ * out_plane);
-    if (bias_) {
-      const float* pb = bias_->var.value().raw();
-      float* dst = out.raw() + s * out_channels_ * out_plane;
-      for (int64_t c = 0; c < out_channels_; ++c) {
-        float* row = dst + c * out_plane;
-        for (int64_t i = 0; i < out_plane; ++i) {
-          row[i] += pb[c];
-        }
-      }
-    }
-  }
-  return out;
 }
 
 void ConvTranspose2d::collect_parameters(std::vector<ParameterPtr>& out) const {

@@ -11,7 +11,7 @@
 #include <memory>
 #include <string>
 
-#include "autograd/gemm.hpp"
+#include "autograd/conv_epilogue.hpp"
 #include "autograd/ops.hpp"
 #include "nn/module.hpp"
 #include "tensor/rng.hpp"
@@ -35,8 +35,8 @@ struct Complexity {
 };
 
 /// 2-D convolution layer with optional bias. Weight layout (Cout,Cin,K,K);
-/// He-normal initialization. The forward lowers to im2col + GEMM, and the
-/// solver registry (tune/dispatch.hpp) picks the GEMM kernel per shape.
+/// He-normal initialization. The forward lowers to im2col + the blocked
+/// GEMM.
 class Conv2d : public Module {
  public:
   Conv2d(const std::string& name, int64_t in_channels, int64_t out_channels,
@@ -46,20 +46,6 @@ class Conv2d : public Module {
   Conv2d(const std::string& name, const Conv2d& other);
 
   Variable forward(const Variable& x) const;
-
-  /// Raw no-graph inference forward (DESIGN.md §11). `epi` carries the
-  /// caller's fused post-ops (eval batch-norm affine, ReLU); this layer's
-  /// own bias is folded in automatically — do not set `epi.bias`. Offers
-  /// the pre-packed weight cache to the bound solver when the weight fits a
-  /// single GEMM cache block; bit-identical to forward + the separate
-  /// post-ops under the default solvers. Allocation-free in the
-  /// steady state under an active WorkspaceScope.
-  Tensor forward_infer(const Tensor& x,
-                       autograd::kernels::ConvEpilogue epi = {}) const;
-
-  /// Builds (or refreshes) the inference cache eagerly so serving threads
-  /// never race a rebuild.
-  void prepare_inference() override;
 
   void collect_parameters(std::vector<ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,
@@ -85,23 +71,11 @@ class Conv2d : public Module {
   }
 
  private:
-  /// Load-time products of the weight: the (Cout, Cin*K*K) matrix view
-  /// copy and the blocked GEMM's packed A panels when viable. Immutable
-  /// once built; swapped atomically on epoch change.
-  struct InferCache {
-    uint64_t epoch = 0;
-    Tensor wmat;
-    autograd::kernels::PackedA packed;
-    bool prepacked = false;
-  };
-  std::shared_ptr<const InferCache> infer_cache() const;
-
   int64_t in_channels_;
   int64_t out_channels_;
   ConvGeometry geom_;
   ParameterPtr weight_;
   ParameterPtr bias_;  // null when bias disabled
-  mutable std::shared_ptr<const InferCache> cache_;
 };
 
 /// 2-D transposed convolution (decoder upsampling). Weight layout
@@ -113,12 +87,6 @@ class ConvTranspose2d : public Module {
                   int64_t padding, bool bias, Rng& rng);
 
   Variable forward(const Variable& x) const;
-
-  /// Raw no-graph inference forward; bias handled internally. Offers a
-  /// pre-packed A^T view of the weight to the bound solver when viable.
-  Tensor forward_infer(const Tensor& x) const;
-
-  void prepare_inference() override;
 
   void collect_parameters(std::vector<ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,
@@ -136,20 +104,11 @@ class ConvTranspose2d : public Module {
   }
 
  private:
-  struct InferCache {
-    uint64_t epoch = 0;
-    Tensor wmat;  ///< (Cin, Cout*K*K) matrix copy of the weight
-    autograd::kernels::PackedA packed;  ///< A^T panels: (Cout*K*K, Cin)
-    bool prepacked = false;
-  };
-  std::shared_ptr<const InferCache> infer_cache() const;
-
   int64_t in_channels_;
   int64_t out_channels_;
   ConvGeometry geom_;
   ParameterPtr weight_;
   ParameterPtr bias_;
-  mutable std::shared_ptr<const InferCache> cache_;
 };
 
 /// Batch normalization with affine parameters and running statistics.

@@ -56,8 +56,8 @@ class Module {
   /// Switches training/eval behaviour (batch norm). Default: no-op.
   virtual void set_training(bool training);
 
-  /// Eagerly builds this module's inference-only caches (pre-packed
-  /// weights, cached batch-norm invstd) at the current epoch, so the hot
+  /// Eagerly builds this module's inference-only caches (the cached
+  /// batch-norm invstd) at the current epoch, so the hot
   /// path never rebuilds. Composites forward to children. Default: no-op.
   virtual void prepare_inference();
 
@@ -74,8 +74,8 @@ class Module {
   void zero_grad();
 };
 
-/// Global invalidation epoch for inference-only caches (pre-packed conv
-/// weights, cached batch-norm invstd — DESIGN.md §11). Caches stamp the
+/// Global invalidation epoch for inference-only caches (the cached
+/// batch-norm invstd and the compiled inference plan — DESIGN.md §11). Caches stamp the
 /// epoch when built and lazily rebuild when it has moved on. Bumped by
 /// anything that may change parameter or running-statistic values outside
 /// a cache's view: restore_state (model loads), optimizer steps, and

@@ -86,8 +86,8 @@ struct SlotDef {
   std::string label;  ///< for --explain-plan
 };
 
-/// The network layer a step belongs to: the layer a kLayer step runs,
-/// the branch of a kConvNchwc step, and the trace span both report in.
+/// The network layer a step belongs to (the branch of a kConvNchwc step)
+/// and the trace span it reports in.
 enum class LayerRef {
   kNone,
   kRgbStage,    ///< rgb encoder stage `stage` (stem or residual block)
@@ -99,10 +99,6 @@ enum class LayerRef {
 };
 
 enum class StepKind {
-  /// An existing layer on plain NCHW through its `forward_infer`, so
-  /// solver bindings and forced solvers apply to it as to any conv.
-  /// src -> dst; src = -1 reads the network input of the step's branch.
-  kLayer,
   /// src (NCHW) -> dst (NCHWc); src = -1 reads the network input of the
   /// step's branch.
   kConvertToNchwc,
@@ -120,14 +116,10 @@ enum class StepKind {
   /// dst += fusion_weight * (w * aux). Reads aux only, so a cached aux
   /// survives for the next frame.
   kAwnFuse,
-  /// All-NCHW schedule only: Decoder::forward_infer over the NCHW skip
-  /// slots -> logits. The blocked schedule runs the decoder as
-  /// kTConvNchwc / kConvNchwc steps instead.
-  kDecoder,
 };
 
 struct Step {
-  StepKind kind = StepKind::kLayer;
+  StepKind kind = StepKind::kConvertToNchwc;
   int src = -1;
   int dst = -1;
   int pre = -1;   ///< kConvNchwc: residual shortcut; kTConvNchwc: skip
@@ -137,7 +129,7 @@ struct Step {
   LayerRef layer = LayerRef::kNone;
   int stage = 0;  ///< for spans / --explain-plan
   /// Network layers (convs, AWN) this step executes, for
-  /// roadfusion_plan_layers_total{layout}.
+  /// roadfusion_plan_layers_total.
   int layers = 0;
 };
 

@@ -1,9 +1,11 @@
 // AVX2 lane kernels for the NCHWc8 direct and transposed convolutions
 // (DESIGN.md §16).
 //
-// Same ODR ground rules as autograd/gemm_avx2.hpp: this header must stay
-// free of heavyweight includes and the implementation TU is the only file
-// in src/plan/ compiled with -mavx2 (and deliberately WITHOUT -mfma: the
+// ODR ground rules: a TU compiled with wider ISA flags must not instantiate
+// inline code that other TUs also instantiate, or the linker may keep the
+// AVX2 copy and crash pre-AVX2 machines. So this header stays free of
+// heavyweight includes, and the implementation TU is the only file in the
+// tree compiled with -mavx2 (and deliberately WITHOUT -mfma: the
 // kernel uses separate mul+add intrinsics so every lane reproduces the
 // scalar accumulation chain bit-for-bit — a fused multiply-add would keep
 // the infinite-precision intermediate and change the last bits).

@@ -27,8 +27,6 @@
 #include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/workspace.hpp"
-#include "tune/dispatch.hpp"
-#include "tune/solver.hpp"
 
 namespace roadfusion::plan {
 namespace {
@@ -67,19 +65,16 @@ const char* variant_name(Variant variant) {
   return kVariantNames[static_cast<size_t>(variant)];
 }
 
-/// Why a plan runs every stage NCHW through the layer calls instead of
-/// the blocked layout.
-enum class NchwReason { kNone, kForcedSolver, kKcDepth };
-constexpr const char* kReasonNames[] = {"none", "forced_solver", "kc_depth"};
-
-const char* reason_name(NchwReason reason) {
-  return kReasonNames[static_cast<size_t>(reason)];
-}
+/// Why the autograd graph serves a net's predicts instead of the plan:
+/// more stages than the executor holds, or a conv whose reduction spans
+/// more than one Kc cache block, where the blocked kernel's summation
+/// order would differ from the graph's GEMM.
+enum class Decline { kNone, kStages, kKcDepth };
+constexpr const char* kDeclineNames[] = {"none", "stages", "kc_depth"};
 
 struct PlanKey {
   int64_t n = 0, h = 0, w = 0;
   Variant variant = Variant::kFused;
-  Layout layout = Layout::kNchwc;
   bool operator==(const PlanKey&) const = default;
 };
 
@@ -98,9 +93,7 @@ struct CompiledPlan {
   std::vector<SlotDef> slots;
   std::vector<Step> steps;
   std::vector<int> skip_slots;  ///< fused pyramid (plan layout), stage 0 first
-  /// NCHW slot holding the logits, or -1 when the kDecoder step returns
-  /// them (the all-NCHW schedule).
-  int logits = -1;
+  int logits = -1;              ///< NCHW slot holding the logits
   std::vector<int> cached;      ///< slot of each StreamFeatureCache::slots[k]
   /// NCHW slots to drop right after each step (their last reader) —
   /// computed liveness that keeps the arena footprint minimal.
@@ -113,14 +106,15 @@ struct CompiledPlan {
 };
 
 /// Geometry-independent plan state hung off the RoadSegNet: packed
-/// weights plus a bounded cache of compiled schedules.
+/// weights plus a bounded cache of compiled schedules, or the reason the
+/// graph serves this net instead (then nothing is packed or compiled).
 struct PlanContext {
   int stages = 0;
   FusionScheme scheme = FusionScheme::kBaseline;
-  /// Some interior conv reduces over more than one Kc cache block, where
-  /// the blocked kernel's order would differ from the GEMM's: every
-  /// schedule then runs NCHW.
-  bool exceeds_kc = false;
+  Decline decline = Decline::kNone;
+  /// kKcDepth: the first conv too deep for one Kc block, and its depth.
+  std::string deep_conv;
+  int64_t deep_depth = 0;
   PackedConv rgb_stem;
   PackedConv depth_stem;
   std::vector<std::shared_ptr<const BlockPack>> rgb_blocks;    ///< [stage-1]
@@ -138,19 +132,19 @@ struct PlanContext {
 /// builds no metric names.
 struct PlanMetrics {
   obs::Counter* declined = nullptr;
-  std::array<obs::Counter*, 3> declined_by_reason{};  ///< by NchwReason
+  std::array<obs::Counter*, 3> declined_by_reason{};  ///< by Decline
   std::array<obs::Counter*, 4> runs{};                ///< by Variant
   obs::Counter* compiles = nullptr;
   obs::Counter* evictions = nullptr;
-  obs::Counter* layers_nchwc = nullptr;
-  obs::Counter* layers_nchw = nullptr;
+  obs::Counter* layers = nullptr;
 };
 
 const PlanMetrics& metrics() {
   static const PlanMetrics m = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     const char* declined_help =
-        "Plan runs that took the all-NCHW layout (labeled by reason)";
+        "Eval predicts the autograd graph served because the plan declined "
+        "the net (labeled by reason)";
     PlanMetrics out;
     out.declined =
         &registry.counter("roadfusion_plan_declined_total", declined_help);
@@ -158,7 +152,7 @@ const PlanMetrics& metrics() {
          ++reason) {
       out.declined_by_reason[reason] = &registry.counter(
           std::string("roadfusion_plan_declined_total{reason=\"") +
-              kReasonNames[reason] + "\"}",
+              kDeclineNames[reason] + "\"}",
           declined_help);
     }
     for (const Variant variant : kVariants) {
@@ -172,12 +166,9 @@ const PlanMetrics& metrics() {
     out.evictions = &registry.counter(
         "roadfusion_plan_evictions_total",
         "Compiled plans evicted from a model's bounded plan cache");
-    const char* layers_help =
-        "Layers scheduled per layout by the inference plan compiler";
-    out.layers_nchwc = &registry.counter(
-        "roadfusion_plan_layers_total{layout=\"nchwc\"}", layers_help);
-    out.layers_nchw = &registry.counter(
-        "roadfusion_plan_layers_total{layout=\"nchw\"}", layers_help);
+    out.layers = &registry.counter(
+        "roadfusion_plan_layers_total",
+        "Network layers scheduled by the inference plan compiler");
     return out;
   }();
   return m;
@@ -197,40 +188,55 @@ std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
 }
 
 /// The bit-exactness argument (nchwc.hpp) requires the graph-path GEMM to
-/// run its whole reduction in one Kc cache block. A transposed conv's
-/// GEMM reduces over the input channels alone.
-bool fits_one_kc_block(const PackedConv& pc) {
-  const int64_t depth =
-      pc.transposed ? pc.cin : pc.cin * pc.kernel * pc.kernel;
-  return depth <= autograd::kernels::blocked_gemm_config().kc;
-}
-
-NchwReason nchw_reason(const PlanContext& ctx) {
-  if (!tune::forced_solver().empty()) {
-    return NchwReason::kForcedSolver;
-  }
-  return ctx.exceeds_kc ? NchwReason::kKcDepth : NchwReason::kNone;
+/// run its whole reduction in one Kc cache block. This is the depth it
+/// reduces over: a transposed conv's GEMM reduces over the input channels
+/// alone.
+int64_t reduction_depth(const PackedConv& pc) {
+  return pc.transposed ? pc.cin : pc.cin * pc.kernel * pc.kernel;
 }
 
 // ---------------------------------------------------------------------------
 // Build: network -> PlanContext (packed weights)
 // ---------------------------------------------------------------------------
 
+/// A context that only carries why the graph serves the net.
+std::shared_ptr<PlanContext> declined_context(const RoadSegNet& net,
+                                              Decline decline) {
+  auto ctx = std::make_shared<PlanContext>();
+  ctx->stages = net.num_stages();
+  ctx->scheme = net.config().scheme;
+  ctx->decline = decline;
+  return ctx;
+}
+
 std::shared_ptr<void> build_hook(const RoadSegNet& net) {
   const int stages = net.num_stages();
   if (stages > kMaxPlanStages) {
-    return nullptr;
+    return declined_context(net, Decline::kStages);
   }
   auto ctx = std::make_shared<PlanContext>();
   ctx->stages = stages;
   ctx->scheme = net.config().scheme;
-  bool fits = true;
-  const auto block_fits = [&](const BlockPack& bp) {
-    return fits_one_kc_block(bp.conv1) && fits_one_kc_block(bp.conv2) &&
-           (bp.proj == nullptr || fits_one_kc_block(*bp.proj));
+  // The first conv (in packing order) whose reduction spans Kc blocks.
+  std::string deep_conv;
+  int64_t deep_depth = 0;
+  const auto check_depth = [&](const PackedConv& pc) {
+    const int64_t depth = reduction_depth(pc);
+    if (deep_conv.empty() &&
+        depth > autograd::kernels::blocked_gemm_config().kc) {
+      deep_conv = pc.name;
+      deep_depth = depth;
+    }
+  };
+  const auto block_depths = [&](const BlockPack& bp) {
+    check_depth(bp.conv1);
+    check_depth(bp.conv2);
+    if (bp.proj != nullptr) {
+      check_depth(*bp.proj);
+    }
   };
   const auto pack_one = [&](PackedConv pc) {
-    fits = fits && fits_one_kc_block(pc);
+    check_depth(pc);
     return pc;
   };
   const auto pack_stem = [&](const Encoder& encoder, const char* name) {
@@ -247,7 +253,8 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
                      ? rgb
                      : pack_block(net.depth_encoder().block(stage),
                                   "depth.stage" + std::to_string(stage));
-    fits = fits && block_fits(*rgb) && block_fits(*depth);
+    block_depths(*rgb);
+    block_depths(*depth);
     ctx->rgb_blocks.push_back(std::move(rgb));
     ctx->depth_blocks.push_back(std::move(depth));
   }
@@ -274,7 +281,13 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
   }
   ctx->head = pack_one(pack_conv(decoder.head(), nullptr, false,
                                  "decoder.head"));
-  ctx->exceeds_kc = !fits;
+  if (!deep_conv.empty()) {
+    // The packed weights are never run: keep only the reason.
+    ctx = declined_context(net, Decline::kKcDepth);
+    ctx->deep_conv = std::move(deep_conv);
+    ctx->deep_depth = deep_depth;
+    return ctx;
+  }
   obs::MetricsRegistry::global()
       .counter("roadfusion_plan_builds_total",
                "Inference plan contexts compiled")
@@ -294,7 +307,7 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   const auto& channels = net.config().stage_channels;
   const bool hit = key.variant == Variant::kStreamHit;
   const bool miss = key.variant == Variant::kStreamMiss;
-  const Layout layout = key.layout;
+  const Layout layout = Layout::kNchwc;
   // A slot at `stage`'s resolution with `c` channels (-1: the stage's).
   const auto new_slot = [&](int stage, Layout slot_layout, std::string label,
                             int64_t c = -1) {
@@ -359,35 +372,14 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     st.layers = 1;
     push(st);
   };
-  // One encoder stage of `branch`: a layer step on NCHW, or on NCHWc8 the
-  // stem (reading the network input, converted at the point of use so
-  // only one branch's converted input is live at a time) or conv1,
-  // (projection), conv2 with the shortcut fused as `pre`. A `post` slot
-  // adds the fusion sum: in the last conv's epilogue on NCHWc8, as a
-  // following accumulate step on NCHW.
+  // One encoder stage of `branch`: the stem (reading the network input,
+  // converted at the point of use so only one branch's converted input is
+  // live at a time) or conv1, (projection), conv2 with the shortcut fused
+  // as `pre`. A `post` slot adds the fusion sum in the last conv's
+  // epilogue.
   const auto emit_stage = [&](LayerRef branch, int stage, int input,
                               int post, const std::string& label) {
     const int out = new_slot(stage, layout, label);
-    if (layout == Layout::kNchw) {
-      Step st;
-      st.kind = StepKind::kLayer;
-      st.layer = branch;
-      st.src = input;
-      st.dst = out;
-      st.stage = stage;
-      st.layers = 1;  // the stem conv
-      if (stage > 0) {
-        const Encoder& encoder = branch == LayerRef::kRgbStage
-                                     ? net.rgb_encoder()
-                                     : net.depth_encoder();
-        st.layers = encoder.block(stage).projection() == nullptr ? 2 : 3;
-      }
-      push(st);
-      if (post >= 0) {
-        fusion_step(StepKind::kAccumulate, out, post, stage);
-      }
-      return out;
-    }
     const bool rgb_branch = branch == LayerRef::kRgbStage;
     const auto conv = [&](const PackedConv& pc, int src, int dst, int pre,
                           int post_slot) {
@@ -422,21 +414,9 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   const auto emit_filter = [&](LayerRef which, int stage, int input,
                                const std::string& label) {
     const int out = new_slot(stage, layout, label);
-    Step st;
-    st.layer = which;
-    st.src = input;
-    st.dst = out;
-    st.stage = stage;
-    st.layers = 1;
-    if (layout == Layout::kNchw) {
-      st.kind = StepKind::kLayer;
-    } else {
-      st.kind = StepKind::kConvNchwc;
-      st.conv = &(which == LayerRef::kDepthToRgb
-                      ? ctx.d2r
-                      : ctx.r2d)[static_cast<size_t>(stage)];
-    }
-    push(st);
+    const auto& filters = which == LayerRef::kDepthToRgb ? ctx.d2r : ctx.r2d;
+    conv_step(StepKind::kConvNchwc, filters[static_cast<size_t>(stage)], which,
+              stage, input, out, -1, -1);
     return out;
   };
 
@@ -517,35 +497,25 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     plan->skip_slots.push_back(to_layout(fused, layout, stage, "skip" + tag));
     r_in = fused;
   }
-  if (layout == Layout::kNchw) {
-    Step dec;
-    dec.kind = StepKind::kDecoder;
-    dec.stage = ctx.stages;
-    // One transposed conv and one refine conv per stage transition, plus
-    // the 1x1 head.
-    dec.layers = 2 * (ctx.stages - 1) + 1;
-    push(dec);
-  } else {
-    // Per transition: the upsampling tconv with the skip add as its
-    // epilogue, then the refine conv; then the head, whose one-channel
-    // output is the only slot converted back to NCHW.
-    int x = plan->skip_slots.back();
-    for (int i = 0; i + 1 < ctx.stages; ++i) {
-      const int target = ctx.stages - 2 - i;
-      const auto at = static_cast<size_t>(i);
-      const std::string tag = std::to_string(target + 1);
-      const int up = new_slot(target, layout, "up" + tag);
-      conv_step(StepKind::kTConvNchwc, ctx.up[at], LayerRef::kDecoderUp, i, x,
-                up, plan->skip_slots[static_cast<size_t>(target)], -1);
-      x = new_slot(target, layout, "refine" + tag);
-      conv_step(StepKind::kConvNchwc, ctx.refine[at], LayerRef::kDecoderUp, i,
-                up, x, -1, -1);
-    }
-    const int head = new_slot(0, layout, "head", 1);
-    conv_step(StepKind::kConvNchwc, ctx.head, LayerRef::kDecoderHead, 0, x,
-              head, -1, -1);
-    plan->logits = to_layout(head, Layout::kNchw, 0, "logits");
+  // Per transition: the upsampling tconv with the skip add as its
+  // epilogue, then the refine conv; then the head, whose one-channel
+  // output is the only slot converted back to NCHW.
+  int x = plan->skip_slots.back();
+  for (int i = 0; i + 1 < ctx.stages; ++i) {
+    const int target = ctx.stages - 2 - i;
+    const auto at = static_cast<size_t>(i);
+    const std::string tag = std::to_string(target + 1);
+    const int up = new_slot(target, layout, "up" + tag);
+    conv_step(StepKind::kTConvNchwc, ctx.up[at], LayerRef::kDecoderUp, i, x,
+              up, plan->skip_slots[static_cast<size_t>(target)], -1);
+    x = new_slot(target, layout, "refine" + tag);
+    conv_step(StepKind::kConvNchwc, ctx.refine[at], LayerRef::kDecoderUp, i,
+              up, x, -1, -1);
   }
+  const int head = new_slot(0, layout, "head", 1);
+  conv_step(StepKind::kConvNchwc, ctx.head, LayerRef::kDecoderHead, 0, x,
+            head, -1, -1);
+  plan->logits = to_layout(head, Layout::kNchw, 0, "logits");
   ROADFUSION_CHECK(plan->slots.size() <= kMaxPlanSlots,
                    "inference plan needs " << plan->slots.size()
                                            << " slots, executor holds "
@@ -571,11 +541,6 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     if (st.kind == StepKind::kAddInPlace ||
         st.kind == StepKind::kAccumulate || st.kind == StepKind::kAwnFuse) {
       read(st.dst);  // in-place update reads its destination
-    }
-    if (st.kind == StepKind::kDecoder) {
-      for (int skip : plan->skip_slots) {
-        read(skip);
-      }
     }
   }
   // NCHW slots: per-step release lists (a step never releases what it
@@ -671,30 +636,8 @@ void bind_cache(const CompiledPlan& plan, StreamFeatureCache& cache) {
   }
 }
 
-Tensor run_layer(const RoadSegNet& net, const Step& st, const Tensor& x) {
-  const auto stage = static_cast<size_t>(st.stage);
-  switch (st.layer) {
-    case LayerRef::kRgbStage:
-      return net.rgb_encoder().forward_stage_infer(st.stage, x);
-    case LayerRef::kDepthStage:
-      return net.depth_encoder().forward_stage_infer(st.stage, x);
-    case LayerRef::kDepthToRgb:
-      return net.depth_to_rgb_filters()[stage].match_infer(x);
-    case LayerRef::kRgbToDepth:
-      return net.rgb_to_depth_filters()[stage].match_infer(x);
-    case LayerRef::kNone:
-    case LayerRef::kDecoderUp:
-    case LayerRef::kDecoderHead:
-      break;
-  }
-  ROADFUSION_CHECK(false, "inference plan: layer step without a layer");
-}
-
-/// Per LayerRef: the explain-plan name prefix of a layer step and the
-/// trace span prefix (the graph path's names, so traces read the same
-/// whichever path served; null = no span of its own).
-constexpr const char* kLayerNames[] = {"",    "rgb", "depth", "d2r",
-                                       "r2d", "",    ""};
+/// Per LayerRef: the trace span prefix (the graph path's names, so traces
+/// read the same whichever path served; null = no span of its own).
 constexpr const char* kLayerSpans[] = {
     nullptr,        "rgb_encoder.stage", "depth_encoder.stage",
     "fusion.stage", "fusion.stage",      "decoder.up",
@@ -752,22 +695,9 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
     return slot_shape(plan.slots[static_cast<size_t>(idx)]).numel();
   };
 
-  std::optional<Tensor> out;
   const auto run_step = [&](size_t j) {
     const Step& st = plan.steps[j];
     switch (st.kind) {
-      case StepKind::kLayer: {
-        const Tensor& x = st.src >= 0 ? tensor_at(st.src)
-                          : st.layer == LayerRef::kDepthStage ? depth
-                                                              : rgb;
-        Tensor y = run_layer(net, st, x);
-        if (plan.slots[static_cast<size_t>(st.dst)].cache_index >= 0) {
-          tensor_at(st.dst) = y;  // copies into the cache's heap storage
-        } else {
-          local[static_cast<size_t>(st.dst)] = std::move(y);
-        }
-        break;
-      }
       case StepKind::kConvertToNchwc: {
         const SlotDef& dd = plan.slots[static_cast<size_t>(st.dst)];
         const float* src = nullptr;
@@ -837,16 +767,6 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
         accumulate(r.raw(), pm, r.numel(), fusion_weight);
         break;
       }
-      case StepKind::kDecoder: {
-        obs::ScopedSpan decoder_span("decoder");
-        std::array<const Tensor*, kMaxPlanStages> skips{};
-        for (size_t i = 0; i < plan.skip_slots.size(); ++i) {
-          skips[i] = &tensor_at(plan.skip_slots[i]);
-        }
-        out = net.decoder().forward_infer(
-            skips.data(), static_cast<int>(plan.skip_slots.size()));
-        break;
-      }
     }
     for (int idx : plan.release_after[j]) {
       local[static_cast<size_t>(idx)].reset();
@@ -893,12 +813,11 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
   } else {
     run_all();
   }
-  return std::move(plan.logits >= 0 ? *local[static_cast<size_t>(plan.logits)]
-                                    : *out);
+  return std::move(*local[static_cast<size_t>(plan.logits)]);
 }
 
 // ---------------------------------------------------------------------------
-// Run hook: variant + layout choice, plan-cache lookup
+// Run hook: decline check, variant choice, plan-cache lookup
 // ---------------------------------------------------------------------------
 
 /// The cached schedule for `key`, compiled on first use. The cache holds
@@ -922,10 +841,7 @@ std::shared_ptr<const CompiledPlan> lookup(PlanContext& ctx,
   for (const Step& st : plan->steps) {
     layers += st.layers;
   }
-  // Layers count under their schedule's layout (the AWN head's NCHW
-  // pooling inside a blocked schedule counts as blocked).
-  (key.layout == Layout::kNchwc ? m.layers_nchwc : m.layers_nchw)
-      ->inc(static_cast<uint64_t>(layers));
+  m.layers->inc(static_cast<uint64_t>(layers));
   if (ctx.plans.size() >= kMaxCachedPlans) {
     ctx.plans.erase(ctx.plans.begin());
     m.evictions->inc();
@@ -941,10 +857,11 @@ tensor::Shape as_nchw(const tensor::Shape& shape) {
              : shape;
 }
 
-Tensor run_hook(const roadseg::SegmentationModel& model,
-                const std::shared_ptr<void>& state, const Tensor& rgb,
-                const Tensor& depth, float fusion_weight,
-                StreamFeatureCache* cache, bool depth_unchanged) {
+std::optional<Tensor> run_hook(const roadseg::SegmentationModel& model,
+                               const std::shared_ptr<void>& state,
+                               const Tensor& rgb, const Tensor& depth,
+                               float fusion_weight, StreamFeatureCache* cache,
+                               bool depth_unchanged) {
   // build_hook is the only producer of plan states, and it is only ever
   // handed a RoadSegNet.
   const auto& net = static_cast<const RoadSegNet&>(model);
@@ -952,16 +869,15 @@ Tensor run_hook(const roadseg::SegmentationModel& model,
   const tensor::Shape rgb_shape = as_nchw(rgb.shape());
   net.check_inputs(rgb_shape, as_nchw(depth.shape()), fusion_weight);
   const PlanMetrics& m = metrics();
-  const NchwReason reason = nchw_reason(ctx);
-  if (reason != NchwReason::kNone) {
+  if (ctx.decline != Decline::kNone) {
     m.declined->inc();
-    m.declined_by_reason[static_cast<size_t>(reason)]->inc();
+    m.declined_by_reason[static_cast<size_t>(ctx.decline)]->inc();
+    return std::nullopt;
   }
   PlanKey key;
   key.n = rgb_shape.batch();
   key.h = rgb_shape.height();
   key.w = rgb_shape.width();
-  key.layout = reason == NchwReason::kNone ? Layout::kNchwc : Layout::kNchw;
   key.variant = fusion_weight == 0.0f ? Variant::kRgbOnly : Variant::kFused;
 
   // Streams: RGB-only mode has no depth work to skip, and AllFilter_B's
@@ -991,15 +907,8 @@ Tensor run_hook(const roadseg::SegmentationModel& model,
     plan = lookup(ctx, net, key);
   }
   m.runs[static_cast<size_t>(key.variant)]->inc();
-  // The blocked schedule converts CHW inputs in place; the layer steps of
-  // the all-NCHW one need rank-4 tensors.
-  std::optional<Tensor> rgb4, depth4;
-  if (key.layout == Layout::kNchw && rgb.shape().rank() == 3) {
-    rgb4 = rgb.reshaped(rgb_shape);
-    depth4 = depth.reshaped(as_nchw(depth.shape()));
-  }
-  Tensor out = execute(net, *plan, rgb4 ? *rgb4 : rgb,
-                       depth4 ? *depth4 : depth, fusion_weight, cache);
+  // CHW inputs are converted to the blocked layout in place.
+  Tensor out = execute(net, *plan, rgb, depth, fusion_weight, cache);
   if (key.variant == Variant::kStreamMiss) {
     cache->valid = true;
   }
@@ -1056,48 +965,6 @@ std::string epilogue_str(const Step& st) {
   return out.empty() ? "none" : out;
 }
 
-/// Solver the registry binds for an NCHW conv of this shape — what the
-/// plan's layer steps and the decoder dispatch to.
-std::string bound_solver(int64_t cin, int64_t cout, int64_t kernel,
-                         int64_t stride, int64_t pad, int64_t in_h,
-                         int64_t in_w) {
-  tune::ConvProblem problem;
-  problem.n = 1;
-  problem.c = cin;
-  problem.h = in_h;
-  problem.w = in_w;
-  problem.k = cout;
-  problem.r = kernel;
-  problem.s = kernel;
-  problem.stride = stride;
-  problem.pad = pad;
-  return tune::bind(problem, true)->solver->name();
-}
-
-/// The first conv a layer step runs (its solver heads the explain line).
-const nn::Conv2d& first_conv(const RoadSegNet& net, const Step& st) {
-  const auto stage = static_cast<size_t>(st.stage);
-  switch (st.layer) {
-    case LayerRef::kRgbStage:
-    case LayerRef::kDepthStage: {
-      const Encoder& encoder = st.layer == LayerRef::kRgbStage
-                                   ? net.rgb_encoder()
-                                   : net.depth_encoder();
-      return st.stage == 0 ? encoder.stem().conv()
-                           : encoder.block(st.stage).conv1().conv();
-    }
-    case LayerRef::kDepthToRgb:
-      return net.depth_to_rgb_filters()[stage].conv();
-    case LayerRef::kRgbToDepth:
-      return net.rgb_to_depth_filters()[stage].conv();
-    case LayerRef::kNone:
-    case LayerRef::kDecoderUp:
-    case LayerRef::kDecoderHead:
-      break;
-  }
-  ROADFUSION_CHECK(false, "inference plan: layer step without a layer");
-}
-
 /// The blocked kernels' name as explain and benches report it.
 const char* nchwc_kernel() {
   return common::active_tier() >= common::CpuTier::kAvx2 ? "nchwc_direct_avx2"
@@ -1120,33 +987,6 @@ std::string nchwc_tile_str(const PackedConv& pc) {
          std::to_string(tile.blocks) + "x" + std::to_string(tile.cols);
 }
 
-/// The kernel a conv-running step dispatches to: the blocked kernel, or
-/// for an NCHW step the solver the registry binds for its first conv.
-std::string step_kernel(const RoadSegNet& net, const CompiledPlan& plan,
-                        const Step& st) {
-  switch (st.kind) {
-    case StepKind::kConvNchwc:
-    case StepKind::kTConvNchwc:
-      return nchwc_kernel();
-    case StepKind::kLayer: {
-      const SlotDef* src =
-          st.src >= 0 ? &plan.slots[static_cast<size_t>(st.src)] : nullptr;
-      const nn::Conv2d& conv = first_conv(net, st);
-      return bound_solver(conv.in_channels(), conv.out_channels(),
-                          conv.geometry().kernel, conv.geometry().stride,
-                          conv.geometry().padding,
-                          src != nullptr ? src->h : plan.key.h,
-                          src != nullptr ? src->w : plan.key.w);
-    }
-    case StepKind::kDecoder:
-      return bound_solver(net.config().stage_channels[0],
-                          net.config().stage_channels[0], 3, 1, 1,
-                          plan.key.h, plan.key.w);
-    default:
-      return "";
-  }
-}
-
 /// "conv3x3/s1" / "tconv2x2/s2" for a blocked conv step.
 std::string conv_kind(const PackedConv& pc) {
   return std::string(pc.transposed ? "tconv" : "conv") +
@@ -1155,12 +995,10 @@ std::string conv_kind(const PackedConv& pc) {
 }
 
 void print_plan(std::ostream& os, const RoadSegNet& net,
-                const CompiledPlan& plan, NchwReason reason) {
+                const CompiledPlan& plan) {
   const PlanKey& key = plan.key;
   os << "inference plan: scheme=" << core::to_string(net.config().scheme)
-     << " variant=" << variant_name(key.variant)
-     << " layout=" << (key.layout == Layout::kNchwc ? "nchwc8" : "nchw")
-     << " reason=" << reason_name(reason) << " input=" << key.n << "x"
+     << " variant=" << variant_name(key.variant) << " input=" << key.n << "x"
      << net.config().rgb_channels << "x" << key.h << "x" << key.w
      << " steps=" << plan.steps.size() << " slots=" << plan.slots.size()
      << "\n";
@@ -1168,12 +1006,6 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
     const Step& st = plan.steps[j];
     os << "  [" << j << "] ";
     switch (st.kind) {
-      case StepKind::kLayer:
-        os << "layer       layout=nchw solver=" << step_kernel(net, plan, st)
-           << " layer=" << kLayerNames[static_cast<size_t>(st.layer)]
-           << ".stage" << st.stage << " " << slot_str(plan, st.src)
-           << " -> " << slot_str(plan, st.dst);
-        break;
       case StepKind::kConvertToNchwc:
         os << "to_nchwc    " << slot_str(plan, st.src) << " -> "
            << slot_str(plan, st.dst);
@@ -1209,14 +1041,6 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
         os << "awn_fuse    layout=nchw " << slot_str(plan, st.dst)
            << " += w * AWN-scaled " << slot_str(plan, st.aux);
         break;
-      case StepKind::kDecoder:
-        os << "decoder     layout=nchw solver=" << step_kernel(net, plan, st)
-           << " skips={";
-        for (size_t i = 0; i < plan.skip_slots.size(); ++i) {
-          os << (i == 0 ? "" : ", ") << "%" << plan.skip_slots[i];
-        }
-        os << "} -> logits";
-        break;
     }
     // Slots dead after this step: released NCHW tensors and NCHWc
     // scratch regions free for later slots.
@@ -1246,28 +1070,31 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w) {
   const std::shared_ptr<void> state = net.inference_plan();
   if (state == nullptr) {
-    return net.num_stages() > kMaxPlanStages
-               ? "inference plan unavailable: more than " +
-                     std::to_string(kMaxPlanStages) +
-                     " stages; inference uses the autograd graph\n"
-               : "inference plan unavailable: model is in training mode "
-                 "(call set_training(false) first); inference uses the "
-                 "autograd graph\n";
+    return "inference plan unavailable: model is in training mode (call "
+           "set_training(false) first); inference uses the autograd graph\n";
   }
   const auto& ctx = *static_cast<const PlanContext*>(state.get());
-  const NchwReason reason = nchw_reason(ctx);
   std::ostringstream os;
-  // The kernel-selection knobs, with the values serving actually uses.
-  const auto or_unset = [](const std::string& value) {
-    return value.empty() ? std::string("unset") : value;
-  };
-  os << "knob ROADFUSION_SOLVER=" << or_unset(tune::forced_solver()) << "\n"
-     << "knob ROADFUSION_PERF_DB="
-     << or_unset(env_string("ROADFUSION_PERF_DB", ""))
-     << " records=" << tune::perf_db_size() << "\n"
-     << "knob ROADFUSION_CPU_FEATURES="
-     << or_unset(env_string("ROADFUSION_CPU_FEATURES", ""))
+  // The kernel-selection knob, with the tier serving actually uses.
+  const std::string cpu_features = env_string("ROADFUSION_CPU_FEATURES", "");
+  os << "knob ROADFUSION_CPU_FEATURES="
+     << (cpu_features.empty() ? "unset" : cpu_features)
      << " tier=" << common::tier_name(common::active_tier()) << "\n";
+  switch (ctx.decline) {
+    case Decline::kNone:
+      break;
+    case Decline::kStages:
+      os << "inference plan declined: reason=stages (" << ctx.stages
+         << " stages, the executor holds " << kMaxPlanStages
+         << "); inference uses the autograd graph\n";
+      return os.str();
+    case Decline::kKcDepth:
+      os << "inference plan declined: reason=kc_depth (" << ctx.deep_conv
+         << " reduces over " << ctx.deep_depth << " > Kc "
+         << autograd::kernels::blocked_gemm_config().kc
+         << "); inference uses the autograd graph\n";
+      return os.str();
+  }
   for (const Variant variant : kVariants) {
     if (ctx.scheme == FusionScheme::kAllFilterB &&
         (variant == Variant::kStreamMiss || variant == Variant::kStreamHit)) {
@@ -1278,8 +1105,7 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
     key.h = h;
     key.w = w;
     key.variant = variant;
-    key.layout = reason == NchwReason::kNone ? Layout::kNchwc : Layout::kNchw;
-    print_plan(os, net, *compile(ctx, net, key), reason);
+    print_plan(os, net, *compile(ctx, net, key));
   }
   return os.str();
 }
@@ -1292,23 +1118,17 @@ std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
     return out;
   }
   const auto& ctx = *static_cast<const PlanContext*>(state.get());
+  if (ctx.decline != Decline::kNone) {
+    return out;
+  }
   PlanKey key;
   key.n = n;
   key.h = h;
   key.w = w;
-  key.layout = nchw_reason(ctx) == NchwReason::kNone ? Layout::kNchwc
-                                                     : Layout::kNchw;
   const std::shared_ptr<const CompiledPlan> plan = compile(ctx, net, key);
   for (const Step& st : plan->steps) {
     if (st.conv != nullptr) {
-      out.push_back({st.conv->name, conv_kind(*st.conv),
-                     step_kernel(net, *plan, st)});
-    } else if (st.kind == StepKind::kLayer) {
-      out.push_back({std::string(kLayerNames[static_cast<size_t>(st.layer)]) +
-                         ".stage" + std::to_string(st.stage),
-                     "layer", step_kernel(net, *plan, st)});
-    } else if (st.kind == StepKind::kDecoder) {
-      out.push_back({"decoder", "decoder", step_kernel(net, *plan, st)});
+      out.push_back({st.conv->name, conv_kind(*st.conv), nchwc_kernel()});
     }
   }
   return out;

@@ -11,11 +11,10 @@
 // direct conv kernel (no im2col), the cross-layer elementwise chain
 // (residual add, fusion-filter match, fusion sum) is fused into conv
 // epilogues, and transient buffers are released at their last use so
-// the workspace arena sees the minimal buffer schedule. Under a forced
-// solver, or when a conv reduces over more than one Kc block, every stage
-// instead runs NCHW through the layers' own forward_infer calls, with the
-// same fusion steps, and roadfusion_plan_declined_total{reason} counts
-// the call.
+// the workspace arena sees the minimal buffer schedule. A net the plan
+// cannot serve bit-exactly — more than 8 stages, or a conv that reduces
+// over more than one Kc block — is declined: the autograd graph serves its
+// predicts, and roadfusion_plan_declined_total{reason} counts each one.
 //
 // Integration happens through roadseg/plan_hook.hpp: linking rf_plan into
 // a binary installs the hooks at static init (install_hooks() does it
@@ -38,25 +37,26 @@ namespace roadfusion::plan {
 void install_hooks();
 
 /// Human-readable schedules for `net` at input geometry (n, 3, h, w):
-/// one `knob NAME=value` line per kernel-selection environment knob
-/// (ROADFUSION_SOLVER, ROADFUSION_PERF_DB with the records in force,
-/// ROADFUSION_CPU_FEATURES with the active tier), then a header per
-/// variant (fused, rgb_only and, unless AllFilter_B, stream_miss and
-/// stream_hit) with the layout and the reason for an NCHW one, then one
-/// line per step with layout, kernel/solver, fused epilogue stages and
-/// buffer slots — the backing of `roadfusion infer --explain-plan`. Reports why when the net has no plan.
+/// the `knob ROADFUSION_CPU_FEATURES=value tier=...` line (the one
+/// kernel-selection knob, with the active tier), then a header per variant
+/// (fused, rgb_only and, unless AllFilter_B, stream_miss and stream_hit),
+/// then one line per step with layout, kernel, fused epilogue stages and
+/// buffer slots — the backing of `roadfusion infer --explain-plan`.
+/// Reports why instead when the graph serves the net (training mode, or a
+/// declined net: its reason and, for kc_depth, the first conv too deep
+/// and its depth).
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w);
 
 /// One conv-running step of a compiled schedule.
 struct ConvStep {
   std::string layer;   ///< e.g. "rgb.stage0", "decoder.up4", "decoder.head"
-  std::string kind;    ///< "conv3x3/s1", "tconv2x2/s2"; NCHW: "layer", "decoder"
-  std::string kernel;  ///< "nchwc_direct[_avx2]", or an NCHW step's solver
+  std::string kind;    ///< "conv3x3/s1", "tconv2x2/s2", "conv1x1/s1"
+  std::string kernel;  ///< "nchwc_direct" or "nchwc_direct_avx2"
 };
 
 /// The conv steps of the fused schedule `net` serves at (n, 3, h, w), in
-/// execution order (empty when the net has no plan). Like explain(), this
+/// execution order (empty when the graph serves the net). Like explain(), this
 /// compiles outside the plan cache and moves no serving counter.
 std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
                                  int64_t h, int64_t w);

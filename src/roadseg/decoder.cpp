@@ -1,7 +1,5 @@
 #include "roadseg/decoder.hpp"
 
-#include <optional>
-
 #include "autograd/ops.hpp"
 #include "common/check.hpp"
 #include "obs/trace.hpp"
@@ -44,40 +42,10 @@ Variable Decoder::forward(const std::vector<Variable>& skips) const {
   return head_.forward(x);
 }
 
-tensor::Tensor Decoder::forward_infer(const tensor::Tensor* const* skips,
-                                      int count) const {
-  ROADFUSION_CHECK(count == static_cast<int>(stage_channels_.size()),
-                   "Decoder: expected " << stage_channels_.size()
-                                        << " skips, got " << count);
-  const tensor::Tensor* x = skips[count - 1];
-  std::optional<tensor::Tensor> refined;
-  for (size_t step = 0; step < up_.size(); ++step) {
-    obs::ScopedSpan step_span("decoder.up", static_cast<int>(step));
-    const size_t target_stage = stage_channels_.size() - 2 - step;
-    tensor::Tensor y = up_[step].forward_infer(*x);
-    // Skip connection: y += skip, elementwise in place (same float order
-    // as the graph's add(up, skip)).
-    float* py = y.raw();
-    const float* ps = skips[target_stage]->raw();
-    const int64_t n = y.numel();
-    for (int64_t i = 0; i < n; ++i) {
-      py[i] += ps[i];
-    }
-    refined = refine_[step].forward_infer(y);
-    x = &*refined;
-  }
-  obs::ScopedSpan head_span("decoder.head");
-  return head_.forward_infer(*x);
-}
-
 void Decoder::prepare_inference() {
-  for (auto& layer : up_) {
-    layer.prepare_inference();
-  }
   for (auto& layer : refine_) {
     layer.prepare_inference();
   }
-  head_.prepare_inference();
 }
 
 void Decoder::collect_parameters(std::vector<nn::ParameterPtr>& out) const {

@@ -24,14 +24,6 @@ class Decoder : public nn::Module {
   /// road logits of shape (N, 1, H, W) at stage-0 resolution.
   Variable forward(const std::vector<Variable>& skips) const;
 
-  /// Raw no-graph inference analogue of `forward` over `count` skip
-  /// tensors (stage 0 first) — the inference plan's decoder step. Takes
-  /// pointers rather than a container so the caller hands over its own
-  /// buffers without a per-call vector or copy. Bit-identical to the
-  /// Variable path.
-  tensor::Tensor forward_infer(const tensor::Tensor* const* skips,
-                               int count) const;
-
   void prepare_inference() override;
 
   void collect_parameters(std::vector<nn::ParameterPtr>& out) const override;

@@ -52,16 +52,6 @@ Variable Encoder::forward_stage(int stage, const Variable& input) const {
   return blocks_[static_cast<size_t>(stage - 1)].forward(input);
 }
 
-tensor::Tensor Encoder::forward_stage_infer(int stage,
-                                            const tensor::Tensor& input) const {
-  ROADFUSION_CHECK(stage >= 0 && stage < num_stages(),
-                   "Encoder stage " << stage << " out of range");
-  if (stage == 0) {
-    return stem_.forward_infer(input);
-  }
-  return blocks_[static_cast<size_t>(stage - 1)].forward_infer(input);
-}
-
 void Encoder::prepare_inference() {
   stem_.prepare_inference();
   for (auto& block : blocks_) {

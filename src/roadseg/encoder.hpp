@@ -38,13 +38,6 @@ class Encoder : public nn::Module {
   /// Runs a single stage on its input feature map.
   Variable forward_stage(int stage, const Variable& input) const;
 
-  /// Raw no-graph inference analogue of `forward_stage` — the inference
-  /// plan's NCHW stage step (DESIGN.md §16).
-  /// Bit-identical to the Variable path; allocation-free in the steady
-  /// state under an active WorkspaceScope.
-  tensor::Tensor forward_stage_infer(int stage,
-                                     const tensor::Tensor& input) const;
-
   void prepare_inference() override;
 
   int num_stages() const { return static_cast<int>(stage_channels_.size()); }

@@ -65,15 +65,7 @@ bool RoadSegNet::stage_is_shared(int stage) const {
 void RoadSegNet::check_inputs(const tensor::Shape& rgb,
                               const tensor::Shape& depth,
                               float fusion_weight) const {
-  ROADFUSION_CHECK(rgb.rank() == 4 && depth.rank() == 4,
-                   "RoadSegNet::forward expects NCHW inputs");
-  ROADFUSION_CHECK(rgb.batch() == depth.batch() &&
-                       rgb.height() == depth.height() &&
-                       rgb.width() == depth.width(),
-                   "RoadSegNet::forward: rgb " << rgb.str() << " vs depth "
-                                               << depth.str());
-  ROADFUSION_CHECK(fusion_weight >= 0.0f && fusion_weight <= 1.0f,
-                   "fusion_weight must be in [0, 1], got " << fusion_weight);
+  SegmentationModel::check_inputs(rgb, depth, fusion_weight);
   const int64_t stride = int64_t{1} << (num_stages() - 1);
   ROADFUSION_CHECK(rgb.height() % stride == 0 && rgb.width() % stride == 0,
                    "input " << rgb.str()
@@ -209,12 +201,6 @@ std::shared_ptr<void> RoadSegNet::inference_plan() const {
 void RoadSegNet::prepare_inference() {
   rgb_encoder_->prepare_inference();
   depth_encoder_->prepare_inference();
-  for (auto& filter : depth_to_rgb_filters_) {
-    filter.prepare_inference();
-  }
-  for (auto& filter : rgb_to_depth_filters_) {
-    filter.prepare_inference();
-  }
   decoder_->prepare_inference();
   // Compile the inference plan last: it snapshots the weights and the
   // eval-BN factors the calls above just refreshed. Only meaningful in

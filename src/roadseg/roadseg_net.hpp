@@ -64,21 +64,20 @@ class RoadSegNet : public SegmentationModel {
   /// (a shared stage still runs twice).
   nn::Complexity complexity(int64_t height, int64_t width) const override;
 
-  /// Throws unless rgb / depth are NCHW with matching batch and spatial
-  /// extent divisible by the network stride, and fusion_weight is in
-  /// [0, 1] — the input contract shared by the graph and the plan.
+  /// The base contract plus spatial extents divisible by the network
+  /// stride — shared by the graph, the plan and the engine's submit.
   void check_inputs(const tensor::Shape& rgb, const tensor::Shape& depth,
-                    float fusion_weight) const;
+                    float fusion_weight) const override;
 
   /// The compiled inference plan (DESIGN.md §16): built through the plan
   /// hooks in eval mode and rebuilt when the inference epoch moves on
-  /// (checkpoint loads, optimizer steps). Null in training mode, with no
-  /// plan library linked, or for nets deeper than the plan supports.
+  /// (checkpoint loads, optimizer steps). Null in training mode or with
+  /// no plan library linked.
   std::shared_ptr<void> inference_plan() const override;
 
-  /// Eagerly builds every layer's inference cache (packed weights, eval
-  /// BN factors) and, in eval mode, the inference plan, so serving
-  /// threads never race a lazy rebuild.
+  /// Eagerly builds every layer's inference cache (eval BN factors) and,
+  /// in eval mode, the inference plan, so serving threads never race a
+  /// lazy rebuild.
   void prepare_inference() override;
 
   const RoadSegConfig& config() const { return config_; }

@@ -1,6 +1,7 @@
 #include "roadseg/segmentation_model.hpp"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "autograd/ops.hpp"
@@ -29,6 +30,21 @@ ForwardResult SegmentationModel::forward_fused(const autograd::Variable& rgb,
   return forward(rgb, autograd::scale(depth, fusion_weight));
 }
 
+void SegmentationModel::check_inputs(const tensor::Shape& rgb,
+                                     const tensor::Shape& depth,
+                                     float fusion_weight) const {
+  ROADFUSION_CHECK(rgb.rank() == 4 && depth.rank() == 4,
+                   "forward expects NCHW inputs, got rgb "
+                       << rgb.str() << " and depth " << depth.str());
+  ROADFUSION_CHECK(rgb.batch() == depth.batch() &&
+                       rgb.height() == depth.height() &&
+                       rgb.width() == depth.width(),
+                   "forward: rgb " << rgb.str() << " vs depth "
+                                   << depth.str());
+  ROADFUSION_CHECK(fusion_weight >= 0.0f && fusion_weight <= 1.0f,
+                   "fusion_weight must be in [0, 1], got " << fusion_weight);
+}
+
 std::shared_ptr<void> SegmentationModel::inference_plan() const {
   return nullptr;
 }
@@ -52,8 +68,9 @@ void sigmoid_in_place(tensor::Tensor& t) {
   }
 }
 
-/// The autograd graph's logits — what every model without a plan
-/// serves. The stream cache has no use here and is invalidated.
+/// The autograd graph's logits — what every model without a plan, and
+/// every net the plan declines, serves. The stream cache has no use here
+/// and is invalidated.
 tensor::Tensor graph_logits(const SegmentationModel& model,
                             const tensor::Tensor& rgb,
                             const tensor::Tensor& depth, float fusion_weight,
@@ -67,9 +84,9 @@ tensor::Tensor graph_logits(const SegmentationModel& model,
       .logits.value();
 }
 
-/// Probabilities from the compiled plan when the model has one, else from
-/// the autograd graph. `cache` (may be null) selects the stream
-/// schedules.
+/// Probabilities from the compiled plan when the model has one and it
+/// does not decline, else from the autograd graph. `cache` (may be null)
+/// selects the stream schedules.
 tensor::Tensor run_predict(const SegmentationModel& model,
                            const tensor::Tensor& rgb,
                            const tensor::Tensor& depth, float fusion_weight,
@@ -83,32 +100,35 @@ tensor::Tensor run_predict(const SegmentationModel& model,
                      "predict: rgb is CHW but depth is "
                          << depth.shape().str());
   }
-  const std::shared_ptr<void> plan = model.inference_plan();
-  const auto probabilities = [&] {
-    // The plan reads CHW inputs in place; the graph needs NCHW (arena)
-    // copies of them.
-    tensor::Tensor out =
-        plan != nullptr
-            ? plan_hooks().run(model, plan, rgb, depth, fusion_weight, cache,
-                               depth_unchanged)
-        : chw ? graph_logits(model, as_nchw(rgb), as_nchw(depth),
+  std::optional<tensor::Tensor> out;
+  if (const std::shared_ptr<void> plan = model.inference_plan()) {
+    // The plan reads CHW inputs in place.
+    const auto planned = [&] {
+      return plan_hooks().run(model, plan, rgb, depth, fusion_weight, cache,
+                              depth_unchanged);
+    };
+    if (tensor::Workspace::current() != nullptr) {
+      out = planned();
+    } else {
+      // Direct callers get a per-thread arena: the first predict on a
+      // thread populates it, every later one is allocation-free.
+      thread_local tensor::Workspace workspace;
+      const tensor::WorkspaceScope scope(workspace);
+      out = planned();
+    }
+  }
+  if (!out) {
+    // The graph needs NCHW (arena) copies of CHW inputs.
+    out = chw ? graph_logits(model, as_nchw(rgb), as_nchw(depth),
                              fusion_weight, cache)
               : graph_logits(model, rgb, depth, fusion_weight, cache);
-    sigmoid_in_place(out);
-    if (chw) {
-      out = std::move(out).reshaped(
-          tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
-    }
-    return out;
-  };
-  if (plan == nullptr || tensor::Workspace::current() != nullptr) {
-    return probabilities();
   }
-  // Direct callers get a per-thread arena: the first predict on a thread
-  // populates it, every later one is allocation-free.
-  thread_local tensor::Workspace workspace;
-  const tensor::WorkspaceScope scope(workspace);
-  return probabilities();
+  sigmoid_in_place(*out);
+  if (chw) {
+    return std::move(*out).reshaped(
+        tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
+  }
+  return std::move(*out);
 }
 
 }  // namespace

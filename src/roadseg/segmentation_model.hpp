@@ -69,6 +69,15 @@ class SegmentationModel : public nn::Module {
   /// MAC / parameter budget for the given input size.
   virtual nn::Complexity complexity(int64_t height, int64_t width) const = 0;
 
+  /// Throws unless rgb / depth are NCHW with matching batch and spatial
+  /// extent and fusion_weight is in [0, 1]; a model with further input
+  /// constraints (RoadSegNet: extents divisible by its stride) adds them.
+  /// The contract every path serving the model shares, so a server can
+  /// reject a request before queueing it.
+  virtual void check_inputs(const tensor::Shape& rgb,
+                            const tensor::Shape& depth,
+                            float fusion_weight) const;
+
   /// The compiled inference plan that serves this model's predicts
   /// (opaque state for PlanHooks::run, see plan_hook.hpp), or null when
   /// they take the autograd graph. Default: null — only an eval-mode

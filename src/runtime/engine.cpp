@@ -65,6 +65,20 @@ std::future<InferenceResult> InferenceEngine::submit(
                                     << " disagree on H x W");
     request.degraded = options.force_degraded;
   }
+  // A geometry the model cannot run (e.g. extents not divisible by the
+  // network stride) is rejected here rather than failing in a worker.
+  try {
+    model_.check_inputs(
+        Shape::nchw(1, rgb.shape().dim(0), rgb.shape().dim(1),
+                    rgb.shape().dim(2)),
+        Shape::nchw(1, depth.shape().dim(0), depth.shape().dim(1),
+                    depth.shape().dim(2)),
+        1.0f);
+  } catch (const roadfusion::Error& e) {
+    stats_.record_invalid_input();
+    throw InvalidInputError(std::string("rejected input geometry: ") +
+                            e.what());
+  }
   request.rgb = std::move(rgb);
   request.depth = std::move(depth);
   request.scenario = options.scenario;

@@ -70,7 +70,8 @@ class RequestCancelledError : public Error {
 };
 
 /// Thrown by submit() when the sensor health check classifies the
-/// request as unservable (malformed shapes, non-finite RGB).
+/// request as unservable (malformed shapes, non-finite RGB) or the model
+/// cannot run its geometry (SegmentationModel::check_inputs).
 class InvalidInputError : public Error {
  public:
   explicit InvalidInputError(const std::string& what) : Error(what) {}
@@ -182,7 +183,8 @@ class InferenceEngine {
   /// yields the (1, H, W) road-probability tensor, bit-identical to
   /// `model.predict(rgb, depth)` (or `predict_fused(..., 0)` when the
   /// result is flagged degraded). Throws InvalidInputError (health check
-  /// rejected the pair), QueueFullError (reject policy, queue full) or
+  /// rejected the pair, or the model cannot run its geometry, e.g. H or W
+  /// not a multiple of the network stride), QueueFullError (reject policy, queue full) or
   /// EngineStoppedError (after shutdown).
   std::future<InferenceResult> submit(tensor::Tensor rgb,
                                       tensor::Tensor depth,

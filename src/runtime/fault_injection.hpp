@@ -36,7 +36,7 @@ enum class FaultKind {
   kScanlineDropout,  ///< zeroes most depth scanlines (dead LiDAR region)
   kBadShape,         ///< ill-shaped depth — rejected at submit
   kIndivisibleShape, ///< geometry passing health checks but failing the
-                     ///< network stride — the forward itself throws
+                     ///< network stride — rejected at submit
   kSlowBatch,        ///< armed hook: the next forward sleeps slow-ms
   kThrowingForward,  ///< armed hook: the next forward throws
 };

@@ -25,7 +25,7 @@ struct RuntimeStats {
   uint64_t requests_timed_out = 0;  ///< futures failed by deadline expiry
   uint64_t requests_cancelled = 0;  ///< futures failed by cancel shutdown
   uint64_t queue_full_rejections = 0;
-  uint64_t invalid_input_rejections = 0;  ///< rejected at submit (health)
+  uint64_t invalid_input_rejections = 0;  ///< rejected at submit (health, geometry)
   uint64_t batches_formed = 0;
 
   /// Mean number of requests per formed batch (0 when no batch yet).

@@ -356,7 +356,7 @@ TEST(FaultTolerantEngine, ThrowingForwardFailsOnlyItsBatch) {
   EXPECT_EQ(stats.requests_failed, 1u);
 }
 
-TEST(FaultTolerantEngine, StrideFaultFailsOnlyItsOwnRequest) {
+TEST(FaultTolerantEngine, StrideFaultIsRejectedAtSubmit) {
   Rng rng(61);
   RoadSegNet net(small_config(core::FusionScheme::kBaseline), rng);
   net.set_training(false);
@@ -372,11 +372,10 @@ TEST(FaultTolerantEngine, StrideFaultFailsOnlyItsOwnRequest) {
   config.max_wait_us = 2000;
   InferenceEngine engine(net, config);
 
-  // Submit healthy and stride-faulted requests interleaved: the batcher's
-  // shape-compatibility rule must keep the faulted geometry out of the
-  // healthy batches, so only the faulted requests fail.
+  // Submit healthy and stride-faulted requests interleaved: the faulted
+  // geometry passes the health check but not the model's input contract,
+  // so it is rejected at submit and never reaches a batch.
   std::vector<std::future<InferenceResult>> healthy;
-  std::vector<std::future<InferenceResult>> doomed;
   for (int i = 0; i < 6; ++i) {
     if (i % 2 == 0) {
       healthy.push_back(engine.submit(rgb, depth));
@@ -384,15 +383,16 @@ TEST(FaultTolerantEngine, StrideFaultFailsOnlyItsOwnRequest) {
       Tensor frgb = rgb;
       Tensor fdepth = depth;
       injector.apply(FaultKind::kIndivisibleShape, frgb, fdepth);
-      doomed.push_back(engine.submit(frgb, fdepth));
+      EXPECT_THROW((void)engine.submit(frgb, fdepth), InvalidInputError);
     }
   }
   for (auto& future : healthy) {
     expect_bit_identical(future.get().output, expected);
   }
-  for (auto& future : doomed) {
-    EXPECT_THROW((void)future.get(), InferenceError);
-  }
+  engine.shutdown(ShutdownMode::kDrain);
+  const RuntimeStats stats = engine.stats();
+  EXPECT_EQ(stats.invalid_input_rejections, 3u);
+  EXPECT_EQ(stats.requests_failed, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-// Differential kernel-parity suite: the autograd conv (solver-dispatched
-// forward, blocked-GEMM backward) must agree with a scalar reference conv
+// Differential kernel-parity suite: the autograd conv (im2col + blocked
+// GEMM, forward and backward) must agree with a scalar reference conv
 // built from im2col, the tensor::matmul* triple loops and col2im on every
 // conv geometry the repository can express — forward, input gradient,
 // weight gradient and bias gradient — plus the three raw GEMM forms at
@@ -31,8 +31,6 @@
 #include "plan/nchwc.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
-#include "tune/problem.hpp"
-#include "tune/solver.hpp"
 
 namespace roadfusion::autograd {
 namespace {
@@ -273,195 +271,6 @@ TEST(KernelParity, GemmMultipleCacheBlocks) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver registry parity: every registered solver (every tuned parameter
-// candidate) must agree with the reference matmul on the conv GEMM it
-// serves.
-// ---------------------------------------------------------------------------
-
-void expect_registry_solver_parity(const tune::ConvProblem& p) {
-  SCOPED_TRACE(p.key());
-  Rng rng(47);
-  const Tensor wmat = Tensor::normal(Shape::mat(p.gemm_m(), p.gemm_k()), rng);
-  const Tensor columns =
-      Tensor::normal(Shape::mat(p.gemm_k(), p.gemm_n()), rng);
-  const Tensor expected = tensor::matmul(wmat, columns);
-  const kernels::PackedA packed = kernels::prepack_a(
-      wmat.raw(), p.gemm_k(), 1, p.gemm_m(), p.gemm_k());
-  for (const tune::Solver* solver : tune::applicable_solvers(p, true)) {
-    for (const std::string& params : solver->search_space(p)) {
-      SCOPED_TRACE(std::string(solver->name()) + "[" + params + "]");
-      Tensor out = Tensor::zeros(Shape::mat(p.gemm_m(), p.gemm_n()));
-      tune::SolverArgs args;
-      args.wmat = &wmat;
-      args.packed = &packed;
-      args.columns = &columns;
-      args.out = out.raw();
-      solver->run(p, args, params);
-      expect_allclose(expected, out, solver->name());
-    }
-  }
-}
-
-TEST(KernelParity, AllRegisteredSolversOnEncoderShapes) {
-  std::vector<tune::ConvProblem> problems;
-  {
-    tune::ConvProblem p;  // stem_rgb
-    p.c = 3, p.h = 32, p.w = 96, p.k = 8, p.pad = 1;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // stage1.conv2
-    p.c = 12, p.h = 16, p.w = 48, p.k = 12, p.pad = 1;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // stage3 projection, 1x1 stride 2
-    p.c = 16, p.h = 8, p.w = 24, p.k = 24, p.r = 1, p.s = 1, p.stride = 2;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // score conv: gemm_m == 1, reference-only
-    p.c = 8, p.h = 32, p.w = 96, p.k = 1, p.r = 1, p.s = 1;
-    problems.push_back(p);
-  }
-  for (const tune::ConvProblem& p : problems) {
-    expect_registry_solver_parity(p);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 micro-kernel sweeps. The blocked_avx2 kernel tiles the GEMM as
-// 16 columns x 6 rows of FMA accumulators (with an 8x6 half tile), so the
-// interesting shapes sit at multiples of 16 / 8 / 6 and one off them —
-// every remainder path must agree with the reference GEMM. Skipped on
-// hosts without AVX2, where the solvers are not registered as applicable.
-// ---------------------------------------------------------------------------
-
-TEST(KernelParity, Avx2TileBoundarySweep) {
-  if (common::active_tier() < common::CpuTier::kAvx2) {
-    GTEST_SKIP() << "host has no AVX2";
-  }
-  // 1x1 convs give direct control of the GEMM dims: gemm_m = k (rows),
-  // gemm_n = h * w (columns), gemm_k = c (depth).
-  std::vector<tune::ConvProblem> problems;
-  for (const int64_t rows : {5, 6, 7, 12, 13}) {
-    for (const int64_t cols : {15, 16, 17, 24, 32, 33, 47, 48}) {
-      tune::ConvProblem p;
-      p.c = 27;
-      p.h = 1, p.w = cols;
-      p.k = rows;
-      p.r = 1, p.s = 1, p.pad = 0;
-      problems.push_back(p);
-    }
-  }
-  {
-    tune::ConvProblem p;  // 3x3 stride-2 encoder shape with col remainder
-    p.c = 12, p.h = 17, p.w = 23, p.k = 18, p.pad = 1, p.stride = 2;
-    problems.push_back(p);
-  }
-  for (const tune::ConvProblem& p : problems) {
-    expect_registry_solver_parity(p);
-  }
-}
-
-TEST(KernelParity, Avx2FuzzSweep) {
-  if (common::active_tier() < common::CpuTier::kAvx2) {
-    GTEST_SKIP() << "host has no AVX2";
-  }
-  std::mt19937 gen(20260808);  // fixed seed: failures must reproduce
-  std::uniform_int_distribution<int64_t> cin_dist(1, 24);
-  std::uniform_int_distribution<int64_t> cout_dist(2, 40);
-  std::uniform_int_distribution<int64_t> extent_dist(2, 20);
-  std::uniform_int_distribution<int> kernel_dist(0, 1);
-  std::uniform_int_distribution<int64_t> stride_dist(1, 2);
-  for (int i = 0; i < 60; ++i) {
-    tune::ConvProblem p;
-    p.c = cin_dist(gen);
-    p.k = cout_dist(gen);
-    p.h = extent_dist(gen);
-    p.w = extent_dist(gen);
-    p.r = p.s = kernel_dist(gen) == 0 ? 1 : 3;
-    p.pad = p.r == 3 ? 1 : 0;
-    p.stride = stride_dist(gen);
-    expect_registry_solver_parity(p);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Transposed-conv solvers: every registered tconv solver must match the
-// reference wmat^T x B GEMM on decoder shapes, for both a contiguous B
-// (ldb == gemm_n) and a strided window (ldb > gemm_n) — the raw operand
-// form the decoder's plane-in-place path hands the registry.
-// ---------------------------------------------------------------------------
-
-void expect_tconv_solver_parity(const tune::ConvProblem& p, int64_t ldb_pad) {
-  SCOPED_TRACE(p.key() + " ldb_pad=" + std::to_string(ldb_pad));
-  ASSERT_TRUE(p.transposed);
-  Rng rng(61);
-  const int64_t m = p.gemm_m();
-  const int64_t k = p.gemm_k();
-  const int64_t n = p.gemm_n();
-  const int64_t ldb = n + ldb_pad;
-  // wmat is the layer's (Cin, Cout*K*K) = (gemm_k, gemm_m) matrix.
-  const Tensor wmat = Tensor::normal(Shape::mat(k, m), rng);
-  const Tensor b_storage = Tensor::normal(Shape::mat(k, ldb), rng);
-  Tensor b_window = Tensor::zeros(Shape::mat(k, n));
-  for (int64_t row = 0; row < k; ++row) {
-    for (int64_t col = 0; col < n; ++col) {
-      b_window.at(row * n + col) = b_storage.at(row * ldb + col);
-    }
-  }
-  const Tensor expected = tensor::matmul_at(wmat, b_window);
-  // A^T view of wmat, exactly as ConvTranspose2d::infer_cache packs it.
-  const kernels::PackedA packed =
-      kernels::prepack_a(wmat.raw(), 1, m, m, k);
-  const std::vector<const tune::Solver*> applicable =
-      tune::applicable_solvers(p, true);
-  ASSERT_GE(applicable.size(), 1u);
-  for (const tune::Solver* solver : applicable) {
-    SCOPED_TRACE(solver->name());
-    Tensor out = Tensor::zeros(Shape::mat(m, n));
-    tune::SolverArgs args;
-    args.wmat = &wmat;
-    args.packed = &packed;
-    args.out = out.raw();
-    args.b = b_storage.raw();
-    args.ldb = ldb;
-    solver->run(p, args, "");
-    expect_allclose(expected, out, solver->name());
-  }
-}
-
-TEST(KernelParity, TransposedSolversMatchReferenceGemm) {
-  std::vector<tune::ConvProblem> problems;
-  {
-    tune::ConvProblem p;  // decoder up4: 32 -> 24 channels, 2x upsample
-    p.transposed = true;
-    p.c = 32, p.h = 2, p.w = 6, p.k = 24, p.r = 2, p.s = 2, p.stride = 2,
-    p.pad = 0;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // decoder up1: 12 -> 8 channels
-    p.transposed = true;
-    p.c = 12, p.h = 16, p.w = 48, p.k = 8, p.r = 2, p.s = 2, p.stride = 2,
-    p.pad = 0;
-    problems.push_back(p);
-  }
-  {
-    tune::ConvProblem p;  // ragged: odd channels, 3x3 kernel
-    p.transposed = true;
-    p.c = 5, p.h = 7, p.w = 9, p.k = 3, p.r = 3, p.s = 3, p.stride = 2,
-    p.pad = 1;
-    problems.push_back(p);
-  }
-  for (const tune::ConvProblem& p : problems) {
-    expect_tconv_solver_parity(p, 0);   // contiguous B
-    expect_tconv_solver_parity(p, 13);  // strided window into a wider plane
-  }
-}
-
-// ---------------------------------------------------------------------------
 // im2col caching: forward columns must be reused by backward
 // ---------------------------------------------------------------------------
 
@@ -494,7 +303,8 @@ TEST(Im2colCache, OneLoweringPerConvPerSamplePerStep) {
 // NCHWc8 plan kernels: the blocked transposed conv (the decoder's 2x2/s2
 // upsampling with the skip add fused as `pre`) and the stage-0 stems (cin
 // 1 and 3, with and without the fused fusion sum) must reproduce the
-// layers' own forward_infer bit-for-bit on the scalar and the AVX2 tier,
+// autograd graph's ops (conv or transposed conv, then eval BN, then ReLU)
+// bit-for-bit on the scalar and the AVX2 tier,
 // at batch 2; the direct-conv sweep runs every output width up to and past
 // the AVX2 kernel's sliding-window tiles, so every tail width is covered.
 // ---------------------------------------------------------------------------
@@ -570,7 +380,7 @@ void expect_nchwc_kernel(const Tensor& oracle, Kernel&& kernel,
     EXPECT_EQ(std::memcmp(out.raw(), oracle.raw(),
                           static_cast<size_t>(oracle.numel()) * sizeof(float)),
               0)
-        << at << ": differs from the layer";
+        << at << ": differs from the graph";
     if (scalar.empty()) {
       scalar = std::move(dst);
     } else {
@@ -582,7 +392,7 @@ void expect_nchwc_kernel(const Tensor& oracle, Kernel&& kernel,
   }
 }
 
-TEST(NchwcKernels, TransposedConvMatchesLayerPlusSkipOnEveryTier) {
+TEST(NchwcKernels, TransposedConvMatchesGraphPlusSkipOnEveryTier) {
   constexpr int64_t kBatch = 2;
   constexpr int64_t kInH = 3;
   Rng rng(29);
@@ -597,7 +407,8 @@ TEST(NchwcKernels, TransposedConvMatchesLayerPlusSkipOnEveryTier) {
                                         rng);
         const Tensor skip =
             Tensor::normal(Shape::nchw(kBatch, cout, 2 * kInH, 2 * in_w), rng);
-        const Tensor up = layer.forward_infer(x);
+        const InferenceModeGuard no_grad;
+        const Tensor up = layer.forward(Variable::constant(x)).value();
         // The decoder's skip add: up += skip, elementwise.
         Tensor up_skip = up;
         for (int64_t i = 0; i < up_skip.numel(); ++i) {
@@ -622,7 +433,7 @@ TEST(NchwcKernels, TransposedConvMatchesLayerPlusSkipOnEveryTier) {
   }
 }
 
-TEST(NchwcKernels, StemConvsMatchLayerOnEveryTier) {
+TEST(NchwcKernels, StemConvsMatchGraphOnEveryTier) {
   constexpr int64_t kBatch = 2;
   constexpr int64_t kH = 5;
   constexpr float kFusionWeight = 0.35f;
@@ -636,7 +447,8 @@ TEST(NchwcKernels, StemConvsMatchLayerOnEveryTier) {
         const Tensor x = Tensor::normal(Shape::nchw(kBatch, cin, kH, w), rng);
         const Tensor post =
             Tensor::normal(Shape::nchw(kBatch, cout, kH, w), rng);
-        const Tensor y = stem.forward_infer(x);
+        const InferenceModeGuard no_grad;
+        const Tensor y = stem.forward(Variable::constant(x)).value();
         // The stage-0 fusion sum the plan folds into the stem's epilogue:
         // fused = r + w * d, the scaled addend rounded first.
         Tensor fused = y;
@@ -700,16 +512,18 @@ TEST(NchwcKernels, DirectConvTileSweep) {
               const Tensor post = Tensor::normal(out_shape, rng);
               const float weight =
                   post_mode == 0 ? 1.0f : kFusionWeights[post_mode - 1];
-              // The layer computes acc -> +bias -> BN (-> ReLU when no
+              // The graph computes conv (+bias) -> BN (-> ReLU when no
               // shortcut comes first); the rest of the chain is the
               // documented epilogue: +pre -> ReLU -> +weight * post.
-              kernels::ConvEpilogue epi;
-              std::shared_ptr<const nn::BatchNorm2d::InferParams> bn_params;
+              const InferenceModeGuard no_grad;
+              Variable y = conv.forward(Variable::constant(x));
               if (with_bn) {
-                bn_params = bn.fill_epilogue(epi);
+                y = bn.forward(y);
               }
-              epi.relu = relu && !with_pre;
-              Tensor oracle = conv.forward_infer(x, epi);
+              if (relu && !with_pre) {
+                y = autograd::relu(y);
+              }
+              Tensor oracle = y.value();
               ASSERT_EQ(oracle.shape(), out_shape);
               for (int64_t i = 0; i < oracle.numel(); ++i) {
                 float v = oracle.at(i);

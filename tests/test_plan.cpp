@@ -1,9 +1,10 @@
 // Inference plan compiler suite (DESIGN.md §16): every eval-mode request
-// kind — fused, RGB-only, stream miss, stream hit, batched, forced solver
-// — must run a compiled plan whose logits are bit-for-bit those of the
-// autograd graph (`forward_fused`), run allocation-free once compiled,
-// label every all-NCHW run with its reason, keep its per-geometry cache
-// bounded, and explain itself through the --explain-plan printer.
+// kind — fused, RGB-only, stream miss, stream hit, batched — must run a
+// compiled plan whose logits are bit-for-bit those of the autograd graph
+// (`forward_fused`), run allocation-free once compiled, decline a net it
+// cannot serve exactly to the graph with a labeled reason, keep its
+// per-geometry cache bounded, and explain itself through the
+// --explain-plan printer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -22,7 +23,7 @@
 #include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/tensor.hpp"
-#include "tune/dispatch.hpp"
+#include "autograd/ops.hpp"
 
 namespace roadfusion::plan {
 namespace {
@@ -64,8 +65,9 @@ Tensor plan_logits(const RoadSegNet& net, const Tensor& rgb,
                    bool depth_unchanged = false) {
   const std::shared_ptr<void> state = net.inference_plan();
   EXPECT_NE(state, nullptr) << "an eval-mode RoadSegNet must have a plan";
-  return roadseg::plan_hooks().run(net, state, rgb, depth, fusion_weight,
-                                   cache, depth_unchanged);
+  return roadseg::plan_hooks()
+      .run(net, state, rgb, depth, fusion_weight, cache, depth_unchanged)
+      .value();
 }
 
 void expect_bitwise_equal(const Tensor& planned, const Tensor& graph,
@@ -207,75 +209,77 @@ TEST(PlanStream, GeometryChangeIsAMissNotAStaleHit) {
   EXPECT_EQ(cache.hits, 0);
 }
 
-TEST(PlanLayout, ForcedSolverRunsNchwWithReasonAndMatchesGraph) {
-  install_hooks();
-  obs::Counter& declined = counter("roadfusion_plan_declined_total");
-  obs::Counter& forced =
-      counter("roadfusion_plan_declined_total{reason=\"forced_solver\"}");
-  for (const FusionScheme scheme : kSchemes) {
-    for (const char* solver : {"blocked", "reference"}) {
-      const std::string name =
-          std::string(core::to_string(scheme)) + " forced " + solver;
-      Rng rng(14);
-      RoadSegNet net(config_for(scheme), rng);
-      net.set_training(false);
-      net.prepare_inference();
-      const Tensor rgb = Tensor::normal(Shape::nchw(2, 3, 16, 32), rng);
-      const Tensor depth = Tensor::normal(Shape::nchw(2, 1, 16, 32), rng);
-      tune::force_solver(solver);
-      const uint64_t declined_before = declined.value();
-      const uint64_t forced_before = forced.value();
-      const std::string report = explain(net, 2, 16, 32);
-      StreamFeatureCache cache;
-      std::vector<std::pair<Tensor, Tensor>> served;
-      served.emplace_back(plan_logits(net, rgb, depth, 1.0f),
-                          graph_logits(net, rgb, depth, 1.0f));
-      served.emplace_back(plan_logits(net, rgb, depth, 0.0f),
-                          graph_logits(net, rgb, depth, 0.0f));
-      served.emplace_back(plan_logits(net, rgb, depth, 0.5f, &cache, false),
-                          graph_logits(net, rgb, depth, 0.5f));
-      served.emplace_back(plan_logits(net, rgb, depth, 1.0f, &cache, true),
-                          graph_logits(net, rgb, depth, 1.0f));
-      tune::force_solver("");
-      EXPECT_EQ(declined.value(), declined_before + 4) << name;
-      EXPECT_EQ(forced.value(), forced_before + 4) << name;
-      EXPECT_EQ(cache.hits, scheme == FusionScheme::kAllFilterB ? 0 : 1)
-          << name;
-      EXPECT_NE(report.find("layout=nchw reason=forced_solver"),
-                std::string::npos)
-          << report;
-      EXPECT_EQ(report.find("nchwc_direct"), std::string::npos) << report;
-      for (size_t i = 0; i < served.size(); ++i) {
-        expect_bitwise_equal(served[i].first, served[i].second,
-                             name + " forced solver request " +
-                                 std::to_string(i));
-      }
-      // Unforced, the same net serves the blocked layout again.
-      const uint64_t after = declined.value();
-      expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f),
-                           graph_logits(net, rgb, depth, 1.0f),
-                           name + " unforced");
-      EXPECT_EQ(declined.value(), after) << name;
-    }
-  }
-}
-
-TEST(PlanLayout, DeepReductionRunsNchwWithKcReason) {
+TEST(PlanDecline, KcDeepNetIsServedByTheGraphWithItsReason) {
   install_hooks();
   RoadSegConfig config = config_for(FusionScheme::kAllFilterU);
-  config.stage_channels = {6, 8, 48, 12};  // stage 3: 48 * 3 * 3 > kc
+  // rgb.stage2.conv2 reduces over 48 * 3 * 3 = 432 > Kc 384.
+  config.stage_channels = {6, 8, 48, 12};
   Rng rng(21);
   RoadSegNet net(config, rng);
   net.set_training(false);
-  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
   const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
   obs::Counter& kc =
       counter("roadfusion_plan_declined_total{reason=\"kc_depth\"}");
-  const uint64_t before = kc.value();
-  expect_bitwise_equal(plan_logits(net, rgb, depth, 0.7f),
-                       graph_logits(net, rgb, depth, 0.7f), "kc-deep net");
-  EXPECT_EQ(kc.value(), before + 1);
-  EXPECT_NE(explain(net, 1, 16, 32).find("reason=kc_depth"),
+  StreamFeatureCache cache;
+  const struct {
+    float fw;
+    bool stream;
+    bool depth_unchanged;
+  } requests[] = {
+      {0.7f, false, false}, {0.0f, false, false}, {1.0f, true, false},
+      {1.0f, true, true}};
+  for (const auto& request : requests) {
+    const std::string what = "kc-deep net fw=" + std::to_string(request.fw) +
+                             (request.stream ? " stream" : "");
+    const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
+    const uint64_t before = kc.value();
+    const Tensor served =
+        request.stream ? net.predict_stream(rgb, depth, request.fw, cache,
+                                            request.depth_unchanged)
+                       : net.predict_fused(rgb, depth, request.fw);
+    EXPECT_EQ(kc.value(), before + 1) << what;
+    const autograd::InferenceModeGuard no_grad;
+    expect_bitwise_equal(
+        served,
+        autograd::sigmoid(autograd::Variable::constant(
+                              graph_logits(net, rgb, depth, request.fw)))
+            .value(),
+        what);
+  }
+  EXPECT_EQ(cache.hits, 0) << "the graph never reuses depth features";
+  const std::string report = explain(net, 1, 16, 32);
+  EXPECT_NE(report.find("inference plan declined: reason=kc_depth "
+                        "(rgb.stage2.conv2 reduces over 432 > Kc 384)"),
+            std::string::npos)
+      << report;
+  EXPECT_EQ(report.find("inference plan: scheme="), std::string::npos)
+      << report;
+  EXPECT_TRUE(conv_steps(net, 1, 16, 32).empty());
+}
+
+TEST(PlanDecline, NetDeeperThanTheExecutorIsServedByTheGraph) {
+  install_hooks();
+  RoadSegConfig config = config_for(FusionScheme::kBaseline);
+  config.stage_channels = {2, 2, 2, 2, 2, 2, 2, 2, 2};  // 9 > 8 stages
+  Rng rng(22);
+  RoadSegNet net(config, rng);
+  net.set_training(false);
+  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 256, 256), rng);
+  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 256, 256), rng);
+  obs::Counter& stages =
+      counter("roadfusion_plan_declined_total{reason=\"stages\"}");
+  const uint64_t before = stages.value();
+  const Tensor served = net.predict(rgb, depth);
+  EXPECT_EQ(stages.value(), before + 1);
+  const autograd::InferenceModeGuard no_grad;
+  expect_bitwise_equal(
+      served,
+      autograd::sigmoid(autograd::Variable::constant(
+                            graph_logits(net, rgb, depth, 1.0f)))
+          .value(),
+      "9-stage net");
+  EXPECT_NE(explain(net, 1, 256, 256)
+                .find("inference plan declined: reason=stages (9 stages"),
             std::string::npos);
 }
 
@@ -287,7 +291,7 @@ TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
   net.prepare_inference();
   const std::string report = explain(net, 1, 32, 48);
   for (const char* needle :
-       {"scheme=AllFilter_U variant=fused layout=nchwc8 reason=none",
+       {"scheme=AllFilter_U variant=fused input=1x3x32x48",
         "variant=rgb_only", "variant=stream_miss", "variant=stream_hit",
         "layout=nchwc8", "solver=nchwc_direct", "epilogue=bn+relu",
         "epilogue=bn+residual+relu+fusion_sum", "to_nchwc", "to_nchw",
@@ -298,7 +302,7 @@ TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
   }
 }
 
-TEST(PlanExplain, PrintsKernelSelectionKnobsWithEffectiveValues) {
+TEST(PlanExplain, PrintsTheKernelSelectionKnobWithItsEffectiveValue) {
   install_hooks();
   Rng rng(17);
   RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
@@ -309,42 +313,26 @@ TEST(PlanExplain, PrintsKernelSelectionKnobsWithEffectiveValues) {
         << "missing '" << line << "' in:\n"
         << report;
   };
-  const auto env_or_unset = [](const char* name) {
-    const char* value = std::getenv(name);
-    return std::string(value != nullptr && *value != '\0' ? value : "unset");
-  };
-  const std::string perf_db_env = env_or_unset("ROADFUSION_PERF_DB");
-  const std::string cpu_env = env_or_unset("ROADFUSION_CPU_FEATURES");
+  const char* env = std::getenv("ROADFUSION_CPU_FEATURES");
+  const std::string cpu_env(env != nullptr && *env != '\0' ? env : "unset");
   const common::CpuTier saved_tier = common::active_tier();
-  ASSERT_TRUE(tune::forced_solver().empty());
 
   const std::string defaults = explain(net, 1, 16, 32);
-  expect_line(defaults, "knob ROADFUSION_SOLVER=unset");
-  expect_line(defaults, "knob ROADFUSION_PERF_DB=" + perf_db_env +
-                            " records=" +
-                            std::to_string(tune::perf_db_size()));
   expect_line(defaults, "knob ROADFUSION_CPU_FEATURES=" + cpu_env + " tier=" +
                             common::tier_name(saved_tier));
-  // The knobs precede the first schedule.
+  // The knob precedes the first schedule, and it is the only one.
   EXPECT_LT(defaults.find("knob ROADFUSION_CPU_FEATURES="),
             defaults.find("inference plan:"));
+  EXPECT_EQ(defaults.find("knob ROADFUSION_CPU_FEATURES="),
+            defaults.rfind("knob "));
+  EXPECT_EQ(defaults.find("ROADFUSION_SOLVER"), std::string::npos);
+  EXPECT_EQ(defaults.find("ROADFUSION_PERF_DB"), std::string::npos);
 
-  // Each line reports what is in force, however it was set.
-  tune::PerfDb db;
-  db.set("conv-n1-c3-h16-w32-k4-r3-s3-st1-p1-fp32",
-         tune::PerfRecord{"blocked", "", 1.0});
-  db.set("conv-n1-c4-h16-w32-k4-r3-s3-st1-p1-fp32",
-         tune::PerfRecord{"reference", "", 1.0});
-  tune::set_perf_db(std::move(db));
-  tune::force_solver("reference");
+  // The line reports the tier in force, however it was set.
   common::set_active_tier(common::CpuTier::kScalar);
-  const std::string forced = explain(net, 1, 16, 32);
+  const std::string clamped = explain(net, 1, 16, 32);
   common::set_active_tier(saved_tier);
-  tune::force_solver("");
-  tune::clear_perf_db();
-  expect_line(forced, "knob ROADFUSION_SOLVER=reference");
-  expect_line(forced, "knob ROADFUSION_PERF_DB=" + perf_db_env + " records=2");
-  expect_line(forced,
+  expect_line(clamped,
               "knob ROADFUSION_CPU_FEATURES=" + cpu_env + " tier=scalar");
 }
 
@@ -471,25 +459,19 @@ TEST(PlanMetrics, ExplainMovesNoServingCounter) {
   RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
   net.set_training(false);
   obs::Counter& compiles = counter("roadfusion_plan_compiles_total");
-  obs::Counter& nchwc = counter("roadfusion_plan_layers_total{layout=\"nchwc\"}");
-  obs::Counter& nchw = counter("roadfusion_plan_layers_total{layout=\"nchw\"}");
+  obs::Counter& layers = counter("roadfusion_plan_layers_total");
   const uint64_t compiles_before = compiles.value();
-  const uint64_t nchwc_before = nchwc.value();
-  const uint64_t nchw_before = nchw.value();
+  const uint64_t layers_before = layers.value();
   EXPECT_FALSE(explain(net, 1, 32, 48).empty());
-  tune::force_solver("blocked");
-  EXPECT_FALSE(explain(net, 1, 32, 48).empty());
-  tune::force_solver("");
+  EXPECT_FALSE(conv_steps(net, 1, 32, 48).empty());
   EXPECT_EQ(compiles.value(), compiles_before);
-  EXPECT_EQ(nchwc.value(), nchwc_before);
-  EXPECT_EQ(nchw.value(), nchw_before);
+  EXPECT_EQ(layers.value(), layers_before);
 }
 
-TEST(PlanMetrics, BlockedCompilesScheduleNoNchwLayer) {
+TEST(PlanMetrics, CompilesCountScheduledLayers) {
   install_hooks();
   obs::Counter& compiles = counter("roadfusion_plan_compiles_total");
-  obs::Counter& nchwc = counter("roadfusion_plan_layers_total{layout=\"nchwc\"}");
-  obs::Counter& nchw = counter("roadfusion_plan_layers_total{layout=\"nchw\"}");
+  obs::Counter& layers = counter("roadfusion_plan_layers_total");
   for (const FusionScheme scheme : kSchemes) {
     Rng rng(26);
     RoadSegNet net(config_for(scheme), rng);
@@ -497,8 +479,7 @@ TEST(PlanMetrics, BlockedCompilesScheduleNoNchwLayer) {
     const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
     const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
     const uint64_t compiles_before = compiles.value();
-    const uint64_t nchwc_before = nchwc.value();
-    const uint64_t nchw_before = nchw.value();
+    const uint64_t layers_before = layers.value();
     StreamFeatureCache cache;
     (void)plan_logits(net, rgb, depth, 1.0f);
     (void)plan_logits(net, rgb, depth, 0.0f);
@@ -509,8 +490,7 @@ TEST(PlanMetrics, BlockedCompilesScheduleNoNchwLayer) {
     EXPECT_EQ(compiles.value() - compiles_before,
               scheme == FusionScheme::kAllFilterB ? 2u : 4u)
         << name;
-    EXPECT_GT(nchwc.value(), nchwc_before) << name;
-    EXPECT_EQ(nchw.value(), nchw_before) << name;
+    EXPECT_GT(layers.value(), layers_before) << name;
   }
 }
 

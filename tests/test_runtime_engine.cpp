@@ -5,6 +5,7 @@
 // data-race-check the runtime).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <thread>
 #include <vector>
@@ -176,12 +177,18 @@ TEST(InferenceEngine, RejectPolicyCountsQueueFullRejections) {
 TEST(InferenceEngine, ModelFailureFailsTheRequestNotTheEngine) {
   Rng rng(11);
   RoadSegNet net(small_config(core::FusionScheme::kBaseline), rng);
-  InferenceEngine engine(net, {});
-  // 6 x 10 is not divisible by the net's stride product; forward throws
-  // inside the worker and the error must surface through the future.
-  Tensor bad_rgb = Tensor::uniform(Shape::chw(3, 6, 10), rng);
-  Tensor bad_depth = Tensor::uniform(Shape::chw(1, 6, 10), rng);
-  auto bad = engine.submit(bad_rgb, bad_depth);
+  EngineConfig config;
+  // The first forward throws inside the worker; the error must surface
+  // through that request's future.
+  std::atomic<bool> thrown{false};
+  config.pre_forward_hook = [&thrown](size_t) {
+    if (!thrown.exchange(true)) {
+      ROADFUSION_FAIL("model failure");
+    }
+  };
+  InferenceEngine engine(net, config);
+  const std::vector<ScenePair> first = make_scenes(1, 50);
+  auto bad = engine.submit(first[0].rgb, first[0].depth);
   EXPECT_THROW((void)bad.get(), Error);
   // The engine survives and keeps serving good requests.
   const std::vector<ScenePair> scenes = make_scenes(1, 51);
@@ -249,6 +256,26 @@ TEST(InferenceEngine, SubmitValidatesShapes) {
   Tensor small_depth = Tensor::uniform(Shape::chw(1, kHeight / 2, kWidth), rng);
   EXPECT_THROW((void)engine.submit(nchw_rgb, depth), Error);
   EXPECT_THROW((void)engine.submit(rgb, small_depth), Error);
+}
+
+TEST(InferenceEngine, SubmitRejectsGeometryTheNetCannotStride) {
+  Rng rng(15);
+  RoadSegNet net(small_config(core::FusionScheme::kBaseline), rng);
+  InferenceEngine engine(net, {});
+  // 30 x 90 passes the health check, but the 3-stage net's stride is 4:
+  // the frame is rejected at submit instead of failing in a worker.
+  Tensor rgb = Tensor::uniform(Shape::chw(3, 30, 90), rng);
+  Tensor depth = Tensor::uniform(Shape::chw(1, 30, 90), rng);
+  EXPECT_THROW((void)engine.submit(rgb, depth), InvalidInputError);
+  // The engine keeps serving good requests.
+  const std::vector<ScenePair> scenes = make_scenes(1, 52);
+  EXPECT_EQ(engine.submit(scenes[0].rgb, scenes[0].depth).get().output.shape(),
+            Shape::chw(1, kHeight, kWidth));
+  engine.shutdown();
+  const RuntimeStats stats = engine.stats();
+  EXPECT_EQ(stats.invalid_input_rejections, 1u);
+  EXPECT_EQ(stats.requests_submitted, 1u);
+  EXPECT_EQ(stats.requests_failed, 0u);
 }
 
 TEST(InferenceEngine, RejectsBadConfig) {

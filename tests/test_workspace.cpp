@@ -3,15 +3,14 @@
 // Locks the pieces of the zero-allocation inference path together:
 //  * bit-exactness — the compiled plan (DESIGN.md §16) serves every
 //    eval-mode predict and produces the same float bits as the
-//    Variable-graph path for every fusion scheme and fusion weight, under
-//    the default solver bindings and the forced reference solver;
+//    Variable-graph path for every fusion scheme and fusion weight;
 //  * the workspace arena — a second pass draws every block from it,
 //    best-fit reuse serves smaller batches from a larger batch's arena,
 //    and the plan's scratch block is sized by the largest batch seen;
 //  * zero heap traffic — from the second predict on a thread onward, the
 //    operator-new hook (tests/alloc_hooks.cpp) observes zero allocations;
-//  * cache invalidation — a checkpoint reload rebuilds the pre-packed
-//    weight cache, so serving never reads stale panels;
+//  * cache invalidation — a checkpoint reload rebuilds the compiled
+//    plan's packed weights, so serving never reads stale panels;
 //  * the serving integration — engine workers run batches inside
 //    per-worker arenas and results stay bit-identical to direct predict.
 #include <gtest/gtest.h>
@@ -31,7 +30,6 @@
 #include "runtime/engine.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/workspace.hpp"
-#include "tune/dispatch.hpp"
 
 namespace roadfusion::roadseg {
 namespace {
@@ -87,24 +85,6 @@ Tensor graph_predict(const RoadSegNet& net, const Scene& scene,
   return autograd::sigmoid(result.logits).value();
 }
 
-/// Forces `solver` globally for a test body ("" = the heuristic
-/// bindings) and clears the override on exit.
-class SolverGuard {
- public:
-  explicit SolverGuard(const std::string& solver) {
-    tune::force_solver(solver);
-  }
-  ~SolverGuard() { tune::force_solver(""); }
-};
-
-/// The two solver configurations every bit-exactness check runs under:
-/// the heuristic bindings and the scalar reference oracle.
-constexpr const char* kSolverModes[] = {"", "reference"};
-
-std::string solver_label(const std::string& solver) {
-  return solver.empty() ? "heuristic" : solver;
-}
-
 // ---------------------------------------------------------------------------
 // Bit-exactness of the compiled plan against the Variable graph
 // ---------------------------------------------------------------------------
@@ -116,28 +96,24 @@ uint64_t plan_runs(const std::string& variant) {
       .value();
 }
 
-TEST(PlannedInference, BitExactAcrossSchemesWeightsAndSolvers) {
+TEST(PlannedInference, BitExactAcrossSchemesAndWeights) {
   const Scene scene = make_scene(7);
-  for (const char* solver : kSolverModes) {
-    const SolverGuard guard(solver);
-    for (const core::FusionScheme scheme : core::all_fusion_schemes()) {
-      Rng rng(2022);
-      RoadSegNet net(small_config(scheme), rng);
-      net.set_training(false);
-      for (const float weight : {1.0f, 0.5f, 0.0f}) {
-        const std::string what = solver_label(solver) + "/scheme" +
-                                 std::to_string(static_cast<int>(scheme)) +
-                                 "/w" + std::to_string(weight);
-        const std::string variant = weight == 0.0f ? "rgb_only" : "fused";
-        const Tensor graph = graph_predict(net, scene, weight);
-        const uint64_t served_before = plan_runs(variant);
-        const Tensor planned =
-            net.predict_fused(scene.rgb, scene.depth, weight);
-        EXPECT_EQ(plan_runs(variant), served_before + 1)
-            << what << ": the compiled plan must serve eval-mode predicts";
-        const Tensor planned4 = planned.reshaped(graph.shape());
-        expect_bitwise_equal(graph, planned4, what);
-      }
+  for (const core::FusionScheme scheme : core::all_fusion_schemes()) {
+    Rng rng(2022);
+    RoadSegNet net(small_config(scheme), rng);
+    net.set_training(false);
+    for (const float weight : {1.0f, 0.5f, 0.0f}) {
+      const std::string what = "scheme" +
+                               std::to_string(static_cast<int>(scheme)) +
+                               "/w" + std::to_string(weight);
+      const std::string variant = weight == 0.0f ? "rgb_only" : "fused";
+      const Tensor graph = graph_predict(net, scene, weight);
+      const uint64_t served_before = plan_runs(variant);
+      const Tensor planned = net.predict_fused(scene.rgb, scene.depth, weight);
+      EXPECT_EQ(plan_runs(variant), served_before + 1)
+          << what << ": the compiled plan must serve eval-mode predicts";
+      const Tensor planned4 = planned.reshaped(graph.shape());
+      expect_bitwise_equal(graph, planned4, what);
     }
   }
 }
@@ -266,29 +242,24 @@ TEST(WorkspacePlanner, PlanScratchIsSizedByTheLargestBatchInAnyOrder) {
 
 TEST(ZeroAllocation, SteadyStatePredictAllocatesNothing) {
   const Scene scene = make_scene(7);
-  for (const char* solver : kSolverModes) {
-    const SolverGuard guard(solver);
-    for (const core::FusionScheme scheme :
-         {core::FusionScheme::kBaseline,
-          core::FusionScheme::kWeightedSharing}) {
-      Rng rng(2022);
-      RoadSegNet net(small_config(scheme), rng);
-      net.set_training(false);
-      net.prepare_inference();
-      // Warm the per-thread arena (and any lazy statics) with two passes.
-      const Tensor expected = net.predict(scene.rgb, scene.depth);
-      (void)net.predict(scene.rgb, scene.depth);
-      for (int pass = 0; pass < 3; ++pass) {
-        reset_thread_alloc_counters();
-        const Tensor out = net.predict(scene.rgb, scene.depth);
-        const auto counters = thread_alloc_counters();
-        EXPECT_EQ(counters.allocations, 0u)
-            << solver_label(solver) << "/scheme" << static_cast<int>(scheme)
-            << " pass "
-            << pass << " allocated " << counters.allocations << " times ("
-            << counters.bytes << " bytes)";
-        expect_bitwise_equal(expected, out, "steady-state output");
-      }
+  for (const core::FusionScheme scheme :
+       {core::FusionScheme::kBaseline, core::FusionScheme::kWeightedSharing}) {
+    Rng rng(2022);
+    RoadSegNet net(small_config(scheme), rng);
+    net.set_training(false);
+    net.prepare_inference();
+    // Warm the per-thread arena (and any lazy statics) with two passes.
+    const Tensor expected = net.predict(scene.rgb, scene.depth);
+    (void)net.predict(scene.rgb, scene.depth);
+    for (int pass = 0; pass < 3; ++pass) {
+      reset_thread_alloc_counters();
+      const Tensor out = net.predict(scene.rgb, scene.depth);
+      const auto counters = thread_alloc_counters();
+      EXPECT_EQ(counters.allocations, 0u)
+          << "scheme" << static_cast<int>(scheme) << " pass " << pass
+          << " allocated " << counters.allocations << " times ("
+          << counters.bytes << " bytes)";
+      expect_bitwise_equal(expected, out, "steady-state output");
     }
   }
 }
@@ -313,7 +284,7 @@ TEST(ZeroAllocation, DegradedRgbOnlyPredictAllocatesNothing) {
 // Cache invalidation
 // ---------------------------------------------------------------------------
 
-TEST(PrepackCache, CheckpointReloadRebuildsPackedWeights) {
+TEST(PlanRebuild, CheckpointReloadRebuildsPackedWeights) {
   const Scene scene = make_scene(7);
   Rng rng_a(1);
   RoadSegNet model_a(small_config(), rng_a);
@@ -322,50 +293,18 @@ TEST(PrepackCache, CheckpointReloadRebuildsPackedWeights) {
   RoadSegNet model_b(small_config(), rng_b);
   model_b.set_training(false);
 
-  // Warm model A's caches (packed panels of A's original weights)...
+  // Warm model A's plan (packed panels of A's original weights)...
   const Tensor before = model_a.predict(scene.rgb, scene.depth);
   const Tensor b_output = model_b.predict(scene.rgb, scene.depth);
   ASSERT_NE(0, std::memcmp(before.raw(), b_output.raw(),
                            static_cast<size_t>(before.numel()) *
                                sizeof(float)));
 
-  // ...then load B's weights into A. The epoch bump must invalidate the
-  // packed cache, or A would keep serving its old weights.
+  // ...then load B's weights into A. The epoch bump must rebuild the
+  // plan, or A would keep serving its old weights.
   nn::restore_state(model_a, nn::snapshot_state(model_b));
   const Tensor after = model_a.predict(scene.rgb, scene.depth);
   expect_bitwise_equal(after, b_output, "post-reload predict");
-}
-
-TEST(PrepackCache, CountersAdvancePerSolver) {
-  const Scene scene = make_scene(7);
-  Rng rng(2022);
-  RoadSegNet net(small_config(), rng);
-  net.set_training(false);
-  auto& registry = obs::MetricsRegistry::global();
-  auto& hits = registry.counter("roadfusion_prepack_hits");
-  auto& misses = registry.counter("roadfusion_prepack_misses");
-  {
-    // The blocked schedule runs every conv in the plan's own kernels.
-    const uint64_t hits_before = hits.value();
-    const uint64_t misses_before = misses.value();
-    (void)net.predict(scene.rgb, scene.depth);
-    EXPECT_EQ(hits.value(), hits_before);
-    EXPECT_EQ(misses.value(), misses_before);
-  }
-  {
-    const uint64_t hits_before = hits.value();
-    (void)net.decoder().head().forward_infer(
-        Tensor::uniform(Shape::nchw(1, 6, 32, 48), rng));
-    EXPECT_GT(hits.value(), hits_before)
-        << "a layer's default forward_infer must serve from the packed cache";
-  }
-  {
-    const SolverGuard guard("reference");
-    const uint64_t misses_before = misses.value();
-    (void)net.predict(scene.rgb, scene.depth);
-    EXPECT_GT(misses.value(), misses_before)
-        << "forced-reference predict must count unpacked convs";
-  }
 }
 
 TEST(ArenaMetrics, GaugesReflectLiveWorkspaces) {

@@ -11,16 +11,13 @@
 //   dataset     [options]        export synthetic samples as PPM/PGM
 //   metrics-dump [options]       run a synthetic workload, print the
 //                                process metrics as Prometheus text
-//   tune        [options]        benchmark conv solvers per model shape,
-//                                write the winners to a perf DB
 //   eval-matrix [options]        scenario corruption suite x fusion scheme
 //                                score matrix with RGB-only regression gates
 //   stream      [options]        temporally coherent frame stream through
 //                                the front door with frame-to-frame reuse
 //
 // `infer`, `batch-infer` and `metrics-dump` accept `--trace FILE` to
-// write a Chrome trace-event JSON of the run (chrome://tracing) and
-// `--perf-db FILE` to serve with tuned per-shape solver bindings.
+// write a Chrome trace-event JSON of the run (chrome://tracing).
 //
 // Run `roadfusion <command> --help` for the options of each command.
 #include <chrono>
@@ -52,8 +49,6 @@
 #include "serve/front_door.hpp"
 #include "train/checkpoint.hpp"
 #include "train/trainer.hpp"
-#include "tune/dispatch.hpp"
-#include "tune/tuner.hpp"
 #include "vision/image_io.hpp"
 #include "vision/overlay.hpp"
 
@@ -103,21 +98,6 @@ runtime::EngineConfig engine_config(const cli::Args& args) {
   config.queue_capacity =
       static_cast<size_t>(args.get_int("queue-cap", 64));
   return config;
-}
-
-/// Loads --perf-db FILE into the solver registry so serving binds the
-/// tuned per-shape solvers (see `roadfusion tune`). Missing file is an
-/// error here — an explicit flag deserves a loud failure, unlike the
-/// best-effort ROADFUSION_PERF_DB env pickup.
-void apply_perf_db(const cli::Args& args) {
-  const std::string path = args.get("perf-db", "");
-  if (path.empty()) {
-    return;
-  }
-  const tune::PerfDbLoad result = tune::load_perf_db(path);
-  ROADFUSION_CHECK(result.found, "--perf-db '" << path << "' not found");
-  std::fprintf(stderr, "perf DB %s: reloaded %zu tuned record(s)\n",
-               path.c_str(), result.db.size());
 }
 
 /// Enables span recording when --trace FILE was given. Call before the
@@ -270,18 +250,17 @@ int cmd_infer(const cli::Args& args) {
         "                 [--category UM|UMM|UU] [--lighting day|night|"
         "overexposure|shadows]\n"
         "                 [--scene-seed N] [--normals] [--threads N] [--out dir]\n"
-        "                 [--perf-db FILE] [--trace trace.json]\n"
-        "                 [--explain-plan]\n\n"
-        "  --explain-plan  print the kernel-selection knobs in force and\n"
+        "                 [--trace trace.json] [--explain-plan]\n\n"
+        "  --explain-plan  print the kernel-selection knob in force and\n"
         "                  the compiled inference plan (per-layer layout,\n"
-        "                  kernel/solver, fused epilogue, buffer slots;\n"
-        "                  DESIGN.md §16) before running\n");
+        "                  kernel, fused epilogue, buffer slots; DESIGN.md\n"
+        "                  §16), or why the autograd graph serves the net,\n"
+        "                  before running\n");
     return 0;
   }
   args.allow_only({"model", "scheme", "category", "lighting", "scene-seed",
-                   "normals", "threads", "out", "trace",
-                   "perf-db", "explain-plan", "help"});
-  apply_perf_db(args);
+                   "normals", "threads", "out", "trace", "explain-plan",
+                   "help"});
   tensor::Rng rng(1);
   roadseg::RoadSegNet net(net_config(args), rng);
   train::load_model(net, args.get("model", "model.rfc"));
@@ -400,7 +379,6 @@ int cmd_batch_infer(const cli::Args& args) {
         "  --inject-faults    deterministic fault spec, e.g.\n"
         "                     rate=0.1,seed=7,kinds=nan+slow (see DESIGN.md"
         " §9)\n"
-        "  --perf-db FILE     serve with tuned per-shape solver bindings\n"
         "  --trace FILE       write a Chrome trace-event JSON of the run\n");
     return 0;
   }
@@ -409,8 +387,7 @@ int cmd_batch_infer(const cli::Args& args) {
                    "queue-cap", "deadline-ms",
                    "max-retries", "backoff-ms", "backoff-cap-ms",
                    "backoff-seed", "shards", "rate", "burst",
-                   "inject-faults", "out", "trace", "perf-db", "help"});
-  apply_perf_db(args);
+                   "inject-faults", "out", "trace", "help"});
   const auto scenes = make_data(args, kitti::Split::kTest);
   tensor::Rng rng(1);
   roadseg::RoadSegNet net(net_config(args), rng);
@@ -694,7 +671,7 @@ int cmd_metrics_dump(const cli::Args& args) {
         "                        [--max-wait-us N] [--queue-cap N]\n"
         "                        [--scheme Baseline|AU|AB|BS|WS] [--normals]\n"
         "                        [--cap N] [--data-seed N]\n"
-        "                        [--perf-db FILE] [--trace trace.json]\n\n"
+        "                        [--trace trace.json]\n\n"
         "Runs N synthetic scenes (untrained weights — no checkpoint needed)\n"
         "through the batched inference runtime, then prints every metric of\n"
         "the process-wide registry in Prometheus text exposition format on\n"
@@ -704,8 +681,7 @@ int cmd_metrics_dump(const cli::Args& args) {
   }
   args.allow_only({"count", "threads", "max-batch", "max-wait-us",
                    "queue-cap", "scheme", "normals", "cap", "data-seed",
-                   "trace", "perf-db", "help"});
-  apply_perf_db(args);
+                   "trace", "help"});
   const kitti::RoadDataset scenes(dataset_config(args), kitti::Split::kTest);
   tensor::Rng rng(1);
   roadseg::RoadSegNet net(net_config(args), rng);
@@ -732,99 +708,6 @@ int cmd_metrics_dump(const cli::Args& args) {
                static_cast<long long>(count));
   const std::string text = obs::MetricsRegistry::global().render_prometheus();
   std::fwrite(text.data(), 1, text.size(), stdout);
-  return 0;
-}
-
-int cmd_tune(const cli::Args& args) {
-  if (args.has("help")) {
-    std::printf(
-        "roadfusion tune [--db FILE] [--smoke] [--model model.rfc]\n"
-        "                [--scheme Baseline|AU|AB|BS|WS] [--normals]\n"
-        "                [--cap N] [--data-seed N]\n\n"
-        "Discovers the model's unique conv shapes by running one synthetic\n"
-        "scene through the autograd graph, benchmarks every applicable\n"
-        "solver (and its parameter candidates) per shape, and writes the\n"
-        "winners to a perf DB keyed by shape + CPU signature. Commands\n"
-        "consume it via --perf-db FILE or ROADFUSION_PERF_DB; it moves the\n"
-        "graph's bindings and those of the all-NCHW plan schedule (the\n"
-        "blocked schedule serving runs by default binds no solver).\n\n"
-        "  --db FILE   output path (default: $ROADFUSION_PERF_DB or\n"
-        "              roadfusion_perf.db)\n"
-        "  --smoke     few iterations per measurement — fast, CI-grade\n"
-        "  --model     optional checkpoint; shapes only depend on --scheme\n"
-        "              and --normals, so untrained weights work fine\n");
-    return 0;
-  }
-  args.allow_only({"model", "scheme", "normals", "db", "smoke", "cap",
-                   "data-seed", "help"});
-  const kitti::RoadDataset scenes(dataset_config(args), kitti::Split::kTest);
-  tensor::Rng rng(1);
-  roadseg::RoadSegNet net(net_config(args), rng);
-  if (args.has("model")) {
-    train::load_model(net, args.get("model", "model.rfc"));
-  }
-  net.set_training(false);
-  net.prepare_inference();
-
-  // Discover the conv shapes the registry binds: record every unique
-  // problem of one representative graph forward.
-  tune::clear_recorded_problems();
-  tune::set_problem_recording(true);
-  const kitti::Sample& sample = scenes.sample(0);
-  {
-    const autograd::InferenceModeGuard no_grad;
-    const auto batch1 = [](const tensor::Tensor& chw) {
-      return autograd::Variable::constant(chw.reshaped(tensor::Shape::nchw(
-          1, chw.shape().dim(0), chw.shape().dim(1), chw.shape().dim(2))));
-    };
-    (void)net.forward(batch1(sample.rgb), batch1(sample.depth));
-  }
-  tune::set_problem_recording(false);
-  const std::vector<tune::ConvProblem> problems = tune::recorded_problems();
-  ROADFUSION_CHECK(!problems.empty(),
-                   "tune: no conv problems recorded — model has no Conv2d "
-                   "layers routed through the solver registry");
-
-  tune::TuneOptions options;
-  options.smoke = args.has("smoke");
-  std::fprintf(stderr, "tuning %zu conv shape(s)%s on cpu=%s\n",
-               problems.size(), options.smoke ? " (smoke)" : "",
-               tune::cpu_signature().c_str());
-  std::printf("%-44s %-20s %10s %9s\n", "problem", "best solver", "GFLOP/s",
-              "vs blocked");
-  const tune::PerfDb db = tune::tune_problems(
-      problems, options, [](const tune::ProblemTuneResult& result) {
-        const tune::SolverMeasurement& best = result.best();
-        const tune::SolverMeasurement* blocked = result.find("blocked");
-        std::string label = best.solver;
-        if (!best.params.empty()) {
-          label += " [" + best.params + "]";
-        }
-        if (blocked != nullptr && blocked->gflops > 0.0) {
-          std::printf("%-44s %-20s %10.2f %8.2fx\n",
-                      result.problem.key().c_str(), label.c_str(), best.gflops,
-                      best.gflops / blocked->gflops);
-        } else {
-          std::printf("%-44s %-20s %10.2f %9s\n", result.problem.key().c_str(),
-                      label.c_str(), best.gflops, "-");
-        }
-        std::fflush(stdout);
-      });
-
-  const std::string path =
-      args.get("db", env_string("ROADFUSION_PERF_DB", "roadfusion_perf.db"));
-  db.save(path);
-  std::printf("wrote %zu tuned record(s) to %s\n", db.size(), path.c_str());
-
-  // Reload through the dispatcher so the freshly written file is verified
-  // end-to-end (header, CPU signature, record syntax) before we report OK.
-  const tune::PerfDbLoad reload = tune::load_perf_db(path);
-  ROADFUSION_CHECK(reload.found && !reload.version_mismatch &&
-                       !reload.cpu_mismatch &&
-                       reload.db.size() == db.size(),
-                   "tune: reloading '" << path << "' failed validation");
-  std::fprintf(stderr, "verified: %s reloads with %zu record(s)\n",
-               path.c_str(), reload.db.size());
   return 0;
 }
 
@@ -968,7 +851,7 @@ int cmd_stream(const cli::Args& args) {
         "                  [--lighting day|night|overexposure|shadows]\n"
         "                  [--scene-seed N] [--threads N] [--max-batch N]\n"
         "                  [--max-wait-us N] [--queue-cap N]\n"
-        "                  [--perf-db FILE] [--trace trace.json]\n\n"
+        "                  [--trace trace.json]\n\n"
         "Drives a temporally coherent frame sequence (one scene, ego\n"
         "advancing --advance m/frame, LiDAR refreshing every\n"
         "--lidar-period frames) through the serving front door with\n"
@@ -984,8 +867,7 @@ int cmd_stream(const cli::Args& args) {
                    "advance", "slo-ms", "no-reuse", "verify", "category",
                    "lighting", "scene-seed", "noise-seed", "corruption-seed",
                    "threads", "max-batch", "max-wait-us", "queue-cap",
-                   "perf-db", "trace", "help"});
-  apply_perf_db(args);
+                   "trace", "help"});
 
   roadseg::RoadSegConfig net_cfg;
   net_cfg.scheme = core::fusion_scheme_from_string(args.get("scheme", "WS"));
@@ -1133,7 +1015,6 @@ void print_usage(std::FILE* stream) {
       "  profile      per-stage Feature Disparity of a trained model\n"
       "  dataset      export synthetic samples as PPM/PGM files\n"
       "  metrics-dump run a synthetic workload, print Prometheus metrics\n"
-      "  tune         benchmark conv solvers per shape, write a perf DB\n"
       "  eval-matrix  scenario corruption suite x fusion scheme score "
       "matrix\n"
       "  stream       temporally coherent frames with frame-to-frame "
@@ -1174,9 +1055,6 @@ int main(int argc, char** argv) {
     }
     if (command == "metrics-dump") {
       return cmd_metrics_dump(args);
-    }
-    if (command == "tune") {
-      return cmd_tune(args);
     }
     if (command == "eval-matrix") {
       return cmd_eval_matrix(args);

@@ -5,8 +5,8 @@
 #   tools/run_tier1.sh --tsan     # additionally build the runtime + fault
 #                                 # tolerance + kernel parity + observability
 #                                 # tests under ThreadSanitizer and run them
-#                                 # (concurrent solver bind()/DB reloads in
-#                                 # test_tune; tracing/metrics are lock-free
+#                                 # (concurrent predicts sharing one plan
+#                                 # cache; tracing/metrics are lock-free
 #                                 # hot paths)
 #   tools/run_tier1.sh --asan     # additionally build the kernel parity +
 #                                 # golden + fault tolerance + workspace
@@ -30,13 +30,6 @@
 #                                 # a seconds-fast check that the planned
 #                                 # inference path still reports zero
 #                                 # per-call heap allocations
-#   tools/run_tier1.sh --tune-smoke
-#                                 # additionally run `roadfusion tune --smoke`
-#                                 # and assert the perf DB is produced and
-#                                 # reloaded by serving, which stays on the
-#                                 # blocked plan (the DB moves registry
-#                                 # bindings: the graph's, the all-NCHW
-#                                 # schedule's)
 #   tools/run_tier1.sh --soak-smoke
 #                                 # additionally run bench_soak --smoke: a
 #                                 # seconds-long open-loop overload drill
@@ -53,9 +46,10 @@
 #                                 # --explain-plan` prints a schedule whose
 #                                 # stems, transposed convs, refines and
 #                                 # head are blocked-layout nchwc_direct
-#                                 # steps (never the reference oracle), and
-#                                 # that ROADFUSION_SOLVER=reference binds
-#                                 # the oracle on the stems and decoder
+#                                 # steps, that explain prints no deleted
+#                                 # solver / perf-DB knob line, and that a
+#                                 # stale ROADFUSION_SOLVER in the
+#                                 # environment changes no output byte
 #   tools/run_tier1.sh --scenario-smoke
 #                                 # additionally drive the corruption
 #                                 # round trip: `roadfusion eval-matrix
@@ -73,7 +67,6 @@ asan=0
 ubsan=0
 coverage=0
 bench_smoke=0
-tune_smoke=0
 soak_smoke=0
 scenario_smoke=0
 plan_smoke=0
@@ -84,12 +77,11 @@ for arg in "$@"; do
     --ubsan) ubsan=1 ;;
     --coverage) coverage=1 ;;
     --bench-smoke) bench_smoke=1 ;;
-    --tune-smoke) tune_smoke=1 ;;
     --soak-smoke) soak_smoke=1 ;;
     --scenario-smoke) scenario_smoke=1 ;;
     --plan-smoke) plan_smoke=1 ;;
     *)
-      echo "usage: tools/run_tier1.sh [--tsan] [--asan] [--ubsan] [--coverage] [--bench-smoke] [--tune-smoke] [--soak-smoke] [--scenario-smoke] [--plan-smoke]" >&2
+      echo "usage: tools/run_tier1.sh [--tsan] [--asan] [--ubsan] [--coverage] [--bench-smoke] [--soak-smoke] [--scenario-smoke] [--plan-smoke]" >&2
       exit 2
       ;;
   esac
@@ -105,9 +97,9 @@ if [[ "$tsan" == 1 ]]; then
   cmake --build build-tsan -j \
     --target test_runtime_queue test_runtime_engine test_fault_tolerance \
              test_kernel_parity test_tracing test_metrics test_runtime_stats \
-             test_workspace test_tune test_frontdoor test_serve_e2e \
+             test_workspace test_frontdoor test_serve_e2e \
              test_stream test_plan
-  (cd build-tsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_kernel_parity|test_tracing|test_metrics|test_workspace|test_tune|test_frontdoor|test_serve_e2e|test_stream|test_plan')
+  (cd build-tsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_kernel_parity|test_tracing|test_metrics|test_workspace|test_frontdoor|test_serve_e2e|test_stream|test_plan')
 fi
 
 if [[ "$asan" == 1 ]]; then
@@ -115,9 +107,9 @@ if [[ "$asan" == 1 ]]; then
   cmake -B build-asan -S . -DROADFUSION_SANITIZE=address
   cmake --build build-asan -j \
     --target test_kernel_parity test_golden_inference test_fault_tolerance \
-             test_workspace test_tune test_frontdoor \
+             test_workspace test_frontdoor \
              test_scenario test_stream test_plan
-  (cd build-asan && ctest --output-on-failure -R 'test_kernel_parity|test_golden_inference|test_fault_tolerance|test_workspace|test_tune|test_frontdoor|test_scenario|test_stream|test_plan')
+  (cd build-asan && ctest --output-on-failure -R 'test_kernel_parity|test_golden_inference|test_fault_tolerance|test_workspace|test_frontdoor|test_scenario|test_stream|test_plan')
 fi
 
 if [[ "$ubsan" == 1 ]]; then
@@ -176,11 +168,10 @@ if [[ "$plan_smoke" == 1 ]]; then
   echo "== Plan smoke: compiled schedule is bit-exact and allocation-free =="
   cmake --build build -j --target test_plan roadfusion
   # test_plan covers the gates directly: every request kind (fused,
-  # RGB-only, stream miss/hit, batched, forced solver) memcmp-equal to
-  # the autograd graph for every fusion scheme, zero heap allocations per
-  # predict from the second call on (AllocProbe), labeled all-NCHW
-  # layouts (forced solver, Kc depth), the kernel-selection knob lines
-  # and the bounded plan cache.
+  # RGB-only, stream miss/hit, batched) memcmp-equal to the autograd graph
+  # for every fusion scheme, zero heap allocations per predict from the
+  # second call on (AllocProbe), the labeled decline to the graph (Kc
+  # depth), the kernel-selection knob line and the bounded plan cache.
   (cd build && ctest --output-on-failure -L plan)
   # End to end: the CLI must print a blocked-layout schedule for a real
   # checkpoint.
@@ -211,49 +202,22 @@ if [[ "$plan_smoke" == 1 ]]; then
   if echo "$explain" | grep -qE '\] decoder +layout=nchw '; then
     echo "$explain"; echo "plan smoke: default plan runs the decoder NCHW" >&2; exit 1
   fi
-  # The oracle stays reachable: forcing it runs the all-NCHW schedule,
-  # whose stems and decoder bind it.
-  oracle="$(cd build && ROADFUSION_SOLVER=reference ./tools/roadfusion infer \
-      --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
-    { echo "$oracle"; echo "plan smoke: forced-reference infer failed" >&2; exit 1; }
-  echo "$oracle" | grep -q '^knob ROADFUSION_SOLVER=reference$' ||
-    { echo "$oracle"; echo "plan smoke: explain does not report the forced solver" >&2; exit 1; }
-  for step in 'layer=(rgb|depth)\.stage0 ' '\] decoder '; do
-    lines="$(echo "$oracle" | grep -E "$step")" ||
-      { echo "$oracle"; echo "plan smoke: no '$step' step under the oracle" >&2; exit 1; }
-    if echo "$lines" | grep -vq 'solver=reference'; then
-      echo "$lines"; echo "plan smoke: ROADFUSION_SOLVER=reference did not bind '$step'" >&2; exit 1
-    fi
-  done
-  # A forced solver must run the all-NCHW layout and say why.
-  forced="$(cd build && ROADFUSION_SOLVER=blocked ./tools/roadfusion infer \
-      --model plan_smoke.rfc --explain-plan --out plan_smoke_out 2>&1)" ||
-    { echo "$forced"; echo "plan smoke: forced-solver infer failed" >&2; exit 1; }
-  echo "$forced" | grep -q 'reason=forced_solver' ||
-    { echo "$forced"; echo "plan smoke: forced solver not labeled" >&2; exit 1; }
+  # The solver registry and its perf DB are gone: explain names no knob
+  # of theirs, and a stale ROADFUSION_SOLVER in the environment changes
+  # no output byte.
+  if echo "$explain" | grep -qE 'ROADFUSION_(SOLVER|PERF_DB)'; then
+    echo "$explain"; echo "plan smoke: explain prints a deleted knob line" >&2; exit 1
+  fi
+  rm -rf build/plan_smoke_unset build/plan_smoke_forced
+  (cd build && env -u ROADFUSION_SOLVER ./tools/roadfusion infer \
+      --model plan_smoke.rfc --out plan_smoke_unset >/dev/null)
+  (cd build && ROADFUSION_SOLVER=reference ./tools/roadfusion infer \
+      --model plan_smoke.rfc --out plan_smoke_forced >/dev/null)
+  [[ -n "$(ls -A build/plan_smoke_unset)" ]] ||
+    { echo "plan smoke: infer wrote no output files" >&2; exit 1; }
+  diff -r build/plan_smoke_unset build/plan_smoke_forced ||
+    { echo "plan smoke: ROADFUSION_SOLVER=reference changed the infer output" >&2; exit 1; }
   echo "plan smoke: OK"
-fi
-
-if [[ "$tune_smoke" == 1 ]]; then
-  echo "== Tune smoke: offline tuning produces a DB that serving consumes =="
-  cmake --build build -j --target roadfusion
-  tune_db="build/tune_smoke.db"
-  rm -f "$tune_db" "$tune_db.tmp"
-  (cd build && ./tools/roadfusion tune --smoke --db tune_smoke.db --cap 2)
-  [[ -s "$tune_db" ]] || { echo "tune smoke: $tune_db missing or empty" >&2; exit 1; }
-  [[ ! -e "$tune_db.tmp" ]] || { echo "tune smoke: stale $tune_db.tmp left behind" >&2; exit 1; }
-  head -1 "$tune_db" | grep -q '^RFPD1 cpu=' ||
-    { echo "tune smoke: bad DB header" >&2; exit 1; }
-  # One synthetic scene through serving with the DB: the reload line must
-  # appear. The DB moves registry bindings only (the graph's and the
-  # all-NCHW schedule's), so serving must stay on the blocked plan.
-  metrics="$(cd build && ./tools/roadfusion metrics-dump --count 1 \
-      --perf-db tune_smoke.db 2>&1)"
-  echo "$metrics" | grep -q 'reloaded [1-9][0-9]* tuned record' ||
-    { echo "tune smoke: serving did not reload the DB" >&2; exit 1; }
-  echo "$metrics" | grep -q 'roadfusion_plan_layers_total{layout="nchw"} 0$' ||
-    { echo "$metrics"; echo "tune smoke: a tuned DB pulled serving off the blocked plan" >&2; exit 1; }
-  echo "tune smoke: OK ($(grep -c ' solver=' "$tune_db") records)"
 fi
 
 if [[ "$coverage" == 1 ]]; then
