@@ -84,18 +84,25 @@ void pack_b(const MatView& b, int64_t p0, int64_t kb, int64_t j0, int64_t nb,
 /// kMr-wide panel (reduction-major, zero-padded rows). B is addressed as
 /// `b + p * b_stride`: either a packed kNr panel (b_stride == kNr) or, on
 /// the no-copy fast path, a row-major source row (b_stride == ldb). The
-/// accumulators live in registers for the whole kb loop; C is touched once.
+/// accumulators start from C and live in registers for the whole kb loop,
+/// so each output is one sequential chain over all of K whatever the Kc
+/// blocking: C is read once and written once per block.
 void micro_kernel(int64_t kb, const float* a_panel, const float* b,
                   int64_t b_stride, float* c, int64_t ldc, int64_t mrem,
                   int64_t nrem) {
 #if defined(ROADFUSION_GEMM_SSE2)
   if (nrem == kNr && sse2_dispatch()) {
-    // Full-width tile: 8 accumulator vectors, A rows beyond mrem are packed
-    // zeros so all four rows compute unconditionally and only mrem store.
-    __m128 c00 = _mm_setzero_ps(), c01 = _mm_setzero_ps();
-    __m128 c10 = _mm_setzero_ps(), c11 = _mm_setzero_ps();
-    __m128 c20 = _mm_setzero_ps(), c21 = _mm_setzero_ps();
-    __m128 c30 = _mm_setzero_ps(), c31 = _mm_setzero_ps();
+    // Full-width tile: 8 accumulator vectors. A rows beyond mrem are packed
+    // zeros, so all four rows compute unconditionally; those rows neither
+    // load from C (it may end there) nor store.
+    const auto load = [&](int64_t i, int64_t half) {
+      return i < mrem ? _mm_loadu_ps(c + i * ldc + 4 * half)
+                      : _mm_setzero_ps();
+    };
+    __m128 c00 = load(0, 0), c01 = load(0, 1);
+    __m128 c10 = load(1, 0), c11 = load(1, 1);
+    __m128 c20 = load(2, 0), c21 = load(2, 1);
+    __m128 c30 = load(3, 0), c31 = load(3, 1);
     for (int64_t p = 0; p < kb; ++p) {
       const float* ap = a_panel + p * kMr;
       const float* bp = b + p * b_stride;
@@ -117,9 +124,8 @@ void micro_kernel(int64_t kb, const float* a_panel, const float* b,
     const __m128 acc[kMr][2] = {
         {c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
     for (int64_t i = 0; i < mrem; ++i) {
-      float* c_row = c + i * ldc;
-      _mm_storeu_ps(c_row, _mm_add_ps(_mm_loadu_ps(c_row), acc[i][0]));
-      _mm_storeu_ps(c_row + 4, _mm_add_ps(_mm_loadu_ps(c_row + 4), acc[i][1]));
+      _mm_storeu_ps(c + i * ldc, acc[i][0]);
+      _mm_storeu_ps(c + i * ldc + 4, acc[i][1]);
     }
     return;
   }
@@ -128,6 +134,11 @@ void micro_kernel(int64_t kb, const float* a_panel, const float* b,
   // the B reads by nrem — on the direct-B path the tile's tail columns
   // do not exist in the source matrix.
   float acc[kMr][kNr] = {};
+  for (int64_t i = 0; i < mrem; ++i) {
+    for (int64_t j = 0; j < nrem; ++j) {
+      acc[i][j] = c[i * ldc + j];
+    }
+  }
   for (int64_t p = 0; p < kb; ++p) {
     const float* ap = a_panel + p * kMr;
     const float* bp = b + p * b_stride;
@@ -139,9 +150,8 @@ void micro_kernel(int64_t kb, const float* a_panel, const float* b,
     }
   }
   for (int64_t i = 0; i < mrem; ++i) {
-    float* c_row = c + i * ldc;
     for (int64_t j = 0; j < nrem; ++j) {
-      c_row[j] += acc[i][j];
+      c[i * ldc + j] = acc[i][j];
     }
   }
 }

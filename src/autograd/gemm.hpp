@@ -5,7 +5,9 @@
 // operands are cut into Mc x Kc and Kc x Nc blocks that fit the cache
 // hierarchy, each block is packed into contiguous panels, and a small
 // register-tiled micro-kernel (kMr x kNr accumulators) does the arithmetic
-// with no C traffic inside the K loop. Strided views let one macro-kernel
+// with no C traffic inside the K loop. The accumulators start from C, so
+// each output is one sequential chain over all of K: the blocking changes
+// speed, never bits. Strided views let one macro-kernel
 // serve all three GEMM forms the convolution ops need (A*B, A^T*B, A*B^T)
 // without materializing transposes. Every GEMM runs on the calling thread.
 #pragma once
@@ -23,7 +25,8 @@ using tensor::Tensor;
 /// the small-M / long-N GEMMs produced by im2col on this repository's
 /// encoder shapes (M = Cout <= 64, K = Cin*K*K <= a few hundred,
 /// N = Ho*Wo up to a few thousand): Kc covers a whole 3x3 reduction in one
-/// block and Nc keeps B streaming panel-by-panel through L1.
+/// block and Nc keeps B streaming panel-by-panel through L1. No value
+/// changes a result bit; tests shrink the blocks to exercise their edges.
 struct BlockedGemmConfig {
   int64_t mc = 128;  ///< rows of A packed per block (L2 resident)
   int64_t kc = 384;  ///< reduction depth per block (panel height)
@@ -39,8 +42,8 @@ BlockedGemmConfig& blocked_gemm_config();
 Tensor blocked_matmul(const Tensor& a, const Tensor& b);
 
 /// Same product accumulated into the caller's row-major (m, n) buffer `c`
-/// (C += A * B), so a zero-filled `c` receives exactly blocked_matmul's
-/// bits without a temporary.
+/// (each output's chain starts from its value in `c`), so a zero-filled
+/// `c` receives exactly blocked_matmul's bits without a temporary.
 void blocked_matmul_into(const Tensor& a, const Tensor& b, float* c);
 
 /// C = A^T * B with A stored (k, m), B (k, n).

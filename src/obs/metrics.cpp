@@ -31,7 +31,7 @@ bool valid_base_name(const std::string& name) {
 }
 
 /// Accepts a plain base name or `base{key="value",...}` — labeled series
-/// (e.g. the plan's roadfusion_plan_declined_total{reason=...})
+/// (e.g. the plan's roadfusion_plan_runs_total{variant=...})
 /// register one instrument per label set, keyed by the full sample string.
 /// Label keys follow [a-zA-Z_][a-zA-Z0-9_]*; values take any printable
 /// character except '"' and '\'.

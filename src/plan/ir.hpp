@@ -83,6 +83,9 @@ struct SlotDef {
   /// buffer outside the arena that the stream-miss schedule writes and
   /// the stream-hit schedule reads. Never released.
   int cache_index = -1;
+  /// Uncached NCHW only: the slot's dense index among the executor's
+  /// Tensor-held slots.
+  int local = -1;
   std::string label;  ///< for --explain-plan
 };
 
@@ -94,7 +97,7 @@ enum class LayerRef {
   kDepthStage,  ///< depth encoder stage `stage`
   kDepthToRgb,  ///< depth->rgb fusion filter of `stage`
   kRgbToDepth,  ///< rgb->depth fusion filter of `stage` (AllFilter_B)
-  kDecoderUp,   ///< decoder transition `stage` (deepest first): tconv + refine
+  kDecoderUp,   ///< decoder transition `stage` (to stage - 1): tconv + refine
   kDecoderHead,  ///< decoder 1x1 head and the logits conversion
 };
 

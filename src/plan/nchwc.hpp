@@ -13,9 +13,9 @@
 //
 // Exactness contract: the direct conv accumulates each output element
 // over (in_channel, ky, kx) in exactly the im2col row order with a single
-// scalar accumulator chain per element — the same order the blocked GEMM
-// uses when the whole reduction fits one Kc cache block — and the fused
-// epilogue replays the GEMM epilogue's scalar chain. The transposed conv
+// scalar accumulator chain per element — the blocked GEMM's own order,
+// one chain per output at any reduction depth — and the fused epilogue
+// replays the GEMM epilogue's scalar chain. The transposed conv
 // sums over in_channel in GEMM order, then replays col2im's accumulate
 // into a zeroed plane (0 + acc; 2x2 / stride 2, so one tap per output),
 // then +bias, then the skip add. Plans therefore reproduce the graph path

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "autograd/gemm.hpp"
 #include "common/check.hpp"
 #include "common/cpu.hpp"
 #include "common/env.hpp"
@@ -37,12 +36,12 @@ using roadseg::RoadSegNet;
 using roadseg::StreamFeatureCache;
 using tensor::Tensor;
 
-/// Fixed executor capacity — slot storage lives in a stack array so a
-/// plan run performs no per-call container allocation. Generous: the
-/// deepest supported network (8 stages) compiles to fewer than 100 slots
-/// (test_plan compiles every scheme and schedule at 8 stages).
-constexpr int kMaxPlanSlots = 128;
-constexpr int kMaxPlanStages = 8;
+/// Executor capacity for uncached NCHW slots, the only ones held as
+/// Tensors — a stack array, so a plan run performs no per-call container
+/// allocation. Every other slot lives in the scratch block or the stream
+/// cache. At any depth there are at most three: the WeightedSharing AWN
+/// head's fused and depth inputs, and the logits.
+constexpr int kMaxLocalSlots = 3;
 /// Compiled schedules kept per model; the oldest is evicted first. The
 /// key's geometry comes from requests, so the cache must not grow with
 /// it. 16 holds all four variants of four geometries.
@@ -64,13 +63,6 @@ constexpr const char* kVariantNames[] = {"fused", "rgb_only", "stream_miss",
 const char* variant_name(Variant variant) {
   return kVariantNames[static_cast<size_t>(variant)];
 }
-
-/// Why the autograd graph serves a net's predicts instead of the plan:
-/// more stages than the executor holds, or a conv whose reduction spans
-/// more than one Kc cache block, where the blocked kernel's summation
-/// order would differ from the graph's GEMM.
-enum class Decline { kNone, kStages, kKcDepth };
-constexpr const char* kDeclineNames[] = {"none", "stages", "kc_depth"};
 
 struct PlanKey {
   int64_t n = 0, h = 0, w = 0;
@@ -106,15 +98,10 @@ struct CompiledPlan {
 };
 
 /// Geometry-independent plan state hung off the RoadSegNet: packed
-/// weights plus a bounded cache of compiled schedules, or the reason the
-/// graph serves this net instead (then nothing is packed or compiled).
+/// weights plus a bounded cache of compiled schedules.
 struct PlanContext {
   int stages = 0;
   FusionScheme scheme = FusionScheme::kBaseline;
-  Decline decline = Decline::kNone;
-  /// kKcDepth: the first conv too deep for one Kc block, and its depth.
-  std::string deep_conv;
-  int64_t deep_depth = 0;
   PackedConv rgb_stem;
   PackedConv depth_stem;
   std::vector<std::shared_ptr<const BlockPack>> rgb_blocks;    ///< [stage-1]
@@ -131,9 +118,7 @@ struct PlanContext {
 /// Registry counters the run path bumps, looked up once so a predict
 /// builds no metric names.
 struct PlanMetrics {
-  obs::Counter* declined = nullptr;
-  std::array<obs::Counter*, 3> declined_by_reason{};  ///< by Decline
-  std::array<obs::Counter*, 4> runs{};                ///< by Variant
+  std::array<obs::Counter*, 4> runs{};  ///< by Variant
   obs::Counter* compiles = nullptr;
   obs::Counter* evictions = nullptr;
   obs::Counter* layers = nullptr;
@@ -142,19 +127,7 @@ struct PlanMetrics {
 const PlanMetrics& metrics() {
   static const PlanMetrics m = [] {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-    const char* declined_help =
-        "Eval predicts the autograd graph served because the plan declined "
-        "the net (labeled by reason)";
     PlanMetrics out;
-    out.declined =
-        &registry.counter("roadfusion_plan_declined_total", declined_help);
-    for (size_t reason = 1; reason < out.declined_by_reason.size();
-         ++reason) {
-      out.declined_by_reason[reason] = &registry.counter(
-          std::string("roadfusion_plan_declined_total{reason=\"") +
-              kDeclineNames[reason] + "\"}",
-          declined_help);
-    }
     for (const Variant variant : kVariants) {
       out.runs[static_cast<size_t>(variant)] = &registry.counter(
           std::string("roadfusion_plan_runs_total{variant=\"") +
@@ -187,61 +160,17 @@ std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
   return bp;
 }
 
-/// The bit-exactness argument (nchwc.hpp) requires the graph-path GEMM to
-/// run its whole reduction in one Kc cache block. This is the depth it
-/// reduces over: a transposed conv's GEMM reduces over the input channels
-/// alone.
-int64_t reduction_depth(const PackedConv& pc) {
-  return pc.transposed ? pc.cin : pc.cin * pc.kernel * pc.kernel;
-}
-
 // ---------------------------------------------------------------------------
 // Build: network -> PlanContext (packed weights)
 // ---------------------------------------------------------------------------
 
-/// A context that only carries why the graph serves the net.
-std::shared_ptr<PlanContext> declined_context(const RoadSegNet& net,
-                                              Decline decline) {
-  auto ctx = std::make_shared<PlanContext>();
-  ctx->stages = net.num_stages();
-  ctx->scheme = net.config().scheme;
-  ctx->decline = decline;
-  return ctx;
-}
-
 std::shared_ptr<void> build_hook(const RoadSegNet& net) {
   const int stages = net.num_stages();
-  if (stages > kMaxPlanStages) {
-    return declined_context(net, Decline::kStages);
-  }
   auto ctx = std::make_shared<PlanContext>();
   ctx->stages = stages;
   ctx->scheme = net.config().scheme;
-  // The first conv (in packing order) whose reduction spans Kc blocks.
-  std::string deep_conv;
-  int64_t deep_depth = 0;
-  const auto check_depth = [&](const PackedConv& pc) {
-    const int64_t depth = reduction_depth(pc);
-    if (deep_conv.empty() &&
-        depth > autograd::kernels::blocked_gemm_config().kc) {
-      deep_conv = pc.name;
-      deep_depth = depth;
-    }
-  };
-  const auto block_depths = [&](const BlockPack& bp) {
-    check_depth(bp.conv1);
-    check_depth(bp.conv2);
-    if (bp.proj != nullptr) {
-      check_depth(*bp.proj);
-    }
-  };
-  const auto pack_one = [&](PackedConv pc) {
-    check_depth(pc);
-    return pc;
-  };
   const auto pack_stem = [&](const Encoder& encoder, const char* name) {
-    return pack_one(pack_conv(encoder.stem().conv(), &encoder.stem().bn(),
-                              true, name));
+    return pack_conv(encoder.stem().conv(), &encoder.stem().bn(), true, name);
   };
   ctx->rgb_stem = pack_stem(net.rgb_encoder(), "rgb.stage0");
   ctx->depth_stem = pack_stem(net.depth_encoder(), "depth.stage0");
@@ -253,8 +182,6 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
                      ? rgb
                      : pack_block(net.depth_encoder().block(stage),
                                   "depth.stage" + std::to_string(stage));
-    block_depths(*rgb);
-    block_depths(*depth);
     ctx->rgb_blocks.push_back(std::move(rgb));
     ctx->depth_blocks.push_back(std::move(depth));
   }
@@ -262,9 +189,8 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
                                 const std::string& prefix,
                                 std::vector<PackedConv>& out) {
     for (size_t stage = 0; stage < filters.size(); ++stage) {
-      out.push_back(pack_one(pack_conv(filters[stage].conv(), nullptr, false,
-                                       prefix + ".stage" +
-                                           std::to_string(stage))));
+      out.push_back(pack_conv(filters[stage].conv(), nullptr, false,
+                              prefix + ".stage" + std::to_string(stage)));
     }
   };
   pack_filters(net.depth_to_rgb_filters(), "d2r", ctx->d2r);
@@ -272,22 +198,13 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
   const roadseg::Decoder& decoder = net.decoder();
   for (int i = 0; i + 1 < stages; ++i) {
     const std::string tag = std::to_string(stages - 1 - i);
-    ctx->up.push_back(
-        pack_one(pack_tconv(decoder.up(static_cast<size_t>(i)),
-                            "decoder.up" + tag)));
+    ctx->up.push_back(pack_tconv(decoder.up(static_cast<size_t>(i)),
+                                 "decoder.up" + tag));
     const nn::ConvBnRelu& refine = decoder.refine(static_cast<size_t>(i));
-    ctx->refine.push_back(pack_one(pack_conv(
-        refine.conv(), &refine.bn(), true, "decoder.refine" + tag)));
+    ctx->refine.push_back(pack_conv(refine.conv(), &refine.bn(), true,
+                                    "decoder.refine" + tag));
   }
-  ctx->head = pack_one(pack_conv(decoder.head(), nullptr, false,
-                                 "decoder.head"));
-  if (!deep_conv.empty()) {
-    // The packed weights are never run: keep only the reason.
-    ctx = declined_context(net, Decline::kKcDepth);
-    ctx->deep_conv = std::move(deep_conv);
-    ctx->deep_depth = deep_depth;
-    return ctx;
-  }
+  ctx->head = pack_conv(decoder.head(), nullptr, false, "decoder.head");
   obs::MetricsRegistry::global()
       .counter("roadfusion_plan_builds_total",
                "Inference plan contexts compiled")
@@ -504,22 +421,30 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   for (int i = 0; i + 1 < ctx.stages; ++i) {
     const int target = ctx.stages - 2 - i;
     const auto at = static_cast<size_t>(i);
-    const std::string tag = std::to_string(target + 1);
+    // Spans and explain both name a transition by its layers' index.
+    const int index = target + 1;
+    const std::string tag = std::to_string(index);
     const int up = new_slot(target, layout, "up" + tag);
-    conv_step(StepKind::kTConvNchwc, ctx.up[at], LayerRef::kDecoderUp, i, x,
-              up, plan->skip_slots[static_cast<size_t>(target)], -1);
+    conv_step(StepKind::kTConvNchwc, ctx.up[at], LayerRef::kDecoderUp, index,
+              x, up, plan->skip_slots[static_cast<size_t>(target)], -1);
     x = new_slot(target, layout, "refine" + tag);
-    conv_step(StepKind::kConvNchwc, ctx.refine[at], LayerRef::kDecoderUp, i,
-              up, x, -1, -1);
+    conv_step(StepKind::kConvNchwc, ctx.refine[at], LayerRef::kDecoderUp,
+              index, up, x, -1, -1);
   }
   const int head = new_slot(0, layout, "head", 1);
   conv_step(StepKind::kConvNchwc, ctx.head, LayerRef::kDecoderHead, 0, x,
             head, -1, -1);
   plan->logits = to_layout(head, Layout::kNchw, 0, "logits");
-  ROADFUSION_CHECK(plan->slots.size() <= kMaxPlanSlots,
-                   "inference plan needs " << plan->slots.size()
-                                           << " slots, executor holds "
-                                           << kMaxPlanSlots);
+  int locals = 0;
+  for (SlotDef& def : plan->slots) {
+    if (def.layout == Layout::kNchw && def.cache_index < 0) {
+      def.local = locals++;
+    }
+  }
+  ROADFUSION_CHECK(locals <= kMaxLocalSlots,
+                   "inference plan needs " << locals
+                                           << " NCHW slots, executor holds "
+                                           << kMaxLocalSlots);
 
   // Liveness: record each slot's writer and last reader.
   std::vector<int> first_def(plan->slots.size(), -1);
@@ -646,7 +571,7 @@ constexpr const char* kLayerSpans[] = {
 Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
                const Tensor& rgb, const Tensor& depth, float fusion_weight,
                StreamFeatureCache* cache) {
-  std::array<std::optional<Tensor>, kMaxPlanSlots> local;
+  std::array<std::optional<Tensor>, kMaxLocalSlots> local;
   // The blocked slots live in the workspace's scratch block; a run outside
   // any workspace owns its scratch.
   std::unique_ptr<float[]> own_scratch;
@@ -662,10 +587,13 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
     }
   }
   // NCHW or cached slots as tensors.
+  const auto local_at = [&](int idx) -> std::optional<Tensor>& {
+    return local[static_cast<size_t>(
+        plan.slots[static_cast<size_t>(idx)].local)];
+  };
   const auto tensor_at = [&](int idx) -> Tensor& {
     const int k = plan.slots[static_cast<size_t>(idx)].cache_index;
-    return k >= 0 ? cache->slots[static_cast<size_t>(k)]
-                  : *local[static_cast<size_t>(idx)];
+    return k >= 0 ? cache->slots[static_cast<size_t>(k)] : *local_at(idx);
   };
   const auto data = [&](int idx) -> float* {
     const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
@@ -687,9 +615,7 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
       zero_border(p, def.n, def.c, def.h, def.w);
       return p;
     }
-    return local[static_cast<size_t>(idx)]
-        .emplace(Tensor::uninitialized(slot_shape(def)))
-        .raw();
+    return local_at(idx).emplace(Tensor::uninitialized(slot_shape(def))).raw();
   };
   const auto floats = [&](int idx) {
     return slot_shape(plan.slots[static_cast<size_t>(idx)]).numel();
@@ -769,7 +695,7 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
       }
     }
     for (int idx : plan.release_after[j]) {
-      local[static_cast<size_t>(idx)].reset();
+      local_at(idx).reset();
     }
   };
   // Each run of consecutive steps of one layer and stage reports one
@@ -813,11 +739,11 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
   } else {
     run_all();
   }
-  return std::move(*local[static_cast<size_t>(plan.logits)]);
+  return std::move(*local_at(plan.logits));
 }
 
 // ---------------------------------------------------------------------------
-// Run hook: decline check, variant choice, plan-cache lookup
+// Run hook: variant choice, plan-cache lookup
 // ---------------------------------------------------------------------------
 
 /// The cached schedule for `key`, compiled on first use. The cache holds
@@ -857,23 +783,16 @@ tensor::Shape as_nchw(const tensor::Shape& shape) {
              : shape;
 }
 
-std::optional<Tensor> run_hook(const roadseg::SegmentationModel& model,
-                               const std::shared_ptr<void>& state,
-                               const Tensor& rgb, const Tensor& depth,
-                               float fusion_weight, StreamFeatureCache* cache,
-                               bool depth_unchanged) {
+Tensor run_hook(const roadseg::SegmentationModel& model,
+                const std::shared_ptr<void>& state, const Tensor& rgb,
+                const Tensor& depth, float fusion_weight,
+                StreamFeatureCache* cache, bool depth_unchanged) {
   // build_hook is the only producer of plan states, and it is only ever
   // handed a RoadSegNet.
   const auto& net = static_cast<const RoadSegNet&>(model);
   auto& ctx = *static_cast<PlanContext*>(state.get());
   const tensor::Shape rgb_shape = as_nchw(rgb.shape());
   net.check_inputs(rgb_shape, as_nchw(depth.shape()), fusion_weight);
-  const PlanMetrics& m = metrics();
-  if (ctx.decline != Decline::kNone) {
-    m.declined->inc();
-    m.declined_by_reason[static_cast<size_t>(ctx.decline)]->inc();
-    return std::nullopt;
-  }
   PlanKey key;
   key.n = rgb_shape.batch();
   key.h = rgb_shape.height();
@@ -906,7 +825,7 @@ std::optional<Tensor> run_hook(const roadseg::SegmentationModel& model,
   } else {
     plan = lookup(ctx, net, key);
   }
-  m.runs[static_cast<size_t>(key.variant)]->inc();
+  metrics().runs[static_cast<size_t>(key.variant)]->inc();
   // CHW inputs are converted to the blocked layout in place.
   Tensor out = execute(net, *plan, rgb, depth, fusion_weight, cache);
   if (key.variant == Variant::kStreamMiss) {
@@ -1080,21 +999,6 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
   os << "knob ROADFUSION_CPU_FEATURES="
      << (cpu_features.empty() ? "unset" : cpu_features)
      << " tier=" << common::tier_name(common::active_tier()) << "\n";
-  switch (ctx.decline) {
-    case Decline::kNone:
-      break;
-    case Decline::kStages:
-      os << "inference plan declined: reason=stages (" << ctx.stages
-         << " stages, the executor holds " << kMaxPlanStages
-         << "); inference uses the autograd graph\n";
-      return os.str();
-    case Decline::kKcDepth:
-      os << "inference plan declined: reason=kc_depth (" << ctx.deep_conv
-         << " reduces over " << ctx.deep_depth << " > Kc "
-         << autograd::kernels::blocked_gemm_config().kc
-         << "); inference uses the autograd graph\n";
-      return os.str();
-  }
   for (const Variant variant : kVariants) {
     if (ctx.scheme == FusionScheme::kAllFilterB &&
         (variant == Variant::kStreamMiss || variant == Variant::kStreamHit)) {
@@ -1118,9 +1022,6 @@ std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
     return out;
   }
   const auto& ctx = *static_cast<const PlanContext*>(state.get());
-  if (ctx.decline != Decline::kNone) {
-    return out;
-  }
   PlanKey key;
   key.n = n;
   key.h = h;

@@ -11,10 +11,9 @@
 // direct conv kernel (no im2col), the cross-layer elementwise chain
 // (residual add, fusion-filter match, fusion sum) is fused into conv
 // epilogues, and transient buffers are released at their last use so
-// the workspace arena sees the minimal buffer schedule. A net the plan
-// cannot serve bit-exactly — more than 8 stages, or a conv that reduces
-// over more than one Kc block — is declined: the autograd graph serves its
-// predicts, and roadfusion_plan_declined_total{reason} counts each one.
+// the workspace arena sees the minimal buffer schedule. It serves every
+// eval-mode RoadSegNet, at any depth and width, bit-for-bit equal to the
+// autograd graph.
 //
 // Integration happens through roadseg/plan_hook.hpp: linking rf_plan into
 // a binary installs the hooks at static init (install_hooks() does it
@@ -42,21 +41,21 @@ void install_hooks();
 /// (fused, rgb_only and, unless AllFilter_B, stream_miss and stream_hit),
 /// then one line per step with layout, kernel, fused epilogue stages and
 /// buffer slots — the backing of `roadfusion infer --explain-plan`.
-/// Reports why instead when the graph serves the net (training mode, or a
-/// declined net: its reason and, for kc_depth, the first conv too deep
-/// and its depth).
+/// Reports why instead when the graph serves the net (training mode).
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w);
 
 /// One conv-running step of a compiled schedule.
 struct ConvStep {
-  std::string layer;   ///< e.g. "rgb.stage0", "decoder.up4", "decoder.head"
+  /// e.g. "rgb.stage0", "decoder.up4", "decoder.head"; a decoder step's
+  /// trace span carries the same name.
+  std::string layer;
   std::string kind;    ///< "conv3x3/s1", "tconv2x2/s2", "conv1x1/s1"
   std::string kernel;  ///< "nchwc_direct" or "nchwc_direct_avx2"
 };
 
 /// The conv steps of the fused schedule `net` serves at (n, 3, h, w), in
-/// execution order (empty when the graph serves the net). Like explain(), this
+/// execution order (empty in training mode). Like explain(), this
 /// compiles outside the plan cache and moves no serving counter.
 std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
                                  int64_t h, int64_t w);

@@ -32,8 +32,10 @@ Variable Decoder::forward(const std::vector<Variable>& skips) const {
                                         << " skips, got " << skips.size());
   Variable x = skips.back();
   for (size_t step = 0; step < up_.size(); ++step) {
-    obs::ScopedSpan step_span("decoder.up", static_cast<int>(step));
     const size_t target_stage = stage_channels_.size() - 2 - step;
+    // Named as the transition's layers (decoder.up{target + 1}).
+    obs::ScopedSpan step_span("decoder.up",
+                              static_cast<int>(target_stage + 1));
     x = up_[step].forward(x);
     x = autograd::add(x, skips[target_stage]);
     x = refine_[step].forward(x);

@@ -7,13 +7,12 @@
 // of function pointers here at static-init time: RoadSegNet compiles its
 // plan through `build`, and every eval-mode predict, predict_fused and
 // predict_stream of a model that has a plan runs through `run`, which
-// serves it or declines it to the graph. A binary that does not link
+// serves it. A binary that does not link
 // rf_plan has no hooks, so its models have no plan and every predict
 // takes the autograd graph.
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "tensor/tensor.hpp"
 
@@ -29,18 +28,14 @@ struct StreamFeatureCache;
 /// to `forward_fused(...).logits`; rank-3 (C, H, W) inputs are read as
 /// batch 1 without a copy. A non-null `cache` selects the stream
 /// schedules: the cache's slots are reused when `depth_unchanged` holds
-/// and they match the schedule, and repopulated otherwise. For a net the
-/// plan declines (e.g. more than 8 stages) `run` counts the decline and
-/// returns nullopt, and the caller serves the predict from the graph.
+/// and they match the schedule, and repopulated otherwise.
 struct PlanHooks {
   std::shared_ptr<void> (*build)(const RoadSegNet& net) = nullptr;
-  std::optional<tensor::Tensor> (*run)(const SegmentationModel& model,
-                                       const std::shared_ptr<void>& state,
-                                       const tensor::Tensor& rgb,
-                                       const tensor::Tensor& depth,
-                                       float fusion_weight,
-                                       StreamFeatureCache* cache,
-                                       bool depth_unchanged) = nullptr;
+  tensor::Tensor (*run)(const SegmentationModel& model,
+                        const std::shared_ptr<void>& state,
+                        const tensor::Tensor& rgb, const tensor::Tensor& depth,
+                        float fusion_weight, StreamFeatureCache* cache,
+                        bool depth_unchanged) = nullptr;
 };
 
 /// Installs the hooks (called from rf_plan's static initializer; passing

@@ -1,7 +1,6 @@
 #include "roadseg/segmentation_model.hpp"
 
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "autograd/ops.hpp"
@@ -68,9 +67,8 @@ void sigmoid_in_place(tensor::Tensor& t) {
   }
 }
 
-/// The autograd graph's logits — what every model without a plan, and
-/// every net the plan declines, serves. The stream cache has no use here
-/// and is invalidated.
+/// The autograd graph's logits — what every model without a plan serves.
+/// The stream cache has no use here and is invalidated.
 tensor::Tensor graph_logits(const SegmentationModel& model,
                             const tensor::Tensor& rgb,
                             const tensor::Tensor& depth, float fusion_weight,
@@ -84,9 +82,8 @@ tensor::Tensor graph_logits(const SegmentationModel& model,
       .logits.value();
 }
 
-/// Probabilities from the compiled plan when the model has one and it
-/// does not decline, else from the autograd graph. `cache` (may be null)
-/// selects the stream schedules.
+/// Probabilities from the compiled plan when the model has one, else from
+/// the autograd graph. `cache` (may be null) selects the stream schedules.
 tensor::Tensor run_predict(const SegmentationModel& model,
                            const tensor::Tensor& rgb,
                            const tensor::Tensor& depth, float fusion_weight,
@@ -100,35 +97,35 @@ tensor::Tensor run_predict(const SegmentationModel& model,
                      "predict: rgb is CHW but depth is "
                          << depth.shape().str());
   }
-  std::optional<tensor::Tensor> out;
-  if (const std::shared_ptr<void> plan = model.inference_plan()) {
+  const auto logits = [&]() -> tensor::Tensor {
+    const std::shared_ptr<void> plan = model.inference_plan();
+    if (plan == nullptr) {
+      // The graph needs NCHW (arena) copies of CHW inputs.
+      return chw ? graph_logits(model, as_nchw(rgb), as_nchw(depth),
+                                fusion_weight, cache)
+                 : graph_logits(model, rgb, depth, fusion_weight, cache);
+    }
     // The plan reads CHW inputs in place.
     const auto planned = [&] {
       return plan_hooks().run(model, plan, rgb, depth, fusion_weight, cache,
                               depth_unchanged);
     };
     if (tensor::Workspace::current() != nullptr) {
-      out = planned();
-    } else {
-      // Direct callers get a per-thread arena: the first predict on a
-      // thread populates it, every later one is allocation-free.
-      thread_local tensor::Workspace workspace;
-      const tensor::WorkspaceScope scope(workspace);
-      out = planned();
+      return planned();
     }
-  }
-  if (!out) {
-    // The graph needs NCHW (arena) copies of CHW inputs.
-    out = chw ? graph_logits(model, as_nchw(rgb), as_nchw(depth),
-                             fusion_weight, cache)
-              : graph_logits(model, rgb, depth, fusion_weight, cache);
-  }
-  sigmoid_in_place(*out);
+    // Direct callers get a per-thread arena: the first predict on a thread
+    // populates it, every later one is allocation-free.
+    thread_local tensor::Workspace workspace;
+    const tensor::WorkspaceScope scope(workspace);
+    return planned();
+  };
+  tensor::Tensor out = logits();
+  sigmoid_in_place(out);
   if (chw) {
-    return std::move(*out).reshaped(
+    return std::move(out).reshaped(
         tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
   }
-  return std::move(*out);
+  return out;
 }
 
 }  // namespace

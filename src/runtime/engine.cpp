@@ -44,27 +44,14 @@ InferenceEngine::~InferenceEngine() { shutdown(ShutdownMode::kDrain); }
 std::future<InferenceResult> InferenceEngine::submit(
     Tensor rgb, Tensor depth, const SubmitOptions& options) {
   Request request;
-  if (config_.validate_inputs) {
-    const kitti::SensorHealthReport health =
-        kitti::check_sensor_health(rgb, depth, config_.health);
-    if (health.status == kitti::SensorStatus::kInvalid) {
-      stats_.record_invalid_input();
-      throw InvalidInputError("rejected sensor input: " + health.detail);
-    }
-    request.degraded = health.status == kitti::SensorStatus::kDegraded ||
-                       options.force_degraded;
-  } else {
-    ROADFUSION_CHECK(rgb.shape().rank() == 3,
-                     "submit expects CHW rgb, got " << rgb.shape().str());
-    ROADFUSION_CHECK(depth.shape().rank() == 3,
-                     "submit expects CHW depth, got " << depth.shape().str());
-    ROADFUSION_CHECK(rgb.shape().dim(1) == depth.shape().dim(1) &&
-                         rgb.shape().dim(2) == depth.shape().dim(2),
-                     "submit: rgb " << rgb.shape().str() << " and depth "
-                                    << depth.shape().str()
-                                    << " disagree on H x W");
-    request.degraded = options.force_degraded;
+  const kitti::SensorHealthReport health =
+      kitti::check_sensor_health(rgb, depth, config_.health);
+  if (health.status == kitti::SensorStatus::kInvalid) {
+    stats_.record_invalid_input();
+    throw InvalidInputError("rejected sensor input: " + health.detail);
   }
+  request.degraded = health.status == kitti::SensorStatus::kDegraded ||
+                     options.force_degraded;
   // A geometry the model cannot run (e.g. extents not divisible by the
   // network stride) is rejected here rather than failing in a worker.
   try {

@@ -110,10 +110,8 @@ struct EngineConfig {
   int64_t max_wait_us = 200;  ///< straggler window once a batch has a head
   size_t queue_capacity = 64;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Run the sensor health check on every submit: invalid requests throw
-  /// InvalidInputError, degraded ones serve RGB-only. Off restores the
-  /// PR-1 behaviour (shape checks only, garbage flows into the model).
-  bool validate_inputs = true;
+  /// Thresholds of the sensor health check every submit runs: invalid
+  /// requests throw InvalidInputError, degraded ones serve RGB-only.
   kitti::SensorHealthConfig health;
   /// Deadline applied to requests submitted without an explicit one;
   /// 0 means no deadline.

@@ -52,6 +52,16 @@ class BlockingGuard {
   kernels::BlockedGemmConfig config_;
 };
 
+/// Restores the active CPU tier on scope exit.
+class TierGuard {
+ public:
+  TierGuard() : tier_(common::active_tier()) {}
+  ~TierGuard() { common::set_active_tier(tier_); }
+
+ private:
+  common::CpuTier tier_;
+};
+
 void expect_allclose(const Tensor& reference, const Tensor& actual,
                      const std::string& what) {
   ASSERT_EQ(reference.shape(), actual.shape()) << what;
@@ -270,6 +280,54 @@ TEST(KernelParity, GemmMultipleCacheBlocks) {
   expect_gemm_parity({9, 17, 25});
 }
 
+TEST(KernelParity, GemmBitsDoNotDependOnBlocking) {
+  // Each output is one chain over all of K, so neither the cache blocks
+  // (k spans up to 50 Kc blocks of 16 here) nor the SSE2 / scalar
+  // micro-kernel choice may change a bit of any of the three forms.
+  const GemmCase cases[] = {{21, 70, 55}, {9, 17, 25}, {12, 432, 96},
+                            {33, 800, 40}};
+  for (const GemmCase& g : cases) {
+    const std::string shape = "m" + std::to_string(g.m) + "_k" +
+                              std::to_string(g.k) + "_n" + std::to_string(g.n);
+    Rng rng(8);
+    const Tensor a = Tensor::normal(Shape::mat(g.m, g.k), rng);
+    const Tensor b = Tensor::normal(Shape::mat(g.k, g.n), rng);
+    const Tensor at = Tensor::normal(Shape::mat(g.k, g.m), rng);
+    const Tensor bt = Tensor::normal(Shape::mat(g.n, g.k), rng);
+    const auto run = [&] {
+      return std::vector<Tensor>{kernels::blocked_matmul(a, b),
+                                 kernels::blocked_matmul_at(at, b),
+                                 kernels::blocked_matmul_bt(a, bt)};
+    };
+    const std::vector<Tensor> expected = run();
+    BlockingGuard blocking;
+    TierGuard tier;
+    for (const common::CpuTier t :
+         {common::CpuTier::kScalar, common::detected_tier()}) {
+      common::set_active_tier(t);
+      for (const bool shrunk : {false, true}) {
+        kernels::BlockedGemmConfig& config = kernels::blocked_gemm_config();
+        config = kernels::BlockedGemmConfig{};
+        if (shrunk) {
+          config.mc = 8;
+          config.kc = 16;
+          config.nc = 24;
+        }
+        const std::vector<Tensor> actual = run();
+        for (size_t form = 0; form < actual.size(); ++form) {
+          EXPECT_EQ(std::memcmp(actual[form].raw(), expected[form].raw(),
+                                static_cast<size_t>(actual[form].numel()) *
+                                    sizeof(float)),
+                    0)
+              << shape << " form " << form << " tier "
+              << common::tier_name(t) << (shrunk ? " shrunk" : " default")
+              << " blocks";
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // im2col caching: forward columns must be reused by backward
 // ---------------------------------------------------------------------------
@@ -308,16 +366,6 @@ TEST(Im2colCache, OneLoweringPerConvPerSamplePerStep) {
 // at batch 2; the direct-conv sweep runs every output width up to and past
 // the AVX2 kernel's sliding-window tiles, so every tail width is covered.
 // ---------------------------------------------------------------------------
-
-/// Restores the active CPU tier on scope exit.
-class TierGuard {
- public:
-  TierGuard() : tier_(common::active_tier()) {}
-  ~TierGuard() { common::set_active_tier(tier_); }
-
- private:
-  common::CpuTier tier_;
-};
 
 std::vector<float> to_blocked(const Tensor& t) {
   const Shape& s = t.shape();

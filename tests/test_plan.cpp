@@ -1,16 +1,17 @@
 // Inference plan compiler suite (DESIGN.md §16): every eval-mode request
 // kind — fused, RGB-only, stream miss, stream hit, batched — must run a
 // compiled plan whose logits are bit-for-bit those of the autograd graph
-// (`forward_fused`), run allocation-free once compiled, decline a net it
-// cannot serve exactly to the graph with a labeled reason, keep its
-// per-geometry cache bounded, and explain itself through the
-// --explain-plan printer.
+// (`forward_fused`) at any depth and width, run allocation-free once
+// compiled, keep its per-geometry cache bounded, name its trace spans as
+// explain names its layers, and explain itself through the --explain-plan
+// printer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "autograd/variable.hpp"
 #include "common/cpu.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "plan/plan.hpp"
 #include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
@@ -65,9 +67,8 @@ Tensor plan_logits(const RoadSegNet& net, const Tensor& rgb,
                    bool depth_unchanged = false) {
   const std::shared_ptr<void> state = net.inference_plan();
   EXPECT_NE(state, nullptr) << "an eval-mode RoadSegNet must have a plan";
-  return roadseg::plan_hooks()
-      .run(net, state, rgb, depth, fusion_weight, cache, depth_unchanged)
-      .value();
+  return roadseg::plan_hooks().run(net, state, rgb, depth, fusion_weight,
+                                   cache, depth_unchanged);
 }
 
 void expect_bitwise_equal(const Tensor& planned, const Tensor& graph,
@@ -209,78 +210,100 @@ TEST(PlanStream, GeometryChangeIsAMissNotAStaleHit) {
   EXPECT_EQ(cache.hits, 0);
 }
 
-TEST(PlanDecline, KcDeepNetIsServedByTheGraphWithItsReason) {
+TEST(PlanParity, KcDeepNetsArePlannedAndMatchTheGraph) {
   install_hooks();
-  RoadSegConfig config = config_for(FusionScheme::kAllFilterU);
-  // rgb.stage2.conv2 reduces over 48 * 3 * 3 = 432 > Kc 384.
-  config.stage_channels = {6, 8, 48, 12};
-  Rng rng(21);
-  RoadSegNet net(config, rng);
-  net.set_training(false);
-  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
-  obs::Counter& kc =
-      counter("roadfusion_plan_declined_total{reason=\"kc_depth\"}");
-  StreamFeatureCache cache;
-  const struct {
-    float fw;
-    bool stream;
-    bool depth_unchanged;
-  } requests[] = {
-      {0.7f, false, false}, {0.0f, false, false}, {1.0f, true, false},
-      {1.0f, true, true}};
-  for (const auto& request : requests) {
-    const std::string what = "kc-deep net fw=" + std::to_string(request.fw) +
-                             (request.stream ? " stream" : "");
-    const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
-    const uint64_t before = kc.value();
-    const Tensor served =
-        request.stream ? net.predict_stream(rgb, depth, request.fw, cache,
-                                            request.depth_unchanged)
-                       : net.predict_fused(rgb, depth, request.fw);
-    EXPECT_EQ(kc.value(), before + 1) << what;
-    const autograd::InferenceModeGuard no_grad;
-    expect_bitwise_equal(
-        served,
-        autograd::sigmoid(autograd::Variable::constant(
-                              graph_logits(net, rgb, depth, request.fw)))
-            .value(),
-        what);
+  // Reductions deeper than the GEMM's Kc block (384): rgb.stage2.conv2
+  // reduces over 48 * 3 * 3 = 432, and decoder.up2 (a tconv) over 392
+  // input channels.
+  const std::vector<int64_t> nets[] = {{6, 8, 48, 12}, {4, 8, 392}};
+  for (const std::vector<int64_t>& channels : nets) {
+    RoadSegConfig config = config_for(FusionScheme::kAllFilterU);
+    config.stage_channels = channels;
+    Rng rng(21);
+    RoadSegNet net(config, rng);
+    net.set_training(false);
+    const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 16, 32), rng);
+    StreamFeatureCache cache;
+    const struct {
+      float fw;
+      bool stream;
+      bool depth_unchanged;
+      const char* variant;
+    } requests[] = {{0.7f, false, false, "fused"},
+                    {0.0f, false, false, "rgb_only"},
+                    {1.0f, true, false, "stream_miss"},
+                    {1.0f, true, true, "stream_hit"}};
+    for (const auto& request : requests) {
+      const std::string what = "kc-deep net " +
+                               std::to_string(channels.back()) + " " +
+                               request.variant;
+      const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 16, 32), rng);
+      obs::Counter& served = runs(request.variant);
+      const uint64_t before = served.value();
+      const Tensor probs =
+          request.stream ? net.predict_stream(rgb, depth, request.fw, cache,
+                                              request.depth_unchanged)
+                         : net.predict_fused(rgb, depth, request.fw);
+      EXPECT_EQ(served.value(), before + 1) << what;
+      const autograd::InferenceModeGuard no_grad;
+      expect_bitwise_equal(
+          probs,
+          autograd::sigmoid(autograd::Variable::constant(
+                                graph_logits(net, rgb, depth, request.fw)))
+              .value(),
+          what);
+    }
+    EXPECT_EQ(cache.hits, 1);
+    const std::string report = explain(net, 1, 16, 32);
+    for (const char* variant :
+         {"variant=fused", "variant=rgb_only", "variant=stream_hit"}) {
+      EXPECT_NE(report.find(variant), std::string::npos) << report;
+    }
+    EXPECT_FALSE(conv_steps(net, 1, 16, 32).empty());
   }
-  EXPECT_EQ(cache.hits, 0) << "the graph never reuses depth features";
-  const std::string report = explain(net, 1, 16, 32);
-  EXPECT_NE(report.find("inference plan declined: reason=kc_depth "
-                        "(rgb.stage2.conv2 reduces over 432 > Kc 384)"),
-            std::string::npos)
-      << report;
-  EXPECT_EQ(report.find("inference plan: scheme="), std::string::npos)
-      << report;
-  EXPECT_TRUE(conv_steps(net, 1, 16, 32).empty());
 }
 
-TEST(PlanDecline, NetDeeperThanTheExecutorIsServedByTheGraph) {
+/// The distinct decoder.up* names in `names`.
+std::set<std::string> decoder_up_names(const std::vector<std::string>& names) {
+  std::set<std::string> out;
+  for (const std::string& name : names) {
+    if (name.rfind("decoder.up", 0) == 0) {
+      out.insert(name);
+    }
+  }
+  return out;
+}
+
+TEST(PlanTrace, DecoderSpansCarryExplainsLayerNames) {
   install_hooks();
-  RoadSegConfig config = config_for(FusionScheme::kBaseline);
-  config.stage_channels = {2, 2, 2, 2, 2, 2, 2, 2, 2};  // 9 > 8 stages
-  Rng rng(22);
-  RoadSegNet net(config, rng);
+  Rng rng(23);
+  RoadSegNet net(RoadSegConfig{}, rng);
   net.set_training(false);
-  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 256, 256), rng);
-  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 256, 256), rng);
-  obs::Counter& stages =
-      counter("roadfusion_plan_declined_total{reason=\"stages\"}");
-  const uint64_t before = stages.value();
-  const Tensor served = net.predict(rgb, depth);
-  EXPECT_EQ(stages.value(), before + 1);
-  const autograd::InferenceModeGuard no_grad;
-  expect_bitwise_equal(
-      served,
-      autograd::sigmoid(autograd::Variable::constant(
-                            graph_logits(net, rgb, depth, 1.0f)))
-          .value(),
-      "9-stage net");
-  EXPECT_NE(explain(net, 1, 256, 256)
-                .find("inference plan declined: reason=stages (9 stages"),
-            std::string::npos);
+  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 32, 96), rng);
+  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 32, 96), rng);
+  std::vector<std::string> layers;
+  for (const ConvStep& step : conv_steps(net, 1, 32, 96)) {
+    layers.push_back(step.layer);
+  }
+  const std::set<std::string> explained = decoder_up_names(layers);
+  ASSERT_EQ(explained.size(), 4u);
+  // One traced run per path: the plan's predict and the graph oracle.
+  const std::function<void()> paths[] = {
+      [&] { (void)net.predict(rgb, depth); },
+      [&] { (void)graph_logits(net, rgb, depth, 1.0f); }};
+  for (size_t path = 0; path < 2; ++path) {
+    obs::reset_tracing();
+    obs::set_tracing_enabled(true);
+    paths[path]();
+    obs::set_tracing_enabled(false);
+    std::vector<std::string> spans;
+    for (const obs::TraceEvent& event : obs::collect_events()) {
+      spans.emplace_back(event.name);
+    }
+    obs::reset_tracing();
+    EXPECT_EQ(decoder_up_names(spans), explained)
+        << (path == 0 ? "planned" : "graph") << " predict";
+  }
 }
 
 TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
@@ -417,39 +440,46 @@ TEST(PlanCache, GeometrySweepStaysBoundedAndExact) {
   EXPECT_GT(evictions.value() - evictions_before, inputs.size());
 }
 
-TEST(PlanParity, EightStageNetFitsTheExecutorForEverySchemeAndSchedule) {
+TEST(PlanParity, DeepNetsMatchTheGraphForEverySchemeAndSchedule) {
   install_hooks();
-  obs::Counter& declined = counter("roadfusion_plan_declined_total");
+  const struct {
+    std::vector<int64_t> channels;
+    int64_t extent;
+  } nets[] = {{{4, 5, 6, 7, 8, 9, 10, 11}, 128},
+              {{2, 2, 2, 2, 2, 2, 2, 2, 2}, 256}};
   for (const FusionScheme scheme : kSchemes) {
-    const std::string name = core::to_string(scheme);
-    RoadSegConfig config = config_for(scheme);
-    config.stage_channels = {4, 5, 6, 7, 8, 9, 10, 11};  // kMaxPlanStages
-    Rng rng(24);
-    RoadSegNet net(config, rng);
-    net.set_training(false);
-    const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 128, 128), rng);
-    const uint64_t declined_before = declined.value();
-    StreamFeatureCache cache;
-    const struct {
-      float fw;
-      StreamFeatureCache* cache;
-      bool depth_unchanged;
-      const char* what;
-    } requests[] = {{1.0f, nullptr, false, "fused"},
-                    {0.0f, nullptr, false, "rgb_only"},
-                    {0.5f, &cache, false, "stream_miss"},
-                    {1.0f, &cache, true, "stream_hit"}};
-    for (const auto& request : requests) {
-      const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 128, 128), rng);
-      expect_bitwise_equal(
-          plan_logits(net, rgb, depth, request.fw, request.cache,
-                      request.depth_unchanged),
-          graph_logits(net, rgb, depth, request.fw),
-          name + " 8 stages " + request.what);
+    for (const auto& deep : nets) {
+      const std::string name = std::string(core::to_string(scheme)) + " " +
+                               std::to_string(deep.channels.size()) +
+                               " stages ";
+      RoadSegConfig config = config_for(scheme);
+      config.stage_channels = deep.channels;
+      Rng rng(24);
+      RoadSegNet net(config, rng);
+      net.set_training(false);
+      const Shape rgb_shape = Shape::nchw(1, 3, deep.extent, deep.extent);
+      const Tensor depth =
+          Tensor::normal(Shape::nchw(1, 1, deep.extent, deep.extent), rng);
+      StreamFeatureCache cache;
+      const struct {
+        float fw;
+        StreamFeatureCache* cache;
+        bool depth_unchanged;
+        const char* what;
+      } requests[] = {{1.0f, nullptr, false, "fused"},
+                      {0.0f, nullptr, false, "rgb_only"},
+                      {0.5f, &cache, false, "stream_miss"},
+                      {1.0f, &cache, true, "stream_hit"}};
+      for (const auto& request : requests) {
+        const Tensor rgb = Tensor::normal(rgb_shape, rng);
+        expect_bitwise_equal(
+            plan_logits(net, rgb, depth, request.fw, request.cache,
+                        request.depth_unchanged),
+            graph_logits(net, rgb, depth, request.fw), name + request.what);
+      }
+      EXPECT_EQ(cache.hits, scheme == FusionScheme::kAllFilterB ? 0 : 1)
+          << name;
     }
-    EXPECT_EQ(declined.value(), declined_before) << name;
-    EXPECT_EQ(cache.hits, scheme == FusionScheme::kAllFilterB ? 0 : 1)
-        << name;
   }
 }
 

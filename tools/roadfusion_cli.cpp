@@ -80,6 +80,27 @@ std::unique_ptr<kitti::RoadData> make_data(const cli::Args& args,
   return std::make_unique<kitti::RoadDataset>(dataset_config(args), split);
 }
 
+/// Option `key` (default: `values[0]`) as the value whose kitti::to_string
+/// it names — `--category` and `--lighting`.
+template <typename Enum, size_t N>
+Enum scene_option(const cli::Args& args, const char* key,
+                  const Enum (&values)[N]) {
+  const std::string name = args.get(key, kitti::to_string(values[0]));
+  for (const Enum value : values) {
+    if (name == kitti::to_string(value)) {
+      return value;
+    }
+  }
+  ROADFUSION_FAIL("unknown " << key << " " << name);
+}
+
+constexpr kitti::RoadCategory kCategories[] = {
+    kitti::RoadCategory::kUM, kitti::RoadCategory::kUMM,
+    kitti::RoadCategory::kUU};
+constexpr kitti::Lighting kLightings[] = {
+    kitti::Lighting::kDay, kitti::Lighting::kNight,
+    kitti::Lighting::kOverexposure, kitti::Lighting::kShadows};
+
 roadseg::RoadSegConfig net_config(const cli::Args& args) {
   roadseg::RoadSegConfig config;
   config.scheme = core::fusion_scheme_from_string(args.get("scheme", "WS"));
@@ -266,28 +287,9 @@ int cmd_infer(const cli::Args& args) {
   train::load_model(net, args.get("model", "model.rfc"));
   net.set_training(false);
 
-  const std::string category_name = args.get("category", "UM");
-  kitti::RoadCategory category = kitti::RoadCategory::kUM;
-  if (category_name == "UMM") {
-    category = kitti::RoadCategory::kUMM;
-  } else if (category_name == "UU") {
-    category = kitti::RoadCategory::kUU;
-  } else {
-    ROADFUSION_CHECK(category_name == "UM",
-                     "unknown category " << category_name);
-  }
-  const std::string lighting_name = args.get("lighting", "day");
-  kitti::Lighting lighting = kitti::Lighting::kDay;
-  if (lighting_name == "night") {
-    lighting = kitti::Lighting::kNight;
-  } else if (lighting_name == "overexposure") {
-    lighting = kitti::Lighting::kOverexposure;
-  } else if (lighting_name == "shadows") {
-    lighting = kitti::Lighting::kShadows;
-  } else {
-    ROADFUSION_CHECK(lighting_name == "day",
-                     "unknown lighting " << lighting_name);
-  }
+  const kitti::RoadCategory category =
+      scene_option(args, "category", kCategories);
+  const kitti::Lighting lighting = scene_option(args, "lighting", kLightings);
 
   const kitti::DatasetConfig data = dataset_config(args);
   const vision::Camera camera(data.image_width, data.image_height,
@@ -893,26 +895,8 @@ int cmd_stream(const cli::Args& args) {
   stream_cfg.corruption_seed = static_cast<uint64_t>(args.get_int(
       "corruption-seed", static_cast<int64_t>(stream_cfg.corruption_seed)));
   stream_cfg.frame_to_frame_reuse = !args.has("no-reuse");
-  const std::string category_name = args.get("category", "UM");
-  if (category_name == "UMM") {
-    stream_cfg.category = kitti::RoadCategory::kUMM;
-  } else if (category_name == "UU") {
-    stream_cfg.category = kitti::RoadCategory::kUU;
-  } else {
-    ROADFUSION_CHECK(category_name == "UM",
-                     "unknown category " << category_name);
-  }
-  const std::string lighting_name = args.get("lighting", "day");
-  if (lighting_name == "night") {
-    stream_cfg.lighting = kitti::Lighting::kNight;
-  } else if (lighting_name == "overexposure") {
-    stream_cfg.lighting = kitti::Lighting::kOverexposure;
-  } else if (lighting_name == "shadows") {
-    stream_cfg.lighting = kitti::Lighting::kShadows;
-  } else {
-    ROADFUSION_CHECK(lighting_name == "day",
-                     "unknown lighting " << lighting_name);
-  }
+  stream_cfg.category = scene_option(args, "category", kCategories);
+  stream_cfg.lighting = scene_option(args, "lighting", kLightings);
 
   serve::FrontDoorConfig door_cfg;
   door_cfg.shards = 1;

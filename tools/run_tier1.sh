@@ -28,8 +28,9 @@
 #   tools/run_tier1.sh --bench-smoke
 #                                 # additionally run bench_latency --smoke:
 #                                 # a seconds-fast check that the planned
-#                                 # inference path still reports zero
-#                                 # per-call heap allocations
+#                                 # inference paths (default and wide net)
+#                                 # still report zero per-call heap
+#                                 # allocations
 #   tools/run_tier1.sh --soak-smoke
 #                                 # additionally run bench_soak --smoke: a
 #                                 # seconds-long open-loop overload drill
@@ -40,10 +41,11 @@
 #   tools/run_tier1.sh --plan-smoke
 #                                 # additionally run the inference-plan leg:
 #                                 # ctest -L plan (planned-vs-graph bitwise
-#                                 # diff per scheme + zero-alloc steady state
-#                                 # via AllocProbe), then train a throwaway
-#                                 # model and assert `roadfusion infer
-#                                 # --explain-plan` prints a schedule whose
+#                                 # diff per scheme at any depth + zero-alloc
+#                                 # steady state via AllocProbe), then train
+#                                 # a throwaway model and assert
+#                                 # `roadfusion infer --explain-plan`
+#                                 # prints a schedule whose
 #                                 # stems, transposed convs, refines and
 #                                 # head are blocked-layout nchwc_direct
 #                                 # steps, that explain prints no deleted
@@ -169,9 +171,11 @@ if [[ "$plan_smoke" == 1 ]]; then
   cmake --build build -j --target test_plan roadfusion
   # test_plan covers the gates directly: every request kind (fused,
   # RGB-only, stream miss/hit, batched) memcmp-equal to the autograd graph
-  # for every fusion scheme, zero heap allocations per predict from the
-  # second call on (AllocProbe), the labeled decline to the graph (Kc
-  # depth), the kernel-selection knob line and the bounded plan cache.
+  # for every fusion scheme, on nets deeper than 8 stages and with
+  # reductions deeper than the GEMM's Kc block too, zero heap allocations
+  # per predict from the second call on (AllocProbe), decoder trace spans
+  # named as explain names the layers, the kernel-selection knob line and
+  # the bounded plan cache.
   (cd build && ctest --output-on-failure -L plan)
   # End to end: the CLI must print a blocked-layout schedule for a real
   # checkpoint.
