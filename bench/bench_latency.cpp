@@ -63,10 +63,12 @@ double measure_latency_ms(roadseg::SegmentationModel& net,
 }
 
 /// The graph predict path — what `predict` runs for a model without a
-/// plan: build the Variable graph, sigmoid, reshape.
+/// plan: build the Variable graph with grad mode off (as every served
+/// predict does), sigmoid, reshape.
 tensor::Tensor graph_predict(const roadseg::SegmentationModel& net,
                              const tensor::Tensor& rgb,
                              const tensor::Tensor& depth) {
+  const autograd::InferenceModeGuard no_grad;
   const tensor::Tensor rgb4 = rgb.reshaped(tensor::Shape::nchw(
       1, rgb.shape().dim(0), rgb.shape().dim(1), rgb.shape().dim(2)));
   const tensor::Tensor depth4 = depth.reshaped(tensor::Shape::nchw(

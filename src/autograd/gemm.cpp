@@ -156,24 +156,6 @@ void micro_kernel(int64_t kb, const float* a_panel, const float* b,
   }
 }
 
-/// Applies the epilogue stages to one scalar value of channel `ch`. The
-/// op order (bias, then BN affine, then ReLU) and each operation mirror
-/// the legacy separate-op chain exactly, keeping the fused result
-/// bit-identical.
-inline float epilogue_scalar(float v, int64_t ch, const ConvEpilogue& epi) {
-  if (epi.bias != nullptr) {
-    v += epi.bias[ch];
-  }
-  if (epi.bn_mean != nullptr) {
-    const float xh = (v - epi.bn_mean[ch]) * epi.bn_invstd[ch];
-    v = epi.bn_gamma[ch] * xh + epi.bn_beta[ch];
-  }
-  if (epi.relu) {
-    v = v > 0.0f ? v : 0.0f;
-  }
-  return v;
-}
-
 /// Runs the full blocked loop nest, C += A * B over the row-major (m, n)
 /// C, under the process-wide blocking config. Each call owns its packing
 /// buffers, so concurrent GEMMs share nothing.
@@ -291,15 +273,6 @@ Tensor blocked_matmul_bt(const Tensor& a, const Tensor& b) {
                    "blocked_matmul_bt inner dims mismatch: "
                        << a.shape().str() << " x " << b.shape().str() << "^T");
   return blocked_gemm({a.raw(), k, 1}, {b.raw(), 1, k}, m, n, k);
-}
-
-void apply_epilogue(float* c, int64_t m, int64_t n, const ConvEpilogue& epi) {
-  for (int64_t i = 0; i < m; ++i) {
-    float* row = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      row[j] = epilogue_scalar(row[j], i, epi);
-    }
-  }
 }
 
 }  // namespace roadfusion::autograd::kernels

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "autograd/conv_epilogue.hpp"
 #include "tensor/tensor.hpp"
 
 namespace roadfusion::autograd::kernels {
@@ -51,9 +50,5 @@ Tensor blocked_matmul_at(const Tensor& a, const Tensor& b);
 
 /// C = A * B^T with A (m, k), B stored (n, k).
 Tensor blocked_matmul_bt(const Tensor& a, const Tensor& b);
-
-/// Epilogue pass over a row-major (m, n) C, channel = row: the conv
-/// forward's bias add, in the per-element op order of ConvEpilogue.
-void apply_epilogue(float* c, int64_t m, int64_t n, const ConvEpilogue& epi);
 
 }  // namespace roadfusion::autograd::kernels

@@ -231,16 +231,20 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b,
     cached_columns->reserve(static_cast<size_t>(batch));
   }
   // Each sample's GEMM accumulates straight into its zero-filled output
-  // slice; the bias follows as an epilogue pass.
-  kernels::ConvEpilogue epi;
-  epi.bias = has_bias ? b.value().raw() : nullptr;
+  // slice; the bias follows as a per-channel pass.
   for (int64_t s = 0; s < batch; ++s) {
     Tensor columns = kernels::im2col(
         x.value().raw() + s * cin * h * width, cin, h, width, geom);
     float* dst = out.raw() + s * cout * out_plane;
     kernels::blocked_matmul_into(wmat, columns, dst);
     if (has_bias) {
-      kernels::apply_epilogue(dst, cout, out_plane, epi);
+      const float* bias = b.value().raw();
+      for (int64_t c = 0; c < cout; ++c) {
+        float* row = dst + c * out_plane;
+        for (int64_t i = 0; i < out_plane; ++i) {
+          row[i] += bias[c];
+        }
+      }
     }
     if (keep_columns) {
       cached_columns->push_back(std::move(columns));
@@ -431,6 +435,12 @@ Variable conv_transpose2d(const Variable& x, const Variable& w,
                  "conv_transpose2d");
 }
 
+float batch_norm_eval_invstd(float running_var, float eps) {
+  // The float eps is promoted to double, as in the training branch.
+  return static_cast<float>(
+      1.0 / std::sqrt(static_cast<double>(running_var) + eps));
+}
+
 Variable batch_norm2d(const Variable& x, const Variable& gamma,
                       const Variable& beta,
                       const std::shared_ptr<BatchNormState>& state,
@@ -482,9 +492,8 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
   } else {
     for (int64_t c = 0; c < channels; ++c) {
       mean[static_cast<size_t>(c)] = state->running_mean.at(c);
-      invstd[static_cast<size_t>(c)] = static_cast<float>(
-          1.0 / std::sqrt(static_cast<double>(state->running_var.at(c)) +
-                          eps));
+      invstd[static_cast<size_t>(c)] =
+          batch_norm_eval_invstd(state->running_var.at(c), eps);
     }
   }
 

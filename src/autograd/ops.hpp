@@ -72,6 +72,14 @@ struct BatchNormState {
   Tensor running_var;   ///< shape (C)
 };
 
+/// Batch-norm epsilon every BatchNorm2d layer uses.
+constexpr float kBatchNormEps = 1e-5f;
+
+/// Eval-mode batch-norm factor 1 / sqrt(running_var + eps) — the one
+/// formula batch_norm2d's eval branch and the inference plan's packed
+/// epilogue both use, so their results agree to the bit.
+float batch_norm_eval_invstd(float running_var, float eps = kBatchNormEps);
+
 /// Batch normalization over (N, H, W) per channel. gamma/beta: shape (C).
 /// In training mode batch statistics are used and `state` is updated with
 /// momentum; in eval mode the running statistics are used.
@@ -79,7 +87,7 @@ Variable batch_norm2d(const Variable& x, const Variable& gamma,
                       const Variable& beta,
                       const std::shared_ptr<BatchNormState>& state,
                       bool training, float momentum = 0.1f,
-                      float eps = 1e-5f);
+                      float eps = kBatchNormEps);
 
 /// Max pooling with square kernel/stride, no padding.
 Variable max_pool2d(const Variable& x, int64_t kernel, int64_t stride);

@@ -32,38 +32,8 @@ Variable AuxiliaryWeightNetwork::weight(const Variable& rgb_features,
   return autograd::scale(autograd::sigmoid(raw), 2.0f);
 }
 
-tensor::Tensor AuxiliaryWeightNetwork::weight_infer(
-    const tensor::Tensor& rgb_features,
-    const tensor::Tensor& depth_features) const {
-  ROADFUSION_CHECK(rgb_features.shape() == depth_features.shape(),
-                   "AWN: shape mismatch " << rgb_features.shape().str()
-                                          << " vs "
-                                          << depth_features.shape().str());
-  ROADFUSION_CHECK(rgb_features.shape().rank() == 4,
-                   "AWN expects NCHW, got " << rgb_features.shape().str());
-  const int64_t batch = rgb_features.shape().batch();
-  const int64_t channels = rgb_features.shape().channels();
-  const int64_t plane =
-      rgb_features.shape().height() * rgb_features.shape().width();
-  // global_avg_pool(sub(r, d)) with the subtraction folded into the
-  // accumulation: each difference is still rounded to float before it
-  // enters the double accumulator, so the bits match the two-op path.
-  tensor::Tensor pooled =
-      tensor::Tensor::uninitialized(tensor::Shape::mat(batch, channels));
-  const float* pr = rgb_features.raw();
-  const float* pd = depth_features.raw();
-  float* pp = pooled.raw();
-  for (int64_t s = 0; s < batch; ++s) {
-    for (int64_t c = 0; c < channels; ++c) {
-      const int64_t base = (s * channels + c) * plane;
-      double acc = 0.0;
-      for (int64_t i = 0; i < plane; ++i) {
-        const float diff = pr[base + i] - pd[base + i];
-        acc += diff;
-      }
-      pp[s * channels + c] = static_cast<float>(acc / plane);
-    }
-  }
+tensor::Tensor AuxiliaryWeightNetwork::weight_from_pooled(
+    const tensor::Tensor& pooled) const {
   tensor::Tensor hidden = fc1_.forward_infer(pooled);
   float* ph = hidden.raw();
   for (int64_t i = 0; i < hidden.numel(); ++i) {

@@ -39,11 +39,11 @@ class AuxiliaryWeightNetwork : public nn::Module {
   Variable fuse(const Variable& rgb_features,
                 const Variable& depth_features) const;
 
-  /// Raw no-graph inference analogue of `weight` (DESIGN.md §11): same
-  /// pooled-difference -> FC -> 2*sigmoid arithmetic, bit-identical, with
-  /// the difference folded into the pooling loop (no full-size temp).
-  tensor::Tensor weight_infer(const tensor::Tensor& rgb_features,
-                              const tensor::Tensor& depth_features) const;
+  /// Raw no-graph inference analogue of `weight`'s head (DESIGN.md §11):
+  /// `pooled` is global_avg_pool(rgb - depth), shape (N, C), pooled by
+  /// the caller in that op's order; returns FC -> ReLU -> FC -> 2*sigmoid,
+  /// shape (N, 1), bit-identical to `weight`.
+  tensor::Tensor weight_from_pooled(const tensor::Tensor& pooled) const;
 
   void collect_parameters(std::vector<nn::ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,

@@ -22,8 +22,6 @@ Variable ConvBnRelu::forward(const Variable& x) const {
   return autograd::relu(bn_.forward(conv_.forward(x)));
 }
 
-void ConvBnRelu::prepare_inference() { bn_.prepare_inference(); }
-
 void ConvBnRelu::collect_parameters(std::vector<ParameterPtr>& out) const {
   conv_.collect_parameters(out);
   bn_.collect_parameters(out);
@@ -83,14 +81,6 @@ Variable ResidualBlock::forward(const Variable& x) const {
     shortcut = projection_bn_->forward(projection_->forward(x));
   }
   return autograd::relu(autograd::add(out, shortcut));
-}
-
-void ResidualBlock::prepare_inference() {
-  conv1_.prepare_inference();
-  bn2_.prepare_inference();
-  if (has_projection()) {
-    projection_bn_->prepare_inference();
-  }
 }
 
 void ResidualBlock::collect_parameters(std::vector<ParameterPtr>& out) const {

@@ -24,8 +24,6 @@ class ConvBnRelu : public Module {
 
   Variable forward(const Variable& x) const;
 
-  void prepare_inference() override;
-
   void collect_parameters(std::vector<ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,
                      std::vector<StateEntry>& out) override;
@@ -53,8 +51,6 @@ class ResidualBlock : public Module {
   ResidualBlock(const std::string& name, const ResidualBlock& other);
 
   Variable forward(const Variable& x) const;
-
-  void prepare_inference() override;
 
   void collect_parameters(std::vector<ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,

@@ -1,11 +1,9 @@
 #include "nn/layers.hpp"
 
-#include <atomic>
 #include <cmath>
 
 #include "common/check.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/workspace.hpp"
 
 namespace roadfusion::nn {
 namespace {
@@ -169,49 +167,6 @@ Variable BatchNorm2d::forward(const Variable& x) const {
   return autograd::batch_norm2d(x, gamma_->var, beta_->var, state_, training_);
 }
 
-std::shared_ptr<const BatchNorm2d::InferParams>
-BatchNorm2d::infer_params() const {
-  const uint64_t epoch = current_inference_epoch();
-  std::shared_ptr<const InferParams> cache = std::atomic_load(&cache_);
-  if (cache != nullptr && cache->epoch == epoch) {
-    return cache;
-  }
-  t::NoWorkspaceScope no_pool;
-  auto fresh = std::make_shared<InferParams>();
-  fresh->epoch = epoch;
-  fresh->invstd = Tensor::uninitialized(Shape::vec(channels_));
-  // Exactly the batch_norm2d eval formula (float eps promoted to double),
-  // so the fused affine reproduces the op's bits.
-  const float eps = 1e-5f;
-  float* inv = fresh->invstd.raw();
-  for (int64_t c = 0; c < channels_; ++c) {
-    inv[c] = static_cast<float>(
-        1.0 / std::sqrt(static_cast<double>(state_->running_var.at(c)) +
-                        eps));
-  }
-  std::shared_ptr<const InferParams> ready = std::move(fresh);
-  std::atomic_store(&cache_, ready);
-  return ready;
-}
-
-std::shared_ptr<const BatchNorm2d::InferParams> BatchNorm2d::fill_epilogue(
-    autograd::kernels::ConvEpilogue& epi) const {
-  ROADFUSION_CHECK(!training_,
-                   "BatchNorm2d epilogue fusion requires eval mode");
-  std::shared_ptr<const InferParams> params = infer_params();
-  epi.bn_mean = state_->running_mean.raw();
-  epi.bn_invstd = params->invstd.raw();
-  epi.bn_gamma = gamma_->var.value().raw();
-  epi.bn_beta = beta_->var.value().raw();
-  return params;
-}
-
-void BatchNorm2d::prepare_inference() {
-  if (!training_) {
-    infer_params();
-  }
-}
-
 void BatchNorm2d::collect_parameters(std::vector<ParameterPtr>& out) const {
   out.push_back(gamma_);
   out.push_back(beta_);
@@ -229,8 +184,8 @@ void BatchNorm2d::collect_state(const std::string& prefix,
 
 void BatchNorm2d::set_training(bool training) {
   if (training != training_) {
-    // Training forwards mutate the running statistics the cached invstd
-    // was derived from; mode flips are the cheap place to invalidate.
+    // Training forwards mutate the running statistics the inference plan
+    // was packed from; mode flips are the cheap place to invalidate.
     invalidate_inference_caches();
   }
   training_ = training;

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "autograd/conv_epilogue.hpp"
 #include "autograd/ops.hpp"
 #include "nn/module.hpp"
 #include "tensor/rng.hpp"
@@ -64,7 +63,7 @@ class Conv2d : public Module {
   }
 
   /// Read-only parameter views for offline weight repacking (the inference
-  /// plan compiler snapshots these at prepare_inference; DESIGN.md §16).
+  /// plan snapshots these when it is built; DESIGN.md §16).
   const Tensor& weight_value() const { return weight_->var.value(); }
   const Tensor* bias_value() const {
     return bias_ ? &bias_->var.value() : nullptr;
@@ -121,22 +120,6 @@ class BatchNorm2d : public Module {
 
   Variable forward(const Variable& x) const;
 
-  /// Eval-mode per-channel factors cached for epilogue fusion: invstd is
-  /// precomputed with exactly the batch_norm2d eval formula.
-  struct InferParams {
-    uint64_t epoch = 0;
-    Tensor invstd;
-  };
-
-  /// Fills the eval BN fields of `epi` from this layer's running
-  /// statistics, affine parameters and cached invstd. The returned handle
-  /// keeps invstd alive — hold it for the duration of the fused call.
-  /// Only valid in eval mode.
-  std::shared_ptr<const InferParams> fill_epilogue(
-      autograd::kernels::ConvEpilogue& epi) const;
-
-  void prepare_inference() override;
-
   void collect_parameters(std::vector<ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,
                      std::vector<StateEntry>& out) override;
@@ -147,15 +130,19 @@ class BatchNorm2d : public Module {
   int64_t channels() const { return channels_; }
   bool training() const { return training_; }
 
- private:
-  std::shared_ptr<const InferParams> infer_params() const;
+  /// Read-only views of the eval-mode affine for offline repacking (the
+  /// inference plan folds them into its conv epilogues; DESIGN.md §16).
+  const Tensor& gamma_value() const { return gamma_->var.value(); }
+  const Tensor& beta_value() const { return beta_->var.value(); }
+  const Tensor& running_mean() const { return state_->running_mean; }
+  const Tensor& running_var() const { return state_->running_var; }
 
+ private:
   int64_t channels_;
   ParameterPtr gamma_;
   ParameterPtr beta_;
   std::shared_ptr<autograd::BatchNormState> state_;
   bool training_ = true;
-  mutable std::shared_ptr<const InferParams> cache_;
 };
 
 /// Fully connected layer; weight layout (Out, In).

@@ -22,8 +22,6 @@ void invalidate_inference_caches() {
 
 void Module::set_training(bool) {}
 
-void Module::prepare_inference() {}
-
 std::vector<ParameterPtr> Module::parameters() const {
   std::vector<ParameterPtr> all;
   collect_parameters(all);

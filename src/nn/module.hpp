@@ -56,11 +56,6 @@ class Module {
   /// Switches training/eval behaviour (batch norm). Default: no-op.
   virtual void set_training(bool training);
 
-  /// Eagerly builds this module's inference-only caches (the cached
-  /// batch-norm invstd) at the current epoch, so the hot
-  /// path never rebuilds. Composites forward to children. Default: no-op.
-  virtual void prepare_inference();
-
   /// Unique parameters of this module (shared parameters appear once).
   std::vector<ParameterPtr> parameters() const;
 
@@ -74,11 +69,11 @@ class Module {
   void zero_grad();
 };
 
-/// Global invalidation epoch for inference-only caches (the cached
-/// batch-norm invstd and the compiled inference plan — DESIGN.md §11). Caches stamp the
-/// epoch when built and lazily rebuild when it has moved on. Bumped by
+/// Global invalidation epoch for the compiled inference plan, the one
+/// inference-only cache (DESIGN.md §11). A plan binding stamps the epoch
+/// when built and lazily rebuilds when it has moved on. Bumped by
 /// anything that may change parameter or running-statistic values outside
-/// a cache's view: restore_state (model loads), optimizer steps, and
+/// the plan's view: restore_state (model loads), optimizer steps, and
 /// switching a network into training mode.
 uint64_t current_inference_epoch();
 void invalidate_inference_caches();

@@ -29,19 +29,15 @@ inline int64_t nchwc_floats(int64_t n, int64_t channels, int64_t h,
   return n * blocks_of(channels) * (h + 2) * (w + 2) * kLanes;
 }
 
-/// Buffer layout of one slot.
-enum class Layout {
-  kNchw,   ///< plain dense NCHW Tensor
-  kNchwc,  ///< blocked NCHWc8 with ring-1 zero border, flat storage
-};
-
 /// One conv repacked for the blocked direct kernel: weights reordered to
 /// [out_block][in_channel][ky][kx][lane] (lane = output channel within
 /// the block, zero-padded past `cout`) with the fused per-output-channel
-/// epilogue stored as lane-padded arrays. The epilogue replays the exact
-/// scalar chain of the GEMM path — bias add, then (v - mean) * invstd
-/// followed by gamma * xh + beta, then ReLU — and every padded lane's
-/// parameters are zero so padded output lanes stay exactly 0.0f.
+/// epilogue stored as lane-padded arrays, read straight from the layers
+/// (invstd through batch_norm_eval_invstd). The epilogue replays the
+/// graph's exact scalar chain — conv bias add, then batch_norm2d's
+/// (v - mean) * invstd followed by gamma * xh + beta, then ReLU — and
+/// every padded lane's parameters are zero so padded output lanes stay
+/// exactly 0.0f.
 ///
 /// A transposed conv (2x2, stride 2, no padding: every output pixel has
 /// exactly one tap) uses the same weight order and carries at most a bias.
@@ -64,28 +60,22 @@ struct PackedConv {
   bool relu = false;
 };
 
-/// One buffer of the plan. NCHW slots are workspace-arena tensors of
-/// (n, c, h, w); NCHWc slots are regions of nchwc_floats(...) elements at
-/// `offset` in the run's one scratch buffer whose border ring is zeroed
-/// when their writer runs (the writer fills every interior lane).
+/// One buffer of the plan, always in the blocked NCHWc8 layout: a region
+/// of nchwc_floats(n, c, h, w) elements at `offset` in the run's one
+/// scratch buffer, whose border ring is zeroed when its writer runs (the
+/// writer fills every interior lane).
 struct SlotDef {
-  Layout layout = Layout::kNchw;
   int64_t n = 0, c = 0, h = 0, w = 0;  ///< logical dims (border excluded)
-  /// Index of the last step reading this slot. An NCHW slot is dropped
-  /// right after that step so the arena can reuse its storage; an NCHWc
-  /// slot's scratch region is free for later slots from then on. This is
-  /// the dead-transient elimination that keeps the footprint minimal.
-  /// -1 = never read.
+  /// Index of the last step reading this slot; its scratch region is free
+  /// for later slots from then on. This is the dead-transient elimination
+  /// that keeps the footprint minimal. -1 = never read.
   int last_use = -1;
-  /// NCHWc only: float offset of the slot's region in the scratch buffer.
+  /// Float offset of the slot's region in the scratch buffer.
   int64_t offset = 0;
   /// >= 0: the slot is StreamFeatureCache::slots[cache_index], a heap
-  /// buffer outside the arena that the stream-miss schedule writes and
-  /// the stream-hit schedule reads. Never released.
+  /// buffer outside the scratch block that the stream-miss schedule
+  /// writes and the stream-hit schedule reads; `offset` is unused.
   int cache_index = -1;
-  /// Uncached NCHW only: the slot's dense index among the executor's
-  /// Tensor-held slots.
-  int local = -1;
   std::string label;  ///< for --explain-plan
 };
 
@@ -102,10 +92,10 @@ enum class LayerRef {
 };
 
 enum class StepKind {
-  /// src (NCHW) -> dst (NCHWc); src = -1 reads the network input of the
-  /// step's branch.
+  /// Network input of the step's branch (NCHW) -> dst; src is -1.
   kConvertToNchwc,
-  kConvertToNchw,   ///< src (NCHWc) -> dst (NCHW)
+  /// src -> the returned NCHW logits, the schedule's last step; dst is -1.
+  kConvertToNchw,
   /// Blocked direct conv src -> dst with the fused epilogue chain:
   /// bias -> BN affine -> (+ pre slot, the residual shortcut) -> ReLU ->
   /// (+ fusion_weight * post slot, the cross-layer fusion sum).
@@ -113,11 +103,11 @@ enum class StepKind {
   /// Blocked 2x2/s2 transposed conv src -> dst (the decoder's upsampling)
   /// with the epilogue +bias -> (+ pre slot, the skip connection).
   kTConvNchwc,
-  kAddInPlace,  ///< dst += src (AllFilter_B depth update), either layout
-  kAccumulate,  ///< dst += fusion_weight * src (fusion sum), either layout
-  /// WeightedSharing head on NCHW: w = AWN(dst, aux) per sample, then
-  /// dst += fusion_weight * (w * aux). Reads aux only, so a cached aux
-  /// survives for the next frame.
+  kAddInPlace,  ///< dst += src (AllFilter_B depth update)
+  kAccumulate,  ///< dst += fusion_weight * src (fusion sum)
+  /// WeightedSharing head: w = AWN(pooled dst - aux) per sample, then
+  /// dst += fusion_weight * (w * aux) in place. Reads aux only, so a
+  /// cached aux survives for the next frame.
   kAwnFuse,
 };
 

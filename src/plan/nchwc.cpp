@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "autograd/conv_epilogue.hpp"
+#include "autograd/ops.hpp"
 #include "common/check.hpp"
 #include "common/cpu.hpp"
 #include "nn/layers.hpp"
@@ -55,14 +55,20 @@ PackedConv pack_conv(const nn::Conv2d& conv, const nn::BatchNorm2d* bn,
     pc.bias = lane_pad(bias->raw(), pc.cout);
   }
   if (bn != nullptr) {
-    // Snapshot the exact eval-BN epilogue values the GEMM path would use
-    // (including the cached invstd) via the layer's own epilogue filler.
-    autograd::kernels::ConvEpilogue epi;
-    const auto keep_alive = bn->fill_epilogue(epi);
-    pc.bn_mean = lane_pad(epi.bn_mean, pc.cout);
-    pc.bn_invstd = lane_pad(epi.bn_invstd, pc.cout);
-    pc.bn_gamma = lane_pad(epi.bn_gamma, pc.cout);
-    pc.bn_beta = lane_pad(epi.bn_beta, pc.cout);
+    // Snapshot the eval-BN factors batch_norm2d's eval branch computes,
+    // invstd through its own formula.
+    ROADFUSION_CHECK(!bn->training(),
+                     "pack_conv: " << pc.name << " needs eval-mode batch norm");
+    pc.bn_mean = lane_pad(bn->running_mean().raw(), pc.cout);
+    // Lane-padded variances, turned into invstd in place (padded lanes
+    // stay 0).
+    pc.bn_invstd = lane_pad(bn->running_var().raw(), pc.cout);
+    for (int64_t c = 0; c < pc.cout; ++c) {
+      float& v = pc.bn_invstd[static_cast<size_t>(c)];
+      v = autograd::batch_norm_eval_invstd(v);
+    }
+    pc.bn_gamma = lane_pad(bn->gamma_value().raw(), pc.cout);
+    pc.bn_beta = lane_pad(bn->beta_value().raw(), pc.cout);
   }
   pc.relu = relu;
   return pc;
@@ -352,6 +358,54 @@ void tconv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
             }
           }
         }
+      }
+    }
+  }
+}
+
+void pool_difference(const float* r, const float* d, int64_t n, int64_t c,
+                     int64_t h, int64_t w, float* pooled) {
+  const int64_t row = (w + 2) * kLanes;
+  const int64_t plane = (h + 2) * row;
+  const int64_t cb = blocks_of(c);
+  for (int64_t img = 0; img < n; ++img) {
+    for (int64_t b = 0; b < cb; ++b) {
+      // One chain per real lane (channel), each in rows-then-columns
+      // order, so every channel sums exactly as global_avg_pool's does.
+      const int64_t real = std::min(kLanes, c - b * kLanes);
+      const int64_t block = (img * cb + b) * plane;
+      double acc[kLanes] = {};
+      for (int64_t y = 0; y < h; ++y) {
+        const int64_t at = block + (y + 1) * row + kLanes;
+        for (int64_t x = 0; x < w; ++x) {
+          for (int64_t l = 0; l < real; ++l) {
+            const float diff = r[at + x * kLanes + l] - d[at + x * kLanes + l];
+            acc[l] += diff;
+          }
+        }
+      }
+      for (int64_t l = 0; l < real; ++l) {
+        pooled[img * c + b * kLanes + l] =
+            static_cast<float>(acc[l] / static_cast<double>(h * w));
+      }
+    }
+  }
+}
+
+void awn_accumulate(float* r, const float* d, int64_t n,
+                    int64_t sample_floats, const float* weight,
+                    float fusion_weight) {
+  for (int64_t img = 0; img < n; ++img) {
+    const float ws = weight[img];
+    float* rs = r + img * sample_floats;
+    const float* ds = d + img * sample_floats;
+    for (int64_t i = 0; i < sample_floats; ++i) {
+      const float matched = ws * ds[i];  // scale_per_sample's ws * x
+      if (fusion_weight == 1.0f) {
+        rs[i] += matched;
+      } else {
+        const float scaled = matched * fusion_weight;
+        rs[i] += scaled;
       }
     }
   }

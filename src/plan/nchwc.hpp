@@ -33,8 +33,9 @@ class BatchNorm2d;
 
 namespace roadfusion::plan {
 
-/// Repacks `conv`'s weight (and optional fused eval-BN + ReLU) into the
-/// blocked-kernel layout. `bn` may be null; requires eval mode when set.
+/// Repacks `conv`'s weight (and optional fused eval-BN + ReLU, read from
+/// `bn`'s running statistics and affine) into the blocked-kernel layout.
+/// `bn` may be null; requires eval mode when set.
 PackedConv pack_conv(const nn::Conv2d& conv, const nn::BatchNorm2d* bn,
                      bool relu, std::string name);
 
@@ -70,6 +71,21 @@ void conv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
 /// `pre` is an NCHWc8 buffer of the output geometry, or null.
 void tconv_nchwc(const float* src, int64_t n, int64_t in_h, int64_t in_w,
                  const PackedConv& pc, float* dst, const float* pre);
+
+/// global_avg_pool(r - d) of two same-geometry NCHWc8 buffers into the
+/// row-major (n, c) `pooled`, reading real lanes of the interior only:
+/// per (sample, channel), rows then columns, each difference rounded to
+/// float before it enters a double accumulator — the graph's bits.
+void pool_difference(const float* r, const float* d, int64_t n, int64_t c,
+                     int64_t h, int64_t w, float* pooled);
+
+/// The AWN fusion r += fusion_weight * (weight[s] * d) over each sample
+/// s's whole NCHWc8 region of `sample_floats`, in the graph's
+/// product-then-add order (weight 1 skips the scale). d is +0 on the
+/// border and padded lanes and weight[s] is finite, so r stays +0 there.
+void awn_accumulate(float* r, const float* d, int64_t n,
+                    int64_t sample_floats, const float* weight,
+                    float fusion_weight);
 
 /// dst += src over two same-geometry NCHWc8 buffers (plain add — the
 /// AllFilter_B depth-branch update order).

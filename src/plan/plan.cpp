@@ -36,12 +36,6 @@ using roadseg::RoadSegNet;
 using roadseg::StreamFeatureCache;
 using tensor::Tensor;
 
-/// Executor capacity for uncached NCHW slots, the only ones held as
-/// Tensors — a stack array, so a plan run performs no per-call container
-/// allocation. Every other slot lives in the scratch block or the stream
-/// cache. At any depth there are at most three: the WeightedSharing AWN
-/// head's fused and depth inputs, and the logits.
-constexpr int kMaxLocalSlots = 3;
 /// Compiled schedules kept per model; the oldest is evicted first. The
 /// key's geometry comes from requests, so the cache must not grow with
 /// it. 16 holds all four variants of four geometries.
@@ -84,13 +78,9 @@ struct CompiledPlan {
   PlanKey key;
   std::vector<SlotDef> slots;
   std::vector<Step> steps;
-  std::vector<int> skip_slots;  ///< fused pyramid (plan layout), stage 0 first
-  int logits = -1;              ///< NCHW slot holding the logits
+  std::vector<int> skip_slots;  ///< fused pyramid, stage 0 first
   std::vector<int> cached;      ///< slot of each StreamFeatureCache::slots[k]
-  /// NCHW slots to drop right after each step (their last reader) —
-  /// computed liveness that keeps the arena footprint minimal.
-  std::vector<std::vector<int>> release_after;
-  /// Every NCHWc slot lives at its compiled offset in the workspace's
+  /// Every uncached slot lives at its compiled offset in the workspace's
   /// scratch block (tensor::Workspace::scratch), which outlives the run:
   /// the pool keeps one, sized for the largest schedule it has run, so
   /// the schedules of every batch size share it.
@@ -216,6 +206,10 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
 // Compile: PlanContext + key -> CompiledPlan
 // ---------------------------------------------------------------------------
 
+int64_t slot_floats(const SlotDef& def) {
+  return nchwc_floats(def.n, def.c, def.h, def.w);
+}
+
 std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
                                             const RoadSegNet& net,
                                             const PlanKey& key) {
@@ -224,12 +218,9 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   const auto& channels = net.config().stage_channels;
   const bool hit = key.variant == Variant::kStreamHit;
   const bool miss = key.variant == Variant::kStreamMiss;
-  const Layout layout = Layout::kNchwc;
   // A slot at `stage`'s resolution with `c` channels (-1: the stage's).
-  const auto new_slot = [&](int stage, Layout slot_layout, std::string label,
-                            int64_t c = -1) {
+  const auto new_slot = [&](int stage, std::string label, int64_t c = -1) {
     SlotDef def;
-    def.layout = slot_layout;
     def.n = key.n;
     def.c = c >= 0 ? c : channels[static_cast<size_t>(stage)];
     def.h = Encoder::stage_extent(stage, key.h);
@@ -244,27 +235,6 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
         static_cast<int>(plan->cached.size());
     plan->cached.push_back(slot);
     return slot;
-  };
-  // Returns `slot` in `layout`, converting it when it is not.
-  const auto to_layout = [&](int slot, Layout layout, int stage,
-                             std::string label) {
-    if (plan->slots[static_cast<size_t>(slot)].layout == layout) {
-      return slot;
-    }
-    SlotDef def = plan->slots[static_cast<size_t>(slot)];
-    def.layout = layout;
-    def.cache_index = -1;
-    def.label = std::move(label);
-    plan->slots.push_back(std::move(def));
-    const int out = static_cast<int>(plan->slots.size()) - 1;
-    Step st;
-    st.kind = layout == Layout::kNchwc ? StepKind::kConvertToNchwc
-                                       : StepKind::kConvertToNchw;
-    st.src = slot;
-    st.dst = out;
-    st.stage = stage;
-    push(st);
-    return out;
   };
   const auto fusion_step = [&](StepKind kind, int dst, int src, int stage) {
     Step st;
@@ -296,7 +266,7 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   // epilogue.
   const auto emit_stage = [&](LayerRef branch, int stage, int input,
                               int post, const std::string& label) {
-    const int out = new_slot(stage, layout, label);
+    const int out = new_slot(stage, label);
     const bool rgb_branch = branch == LayerRef::kRgbStage;
     const auto conv = [&](const PackedConv& pc, int src, int dst, int pre,
                           int post_slot) {
@@ -307,7 +277,7 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       Step in;
       in.kind = StepKind::kConvertToNchwc;
       in.layer = branch;
-      in.dst = new_slot(0, layout, label + ".in",
+      in.dst = new_slot(0, label + ".in",
                         rgb_branch ? net.config().rgb_channels
                                    : net.config().depth_channels);
       push(in);
@@ -318,11 +288,11 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     const BlockPack& bp =
         *(rgb_branch ? ctx.rgb_blocks
                      : ctx.depth_blocks)[static_cast<size_t>(stage - 1)];
-    const int t1 = new_slot(stage, layout, label + ".conv1");
+    const int t1 = new_slot(stage, label + ".conv1");
     conv(bp.conv1, input, t1, -1, -1);
     int pre = input;  // identity shortcut (requires matching geometry)
     if (bp.proj != nullptr) {
-      pre = new_slot(stage, layout, label + ".proj");
+      pre = new_slot(stage, label + ".proj");
       conv(*bp.proj, input, pre, -1, -1);
     }
     conv(bp.conv2, t1, out, pre, post);
@@ -330,7 +300,7 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
   };
   const auto emit_filter = [&](LayerRef which, int stage, int input,
                                const std::string& label) {
-    const int out = new_slot(stage, layout, label);
+    const int out = new_slot(stage, label);
     const auto& filters = which == LayerRef::kDepthToRgb ? ctx.d2r : ctx.r2d;
     conv_step(StepKind::kConvNchwc, filters[static_cast<size_t>(stage)], which,
               stage, input, out, -1, -1);
@@ -366,18 +336,15 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       }
       d_in = d;
     } else if (ctx.scheme == FusionScheme::kWeightedSharing && last) {
-      // AWN head on NCHW: the per-sample weight pools both deepest
-      // stacks, and the fused result only feeds the decoder.
-      fused = to_layout(
-          emit_stage(LayerRef::kRgbStage, stage, r_in, -1, "r" + tag),
-          Layout::kNchw, stage, "fused" + tag);
+      // AWN head: the per-sample weight pools both deepest stacks, then
+      // the weighted depth features are summed into the rgb ones in
+      // place; the fused result only feeds the decoder.
+      fused = emit_stage(LayerRef::kRgbStage, stage, r_in, -1, "fused" + tag);
       int d = -1;
       if (hit) {
-        d = cache_slot(new_slot(stage, Layout::kNchw, "cached.d" + tag));
+        d = cache_slot(new_slot(stage, "cached.d" + tag));
       } else {
-        d = to_layout(
-            emit_stage(LayerRef::kDepthStage, stage, d_in, -1, "d" + tag),
-            Layout::kNchw, stage, "d" + tag + ".nchw");
+        d = emit_stage(LayerRef::kDepthStage, stage, d_in, -1, "d" + tag);
         if (miss) {
           cache_slot(d);
         }
@@ -394,7 +361,7 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       // d_i; AllFilter_U sums its filter-matched copy.
       int matched = -1;
       if (hit) {
-        matched = cache_slot(new_slot(stage, layout, "cached.matched" + tag));
+        matched = cache_slot(new_slot(stage, "cached.matched" + tag));
       } else {
         const int d = emit_stage(LayerRef::kDepthStage, stage, d_in, -1,
                                  "d" + tag);
@@ -410,13 +377,12 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       fused = emit_stage(LayerRef::kRgbStage, stage, r_in, matched,
                          "fused" + tag);
     }
-    // Only the WeightedSharing AWN head leaves the plan layout.
-    plan->skip_slots.push_back(to_layout(fused, layout, stage, "skip" + tag));
+    plan->skip_slots.push_back(fused);
     r_in = fused;
   }
   // Per transition: the upsampling tconv with the skip add as its
   // epilogue, then the refine conv; then the head, whose one-channel
-  // output is the only slot converted back to NCHW.
+  // output is converted into the returned NCHW logits.
   int x = plan->skip_slots.back();
   for (int i = 0; i + 1 < ctx.stages; ++i) {
     const int target = ctx.stages - 2 - i;
@@ -424,27 +390,21 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     // Spans and explain both name a transition by its layers' index.
     const int index = target + 1;
     const std::string tag = std::to_string(index);
-    const int up = new_slot(target, layout, "up" + tag);
+    const int up = new_slot(target, "up" + tag);
     conv_step(StepKind::kTConvNchwc, ctx.up[at], LayerRef::kDecoderUp, index,
               x, up, plan->skip_slots[static_cast<size_t>(target)], -1);
-    x = new_slot(target, layout, "refine" + tag);
+    x = new_slot(target, "refine" + tag);
     conv_step(StepKind::kConvNchwc, ctx.refine[at], LayerRef::kDecoderUp,
               index, up, x, -1, -1);
   }
-  const int head = new_slot(0, layout, "head", 1);
+  const int head = new_slot(0, "head", 1);
   conv_step(StepKind::kConvNchwc, ctx.head, LayerRef::kDecoderHead, 0, x,
             head, -1, -1);
-  plan->logits = to_layout(head, Layout::kNchw, 0, "logits");
-  int locals = 0;
-  for (SlotDef& def : plan->slots) {
-    if (def.layout == Layout::kNchw && def.cache_index < 0) {
-      def.local = locals++;
-    }
-  }
-  ROADFUSION_CHECK(locals <= kMaxLocalSlots,
-                   "inference plan needs " << locals
-                                           << " NCHW slots, executor holds "
-                                           << kMaxLocalSlots);
+  Step logits;
+  logits.kind = StepKind::kConvertToNchw;
+  logits.layer = LayerRef::kDecoderHead;
+  logits.src = head;
+  push(logits);
 
   // Liveness: record each slot's writer and last reader.
   std::vector<int> first_def(plan->slots.size(), -1);
@@ -468,11 +428,8 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
       read(st.dst);  // in-place update reads its destination
     }
   }
-  // NCHW slots: per-step release lists (a step never releases what it
-  // writes; cached slots are not arena buffers). NCHWc slots: first-fit
-  // offsets in the scratch buffer, sharing space between slots whose live
-  // ranges do not overlap.
-  plan->release_after.assign(plan->steps.size(), {});
+  // Uncached slots: first-fit offsets in the scratch buffer, sharing
+  // space between slots whose live ranges do not overlap.
   struct Placed {
     int64_t begin, end;
     int first, last;
@@ -484,20 +441,10 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
     if (def.cache_index >= 0) {
       continue;
     }
-    if (def.layout == Layout::kNchw) {
-      if (def.last_use >= 0 &&
-          static_cast<int>(i) !=
-              plan->steps[static_cast<size_t>(def.last_use)].dst) {
-        plan->release_after[static_cast<size_t>(def.last_use)].push_back(
-            static_cast<int>(i));
-      }
-      continue;
-    }
     const int first = first_def[i];
     const int last = std::max(first, def.last_use);
     // 16-float (64-byte) granules keep every region cache-line aligned.
-    const int64_t size = (nchwc_floats(def.n, def.c, def.h, def.w) + 15) /
-                         16 * 16;
+    const int64_t size = (slot_floats(def) + 15) / 16 * 16;
     std::vector<std::pair<int64_t, int64_t>> busy;
     for (const Placed& p : placed) {
       if (p.first <= last && first <= p.last) {
@@ -524,15 +471,16 @@ std::shared_ptr<const CompiledPlan> compile(const PlanContext& ctx,
 // Execute
 // ---------------------------------------------------------------------------
 
+/// A cached slot's tensor shape: its blocked planes, (n * channel blocks,
+/// h + 2, w + 2, lanes).
 tensor::Shape slot_shape(const SlotDef& def) {
-  return def.layout == Layout::kNchwc
-             ? tensor::Shape::vec(nchwc_floats(def.n, def.c, def.h, def.w))
-             : tensor::Shape::nchw(def.n, def.c, def.h, def.w);
+  return tensor::Shape::nchw(def.n * blocks_of(def.c), def.h + 2, def.w + 2,
+                             kLanes);
 }
 
 /// True when `cache` holds exactly the slots `plan` reads or writes. The
-/// shapes pin the geometry and the layout (NCHWc8 slots are flat), so a
-/// schedule never sees another schedule's buffers.
+/// shapes pin each slot's geometry, not just its size, so a schedule never
+/// sees another schedule's buffers (a transposed frame has the same size).
 bool cache_matches(const CompiledPlan& plan, const StreamFeatureCache& cache) {
   if (cache.slots.size() != plan.cached.size()) {
     return false;
@@ -571,9 +519,8 @@ constexpr const char* kLayerSpans[] = {
 Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
                const Tensor& rgb, const Tensor& depth, float fusion_weight,
                StreamFeatureCache* cache) {
-  std::array<std::optional<Tensor>, kMaxLocalSlots> local;
-  // The blocked slots live in the workspace's scratch block; a run outside
-  // any workspace owns its scratch.
+  // The slots live in the workspace's scratch block; a run outside any
+  // workspace owns its scratch.
   std::unique_ptr<float[]> own_scratch;
   float* scratch = nullptr;
   if (plan.scratch_floats > 0) {
@@ -586,72 +533,53 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
       scratch = own_scratch.get();
     }
   }
-  // NCHW or cached slots as tensors.
-  const auto local_at = [&](int idx) -> std::optional<Tensor>& {
-    return local[static_cast<size_t>(
-        plan.slots[static_cast<size_t>(idx)].local)];
-  };
-  const auto tensor_at = [&](int idx) -> Tensor& {
-    const int k = plan.slots[static_cast<size_t>(idx)].cache_index;
-    return k >= 0 ? cache->slots[static_cast<size_t>(k)] : *local_at(idx);
+  const auto slot = [&](int idx) -> const SlotDef& {
+    return plan.slots[static_cast<size_t>(idx)];
   };
   const auto data = [&](int idx) -> float* {
-    const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
-    return def.layout == Layout::kNchwc && def.cache_index < 0
-               ? scratch + def.offset
-               : tensor_at(idx).raw();
+    const int k = slot(idx).cache_index;
+    return k >= 0 ? cache->slots[static_cast<size_t>(k)].raw()
+                  : scratch + slot(idx).offset;
   };
-  // A fresh output buffer. Cached slots were shaped (zeroed) by
-  // bind_cache.
+  // A fresh output buffer. Every writer fills all lanes of the interior;
+  // only the border ring the pad-1 convs read must be zeroed (cached slots
+  // were zeroed by bind_cache).
   const auto define = [&](int idx) -> float* {
-    const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
-    if (def.cache_index >= 0) {
-      return data(idx);
-    }
-    if (def.layout == Layout::kNchwc) {
-      // Every NCHWc writer fills all lanes of the interior; only the
-      // border ring the pad-1 convs read must be zeroed.
-      float* p = data(idx);
+    const SlotDef& def = slot(idx);
+    float* p = data(idx);
+    if (def.cache_index < 0) {
       zero_border(p, def.n, def.c, def.h, def.w);
-      return p;
     }
-    return local_at(idx).emplace(Tensor::uninitialized(slot_shape(def))).raw();
+    return p;
   };
-  const auto floats = [&](int idx) {
-    return slot_shape(plan.slots[static_cast<size_t>(idx)]).numel();
-  };
+  Tensor logits;
 
   const auto run_step = [&](size_t j) {
     const Step& st = plan.steps[j];
     switch (st.kind) {
       case StepKind::kConvertToNchwc: {
-        const SlotDef& dd = plan.slots[static_cast<size_t>(st.dst)];
-        const float* src = nullptr;
-        if (st.src >= 0) {
-          src = data(st.src);
-        } else {
-          // Batch, height and width were checked against the key; this
-          // pins the channel count.
-          const Tensor& x = st.layer == LayerRef::kDepthStage ? depth : rgb;
-          ROADFUSION_CHECK(x.numel() == dd.n * dd.c * dd.h * dd.w,
-                           "inference plan: input " << x.shape().str()
-                                                    << " does not match "
-                                                    << dd.label);
-          src = x.raw();
-        }
-        convert_to_nchwc(src, dd.n, dd.c, dd.h, dd.w, define(st.dst));
+        const SlotDef& dd = slot(st.dst);
+        // Batch, height and width were checked against the key; this pins
+        // the channel count.
+        const Tensor& x = st.layer == LayerRef::kDepthStage ? depth : rgb;
+        ROADFUSION_CHECK(x.numel() == dd.n * dd.c * dd.h * dd.w,
+                         "inference plan: input " << x.shape().str()
+                                                  << " does not match "
+                                                  << dd.label);
+        convert_to_nchwc(x.raw(), dd.n, dd.c, dd.h, dd.w, define(st.dst));
         break;
       }
       case StepKind::kConvertToNchw: {
-        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        convert_to_nchw(data(st.src), sd.n, sd.c, sd.h, sd.w,
-                        define(st.dst));
+        const SlotDef& sd = slot(st.src);
+        logits = Tensor::uninitialized(
+            tensor::Shape::nchw(sd.n, sd.c, sd.h, sd.w));
+        convert_to_nchw(data(st.src), sd.n, sd.c, sd.h, sd.w, logits.raw());
         break;
       }
       case StepKind::kConvNchwc: {
         obs::ScopedSpan span("plan.conv", st.stage);
-        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
-        const SlotDef& dd = plan.slots[static_cast<size_t>(st.dst)];
+        const SlotDef& sd = slot(st.src);
+        const SlotDef& dd = slot(st.dst);
         conv_nchwc(data(st.src), dd.n, sd.h, sd.w, *st.conv, define(st.dst),
                    dd.h, dd.w, st.pre >= 0 ? data(st.pre) : nullptr,
                    st.post >= 0 ? data(st.post) : nullptr,
@@ -660,42 +588,30 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
       }
       case StepKind::kTConvNchwc: {
         obs::ScopedSpan span("plan.tconv", st.stage);
-        const SlotDef& sd = plan.slots[static_cast<size_t>(st.src)];
+        const SlotDef& sd = slot(st.src);
         tconv_nchwc(data(st.src), sd.n, sd.h, sd.w, *st.conv, define(st.dst),
                     st.pre >= 0 ? data(st.pre) : nullptr);
         break;
       }
       case StepKind::kAddInPlace:
-        add_in_place(data(st.dst), data(st.src), floats(st.dst));
+        add_in_place(data(st.dst), data(st.src), slot_floats(slot(st.dst)));
         break;
       case StepKind::kAccumulate:
-        accumulate(data(st.dst), data(st.src), floats(st.dst),
+        accumulate(data(st.dst), data(st.src), slot_floats(slot(st.dst)),
                    fusion_weight);
         break;
       case StepKind::kAwnFuse: {
-        Tensor& r = tensor_at(st.dst);
-        const Tensor& d = tensor_at(st.aux);
+        const SlotDef& rd = slot(st.dst);
         obs::ScopedSpan awn_span("awn.weight");
-        const Tensor wgt = net.awn()->weight_infer(r, d);
-        // matched = w (per sample) * d — the ws * x order of
-        // scale_per_sample — into a transient, so d stays unscaled.
-        Tensor matched = Tensor::uninitialized(d.shape());
-        const int64_t batch = d.shape().batch();
-        const int64_t per_sample = d.numel() / batch;
-        const float* pd = d.raw();
-        const float* pw = wgt.raw();
-        float* pm = matched.raw();
-        for (int64_t s = 0; s < batch; ++s) {
-          for (int64_t i = 0; i < per_sample; ++i) {
-            pm[s * per_sample + i] = pw[s] * pd[s * per_sample + i];
-          }
-        }
-        accumulate(r.raw(), pm, r.numel(), fusion_weight);
+        Tensor pooled =
+            Tensor::uninitialized(tensor::Shape::mat(rd.n, rd.c));
+        pool_difference(data(st.dst), data(st.aux), rd.n, rd.c, rd.h, rd.w,
+                        pooled.raw());
+        const Tensor weight = net.awn()->weight_from_pooled(pooled);
+        awn_accumulate(data(st.dst), data(st.aux), rd.n,
+                       slot_floats(rd) / rd.n, weight.raw(), fusion_weight);
         break;
       }
-    }
-    for (int idx : plan.release_after[j]) {
-      local_at(idx).reset();
     }
   };
   // Each run of consecutive steps of one layer and stage reports one
@@ -739,7 +655,7 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
   } else {
     run_all();
   }
-  return std::move(*local_at(plan.logits));
+  return logits;
 }
 
 // ---------------------------------------------------------------------------
@@ -843,18 +759,20 @@ Tensor run_hook(const roadseg::SegmentationModel& model,
 // --explain-plan printer
 // ---------------------------------------------------------------------------
 
-std::string slot_str(const CompiledPlan& plan, int idx) {
+/// A slot as explain prints it; `outside` names the network buffer a
+/// conversion reads or writes when it has no slot (idx -1).
+std::string slot_str(const CompiledPlan& plan, int idx,
+                     const char* outside = "input") {
   if (idx < 0) {
-    return "input";
+    return outside;
   }
   const SlotDef& def = plan.slots[static_cast<size_t>(idx)];
   std::ostringstream os;
   os << "%" << idx << ":" << def.label << "(" << def.n << "x" << def.c << "x"
-     << def.h << "x" << def.w
-     << (def.layout == Layout::kNchwc ? " nchwc8" : " nchw");
+     << def.h << "x" << def.w << " nchwc8";
   if (def.cache_index >= 0) {
     os << " cached";
-  } else if (def.layout == Layout::kNchwc) {
+  } else {
     os << " @" << def.offset;
   }
   os << ")";
@@ -931,7 +849,7 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
         break;
       case StepKind::kConvertToNchw:
         os << "to_nchw     " << slot_str(plan, st.src) << " -> "
-           << slot_str(plan, st.dst);
+           << slot_str(plan, st.dst, "logits");
         break;
       case StepKind::kConvNchwc:
       case StepKind::kTConvNchwc:
@@ -957,12 +875,11 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
            << slot_str(plan, st.src);
         break;
       case StepKind::kAwnFuse:
-        os << "awn_fuse    layout=nchw " << slot_str(plan, st.dst)
+        os << "awn_fuse    layout=nchwc8 " << slot_str(plan, st.dst)
            << " += w * AWN-scaled " << slot_str(plan, st.aux);
         break;
     }
-    // Slots dead after this step: released NCHW tensors and NCHWc
-    // scratch regions free for later slots.
+    // Slots dead after this step: scratch regions free for later slots.
     const char* sep = "  free={%";
     for (size_t i = 0; i < plan.slots.size(); ++i) {
       const SlotDef& def = plan.slots[i];

@@ -7,13 +7,14 @@
 // predict_stream runs the stream-miss schedule (which also writes each
 // fusion step's depth input into the StreamFeatureCache) or the
 // stream-hit one (which reads them instead of running the depth branch).
-// Interior encoder stages run in the blocked NCHWc8 layout through a
-// direct conv kernel (no im2col), the cross-layer elementwise chain
-// (residual add, fusion-filter match, fusion sum) is fused into conv
-// epilogues, and transient buffers are released at their last use so
-// the workspace arena sees the minimal buffer schedule. It serves every
-// eval-mode RoadSegNet, at any depth and width, bit-for-bit equal to the
-// autograd graph.
+// Every slot is in the blocked NCHWc8 layout, run through a direct conv
+// kernel (no im2col); the only NCHW buffers are the network inputs and
+// the returned logits. The cross-layer elementwise chain (residual add,
+// fusion-filter match, fusion sum) is fused into conv epilogues,
+// WeightedSharing's AWN head pools and scales the blocked features in
+// place, and slots share one scratch block once dead, so the buffer
+// schedule is minimal. It serves every eval-mode RoadSegNet, at any
+// depth and width, bit-for-bit equal to the autograd graph.
 //
 // Integration happens through roadseg/plan_hook.hpp: linking rf_plan into
 // a binary installs the hooks at static init (install_hooks() does it

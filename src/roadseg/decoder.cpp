@@ -44,12 +44,6 @@ Variable Decoder::forward(const std::vector<Variable>& skips) const {
   return head_.forward(x);
 }
 
-void Decoder::prepare_inference() {
-  for (auto& layer : refine_) {
-    layer.prepare_inference();
-  }
-}
-
 void Decoder::collect_parameters(std::vector<nn::ParameterPtr>& out) const {
   for (const auto& layer : up_) {
     layer.collect_parameters(out);

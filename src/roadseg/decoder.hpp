@@ -24,8 +24,6 @@ class Decoder : public nn::Module {
   /// road logits of shape (N, 1, H, W) at stage-0 resolution.
   Variable forward(const std::vector<Variable>& skips) const;
 
-  void prepare_inference() override;
-
   void collect_parameters(std::vector<nn::ParameterPtr>& out) const override;
   void collect_state(const std::string& prefix,
                      std::vector<nn::StateEntry>& out) override;

@@ -52,13 +52,6 @@ Variable Encoder::forward_stage(int stage, const Variable& input) const {
   return blocks_[static_cast<size_t>(stage - 1)].forward(input);
 }
 
-void Encoder::prepare_inference() {
-  stem_.prepare_inference();
-  for (auto& block : blocks_) {
-    block.prepare_inference();
-  }
-}
-
 int64_t Encoder::stage_channels(int stage) const {
   ROADFUSION_CHECK(stage >= 0 && stage < num_stages(),
                    "Encoder stage " << stage << " out of range");

@@ -38,8 +38,6 @@ class Encoder : public nn::Module {
   /// Runs a single stage on its input feature map.
   Variable forward_stage(int stage, const Variable& input) const;
 
-  void prepare_inference() override;
-
   int num_stages() const { return static_cast<int>(stage_channels_.size()); }
   int64_t stage_channels(int stage) const;
 

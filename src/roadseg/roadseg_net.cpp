@@ -188,24 +188,14 @@ std::shared_ptr<void> RoadSegNet::inference_plan() const {
   if (hooks.build == nullptr) {
     return nullptr;
   }
-  // The plan snapshots the packed weights and eval-BN factors of this
-  // epoch; it outlives any forward pass, so keep it out of the arena.
+  // The plan snapshots the weights and eval-BN statistics of this epoch;
+  // it outlives any forward pass, so keep it out of the arena.
   const tensor::NoWorkspaceScope no_pool;
   auto fresh = std::make_shared<PlanBinding>();
   fresh->epoch = epoch;
   fresh->state = hooks.build(*this);
   std::atomic_store(&plan_, std::shared_ptr<const PlanBinding>(fresh));
   return fresh->state;
-}
-
-void RoadSegNet::prepare_inference() {
-  rgb_encoder_->prepare_inference();
-  depth_encoder_->prepare_inference();
-  decoder_->prepare_inference();
-  // Compile the inference plan last: it snapshots the weights and the
-  // eval-BN factors the calls above just refreshed. Only meaningful in
-  // eval mode — the plan replays eval arithmetic.
-  (void)inference_plan();
 }
 
 nn::Complexity RoadSegNet::complexity(int64_t height, int64_t width) const {

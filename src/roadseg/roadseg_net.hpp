@@ -75,11 +75,6 @@ class RoadSegNet : public SegmentationModel {
   /// no plan library linked.
   std::shared_ptr<void> inference_plan() const override;
 
-  /// Eagerly builds every layer's inference cache (eval BN factors) and,
-  /// in eval mode, the inference plan, so serving threads never race a
-  /// lazy rebuild.
-  void prepare_inference() override;
-
   const RoadSegConfig& config() const { return config_; }
   int num_stages() const { return rgb_encoder_->num_stages(); }
 

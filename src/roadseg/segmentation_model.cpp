@@ -48,6 +48,8 @@ std::shared_ptr<void> SegmentationModel::inference_plan() const {
   return nullptr;
 }
 
+void SegmentationModel::prepare_inference() const { (void)inference_plan(); }
+
 namespace {
 
 tensor::Tensor as_nchw(const tensor::Tensor& t) {

@@ -36,10 +36,10 @@ struct ForwardResult {
 /// matches, keeping steady state zero-alloc.
 struct StreamFeatureCache {
   bool valid = false;
-  /// The depth-branch input of every fusion step, in the layout of the
-  /// schedule that wrote it (DESIGN.md §16): raw d_i for summation
-  /// schemes, post-filter features for AllFilter_U, and for
-  /// WeightedSharing the unscaled deepest depth features the AWN reads.
+  /// The depth-branch input of every fusion step as NCHWc8 planes
+  /// (DESIGN.md §16): raw d_i for summation schemes, post-filter features
+  /// for AllFilter_U, and for WeightedSharing the unscaled deepest depth
+  /// features the AWN reads.
   std::vector<tensor::Tensor> slots;
   int64_t hits = 0;
   int64_t misses = 0;
@@ -83,6 +83,11 @@ class SegmentationModel : public nn::Module {
   /// they take the autograd graph. Default: null — only an eval-mode
   /// RoadSegNet with a plan library linked has one.
   virtual std::shared_ptr<void> inference_plan() const;
+
+  /// Builds the inference plan up front (a no-op when the model has
+  /// none), so serving threads never race its lazy build on a first
+  /// predict. Call after set_training(false).
+  void prepare_inference() const;
 
   /// Convenience inference: accepts CHW or NCHW tensors and returns road
   /// probabilities of matching rank. Call set_training(false) first.

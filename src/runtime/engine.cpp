@@ -30,8 +30,8 @@ InferenceEngine::InferenceEngine(roadseg::SegmentationModel& model,
                    "engine needs default_deadline_ms >= 0, got "
                        << config.default_deadline_ms);
   model.set_training(false);
-  // Build every layer's inference cache (packed weights, eval BN factors)
-  // up front so the workers never race a lazy rebuild on the first batch.
+  // Build the inference plan (the packed weights) up front so the workers
+  // never race a lazy build on the first batch.
   model.prepare_inference();
   workers_.reserve(static_cast<size_t>(config.threads));
   for (int i = 0; i < config.threads; ++i) {

@@ -1,11 +1,13 @@
 // Workspace: a size-bucketed recycling arena for steady-state inference.
 //
-// Motivation (DESIGN.md §11): every `predict` heap-allocates im2col
-// matrices, GEMM outputs and intermediate feature maps, then frees them —
-// identical sizes, every call. A Workspace keeps those blocks alive in a
-// free list instead: the first pass through a model populates the arena
-// (one `malloc` per distinct transient buffer), and from the second pass
-// on every acquire is served from the free list — zero heap traffic.
+// Motivation (DESIGN.md §11): a forward heap-allocates its transient
+// tensors — on the graph path im2col matrices, GEMM outputs and feature
+// maps; on the compiled plan the logits and the AWN head's small
+// temporaries — then frees them, identical sizes every call. A Workspace
+// keeps those blocks alive in a free list instead: the first pass
+// through a model populates the arena (one `malloc` per distinct
+// transient buffer), and from the second pass on every acquire is served
+// from the free list — zero heap traffic.
 //
 // Lifetime sharing happens through the free list rather than static
 // offsets: a buffer released mid-forward (a consumed im2col matrix, a

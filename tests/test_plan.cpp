@@ -128,16 +128,21 @@ TEST(PlanParity, RgbOnlyNeverReadsDepthValues) {
 
 TEST(PlanParity, BatchedInputsMatchGraph) {
   install_hooks();
-  Rng rng(12);
-  RoadSegNet net(config_for(FusionScheme::kAllFilterB), rng);
-  net.set_training(false);
-  net.prepare_inference();
-  const Tensor rgb = Tensor::normal(Shape::nchw(3, 3, 16, 32), rng);
-  const Tensor depth = Tensor::normal(Shape::nchw(3, 1, 16, 32), rng);
-  for (const float fw : {0.6f, 0.0f}) {
-    expect_bitwise_equal(plan_logits(net, rgb, depth, fw),
-                         graph_logits(net, rgb, depth, fw),
-                         "AllFilter_B batch=3 fw=" + std::to_string(fw));
+  // WeightedSharing's AWN weighs each sample of the batch with its own
+  // weight, on the blocked layout.
+  for (const FusionScheme scheme : kSchemes) {
+    Rng rng(12);
+    RoadSegNet net(config_for(scheme), rng);
+    net.set_training(false);
+    net.prepare_inference();
+    const Tensor rgb = Tensor::normal(Shape::nchw(3, 3, 16, 32), rng);
+    const Tensor depth = Tensor::normal(Shape::nchw(3, 1, 16, 32), rng);
+    for (const float fw : {0.6f, 0.0f}) {
+      expect_bitwise_equal(plan_logits(net, rgb, depth, fw),
+                           graph_logits(net, rgb, depth, fw),
+                           std::string(core::to_string(scheme)) +
+                               " batch=3 fw=" + std::to_string(fw));
+    }
   }
 }
 
@@ -200,13 +205,18 @@ TEST(PlanStream, GeometryChangeIsAMissNotAStaleHit) {
   (void)plan_logits(net, Tensor::normal(Shape::nchw(1, 3, 16, 32), rng),
                     small_depth, 1.0f, &cache, false);
   // A caller claiming unchanged depth at a new geometry still gets a
-  // correct (re-populating) pass.
-  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 32, 48), rng);
-  const Tensor depth = Tensor::normal(Shape::nchw(1, 1, 32, 48), rng);
-  expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f, &cache, true),
-                       graph_logits(net, rgb, depth, 1.0f),
-                       "stream geometry change");
-  EXPECT_EQ(cache.misses, 2);
+  // correct (re-populating) pass — also at the transposed geometry, whose
+  // cached slots hold exactly as many floats.
+  for (const auto& [h, w] : {std::pair<int64_t, int64_t>{32, 48},
+                            std::pair<int64_t, int64_t>{48, 32}}) {
+    const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, h, w), rng);
+    const Tensor depth = Tensor::normal(Shape::nchw(1, 1, h, w), rng);
+    expect_bitwise_equal(plan_logits(net, rgb, depth, 1.0f, &cache, true),
+                         graph_logits(net, rgb, depth, 1.0f),
+                         "stream geometry change to " + std::to_string(h) +
+                             "x" + std::to_string(w));
+  }
+  EXPECT_EQ(cache.misses, 3);
   EXPECT_EQ(cache.hits, 0);
 }
 
@@ -322,6 +332,45 @@ TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
     EXPECT_NE(report.find(needle), std::string::npos)
         << "missing '" << needle << "' in:\n"
         << report;
+  }
+}
+
+TEST(PlanExplain, OnlyTheOutputLeavesTheBlockedLayout) {
+  install_hooks();
+  for (const FusionScheme scheme : kSchemes) {
+    Rng rng(22);
+    RoadSegNet net(config_for(scheme), rng);
+    net.set_training(false);
+    const std::string report = explain(net, 2, 32, 48);
+    // Split the report into its schedules, one "inference plan:" header
+    // each; every line below a header is one step.
+    std::vector<std::vector<std::string>> schedules;
+    size_t at = 0;
+    while (at < report.size()) {
+      const size_t end = report.find('\n', at);
+      const std::string line = report.substr(at, end - at);
+      at = end == std::string::npos ? report.size() : end + 1;
+      if (line.rfind("inference plan:", 0) == 0) {
+        schedules.emplace_back();
+      } else if (!schedules.empty()) {
+        schedules.back().push_back(line);
+      }
+    }
+    const std::string name = core::to_string(scheme);
+    EXPECT_EQ(schedules.size(), scheme == FusionScheme::kAllFilterB ? 2u : 4u)
+        << name;
+    for (const std::vector<std::string>& steps : schedules) {
+      ASSERT_FALSE(steps.empty()) << name;
+      int to_nchw = 0;
+      for (const std::string& step : steps) {
+        EXPECT_EQ(step.find(" nchw)"), std::string::npos)
+            << name << " prints an NCHW slot: " << step;
+        to_nchw += step.find("] to_nchw ") != std::string::npos ? 1 : 0;
+      }
+      EXPECT_EQ(to_nchw, 1) << name;
+      EXPECT_NE(steps.back().find("] to_nchw "), std::string::npos)
+          << name << " ends with: " << steps.back();
+    }
   }
 }
 

@@ -15,12 +15,13 @@
 #                                 # fault paths, arena block lifetimes)
 #   tools/run_tier1.sh --ubsan    # additionally build the runtime + fault
 #                                 # tolerance + serialization + kernel
-#                                 # parity + plan tests under
+#                                 # parity + plan + stream tests under
 #                                 # UndefinedBehaviorSanitizer and run them
 #                                 # (checkpoint header parsing, fault
 #                                 # injection arithmetic, the NCHWc8
 #                                 # kernels' window reads up to the right
-#                                 # border column)
+#                                 # border column, the AWN pooling of
+#                                 # cached blocked planes)
 #   tools/run_tier1.sh --coverage # additionally build with gcov
 #                                 # instrumentation, run the observability
 #                                 # suite, and fail if line coverage of
@@ -48,7 +49,9 @@
 #                                 # prints a schedule whose
 #                                 # stems, transposed convs, refines and
 #                                 # head are blocked-layout nchwc_direct
-#                                 # steps, that explain prints no deleted
+#                                 # steps, that no slot is NCHW and each
+#                                 # schedule's one to_nchw step is its
+#                                 # last, that explain prints no deleted
 #                                 # solver / perf-DB knob line, and that a
 #                                 # stale ROADFUSION_SOLVER in the
 #                                 # environment changes no output byte
@@ -115,13 +118,13 @@ if [[ "$asan" == 1 ]]; then
 fi
 
 if [[ "$ubsan" == 1 ]]; then
-  echo "== UndefinedBehaviorSanitizer pass over the runtime + fault tolerance + serialization + kernel parity + plan tests =="
+  echo "== UndefinedBehaviorSanitizer pass over the runtime + fault tolerance + serialization + kernel parity + plan + stream tests =="
   cmake -B build-ubsan -S . -DROADFUSION_SANITIZE=undefined
   cmake --build build-ubsan -j \
     --target test_runtime_queue test_runtime_engine test_runtime_stats \
              test_fault_tolerance test_serialize test_checkpoint test_scenario \
-             test_kernel_parity test_plan
-  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_scenario|test_kernel_parity|test_plan')
+             test_kernel_parity test_plan test_stream
+  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_scenario|test_kernel_parity|test_plan|test_stream')
 fi
 
 if [[ "$soak_smoke" == 1 ]]; then
@@ -190,8 +193,8 @@ if [[ "$plan_smoke" == 1 ]]; then
   echo "$explain" | grep -q 'variant=rgb_only' ||
     { echo "$explain"; echo "plan smoke: no rgb_only schedule" >&2; exit 1; }
   # Every layer runs the blocked layout by default: the stems, transposed
-  # convs, decoder refines and head are nchwc_direct steps, no step falls
-  # to the scalar reference oracle, and no decoder runs NCHW.
+  # convs, decoder refines and head are nchwc_direct steps, and no step
+  # falls to the scalar reference oracle.
   if echo "$explain" | grep -q 'solver=reference'; then
     echo "$explain"; echo "plan smoke: default plan binds the reference solver" >&2; exit 1
   fi
@@ -203,9 +206,18 @@ if [[ "$plan_smoke" == 1 ]]; then
       echo "$steps"; echo "plan smoke: a layer=$layer step is not a blocked-layout kernel" >&2; exit 1
     fi
   done
-  if echo "$explain" | grep -qE '\] decoder +layout=nchw '; then
-    echo "$explain"; echo "plan smoke: default plan runs the decoder NCHW" >&2; exit 1
+  # One layout: no slot is NCHW, and each schedule's only to_nchw step is
+  # its last, the conversion into the returned logits.
+  if echo "$explain" | grep -q ' nchw)'; then
+    echo "$explain"; echo "plan smoke: a schedule holds an NCHW slot" >&2; exit 1
   fi
+  echo "$explain" | awk '
+    /^inference plan:/ { if (plans++ && !(to_nchw == 1 && last)) bad = 1
+                         to_nchw = 0; last = 0; next }
+    plans && /^  \[[0-9]+\] / { last = index($0, "] to_nchw ") > 0
+                                 to_nchw += last }
+    END { exit (!plans || bad || !(to_nchw == 1 && last)) }' ||
+    { echo "$explain"; echo "plan smoke: a schedule's one to_nchw is not its only and last step" >&2; exit 1; }
   # The solver registry and its perf DB are gone: explain names no knob
   # of theirs, and a stale ROADFUSION_SOLVER in the environment changes
   # no output byte.
