@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 #include "kitti/lidar.hpp"
@@ -97,6 +98,53 @@ TEST(Lidar, SparseDepthShapeAndSparsity) {
   }
   EXPECT_GT(filled, 100);
   EXPECT_LT(filled, depth.numel());  // genuinely sparse
+}
+
+// The sparse image's bits for points that hit every branch of the
+// projection: non-finite coordinates (dropped), points behind the
+// camera, negative and out-of-range pixels, and points on or next to
+// pixel edges (x = 0 lands exactly on the principal column, rays through
+// integer pixel corners land on either side of them).
+TEST(Lidar, ProjectionBitsPinned) {
+  const Camera camera = test_camera();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<LidarPoint> points = {
+      {nan, 0.5, 10.0, 3.0},  {0.0, nan, 10.0, 3.0},  {0.0, 0.5, nan, 3.0},
+      {inf, 0.5, 10.0, 3.0},  {-inf, 0.5, 10.0, 3.0}, {0.0, inf, 10.0, 3.0},
+      {0.0, -inf, 10.0, 3.0}, {0.0, 0.5, inf, 3.0},   {0.0, 0.5, -inf, 3.0},
+      {1e300, 0.5, 1e-300, 3.0}, {0.0, 0.5, -4.0, 3.0},
+      {0.0, 0.5, 10.0, 11.0}, {0.0, 1.6, 10.0, 12.0}, {-40.0, 0.5, 10.0, 13.0},
+      {40.0, 0.5, 10.0, 14.0}, {0.0, 30.0, 10.0, 15.0}, {0.0, -30.0, 10.0, 16.0}};
+  // Non-finite pixels alone leave the image empty.
+  EXPECT_EQ(project_to_sparse_depth(
+                std::vector<LidarPoint>(points.begin(), points.begin() + 9),
+                camera)
+                .max(),
+            0.0f);
+  for (int64_t v = -1; v <= camera.height() + 1; ++v) {
+    for (int64_t u = -1; u <= camera.width() + 1; u += 3) {
+      const vision::Vec3 d = camera.pixel_ray(static_cast<double>(u),
+                                              static_cast<double>(v));
+      const double t = 2.0 + 0.01 * static_cast<double>(u + v);
+      points.push_back({t * d.x, camera.cam_height() + t * d.y, t * d.z,
+                        5.0 + 0.1 * static_cast<double>(u)});
+    }
+  }
+  const Tensor depth = project_to_sparse_depth(points, camera);
+  // x = 0 projects to u = cx = 48 exactly: column 48 holds that return.
+  bool on_edge = false;
+  for (int64_t v = 0; v < camera.height(); ++v) {
+    on_edge = on_edge || depth.at(v * camera.width() + 48) == 11.0f;
+  }
+  EXPECT_TRUE(on_edge);
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(depth.raw());
+  for (size_t i = 0; i < static_cast<size_t>(depth.numel()) * sizeof(float);
+       ++i) {
+    hash = (hash ^ bytes[i]) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0x4f33205723ce45d2ULL) << std::hex << hash;
 }
 
 TEST(Lidar, InvalidConfigsRejected) {
