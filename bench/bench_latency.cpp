@@ -39,6 +39,8 @@
 #include "autograd/variable.hpp"
 #include "bench_common.hpp"
 #include "common/cpu.hpp"
+#include "kitti/depth_preproc.hpp"
+#include "kitti/lidar.hpp"
 #include "plan/plan.hpp"
 #include "tensor/shape.hpp"
 
@@ -113,6 +115,39 @@ struct PathRow {
   std::string path;
   PathMeasurement m;
 };
+
+/// The depth front end's rows at one geometry: projecting a LiDAR scan,
+/// and preprocess_depth on that scan and on an empty one (every beam
+/// lost, as the RGB-only frames serve).
+void front_end_rows(int64_t height, int64_t width, int repeats,
+                    std::vector<PathRow>& rows) {
+  const kitti::DatasetConfig d;
+  const vision::Camera camera(width, height, d.fov_deg, d.cam_height,
+                              d.cam_pitch);
+  const kitti::Scene scene = kitti::Scene::generate(
+      kitti::RoadCategory::kUMM, kitti::Lighting::kDay, 3);
+  tensor::Rng rng(3);
+  const std::vector<kitti::LidarPoint> points =
+      kitti::scan(scene, kitti::LidarConfig{}, rng);
+  const tensor::Tensor sparse = kitti::project_to_sparse_depth(points, camera);
+  const tensor::Tensor empty(sparse.shape());
+  const kitti::DepthPreprocConfig preproc;
+  const std::string size =
+      "_" + std::to_string(height) + "x" + std::to_string(width);
+  rows.push_back(
+      {"project" + size,
+       measure_path(
+           [&] { (void)kitti::project_to_sparse_depth(points, camera); },
+           repeats)});
+  rows.push_back(
+      {"preprocess_scan" + size,
+       measure_path([&] { (void)kitti::preprocess_depth(sparse, preproc); },
+                    repeats)});
+  rows.push_back(
+      {"preprocess_empty" + size,
+       measure_path([&] { (void)kitti::preprocess_depth(empty, preproc); },
+                    repeats)});
+}
 
 }  // namespace
 
@@ -201,6 +236,17 @@ int main(int argc, char** argv) {
        measure_path([&] { (void)wide.predict(wide_rgb, wide_depth); },
                     path_repeats)});
 
+  // The frame's depth front end (LiDAR points -> sparse depth -> densified
+  // inverse depth) at the frame, stream and KITTI geometries.
+  std::vector<PathRow> front_end;
+  for (const auto& [fh, fw] : {std::pair<int64_t, int64_t>{32, 96},
+                               {64, 192},
+                               {384, 1248}}) {
+    front_end_rows(fh, fw, fh > 100 ? std::max(2, path_repeats / 10)
+                                    : path_repeats,
+                   front_end);
+  }
+
   // The conv steps the compiled fused schedule runs, with their kernels:
   // serving runs the plan's own NCHWc8 kernels.
   const std::vector<plan::ConvStep> conv_steps =
@@ -218,6 +264,14 @@ int main(int argc, char** argv) {
                       fmt(row.m.bytes_per_call / 1024.0, 1)},
                      20);
   }
+  std::printf("\nDepth front end (UMM scene scan; empty = every beam lost)\n");
+  bench::print_row({"path", "latency(ms)", "allocs/call", "KiB/call"}, 26);
+  for (const PathRow& row : front_end) {
+    bench::print_row({row.path, fmt(row.m.latency_ms, 4),
+                      fmt(row.m.allocs_per_call, 1),
+                      fmt(row.m.bytes_per_call / 1024.0, 1)},
+                     26);
+  }
   bench::JsonWriter json;
   json.begin_object()
       .field("bench", std::string("latency"))
@@ -234,6 +288,15 @@ int main(int argc, char** argv) {
              static_cast<int64_t>(std::thread::hardware_concurrency()))
       .begin_array("paths");
   for (const PathRow& row : rows) {
+    json.begin_object()
+        .field("path", row.path)
+        .field("latency_ms", row.m.latency_ms, 4)
+        .field("allocs_per_call", row.m.allocs_per_call, 1)
+        .field("bytes_per_call", row.m.bytes_per_call, 1)
+        .end_object();
+  }
+  json.end_array().begin_array("front_end");
+  for (const PathRow& row : front_end) {
     json.begin_object()
         .field("path", row.path)
         .field("latency_ms", row.m.latency_ms, 4)
@@ -283,8 +346,20 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
+    // preprocess_depth: one scratch allocation plus the output.
+    for (const PathRow& row : front_end) {
+      if (row.path.rfind("preprocess", 0) == 0 &&
+          row.m.allocs_per_call > 2.0) {
+        std::fprintf(stderr,
+                     "FAIL: %s allocates %.1f times per call (expected at "
+                     "most 2)\n",
+                     row.path.c_str(), row.m.allocs_per_call);
+        return 1;
+      }
+    }
     std::printf("smoke check passed: compiled fused, rgb_only, stream_hit "
-                "and wide paths allocation-free\n");
+                "and wide paths allocation-free; preprocess_depth at most 2 "
+                "allocations per call\n");
     return 0;
   }
 

@@ -1,5 +1,6 @@
 #include "kitti/lidar.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -63,11 +64,15 @@ Tensor project_to_sparse_depth(const std::vector<LidarPoint>& points,
     if (!pixel.has_value()) {
       continue;
     }
-    const int64_t u = static_cast<int64_t>(std::floor(pixel->u));
-    const int64_t v = static_cast<int64_t>(std::floor(pixel->v));
-    if (u < 0 || u >= w || v < 0 || v >= h) {
+    // floor(p) lands in [0, n) exactly when p does, for the integer n; and
+    // there truncation is floor. NaN and +-inf fail the test before any
+    // cast.
+    if (!(pixel->u >= 0.0 && pixel->u < static_cast<double>(w) &&
+          pixel->v >= 0.0 && pixel->v < static_cast<double>(h))) {
       continue;
     }
+    const int64_t u = static_cast<int64_t>(pixel->u);
+    const int64_t v = static_cast<int64_t>(pixel->v);
     float& cell = data[v * w + u];
     const float range = static_cast<float>(point.range);
     if (cell == 0.0f || range < cell) {

@@ -137,6 +137,17 @@ const PlanMetrics& metrics() {
   return m;
 }
 
+/// The layer name a conv step reports. A shared stage's depth steps run
+/// the rgb branch's pack (one set of weights, packed once), so their name
+/// swaps the pack's branch prefix for the branch that runs them.
+std::string step_name(const Step& st) {
+  const std::string& name = st.conv->name;
+  if (st.layer == LayerRef::kDepthStage && name.rfind("rgb.", 0) == 0) {
+    return "depth." + name.substr(4);
+  }
+  return name;
+}
+
 std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
                                             const std::string& name) {
   auto bp = std::make_shared<BlockPack>();
@@ -856,7 +867,7 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
         os << conv_kind(*st.conv) << (st.conv->transposed ? "  " : "   ")
            << "layout=nchwc8 solver=" << nchwc_kernel()
            << " tile=" << nchwc_tile_str(*st.conv)
-           << " layer=" << st.conv->name
+           << " layer=" << step_name(st)
            << " epilogue=" << epilogue_str(st) << " "
            << slot_str(plan, st.src) << " -> " << slot_str(plan, st.dst);
         if (st.pre >= 0) {
@@ -946,7 +957,7 @@ std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
   const std::shared_ptr<const CompiledPlan> plan = compile(ctx, net, key);
   for (const Step& st : plan->steps) {
     if (st.conv != nullptr) {
-      out.push_back({st.conv->name, conv_kind(*st.conv), nchwc_kernel()});
+      out.push_back({step_name(st), conv_kind(*st.conv), nchwc_kernel()});
     }
   }
   return out;

@@ -19,6 +19,36 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+/// Quantile q of the samples in `h`, interpolated linearly within the
+/// bucket holding rank q * (n - 1) and clamped to [lo, hi], the observed
+/// extremes.
+double bucket_quantile(const obs::Histogram& h, double q, double lo,
+                       double hi) {
+  const std::vector<uint64_t> counts = h.bucket_counts();
+  const std::vector<double>& bounds = h.bounds();
+  uint64_t n = 0;
+  for (const uint64_t c : counts) {
+    n += c;
+  }
+  if (n == 0) {
+    return 0.0;
+  }
+  const double rank = q * static_cast<double>(n - 1);
+  uint64_t before = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0 || static_cast<double>(before + counts[i]) <= rank) {
+      before += counts[i];
+      continue;
+    }
+    const double lower = std::max(lo, i == 0 ? lo : bounds[i - 1]);
+    const double upper = std::min(hi, i < bounds.size() ? bounds[i] : hi);
+    const double frac = (rank - static_cast<double>(before) + 0.5) /
+                        static_cast<double>(counts[i]);
+    return std::clamp(lower + (upper - lower) * frac, lo, hi);
+  }
+  return hi;
+}
+
 }  // namespace
 
 const std::vector<double>& latency_bucket_bounds_ms() {
@@ -30,7 +60,8 @@ const std::vector<double>& latency_bucket_bounds_ms() {
 StatsCollector::StatsCollector() : StatsCollector(obs::MetricsRegistry::global()) {}
 
 StatsCollector::StatsCollector(obs::MetricsRegistry& registry)
-    : start_(std::chrono::steady_clock::now()),
+    : latency_buckets_(latency_bucket_bounds_ms()),
+      start_(std::chrono::steady_clock::now()),
       m_submitted_(registry.counter("roadfusion_engine_requests_submitted_total",
                                     "Requests accepted into the queue")),
       m_served_(registry.counter("roadfusion_engine_requests_served_total",
@@ -94,11 +125,18 @@ void StatsCollector::record_served(double latency_ms, bool degraded) {
   }
   m_latency_ms_.observe(latency_ms);
   std::lock_guard<std::mutex> lock(mutex_);
+  if (totals_.requests_served == 0) {
+    latency_min_ms_ = latency_ms;
+    latency_max_ms_ = latency_ms;
+  }
   ++totals_.requests_served;
   if (degraded) {
     ++totals_.requests_degraded;
   }
-  latencies_ms_.push_back(latency_ms);
+  latency_buckets_.observe(latency_ms);
+  latency_sum_ms_ += latency_ms;
+  latency_min_ms_ = std::min(latency_min_ms_, latency_ms);
+  latency_max_ms_ = std::max(latency_max_ms_, latency_ms);
 }
 
 void StatsCollector::record_failed(size_t count) {
@@ -147,16 +185,13 @@ RuntimeStats StatsCollector::snapshot() const {
     out.mean_batch_size = static_cast<double>(batched_requests_) /
                           static_cast<double>(out.batches_formed);
   }
-  if (!latencies_ms_.empty()) {
-    double sum = 0.0;
-    for (double v : latencies_ms_) {
-      sum += v;
-    }
-    out.mean_latency_ms = sum / static_cast<double>(latencies_ms_.size());
-    std::vector<double> sorted = latencies_ms_;
-    std::sort(sorted.begin(), sorted.end());
-    out.p50_latency_ms = percentile(sorted, 0.50);
-    out.p99_latency_ms = percentile(sorted, 0.99);
+  if (out.requests_served > 0) {
+    out.mean_latency_ms =
+        latency_sum_ms_ / static_cast<double>(out.requests_served);
+    out.p50_latency_ms = bucket_quantile(latency_buckets_, 0.50,
+                                         latency_min_ms_, latency_max_ms_);
+    out.p99_latency_ms = bucket_quantile(latency_buckets_, 0.99,
+                                         latency_min_ms_, latency_max_ms_);
   }
   if (!queue_waits_ms_.empty()) {
     std::vector<double> sorted = queue_waits_ms_;

@@ -31,7 +31,10 @@ struct RuntimeStats {
   /// Mean number of requests per formed batch (0 when no batch yet).
   double mean_batch_size = 0.0;
 
-  /// Submit-to-completion latency over served requests, milliseconds.
+  /// Submit-to-completion latency over served requests, milliseconds:
+  /// the exact mean, and p50/p99 interpolated within the buckets of
+  /// latency_bucket_bounds_ms() (clamped to the observed min and max, so
+  /// a single sample is its own percentile).
   double mean_latency_ms = 0.0;
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
@@ -84,7 +87,13 @@ class StatsCollector {
   mutable std::mutex mutex_;
   RuntimeStats totals_;
   uint64_t batched_requests_ = 0;
-  std::vector<double> latencies_ms_;
+  /// Served latencies: fixed buckets plus the running sum and extremes,
+  /// so memory and snapshot cost stay constant however long the engine
+  /// serves. Per collector: the registry histogram aggregates engines.
+  obs::Histogram latency_buckets_;
+  double latency_sum_ms_ = 0.0;
+  double latency_min_ms_ = 0.0;
+  double latency_max_ms_ = 0.0;
   /// Ring buffer of the last kQueueWaitWindow queue waits (ms).
   std::vector<double> queue_waits_ms_;
   size_t queue_wait_count_ = 0;

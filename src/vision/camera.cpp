@@ -54,23 +54,6 @@ std::optional<GroundPoint> Camera::pixel_to_ground(double u, double v) const {
   return g;
 }
 
-std::optional<Pixel> Camera::project(const Vec3& point) const {
-  // World -> camera: subtract camera position, rotate by -pitch about x.
-  const double rel_x = point.x;
-  const double rel_y = point.y - cam_height_;
-  const double rel_z = point.z;
-  const double xc = rel_x;
-  const double yc = -(rel_y * cos_pitch_ + rel_z * sin_pitch_);
-  const double zc = -rel_y * sin_pitch_ + rel_z * cos_pitch_;
-  if (zc <= 1e-9) {
-    return std::nullopt;
-  }
-  Pixel p;
-  p.u = cx_ + fx_ * xc / zc;
-  p.v = cy_ + fy_ * yc / zc;
-  return p;
-}
-
 std::optional<Pixel> Camera::ground_to_pixel(const GroundPoint& g) const {
   return project(Vec3{g.x, 0.0, g.z});
 }

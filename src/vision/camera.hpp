@@ -51,7 +51,23 @@ class Camera {
   std::optional<GroundPoint> pixel_to_ground(double u, double v) const;
 
   /// Projects a world point to the image; nullopt when behind the camera.
-  std::optional<Pixel> project(const Vec3& point) const;
+  /// Inline: the LiDAR projection calls it once per point.
+  std::optional<Pixel> project(const Vec3& point) const {
+    // World -> camera: subtract camera position, rotate by -pitch about x.
+    const double rel_x = point.x;
+    const double rel_y = point.y - cam_height_;
+    const double rel_z = point.z;
+    const double xc = rel_x;
+    const double yc = -(rel_y * cos_pitch_ + rel_z * sin_pitch_);
+    const double zc = -rel_y * sin_pitch_ + rel_z * cos_pitch_;
+    if (zc <= 1e-9) {
+      return std::nullopt;
+    }
+    Pixel p;
+    p.u = cx_ + fx_ * xc / zc;
+    p.v = cy_ + fy_ * yc / zc;
+    return p;
+  }
 
   /// Projects a ground point to the image.
   std::optional<Pixel> ground_to_pixel(const GroundPoint& g) const;

@@ -1,7 +1,9 @@
 #include "vision/filters.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 
@@ -20,20 +22,86 @@ void plane_geometry(const Tensor& t, int64_t& planes, int64_t& h, int64_t& w) {
 
 }  // namespace
 
-std::vector<float> gaussian_kernel(double sigma) {
+int64_t gaussian_radius(double sigma) {
   ROADFUSION_CHECK(sigma > 0.0, "gaussian_kernel: sigma must be positive");
-  const int radius = static_cast<int>(std::ceil(3.0 * sigma));
-  std::vector<float> kernel(static_cast<size_t>(2 * radius + 1));
+  return static_cast<int64_t>(std::ceil(3.0 * sigma));
+}
+
+void gaussian_kernel(double sigma, float* taps) {
+  const int radius = static_cast<int>(gaussian_radius(sigma));
   double sum = 0.0;
   for (int i = -radius; i <= radius; ++i) {
     const double v = std::exp(-0.5 * (i * i) / (sigma * sigma));
-    kernel[static_cast<size_t>(i + radius)] = static_cast<float>(v);
+    taps[i + radius] = static_cast<float>(v);
     sum += v;
   }
-  for (float& v : kernel) {
-    v = static_cast<float>(v / sum);
+  for (int i = 0; i <= 2 * radius; ++i) {
+    taps[i] = static_cast<float>(taps[i] / sum);
   }
+}
+
+std::vector<float> gaussian_kernel(double sigma) {
+  std::vector<float> kernel(
+      static_cast<size_t>(2 * gaussian_radius(sigma) + 1));
+  gaussian_kernel(sigma, kernel.data());
   return kernel;
+}
+
+bool all_finite(const float* values, int64_t n) {
+  uint32_t non_finite = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t exponent = std::bit_cast<uint32_t>(values[i]) & 0x7f800000u;
+    non_finite |= static_cast<uint32_t>(exponent == 0x7f800000u);
+  }
+  return non_finite == 0;
+}
+
+namespace {
+
+/// acc[x] += tap * in[x] over a row, the tap's products rounded to float.
+template <bool kNonFinite>
+void add_tap(const float* in, float tap, int64_t w, double* acc) {
+  for (int64_t x = 0; x < w; ++x) {
+    acc[x] = accumulate<kNonFinite>(acc[x], tap * in[x]);
+  }
+}
+
+void add_tap(const float* in, float tap, int64_t w, bool finite,
+             double* acc) {
+  if (finite) {
+    add_tap<false>(in, tap, w, acc);
+  } else {
+    add_tap<true>(in, tap, w, acc);
+  }
+}
+
+void store_row(const double* acc, int64_t w, float* out) {
+  for (int64_t x = 0; x < w; ++x) {
+    out[x] = static_cast<float>(acc[x]);
+  }
+}
+
+}  // namespace
+
+void horizontal_blur_row(const float* padded, int64_t w, const float* taps,
+                         int64_t radius, bool finite, double* acc,
+                         float* out) {
+  std::fill(acc, acc + w, 0.0);
+  for (int64_t k = 0; k <= 2 * radius; ++k) {
+    add_tap(padded + k, taps[k], w, finite, acc);
+  }
+  store_row(acc, w, out);
+}
+
+void vertical_blur_row(const float* plane, int64_t h, int64_t w, int64_t y,
+                       const float* taps, int64_t radius, bool finite,
+                       double* acc, float* out) {
+  std::fill(acc, acc + w, 0.0);
+  for (int64_t k = -radius; k <= radius; ++k) {
+    const int64_t row = std::clamp<int64_t>(y + k, 0, h - 1);
+    add_tap(plane + row * w, taps[k + radius], w, finite, acc);
+  }
+  store_row(acc, w, out);
 }
 
 Tensor gaussian_blur(const Tensor& input, double sigma) {
@@ -41,41 +109,26 @@ Tensor gaussian_blur(const Tensor& input, double sigma) {
   int64_t h = 0;
   int64_t w = 0;
   plane_geometry(input, planes, h, w);
-  const std::vector<float> kernel = gaussian_kernel(sigma);
-  const int64_t radius = static_cast<int64_t>(kernel.size() / 2);
-
-  Tensor horizontal(input.shape());
-  const float* in = input.raw();
-  float* mid = horizontal.raw();
+  const std::vector<float> taps = gaussian_kernel(sigma);
+  const int64_t radius = static_cast<int64_t>(taps.size() / 2);
+  std::vector<double> acc(static_cast<size_t>(w));
+  std::vector<float> padded(static_cast<size_t>(w + 2 * radius));
+  std::vector<float> mid(static_cast<size_t>(h * w));
+  Tensor output = Tensor::uninitialized(input.shape());
   for (int64_t p = 0; p < planes; ++p) {
-    const float* src = in + p * h * w;
-    float* dst = mid + p * h * w;
+    const float* src = input.raw() + p * h * w;
+    const bool finite = all_finite(src, h * w);
     for (int64_t y = 0; y < h; ++y) {
-      for (int64_t x = 0; x < w; ++x) {
-        double acc = 0.0;
-        for (int64_t k = -radius; k <= radius; ++k) {
-          const int64_t xx = std::clamp<int64_t>(x + k, 0, w - 1);
-          acc += kernel[static_cast<size_t>(k + radius)] * src[y * w + xx];
-        }
-        dst[y * w + x] = static_cast<float>(acc);
-      }
+      const float* row = src + y * w;
+      std::fill(padded.begin(), padded.begin() + radius, row[0]);
+      std::copy(row, row + w, padded.begin() + radius);
+      std::fill(padded.begin() + radius + w, padded.end(), row[w - 1]);
+      horizontal_blur_row(padded.data(), w, taps.data(), radius, finite,
+                          acc.data(), mid.data() + y * w);
     }
-  }
-
-  Tensor output(input.shape());
-  float* out = output.raw();
-  for (int64_t p = 0; p < planes; ++p) {
-    const float* src = mid + p * h * w;
-    float* dst = out + p * h * w;
     for (int64_t y = 0; y < h; ++y) {
-      for (int64_t x = 0; x < w; ++x) {
-        double acc = 0.0;
-        for (int64_t k = -radius; k <= radius; ++k) {
-          const int64_t yy = std::clamp<int64_t>(y + k, 0, h - 1);
-          acc += kernel[static_cast<size_t>(k + radius)] * src[yy * w + x];
-        }
-        dst[y * w + x] = static_cast<float>(acc);
-      }
+      vertical_blur_row(mid.data(), h, w, y, taps.data(), radius, finite,
+                        acc.data(), output.raw() + p * h * w + y * w);
     }
   }
   return output;

@@ -273,6 +273,34 @@ TEST(PlanParity, KcDeepNetsArePlannedAndMatchTheGraph) {
   }
 }
 
+// A shared stage runs one pack for both branches, but each step keeps
+// its own branch-qualified name, in explain and in conv_steps alike.
+TEST(PlanExplain, SharedStageStepsNameTheirBranch) {
+  install_hooks();
+  for (const FusionScheme scheme :
+       {FusionScheme::kBaseSharing, FusionScheme::kWeightedSharing}) {
+    Rng rng(31);
+    RoadSegConfig config;
+    config.scheme = scheme;
+    RoadSegNet net(config, rng);
+    net.set_training(false);
+    std::set<std::string> names;
+    for (const ConvStep& step : conv_steps(net, 1, 32, 96)) {
+      EXPECT_TRUE(names.insert(step.layer).second)
+          << core::to_string(scheme) << ": step name " << step.layer
+          << " repeats";
+    }
+    const int last = net.num_stages() - 1;
+    ASSERT_TRUE(net.stage_is_shared(last));
+    const std::string depth = "depth.stage" + std::to_string(last) + ".conv1";
+    const std::string rgb = "rgb.stage" + std::to_string(last) + ".conv1";
+    EXPECT_EQ(names.count(depth), 1u) << core::to_string(scheme);
+    EXPECT_EQ(names.count(rgb), 1u) << core::to_string(scheme);
+    EXPECT_NE(explain(net, 1, 32, 96).find("layer=" + depth + " "),
+              std::string::npos);
+  }
+}
+
 /// The distinct decoder.up* names in `names`.
 std::set<std::string> decoder_up_names(const std::vector<std::string>& names) {
   std::set<std::string> out;

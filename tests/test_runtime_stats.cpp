@@ -52,15 +52,28 @@ TEST(RuntimeStatsTest, SingleSampleIsItsOwnPercentile) {
 
 TEST(RuntimeStatsTest, PercentilesInterpolateLinearly) {
   Harness h;
-  // 1..100 ms, recorded out of order to exercise the snapshot-side sort.
+  // 1..100 ms, recorded out of order.
   for (int i = 100; i >= 1; --i) {
     h.collector.record_served(static_cast<double>(i));
   }
   const RuntimeStats stats = h.collector.snapshot();
   EXPECT_DOUBLE_EQ(stats.mean_latency_ms, 50.5);
-  // rank = q * (n - 1): p50 → 49.5 → (50 + 51) / 2; p99 → 98.01.
-  EXPECT_DOUBLE_EQ(stats.p50_latency_ms, 50.5);
-  EXPECT_DOUBLE_EQ(stats.p99_latency_ms, 99.01);
+  // rank = q * (n - 1): p50 → 49.5, in the (25, 50] bucket (samples 26..50
+  // after 25 below), interpolated to its upper bound; p99 → 98.01, in the
+  // (50, 100] bucket, 48.51 of its 50 samples in.
+  EXPECT_DOUBLE_EQ(stats.p50_latency_ms, 50.0);
+  EXPECT_NEAR(stats.p99_latency_ms, 98.51, 1e-9);
+}
+
+TEST(RuntimeStatsTest, PercentilesStayWithinObservedRange) {
+  Harness h;
+  for (int i = 0; i < 1000; ++i) {
+    h.collector.record_served(3.0 + 0.001 * (i % 7));
+  }
+  const RuntimeStats stats = h.collector.snapshot();
+  EXPECT_GE(stats.p50_latency_ms, 3.0);
+  EXPECT_LE(stats.p99_latency_ms, 3.006);
+  EXPECT_LE(stats.p50_latency_ms, stats.p99_latency_ms);
 }
 
 TEST(RuntimeStatsTest, MeanBatchSizeAveragesOverFormedBatches) {

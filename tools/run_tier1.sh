@@ -15,13 +15,15 @@
 #                                 # fault paths, arena block lifetimes)
 #   tools/run_tier1.sh --ubsan    # additionally build the runtime + fault
 #                                 # tolerance + serialization + kernel
-#                                 # parity + plan + stream tests under
+#                                 # parity + plan + stream + depth front end
+#                                 # + filter tests under
 #                                 # UndefinedBehaviorSanitizer and run them
 #                                 # (checkpoint header parsing, fault
 #                                 # injection arithmetic, the NCHWc8
 #                                 # kernels' window reads up to the right
 #                                 # border column, the AWN pooling of
-#                                 # cached blocked planes)
+#                                 # cached blocked planes, the densify
+#                                 # frontier's bit-plane shifts)
 #   tools/run_tier1.sh --coverage # additionally build with gcov
 #                                 # instrumentation, run the observability
 #                                 # suite, and fail if line coverage of
@@ -118,13 +120,14 @@ if [[ "$asan" == 1 ]]; then
 fi
 
 if [[ "$ubsan" == 1 ]]; then
-  echo "== UndefinedBehaviorSanitizer pass over the runtime + fault tolerance + serialization + kernel parity + plan + stream tests =="
+  echo "== UndefinedBehaviorSanitizer pass over the runtime + fault tolerance + serialization + kernel parity + plan + stream + depth front end tests =="
   cmake -B build-ubsan -S . -DROADFUSION_SANITIZE=undefined
   cmake --build build-ubsan -j \
     --target test_runtime_queue test_runtime_engine test_runtime_stats \
              test_fault_tolerance test_serialize test_checkpoint test_scenario \
-             test_kernel_parity test_plan test_stream
-  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_scenario|test_kernel_parity|test_plan|test_stream')
+             test_kernel_parity test_plan test_stream test_depth_preproc \
+             test_filters
+  (cd build-ubsan && ctest --output-on-failure -R 'test_runtime|test_fault_tolerance|test_serialize|test_checkpoint|test_scenario|test_kernel_parity|test_plan|test_stream|test_depth_preproc|test_filters')
 fi
 
 if [[ "$soak_smoke" == 1 ]]; then
