@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -42,7 +40,8 @@ class Scratch {
  public:
   Scratch(int64_t h, int64_t w, int64_t radius)
       : h_(h), w_(w), words_((w + 2 + 63) / 64) {
-    ROADFUSION_CHECK((h + 2) * (w + 2) < (int64_t{1} << 31),
+    // Frontier entries are int32 indices into the padded planes.
+    ROADFUSION_CHECK((h + 2) * 64 * words_ < (int64_t{1} << 31),
                      "depth preproc: " << h << "x" << w << " plane too large");
     const int64_t padded = (h + 2) * (w + 2);
     const int64_t pixels = h * w;

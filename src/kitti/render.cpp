@@ -105,9 +105,10 @@ Tensor render_rgb(const Scene& scene, const Camera& camera, Rng& rng) {
       const Vec3 ray = camera.pixel_ray(static_cast<double>(x) + 0.5,
                                         static_cast<double>(y) + 0.5);
       const RayHit hit = cast_ray(scene, origin, ray);
-      float r;
-      float g;
-      float b;
+      // Every surface case sets all three.
+      float r = 0.0f;
+      float g = 0.0f;
+      float b = 0.0f;
       switch (hit.surface) {
         case RayHit::Surface::kSky: {
           // Vertical gradient: brighter near the horizon.
