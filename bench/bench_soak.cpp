@@ -81,7 +81,11 @@ struct LegResult {
   /// Engine-side enqueue-to-respond latency of served requests. Every
   /// served response passed the engine's respond-time deadline gate
   /// (deadline = SLO), so by construction nothing is delivered silently
-  /// late; test_frontdoor proves the gate itself.
+  /// late; test_frontdoor proves the gate itself. Bucket resolution:
+  /// runtime::RuntimeStats interpolates p50/p99 within the buckets of
+  /// latency_bucket_bounds_ms() (..., 10, 25, 50, 100, ...), so a true
+  /// p99 of 11 ms can read anywhere up to 25 ms, and p99_within_slo can
+  /// go either way when the SLO falls inside the p99's bucket.
   double p50_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
   std::array<uint64_t, serve::kTierCount> tier_entries{};
@@ -383,6 +387,7 @@ void write_leg_json(bench::JsonWriter& json, const LegResult& leg,
       .field("p50_latency_ms", leg.p50_latency_ms)
       .field("p99_latency_ms", leg.p99_latency_ms)
       .field("slo_ms", slo_ms)
+      // Bucket-resolution p99 (see LegResult::p50_latency_ms).
       .field("p99_within_slo", leg.p99_latency_ms <= slo_ms)
       .field("forced_degraded", static_cast<int64_t>(leg.forced_degraded))
       .field("spills", static_cast<int64_t>(leg.spills))

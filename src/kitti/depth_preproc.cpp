@@ -109,7 +109,6 @@ class Scratch {
 /// reference (dy, dx) order. A zero tap adds +0.0 to a sum that starts at
 /// +0.0 and counts 0, exactly like a skipped one, so the zero border
 /// stands in for bounds checks.
-template <bool kNonFinite>
 void fill_values(const float* range, const int32_t* frontier, int64_t size,
                  int64_t stride, float* values) {
   for (int64_t k = 0; k < size; ++k) {
@@ -119,7 +118,7 @@ void fill_values(const float* range, const int32_t* frontier, int64_t size,
     for (const float* row = center - stride; row <= center + stride;
          row += stride) {
       for (int64_t dx = -1; dx <= 1; ++dx) {
-        acc = vision::accumulate<kNonFinite>(acc, row[dx]);
+        acc += row[dx];
         count += row[dx] != 0.0f;
       }
     }
@@ -127,9 +126,8 @@ void fill_values(const float* range, const int32_t* frontier, int64_t size,
   }
 }
 
-/// Runs the fill iterations on the h x w plane `sparse` (row-major; see
-/// vision::accumulate for `finite`), leaving the result in the range
-/// plane.
+/// Runs the fill iterations on the h x w plane `sparse` (row-major),
+/// leaving the result in the range plane.
 ///
 /// Bit-identical to the reference loop, which recomputes every empty
 /// (+-0.0) pixel of every iteration from the previous iteration's plane
@@ -140,8 +138,8 @@ void fill_values(const float* range, const int32_t* frontier, int64_t size,
 /// empty pixels in the dilation (every other empty pixel keeps its
 /// value), before it writes any of them. An empty frontier makes every
 /// later iteration the identity, so the loop stops there.
-void densify(const float* sparse, bool finite,
-             const DepthPreprocConfig& config, Scratch& s) {
+void densify(const float* sparse, const DepthPreprocConfig& config,
+             Scratch& s) {
   const int64_t h = s.h();
   const int64_t w = s.w();
   const int64_t words = s.words();
@@ -174,7 +172,6 @@ void densify(const float* sparse, bool finite,
     const uint64_t below_lo = lo == 64 ? ~uint64_t{0} : (uint64_t{1} << lo) - 1;
     return below_hi & ~below_lo;
   };
-  const auto fill = finite ? fill_values<false> : fill_values<true>;
   int32_t* frontier = s.frontier();
   int32_t* frontier_bits = s.frontier_bits();
   uint64_t* valid_plane = s.valid(-1);
@@ -209,7 +206,7 @@ void densify(const float* sparse, bool finite,
     if (size == 0) {
       break;
     }
-    fill(range, frontier, size, stride, values);
+    fill_values(range, frontier, size, stride, values);
     for (int64_t k = 0; k < size; ++k) {
       range[frontier[k]] = values[k];
       const int32_t bit = frontier_bits[k];
@@ -250,17 +247,14 @@ void inverse_row(const float* range, int64_t n,
 /// The whole front end on the h x w plane `sparse` into `out` (h x w):
 /// densify, then each row's inverse depth straight into the blur's
 /// replicate-padded row, the horizontal pass into the free plane and the
-/// vertical pass into `out`. Every stage maps finite values to finite
-/// values, so one check of the input picks the kernels for all of them.
-/// A dense row of +-0.0 has inverse depth +0.0, and so does its
+/// vertical pass into `out`. A dense row of +-0.0 has inverse depth +0.0, and so does its
 /// horizontal blur and the vertical blur of a window of such rows
 /// (+0.0 products add to +0.0): those rows are written, not computed.
 void front_end(const float* sparse, int64_t h, int64_t w,
                const DepthPreprocConfig& config, float* out) {
   const int64_t radius = blur_radius(config);
   Scratch s(h, w, radius);
-  const bool finite = vision::all_finite(sparse, h * w);
-  densify(sparse, finite, config, s);
+  densify(sparse, config, s);
   uint8_t* live = s.row_flags();
   for (int64_t y = 0; y < h; ++y) {
     const float* row = s.row(y);
@@ -286,8 +280,7 @@ void front_end(const float* sparse, int64_t h, int64_t w,
       std::fill(padded, padded + radius, padded[radius]);
       std::fill(padded + radius + w, padded + w + 2 * radius,
                 padded[radius + w - 1]);
-      vision::horizontal_blur_row(padded, w, s.taps(), radius, finite,
-                                  s.acc(), row);
+      vision::horizontal_blur_row(padded, w, s.taps(), radius, s.acc(), row);
     }
   }
   if (radius == 0) {
@@ -300,8 +293,8 @@ void front_end(const float* sparse, int64_t h, int64_t w,
       window_live = window_live || live[k] != 0;
     }
     if (window_live) {
-      vision::vertical_blur_row(mid, h, w, y, s.taps(), radius, finite,
-                                s.acc(), out + y * w);
+      vision::vertical_blur_row(mid, h, w, y, s.taps(), radius, s.acc(),
+                                out + y * w);
     } else {
       std::fill(out + y * w, out + (y + 1) * w, 0.0f);
     }
@@ -316,9 +309,7 @@ Tensor densify_range(const Tensor& sparse_range,
   const int64_t h = sparse_range.shape().dim(1);
   const int64_t w = sparse_range.shape().dim(2);
   Scratch s(h, w, 0);
-  densify(sparse_range.raw(),
-          vision::all_finite(sparse_range.raw(), sparse_range.numel()), config,
-          s);
+  densify(sparse_range.raw(), config, s);
   Tensor out = Tensor::uninitialized(sparse_range.shape());
   for (int64_t y = 0; y < h; ++y) {
     std::memcpy(out.raw() + y * w, s.row(y),

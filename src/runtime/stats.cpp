@@ -26,10 +26,7 @@ double bucket_quantile(const obs::Histogram& h, double q, double lo,
                        double hi) {
   const std::vector<uint64_t> counts = h.bucket_counts();
   const std::vector<double>& bounds = h.bounds();
-  uint64_t n = 0;
-  for (const uint64_t c : counts) {
-    n += c;
-  }
+  const uint64_t n = h.count();
   if (n == 0) {
     return 0.0;
   }
@@ -134,7 +131,6 @@ void StatsCollector::record_served(double latency_ms, bool degraded) {
     ++totals_.requests_degraded;
   }
   latency_buckets_.observe(latency_ms);
-  latency_sum_ms_ += latency_ms;
   latency_min_ms_ = std::min(latency_min_ms_, latency_ms);
   latency_max_ms_ = std::max(latency_max_ms_, latency_ms);
 }
@@ -186,8 +182,8 @@ RuntimeStats StatsCollector::snapshot() const {
                           static_cast<double>(out.batches_formed);
   }
   if (out.requests_served > 0) {
-    out.mean_latency_ms =
-        latency_sum_ms_ / static_cast<double>(out.requests_served);
+    out.mean_latency_ms = latency_buckets_.sum() /
+                          static_cast<double>(latency_buckets_.count());
     out.p50_latency_ms = bucket_quantile(latency_buckets_, 0.50,
                                          latency_min_ms_, latency_max_ms_);
     out.p99_latency_ms = bucket_quantile(latency_buckets_, 0.99,

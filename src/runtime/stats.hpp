@@ -87,11 +87,11 @@ class StatsCollector {
   mutable std::mutex mutex_;
   RuntimeStats totals_;
   uint64_t batched_requests_ = 0;
-  /// Served latencies: fixed buckets plus the running sum and extremes,
-  /// so memory and snapshot cost stay constant however long the engine
-  /// serves. Per collector: the registry histogram aggregates engines.
+  /// Served latencies: fixed buckets (with their count and sum) plus the
+  /// extremes, so memory and snapshot cost stay constant however long the
+  /// engine serves. Per collector: the registry histogram aggregates
+  /// engines.
   obs::Histogram latency_buckets_;
-  double latency_sum_ms_ = 0.0;
   double latency_min_ms_ = 0.0;
   double latency_max_ms_ = 0.0;
   /// Ring buffer of the last kQueueWaitWindow queue waits (ms).

@@ -1,7 +1,6 @@
 #include "vision/filters.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -47,61 +46,82 @@ std::vector<float> gaussian_kernel(double sigma) {
   return kernel;
 }
 
-bool all_finite(const float* values, int64_t n) {
-  uint32_t non_finite = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const uint32_t exponent = std::bit_cast<uint32_t>(values[i]) & 0x7f800000u;
-    non_finite |= static_cast<uint32_t>(exponent == 0x7f800000u);
-  }
-  return non_finite == 0;
-}
-
 namespace {
 
 /// acc[x] += tap * in[x] over a row, the tap's products rounded to float.
-template <bool kNonFinite>
 void add_tap(const float* in, float tap, int64_t w, double* acc) {
   for (int64_t x = 0; x < w; ++x) {
-    acc[x] = accumulate<kNonFinite>(acc[x], tap * in[x]);
+    acc[x] += tap * in[x];
   }
 }
 
-void add_tap(const float* in, float tap, int64_t w, bool finite,
-             double* acc) {
-  if (finite) {
-    add_tap<false>(in, tap, w, acc);
-  } else {
-    add_tap<true>(in, tap, w, acc);
-  }
+/// `acc + v`, keeping a NaN `acc` as it is: the first operand's NaN, as
+/// scalar x86 code returns for an add of two NaNs.
+double accumulate(double acc, double v) {
+  return std::isunordered(acc, acc) ? acc : acc + v;
 }
 
-void store_row(const double* acc, int64_t w, float* out) {
+/// Rounds a row of sums to float; true when one of them is NaN.
+bool store_row(const double* acc, int64_t w, float* out) {
+  uint32_t nan = 0;
   for (int64_t x = 0; x < w; ++x) {
     out[x] = static_cast<float>(acc[x]);
+    nan |= static_cast<uint32_t>(std::isunordered(out[x], out[x]));
   }
+  return nan != 0;
 }
 
 }  // namespace
 
+// A sum that ends in NaN went through NaN from its first NaN add on, and
+// which NaN it holds (sign and payload are part of the bits) depends on
+// the operand order of the later adds, which the vectorized add_tap loop
+// leaves to the compiler. So the passes add plainly and sum each NaN pixel
+// again with accumulate. Every other pixel never held a NaN, where the two
+// adds agree.
+
 void horizontal_blur_row(const float* padded, int64_t w, const float* taps,
-                         int64_t radius, bool finite, double* acc,
-                         float* out) {
+                         int64_t radius, double* acc, float* out) {
   std::fill(acc, acc + w, 0.0);
   for (int64_t k = 0; k <= 2 * radius; ++k) {
-    add_tap(padded + k, taps[k], w, finite, acc);
+    add_tap(padded + k, taps[k], w, acc);
   }
-  store_row(acc, w, out);
+  if (!store_row(acc, w, out)) {
+    return;
+  }
+  for (int64_t x = 0; x < w; ++x) {
+    if (std::isnan(out[x])) {
+      double sum = 0.0;
+      for (int64_t k = 0; k <= 2 * radius; ++k) {
+        sum = accumulate(sum, taps[k] * padded[x + k]);
+      }
+      out[x] = static_cast<float>(sum);
+    }
+  }
 }
 
 void vertical_blur_row(const float* plane, int64_t h, int64_t w, int64_t y,
-                       const float* taps, int64_t radius, bool finite,
-                       double* acc, float* out) {
+                       const float* taps, int64_t radius, double* acc,
+                       float* out) {
+  const auto row = [&](int64_t k) {
+    return plane + std::clamp<int64_t>(y + k, 0, h - 1) * w;
+  };
   std::fill(acc, acc + w, 0.0);
   for (int64_t k = -radius; k <= radius; ++k) {
-    const int64_t row = std::clamp<int64_t>(y + k, 0, h - 1);
-    add_tap(plane + row * w, taps[k + radius], w, finite, acc);
+    add_tap(row(k), taps[k + radius], w, acc);
   }
-  store_row(acc, w, out);
+  if (!store_row(acc, w, out)) {
+    return;
+  }
+  for (int64_t x = 0; x < w; ++x) {
+    if (std::isnan(out[x])) {
+      double sum = 0.0;
+      for (int64_t k = -radius; k <= radius; ++k) {
+        sum = accumulate(sum, taps[k + radius] * row(k)[x]);
+      }
+      out[x] = static_cast<float>(sum);
+    }
+  }
 }
 
 Tensor gaussian_blur(const Tensor& input, double sigma) {
@@ -117,18 +137,17 @@ Tensor gaussian_blur(const Tensor& input, double sigma) {
   Tensor output = Tensor::uninitialized(input.shape());
   for (int64_t p = 0; p < planes; ++p) {
     const float* src = input.raw() + p * h * w;
-    const bool finite = all_finite(src, h * w);
     for (int64_t y = 0; y < h; ++y) {
       const float* row = src + y * w;
       std::fill(padded.begin(), padded.begin() + radius, row[0]);
       std::copy(row, row + w, padded.begin() + radius);
       std::fill(padded.begin() + radius + w, padded.end(), row[w - 1]);
-      horizontal_blur_row(padded.data(), w, taps.data(), radius, finite,
-                          acc.data(), mid.data() + y * w);
+      horizontal_blur_row(padded.data(), w, taps.data(), radius, acc.data(),
+                          mid.data() + y * w);
     }
     for (int64_t y = 0; y < h; ++y) {
-      vertical_blur_row(mid.data(), h, w, y, taps.data(), radius, finite,
-                        acc.data(), output.raw() + p * h * w + y * w);
+      vertical_blur_row(mid.data(), h, w, y, taps.data(), radius, acc.data(),
+                        output.raw() + p * h * w + y * w);
     }
   }
   return output;

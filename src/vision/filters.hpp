@@ -30,42 +30,22 @@ void gaussian_kernel(double sigma, float* taps);
 /// handling: clamp-to-edge.
 Tensor gaussian_blur(const Tensor& input, double sigma);
 
-/// True when none of the `n` values is NaN or +-inf.
-bool all_finite(const float* values, int64_t n);
-
-/// `acc + v` in a running double sum. Which NaN an add of two NaNs
-/// returns depends on operand order, which the compiler may swap for a
-/// commutative add; with `kNonFinite` a NaN `acc` stays that NaN, as the
-/// first operand does in scalar x86 code. Sums of finite values never
-/// meet two NaNs, so kernels run the plain add (which vectorizes) when
-/// all_finite holds and the pinned one otherwise: NaN sign and payload
-/// are part of the bits they keep.
-template <bool kNonFinite>
-inline double accumulate(double acc, double v) {
-  if constexpr (kNonFinite) {
-    if (acc != acc) {
-      return acc;
-    }
-  }
-  return acc + v;
-}
-
 // The two passes of gaussian_blur, for pipelines that produce the rows
 // themselves. Each output value sums the taps in kernel order, every tap
 // a float product widened and accumulated into a double that starts at
-// +0.0, so the results are bit-identical to gaussian_blur's. `finite`
-// says the input is all_finite; `acc` is `w` doubles of caller scratch.
+// +0.0, so the results are bit-identical to gaussian_blur's. `acc` is
+// `w` doubles of caller scratch.
 
 /// Horizontal pass over one row: `padded` holds the row's `w` values
 /// preceded and followed by `radius` copies of its edge values.
 void horizontal_blur_row(const float* padded, int64_t w, const float* taps,
-                         int64_t radius, bool finite, double* acc, float* out);
+                         int64_t radius, double* acc, float* out);
 
 /// Vertical pass producing row `y` of an h x w plane's blur (rows past the
 /// edges clamp to the edge rows) into `out`.
 void vertical_blur_row(const float* plane, int64_t h, int64_t w, int64_t y,
-                       const float* taps, int64_t radius, bool finite,
-                       double* acc, float* out);
+                       const float* taps, int64_t radius, double* acc,
+                       float* out);
 
 /// Sobel gradient magnitude over the trailing two dimensions, with the same
 /// 1/8-scaled kernels as the differentiable autograd op. Border handling:
