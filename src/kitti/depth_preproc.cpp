@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "common/check.hpp"
 #include "vision/filters.hpp"
@@ -338,85 +337,14 @@ Tensor preprocess_depth(const Tensor& sparse_range,
 }
 
 Tensor preprocess_depth_tiled(const Tensor& sparse_range,
-                              const Tensor& previous_sparse,
-                              const Tensor& previous_output,
+                              const Tensor& /*previous_sparse*/,
+                              const Tensor& /*previous_output*/,
                               const DepthPreprocConfig& config,
-                              TiledPreprocStats* stats, int64_t tile_rows) {
-  check_depth(sparse_range);
-  ROADFUSION_CHECK(previous_sparse.shape() == sparse_range.shape() &&
-                       previous_output.shape() == sparse_range.shape(),
-                   "preprocess_depth_tiled: frame geometry changed: "
-                       << sparse_range.shape().str() << " vs previous "
-                       << previous_sparse.shape().str());
-  ROADFUSION_CHECK(tile_rows >= 1,
-                   "preprocess_depth_tiled: tile_rows must be >= 1, got "
-                       << tile_rows);
-  const int64_t h = sparse_range.shape().dim(1);
-  const int64_t w = sparse_range.shape().dim(2);
-  const int64_t halo = config.fill_iterations + blur_radius(config);
-  const int64_t num_tiles = (h + tile_rows - 1) / tile_rows;
-
-  const float* cur = sparse_range.raw();
-  const float* prev = previous_sparse.raw();
-  std::vector<bool> changed(static_cast<size_t>(num_tiles));
-  int64_t reused = 0;
-  for (int64_t t = 0; t < num_tiles; ++t) {
-    // The tile's output depends on the sparse input up to `halo` rows
-    // beyond the tile, so the comparison window is haloed too.
-    const int64_t lo = std::max<int64_t>(0, t * tile_rows - halo);
-    const int64_t hi = std::min(h, (t + 1) * tile_rows + halo);
-    changed[static_cast<size_t>(t)] =
-        std::memcmp(cur + lo * w, prev + lo * w,
-                    static_cast<size_t>((hi - lo) * w) * sizeof(float)) != 0;
-    if (!changed[static_cast<size_t>(t)]) {
-      ++reused;
-    }
-  }
+                              TiledPreprocStats* stats) {
   if (stats != nullptr) {
-    stats->tiles_total = num_tiles;
-    stats->tiles_reused = reused;
+    *stats = {1, 0};
   }
-  if (reused == 0) {
-    return preprocess_depth(sparse_range, config);
-  }
-  check_range_bounds(config);
-
-  Tensor out = Tensor::uninitialized(sparse_range.shape());
-  float* dst = out.raw();
-  const float* prev_out = previous_output.raw();
-  for (int64_t t = 0; t < num_tiles; ++t) {
-    if (changed[static_cast<size_t>(t)]) {
-      continue;
-    }
-    const int64_t lo = t * tile_rows;
-    const int64_t hi = std::min(h, (t + 1) * tile_rows);
-    std::memcpy(dst + lo * w, prev_out + lo * w,
-                static_cast<size_t>((hi - lo) * w) * sizeof(float));
-  }
-  // Recompute each maximal run of changed tiles on a row strip extended
-  // by the halo; only the interior rows (guaranteed independent of the
-  // artificial strip boundary) land in the output.
-  std::vector<float> strip_out;
-  for (int64_t t = 0; t < num_tiles;) {
-    if (!changed[static_cast<size_t>(t)]) {
-      ++t;
-      continue;
-    }
-    int64_t run_end = t;
-    while (run_end < num_tiles && changed[static_cast<size_t>(run_end)]) {
-      ++run_end;
-    }
-    const int64_t lo = t * tile_rows;
-    const int64_t hi = std::min(h, run_end * tile_rows);
-    const int64_t ext_lo = std::max<int64_t>(0, lo - halo);
-    const int64_t ext_hi = std::min(h, hi + halo);
-    strip_out.resize(static_cast<size_t>((ext_hi - ext_lo) * w));
-    front_end(cur + ext_lo * w, ext_hi - ext_lo, w, config, strip_out.data());
-    std::memcpy(dst + lo * w, strip_out.data() + (lo - ext_lo) * w,
-                static_cast<size_t>((hi - lo) * w) * sizeof(float));
-    t = run_end;
-  }
-  return out;
+  return preprocess_depth(sparse_range, config);
 }
 
 }  // namespace roadfusion::kitti

@@ -35,28 +35,17 @@ Tensor range_to_inverse_depth(const Tensor& dense_range,
 Tensor preprocess_depth(const Tensor& sparse_range,
                         const DepthPreprocConfig& config = {});
 
-/// Tile accounting of one `preprocess_depth_tiled` call.
+// Shim for rfbench's `stream_reuse` only; the next benchmark change drops it.
 struct TiledPreprocStats {
   int64_t tiles_total = 0;
-  int64_t tiles_reused = 0;  ///< row tiles copied from the previous output
+  int64_t tiles_reused = 0;
 };
 
-/// `preprocess_depth` with frame-to-frame reuse for streaming: row tiles
-/// of `sparse_range` that are bit-identical to `previous_sparse` over the
-/// tile plus a halo copy their rows straight from `previous_output`
-/// (which must be `preprocess_depth(previous_sparse, config)`); only
-/// changed row runs are recomputed, each extended by the same halo.
-///
-/// Bitwise-equal to `preprocess_depth(sparse_range, config)` because
-/// influence is local: each 3x3 fill iteration propagates values at most
-/// one row, extra iterations after convergence never rewrite filled
-/// pixels, and the separable blur reaches ceil(3 sigma) rows — so a halo
-/// of fill_iterations + blur_radius rows bounds every dependency.
+/// Returns `preprocess_depth(sparse_range, config)` and reports {1, 0}.
 Tensor preprocess_depth_tiled(const Tensor& sparse_range,
                               const Tensor& previous_sparse,
                               const Tensor& previous_output,
-                              const DepthPreprocConfig& config = {},
-                              TiledPreprocStats* stats = nullptr,
-                              int64_t tile_rows = 8);
+                              const DepthPreprocConfig& config,
+                              TiledPreprocStats* stats);
 
 }  // namespace roadfusion::kitti

@@ -64,8 +64,12 @@ void sigmoid_in_place(tensor::Tensor& t) {
   const int64_t n = t.numel();
   for (int64_t i = 0; i < n; ++i) {
     const float v = p[i];
-    p[i] = v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                     : std::exp(v) / (1.0f + std::exp(v));
+    if (v >= 0.0f) {
+      p[i] = 1.0f / (1.0f + std::exp(-v));
+    } else {
+      const float e = std::exp(v);
+      p[i] = e / (1.0f + e);
+    }
   }
 }
 

@@ -7,18 +7,6 @@ namespace roadfusion::runtime {
 
 namespace {
 
-/// Nearest-rank percentile of an already-sorted sample.
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  const double rank = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(rank));
-  const size_t hi = static_cast<size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
 /// Quantile q of the samples in `h`, interpolated linearly within the
 /// bucket holding rank q * (n - 1) and clamped to [lo, hi], the observed
 /// extremes.
@@ -85,9 +73,7 @@ StatsCollector::StatsCollector(obs::MetricsRegistry& registry)
                                        "requests, milliseconds")),
       m_queue_wait_ms_(registry.histogram(
           "roadfusion_engine_queue_wait_ms", latency_bucket_bounds_ms(),
-          "Queue wait of popped requests, milliseconds")) {
-  queue_waits_ms_.reserve(kQueueWaitWindow);
-}
+          "Queue wait of popped requests, milliseconds")) {}
 
 void StatsCollector::record_submitted() {
   m_submitted_.inc();
@@ -156,22 +142,30 @@ void StatsCollector::record_cancelled(size_t count) {
 void StatsCollector::record_queue_wait(double wait_ms) {
   m_queue_wait_ms_.observe(wait_ms);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (queue_waits_ms_.size() < kQueueWaitWindow) {
-    queue_waits_ms_.push_back(wait_ms);
-  } else {
-    queue_waits_ms_[queue_wait_count_ % kQueueWaitWindow] = wait_ms;
-  }
+  queue_waits_ms_[queue_wait_count_ % kQueueWaitWindow] = wait_ms;
   ++queue_wait_count_;
+}
+
+double StatsCollector::queue_wait_p99_locked() const {
+  const size_t n = std::min(queue_wait_count_, kQueueWaitWindow);
+  if (n == 0) {
+    return 0.0;
+  }
+  // Linear interpolation between order statistics lo and hi = lo or
+  // lo + 1 of the window, selected rather than sorted.
+  std::array<double, kQueueWaitWindow> w = queue_waits_ms_;
+  const double rank = 0.99 * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(std::floor(rank));
+  const size_t hi = static_cast<size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  std::nth_element(w.begin(), w.begin() + hi, w.begin() + n);
+  std::nth_element(w.begin(), w.begin() + lo, w.begin() + hi);
+  return w[lo] + (w[hi] - w[lo]) * frac;
 }
 
 double StatsCollector::recent_queue_wait_p99_ms() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (queue_waits_ms_.empty()) {
-    return 0.0;
-  }
-  std::vector<double> sorted = queue_waits_ms_;
-  std::sort(sorted.begin(), sorted.end());
-  return percentile(sorted, 0.99);
+  return queue_wait_p99_locked();
 }
 
 RuntimeStats StatsCollector::snapshot() const {
@@ -189,11 +183,7 @@ RuntimeStats StatsCollector::snapshot() const {
     out.p99_latency_ms = bucket_quantile(latency_buckets_, 0.99,
                                          latency_min_ms_, latency_max_ms_);
   }
-  if (!queue_waits_ms_.empty()) {
-    std::vector<double> sorted = queue_waits_ms_;
-    std::sort(sorted.begin(), sorted.end());
-    out.recent_queue_wait_p99_ms = percentile(sorted, 0.99);
-  }
+  out.recent_queue_wait_p99_ms = queue_wait_p99_locked();
   out.elapsed_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start_)
                       .count();

@@ -7,6 +7,7 @@
 // across engines.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -84,6 +85,9 @@ class StatsCollector {
   RuntimeStats snapshot() const;
 
  private:
+  /// p99 of the queue-wait window; the caller holds `mutex_`.
+  double queue_wait_p99_locked() const;
+
   mutable std::mutex mutex_;
   RuntimeStats totals_;
   uint64_t batched_requests_ = 0;
@@ -94,8 +98,9 @@ class StatsCollector {
   obs::Histogram latency_buckets_;
   double latency_min_ms_ = 0.0;
   double latency_max_ms_ = 0.0;
-  /// Ring buffer of the last kQueueWaitWindow queue waits (ms).
-  std::vector<double> queue_waits_ms_;
+  /// Ring buffer of the last kQueueWaitWindow queue waits (ms); the first
+  /// min(queue_wait_count_, kQueueWaitWindow) slots hold samples.
+  std::array<double, kQueueWaitWindow> queue_waits_ms_{};
   size_t queue_wait_count_ = 0;
   std::chrono::steady_clock::time_point start_;
 

@@ -86,33 +86,17 @@ StreamFrame StreamGenerator::next() {
       }
     }
 
-    Tensor clean_dense;
-    if (config_.frame_to_frame_reuse && has_scan_) {
-      kitti::TiledPreprocStats stats;
-      clean_dense = kitti::preprocess_depth_tiled(
-          sparse, last_sparse_, last_clean_dense_, config_.dataset.depth,
-          &stats, config_.tile_rows);
-      preproc_totals_.tiles_total += stats.tiles_total;
-      preproc_totals_.tiles_reused += stats.tiles_reused;
-    } else {
-      clean_dense = kitti::preprocess_depth(sparse, config_.dataset.depth);
-    }
-
     // Dropout kills rows of the *dense* image (a failing sensor /
-    // transport, after preprocessing), so it must not feed the tiled
-    // reuse state — the reuse contract needs last_clean_dense_ to be
-    // exactly preprocess_depth(last_sparse_).
-    Tensor corrupted = clean_dense;
+    // transport, after preprocessing).
+    Tensor depth = kitti::preprocess_depth(sparse, config_.dataset.depth);
     for (const CorruptionSpec& spec : config_.corruptions) {
       if (spec.kind == CorruptionKind::kDropout) {
-        corrupted = corrupt_inverse_depth(
-            corrupted, spec, kind_seed(depth_seed, spec.kind));
+        depth = corrupt_inverse_depth(depth, spec,
+                                      kind_seed(depth_seed, spec.kind));
       }
     }
 
-    last_sparse_ = std::move(sparse);
-    last_clean_dense_ = std::move(clean_dense);
-    last_depth_ = std::move(corrupted);
+    last_depth_ = std::move(depth);
     has_scan_ = true;
   }
 
@@ -154,7 +138,7 @@ StreamFrameResult StreamSession::step() {
   options.route_key = config_.route_key;
   options.deadline_ms = config_.deadline_ms;
   options.scenario = config_.scenario;
-  if (config_.use_feature_cache) {
+  if (generator_.config().frame_to_frame_reuse) {
     options.stream_cache = &cache_;
     // The first frame must populate the cache; afterwards any frame whose
     // depth did not refresh reuses the cached depth features bitwise.

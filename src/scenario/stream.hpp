@@ -5,10 +5,10 @@
 // frame (scene advanced by `advance_m` per frame), while the LiDAR
 // refreshes only every `lidar_period` frames — between refreshes the
 // depth image is bitwise-unchanged, which is exactly what makes
-// frame-to-frame reuse sound. Two reuse levers exist, both bit-exact:
-//  * preprocess_depth_tiled — at a LiDAR refresh, row tiles whose sparse
-//    returns (plus halo) did not change copy their densified output from
-//    the previous scan;
+// frame-to-frame reuse sound. Two reuse levers exist, both bit-exact and
+// both switched by StreamConfig::frame_to_frame_reuse:
+//  * stale-scan reuse — between refreshes the generator hands out the
+//    last scan's depth instead of scanning and densifying it again;
 //  * StreamFeatureCache — between refreshes, the depth encoder is skipped
 //    entirely (runtime::SubmitOptions::depth_unchanged).
 // Corruptions are seeded per scan index on the depth side (so non-refresh
@@ -42,11 +42,11 @@ struct StreamConfig {
   uint64_t scene_seed = 7;
   uint64_t noise_seed = 9;        ///< render + scan sensor noise
   uint64_t corruption_seed = 11;  ///< corruption randomness
-  /// Bit-exact frame-to-frame shortcuts (tiled preproc + stale-scan
-  /// reuse). Off recomputes everything per frame — the naive baseline the
-  /// streaming bench compares against; outputs are bitwise identical.
+  /// Bit-exact frame-to-frame shortcuts (stale-scan reuse, and the
+  /// session's feature cache). Off recomputes everything per frame — the
+  /// naive baseline the streaming bench compares against; outputs are
+  /// bitwise identical.
   bool frame_to_frame_reuse = true;
-  int64_t tile_rows = 8;
 };
 
 /// One generated frame.
@@ -71,11 +71,6 @@ class StreamGenerator {
   const vision::Camera& camera() const { return camera_; }
   const StreamConfig& config() const { return config_; }
 
-  /// Cumulative tiled-preproc accounting (refresh frames only).
-  const kitti::TiledPreprocStats& preproc_stats() const {
-    return preproc_totals_;
-  }
-
  private:
   uint64_t frame_seed(int64_t frame) const;
   uint64_t scan_seed(int64_t scan) const;
@@ -85,10 +80,7 @@ class StreamGenerator {
   kitti::Scene base_scene_;
   int64_t frame_index_ = 0;
   bool has_scan_ = false;
-  Tensor last_sparse_;       ///< post-range-corruption sparse range
-  Tensor last_clean_dense_;  ///< preprocess_depth output (pre dropout)
-  Tensor last_depth_;        ///< final corrupted dense inverse depth
-  kitti::TiledPreprocStats preproc_totals_;
+  Tensor last_depth_;  ///< final corrupted dense inverse depth
 };
 
 /// Per-frame serving outcome.
@@ -119,16 +111,15 @@ struct StreamSessionConfig {
   uint64_t route_key = 1;  ///< shard affinity (nonzero pins the stream)
   int64_t deadline_ms = 0;
   double slo_ms = 0.0;  ///< per-frame latency SLO; <= 0 disables tracking
-  /// Attach the cross-frame feature cache. Off submits plain requests —
-  /// the naive baseline (outputs stay bitwise identical).
-  bool use_feature_cache = true;
 };
 
 /// Drives a generator's frames serially through the front door. Keeps the
 /// results in submission order; each frame waits for its future before
 /// the next submit (a stream is inherently sequential — the cache binds
-/// frame N's forward to frame N-1's features). `max_frames` > 0 bounds
-/// the run.
+/// frame N's forward to frame N-1's features). The feature cache is
+/// attached when the generator's `frame_to_frame_reuse` is on; off
+/// submits plain requests — the naive baseline (bitwise-identical
+/// outputs).
 class StreamSession {
  public:
   StreamSession(serve::FrontDoor& door, StreamGenerator& generator,

@@ -1,10 +1,12 @@
 // Deterministic tests of the engine stats collector (src/runtime/stats.*):
-// percentile math, mean batch size, degraded accounting, dual-publishing
-// into a metrics registry, and snapshot consistency under concurrent
-// recording.
+// percentile math, the queue-wait window's p99, mean batch size, degraded
+// accounting, dual-publishing into a metrics registry, and snapshot
+// consistency under concurrent recording.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,6 +76,40 @@ TEST(RuntimeStatsTest, PercentilesStayWithinObservedRange) {
   EXPECT_GE(stats.p50_latency_ms, 3.0);
   EXPECT_LE(stats.p99_latency_ms, 3.006);
   EXPECT_LE(stats.p50_latency_ms, stats.p99_latency_ms);
+}
+
+/// p99 of the last kQueueWaitWindow of `waits`: sort, then interpolate
+/// at rank 0.99 * (n - 1).
+double sorted_window_p99(const std::vector<double>& waits) {
+  const size_t n = std::min(waits.size(), kQueueWaitWindow);
+  std::vector<double> sorted(waits.end() - static_cast<ptrdiff_t>(n),
+                             waits.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double rank = 0.99 * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(std::floor(rank));
+  const size_t hi = static_cast<size_t>(std::ceil(rank));
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - std::floor(rank));
+}
+
+TEST(RuntimeStatsTest, QueueWaitP99MatchesSortedWindow) {
+  for (const size_t fill : {size_t{1}, size_t{127}, size_t{128},
+                            size_t{300}}) {
+    Harness h;
+    EXPECT_EQ(h.collector.recent_queue_wait_p99_ms(), 0.0);
+    std::vector<double> waits;
+    uint64_t state = 12345;
+    for (size_t i = 0; i < fill; ++i) {
+      // Scrambled order with ties: 97 distinct values in [0, 9.6].
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      waits.push_back(static_cast<double>((state >> 33) % 97) * 0.1);
+      h.collector.record_queue_wait(waits.back());
+    }
+    const double expected = sorted_window_p99(waits);
+    EXPECT_EQ(h.collector.recent_queue_wait_p99_ms(), expected)
+        << "fill " << fill;
+    EXPECT_EQ(h.collector.snapshot().recent_queue_wait_p99_ms, expected)
+        << "fill " << fill;
+  }
 }
 
 TEST(RuntimeStatsTest, MeanBatchSizeAveragesOverFormedBatches) {

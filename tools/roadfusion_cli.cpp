@@ -857,12 +857,12 @@ int cmd_stream(const cli::Args& args) {
         "Drives a temporally coherent frame sequence (one scene, ego\n"
         "advancing --advance m/frame, LiDAR refreshing every\n"
         "--lidar-period frames) through the serving front door with\n"
-        "frame-to-frame reuse: tiled depth preprocessing plus a cross-\n"
-        "frame depth-feature cache that skips the depth encoder between\n"
-        "LiDAR refreshes. --no-reuse recomputes everything per frame\n"
-        "(bitwise-identical outputs, full cost). --verify recomputes\n"
-        "every frame independently and checks the streamed outputs are\n"
-        "bit-identical.\n");
+        "frame-to-frame reuse: the last scan's depth between LiDAR\n"
+        "refreshes plus a cross-frame depth-feature cache that skips the\n"
+        "depth encoder on those frames. --no-reuse recomputes everything\n"
+        "per frame (bitwise-identical outputs, full cost). --verify\n"
+        "recomputes every frame independently and checks the streamed\n"
+        "outputs are bit-identical.\n");
     return 0;
   }
   args.allow_only({"model", "scheme", "frames", "scenario", "lidar-period",
@@ -906,12 +906,10 @@ int cmd_stream(const cli::Args& args) {
   scenario::StreamSessionConfig session_cfg;
   session_cfg.scenario = spec.name;
   session_cfg.slo_ms = args.get_double("slo-ms", 0.0);
-  session_cfg.use_feature_cache = stream_cfg.frame_to_frame_reuse;
 
   start_trace(args);
   std::vector<scenario::StreamFrameResult> results;
   scenario::StreamSessionStats stats;
-  kitti::TiledPreprocStats tiles;
   double elapsed_ms = 0.0;
   {
     serve::FrontDoor door(net, door_cfg);
@@ -923,7 +921,6 @@ int cmd_stream(const cli::Args& args) {
                      std::chrono::steady_clock::now() - start)
                      .count();
     stats = session.stats();
-    tiles = generator.preproc_stats();
     door.shutdown();
   }
   finish_trace(args);
@@ -931,7 +928,7 @@ int cmd_stream(const cli::Args& args) {
   std::printf(
       "stream: %lld frames in %.1f ms  (%.2f frames/s)  scenario=%s "
       "reuse=%s\n"
-      "        cache hits %lld / misses %lld   tiles reused %lld / %lld\n"
+      "        cache hits %lld / misses %lld\n"
       "        degraded %lld   latency mean %.2f ms  max %.2f ms\n",
       static_cast<long long>(stats.frames), elapsed_ms,
       elapsed_ms > 0.0 ? 1000.0 * static_cast<double>(stats.frames) /
@@ -940,8 +937,6 @@ int cmd_stream(const cli::Args& args) {
       spec.name.c_str(), stream_cfg.frame_to_frame_reuse ? "on" : "off",
       static_cast<long long>(stats.cache_hits),
       static_cast<long long>(stats.cache_misses),
-      static_cast<long long>(tiles.tiles_reused),
-      static_cast<long long>(tiles.tiles_total),
       static_cast<long long>(stats.degraded_frames),
       stats.frames > 0
           ? stats.total_latency_ms / static_cast<double>(stats.frames)
