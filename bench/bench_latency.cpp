@@ -166,11 +166,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Referencing the plan library installs the inference-plan hooks at
-  // static init; the explicit call keeps that independent of link-order
-  // details.
-  plan::install_hooks();
-
   const bench::BenchSettings config = bench::settings();
   bench::print_header(
       "Inference latency per fusion scheme",

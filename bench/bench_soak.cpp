@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cpu.hpp"
 #include "runtime/engine.hpp"
 #include "serve/front_door.hpp"
 #include "tensor/rng.hpp"
@@ -471,6 +472,8 @@ int main(int argc, char** argv) {
       .field("slo_ms", plan.slo_ms)
       .field("duration_s", duration_s)
       .field("shards", static_cast<int64_t>(plan.shards))
+      .field("cpu_tier",
+             std::string(common::tier_name(common::active_tier())))
       .field("hardware_concurrency",
              static_cast<int64_t>(std::thread::hardware_concurrency()))
       .begin_array("legs");

@@ -23,7 +23,6 @@
 #include "plan/nchwc.hpp"
 #include "plan/nchwc_avx2.hpp"
 #include "roadseg/encoder.hpp"
-#include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/workspace.hpp"
 
@@ -87,6 +86,8 @@ struct CompiledPlan {
   int64_t scratch_floats = 0;
 };
 
+}  // namespace
+
 /// Geometry-independent plan state hung off the RoadSegNet: packed
 /// weights plus a bounded cache of compiled schedules.
 struct PlanContext {
@@ -104,6 +105,8 @@ struct PlanContext {
   std::mutex mutex;
   std::vector<std::shared_ptr<const CompiledPlan>> plans;  ///< oldest first
 };
+
+namespace {
 
 /// Registry counters the run path bumps, looked up once so a predict
 /// builds no metric names.
@@ -161,11 +164,13 @@ std::shared_ptr<const BlockPack> pack_block(const nn::ResidualBlock& rb,
   return bp;
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Build: network -> PlanContext (packed weights)
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<void> build_hook(const RoadSegNet& net) {
+std::shared_ptr<PlanContext> build(const RoadSegNet& net) {
   const int stages = net.num_stages();
   auto ctx = std::make_shared<PlanContext>();
   ctx->stages = stages;
@@ -212,6 +217,8 @@ std::shared_ptr<void> build_hook(const RoadSegNet& net) {
       .inc();
   return ctx;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Compile: PlanContext + key -> CompiledPlan
@@ -530,20 +537,12 @@ constexpr const char* kLayerSpans[] = {
 Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
                const Tensor& rgb, const Tensor& depth, float fusion_weight,
                StreamFeatureCache* cache) {
-  // The slots live in the workspace's scratch block; a run outside any
-  // workspace owns its scratch.
-  std::unique_ptr<float[]> own_scratch;
-  float* scratch = nullptr;
-  if (plan.scratch_floats > 0) {
-    const auto floats = static_cast<size_t>(plan.scratch_floats);
-    tensor::Workspace* const workspace = tensor::Workspace::current();
-    if (workspace != nullptr) {
-      scratch = workspace->scratch(floats);
-    } else {
-      own_scratch.reset(new float[floats]);
-      scratch = own_scratch.get();
-    }
-  }
+  // The slots live in the workspace's scratch block (run() installs one).
+  float* const scratch =
+      plan.scratch_floats > 0
+          ? tensor::Workspace::current()->scratch(
+                static_cast<size_t>(plan.scratch_floats))
+          : nullptr;
   const auto slot = [&](int idx) -> const SlotDef& {
     return plan.slots[static_cast<size_t>(idx)];
   };
@@ -670,7 +669,7 @@ Tensor execute(const RoadSegNet& net, const CompiledPlan& plan,
 }
 
 // ---------------------------------------------------------------------------
-// Run hook: variant choice, plan-cache lookup
+// Run: variant choice, plan-cache lookup
 // ---------------------------------------------------------------------------
 
 /// The cached schedule for `key`, compiled on first use. The cache holds
@@ -710,14 +709,11 @@ tensor::Shape as_nchw(const tensor::Shape& shape) {
              : shape;
 }
 
-Tensor run_hook(const roadseg::SegmentationModel& model,
-                const std::shared_ptr<void>& state, const Tensor& rgb,
-                const Tensor& depth, float fusion_weight,
-                StreamFeatureCache* cache, bool depth_unchanged) {
-  // build_hook is the only producer of plan states, and it is only ever
-  // handed a RoadSegNet.
-  const auto& net = static_cast<const RoadSegNet&>(model);
-  auto& ctx = *static_cast<PlanContext*>(state.get());
+/// run() inside the calling thread's workspace.
+Tensor run_in_workspace(PlanContext& ctx, const RoadSegNet& net,
+                        const Tensor& rgb, const Tensor& depth,
+                        float fusion_weight, StreamFeatureCache* cache,
+                        bool depth_unchanged) {
   const tensor::Shape rgb_shape = as_nchw(rgb.shape());
   net.check_inputs(rgb_shape, as_nchw(depth.shape()), fusion_weight);
   PlanKey key;
@@ -760,11 +756,6 @@ Tensor run_hook(const roadseg::SegmentationModel& model,
   }
   return out;
 }
-
-[[maybe_unused]] const bool hooks_installed = [] {
-  install_hooks();
-  return true;
-}();
 
 // ---------------------------------------------------------------------------
 // --explain-plan printer
@@ -906,21 +897,30 @@ void print_plan(std::ostream& os, const RoadSegNet& net,
 
 }  // namespace
 
-void install_hooks() {
-  roadseg::PlanHooks hooks;
-  hooks.build = &build_hook;
-  hooks.run = &run_hook;
-  roadseg::set_plan_hooks(hooks);
+Tensor run(PlanContext& ctx, const RoadSegNet& net, const Tensor& rgb,
+           const Tensor& depth, float fusion_weight,
+           StreamFeatureCache* cache, bool depth_unchanged) {
+  if (tensor::Workspace::current() != nullptr) {
+    return run_in_workspace(ctx, net, rgb, depth, fusion_weight, cache,
+                            depth_unchanged);
+  }
+  // Direct callers get a per-thread arena: the first run on a thread
+  // populates it, every later one is allocation-free.
+  thread_local tensor::Workspace workspace;
+  const tensor::WorkspaceScope scope(workspace);
+  return run_in_workspace(ctx, net, rgb, depth, fusion_weight, cache,
+                          depth_unchanged);
 }
+
+void install_hooks() {}
 
 std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
                     int64_t w) {
-  const std::shared_ptr<void> state = net.inference_plan();
-  if (state == nullptr) {
+  const std::shared_ptr<PlanContext> ctx = net.inference_plan();
+  if (ctx == nullptr) {
     return "inference plan unavailable: model is in training mode (call "
            "set_training(false) first); inference uses the autograd graph\n";
   }
-  const auto& ctx = *static_cast<const PlanContext*>(state.get());
   std::ostringstream os;
   // The kernel-selection knob, with the tier serving actually uses.
   const std::string cpu_features = env_string("ROADFUSION_CPU_FEATURES", "");
@@ -928,33 +928,32 @@ std::string explain(const roadseg::RoadSegNet& net, int64_t n, int64_t h,
      << (cpu_features.empty() ? "unset" : cpu_features)
      << " tier=" << common::tier_name(common::active_tier()) << "\n";
   for (const Variant variant : kVariants) {
-    if (ctx.scheme == FusionScheme::kAllFilterB &&
+    if (ctx->scheme == FusionScheme::kAllFilterB &&
         (variant == Variant::kStreamMiss || variant == Variant::kStreamHit)) {
-      continue;  // never cached: see run_hook
+      continue;  // never cached: see run_in_workspace
     }
     PlanKey key;
     key.n = n;
     key.h = h;
     key.w = w;
     key.variant = variant;
-    print_plan(os, net, *compile(ctx, net, key));
+    print_plan(os, net, *compile(*ctx, net, key));
   }
   return os.str();
 }
 
 std::vector<ConvStep> conv_steps(const roadseg::RoadSegNet& net, int64_t n,
                                  int64_t h, int64_t w) {
-  const std::shared_ptr<void> state = net.inference_plan();
+  const std::shared_ptr<PlanContext> ctx = net.inference_plan();
   std::vector<ConvStep> out;
-  if (state == nullptr) {
+  if (ctx == nullptr) {
     return out;
   }
-  const auto& ctx = *static_cast<const PlanContext*>(state.get());
   PlanKey key;
   key.n = n;
   key.h = h;
   key.w = w;
-  const std::shared_ptr<const CompiledPlan> plan = compile(ctx, net, key);
+  const std::shared_ptr<const CompiledPlan> plan = compile(*ctx, net, key);
   for (const Step& st : plan->steps) {
     if (st.conv != nullptr) {
       out.push_back({step_name(st), conv_kind(*st.conv), nchwc_kernel()});

@@ -16,24 +16,52 @@
 // schedule is minimal. It serves every eval-mode RoadSegNet, at any
 // depth and width, bit-for-bit equal to the autograd graph.
 //
-// Integration happens through roadseg/plan_hook.hpp: linking rf_plan into
-// a binary installs the hooks at static init (install_hooks() does it
-// explicitly); without them every predict takes the autograd graph.
+// RoadSegNet calls in directly: in eval mode it builds its PlanContext
+// through build(), once per inference epoch, and serves every predict,
+// predict_fused and predict_stream through run().
+// rf_roadseg and rf_plan link each other, so any binary that links the
+// network links its plan.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "tensor/tensor.hpp"
+
 namespace roadfusion::roadseg {
 class RoadSegNet;
-}
+struct StreamFeatureCache;
+}  // namespace roadfusion::roadseg
 
 namespace roadfusion::plan {
 
-/// Installs the plan hooks into roadseg (idempotent; also performed by a
-/// static initializer in this library, so merely linking rf_plan and
-/// referencing any of its symbols is enough).
+/// Geometry-independent plan state for one network: its packed weights
+/// and a bounded cache of compiled schedules (defined in plan.cpp).
+struct PlanContext;
+
+/// Packs `net`'s current weights and eval-BN statistics into a fresh
+/// context. RoadSegNet::inference_plan() calls it once per inference
+/// epoch.
+std::shared_ptr<PlanContext> build(const roadseg::RoadSegNet& net);
+
+/// Runs one inference of `net` through `ctx` (built from `net`) and
+/// yields the (N, 1, H, W) logits, bit-identical to
+/// `net.forward_fused(...).logits`; rank-3 (C, H, W) inputs are read as
+/// batch 1 without a copy. A non-null `cache` selects the stream
+/// schedules: the cache's slots are reused when `depth_unchanged` holds
+/// and they match the schedule, and repopulated otherwise. The slots live
+/// in the calling thread's Workspace; a caller without one gets a
+/// per-thread arena, which the first run populates and every later run
+/// reuses without allocating.
+tensor::Tensor run(PlanContext& ctx, const roadseg::RoadSegNet& net,
+                   const tensor::Tensor& rgb, const tensor::Tensor& depth,
+                   float fusion_weight, roadseg::StreamFeatureCache* cache,
+                   bool depth_unchanged);
+
+/// Does nothing. Kept only because rfbench (benchmark/workloads.cpp)
+/// still calls it; deleted in the benchmark change of ROADMAP item 1.
 void install_hooks();
 
 /// Human-readable schedules for `net` at input geometry (n, 3, h, w):

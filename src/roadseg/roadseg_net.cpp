@@ -4,7 +4,7 @@
 #include "common/check.hpp"
 #include "nn/module.hpp"
 #include "obs/trace.hpp"
-#include "roadseg/plan_hook.hpp"
+#include "plan/plan.hpp"
 #include "tensor/workspace.hpp"
 
 namespace roadfusion::roadseg {
@@ -175,7 +175,7 @@ ForwardResult RoadSegNet::forward_fused(const autograd::Variable& rgb,
   return result;
 }
 
-std::shared_ptr<void> RoadSegNet::inference_plan() const {
+std::shared_ptr<plan::PlanContext> RoadSegNet::inference_plan() const {
   if (training_) {
     return nullptr;
   }
@@ -184,18 +184,30 @@ std::shared_ptr<void> RoadSegNet::inference_plan() const {
   if (bound != nullptr && bound->epoch == epoch) {
     return bound->state;
   }
-  const PlanHooks hooks = plan_hooks();
-  if (hooks.build == nullptr) {
-    return nullptr;
-  }
   // The plan snapshots the weights and eval-BN statistics of this epoch;
   // it outlives any forward pass, so keep it out of the arena.
   const tensor::NoWorkspaceScope no_pool;
   auto fresh = std::make_shared<PlanBinding>();
   fresh->epoch = epoch;
-  fresh->state = hooks.build(*this);
+  fresh->state = plan::build(*this);
   std::atomic_store(&plan_, std::shared_ptr<const PlanBinding>(fresh));
   return fresh->state;
+}
+
+void RoadSegNet::prepare_inference() const { (void)inference_plan(); }
+
+tensor::Tensor RoadSegNet::inference_logits(const tensor::Tensor& rgb,
+                                            const tensor::Tensor& depth,
+                                            float fusion_weight,
+                                            StreamFeatureCache* cache,
+                                            bool depth_unchanged) const {
+  const std::shared_ptr<plan::PlanContext> ctx = inference_plan();
+  if (ctx == nullptr) {
+    return SegmentationModel::inference_logits(rgb, depth, fusion_weight,
+                                               cache, depth_unchanged);
+  }
+  return plan::run(*ctx, *this, rgb, depth, fusion_weight, cache,
+                   depth_unchanged);
 }
 
 nn::Complexity RoadSegNet::complexity(int64_t height, int64_t width) const {

@@ -25,6 +25,10 @@
 #include "roadseg/encoder.hpp"
 #include "roadseg/segmentation_model.hpp"
 
+namespace roadfusion::plan {
+struct PlanContext;
+}
+
 namespace roadfusion::roadseg {
 
 using core::FusionScheme;
@@ -69,11 +73,21 @@ class RoadSegNet : public SegmentationModel {
   void check_inputs(const tensor::Shape& rgb, const tensor::Shape& depth,
                     float fusion_weight) const override;
 
-  /// The compiled inference plan (DESIGN.md §16): built through the plan
-  /// hooks in eval mode and rebuilt when the inference epoch moves on
-  /// (checkpoint loads, optimizer steps). Null in training mode or with
-  /// no plan library linked.
-  std::shared_ptr<void> inference_plan() const override;
+  /// The compiled inference plan (DESIGN.md §16): built by plan::build in
+  /// eval mode and rebuilt when the inference epoch moves on (checkpoint
+  /// loads, optimizer steps). Null in training mode.
+  std::shared_ptr<plan::PlanContext> inference_plan() const;
+
+  /// Builds the inference plan up front (nothing in training mode).
+  void prepare_inference() const override;
+
+  /// Eval mode: the compiled plan's logits (plan::run), bit-identical to
+  /// the graph's. Training mode: the graph's.
+  tensor::Tensor inference_logits(const tensor::Tensor& rgb,
+                                  const tensor::Tensor& depth,
+                                  float fusion_weight,
+                                  StreamFeatureCache* cache,
+                                  bool depth_unchanged) const override;
 
   const RoadSegConfig& config() const { return config_; }
   int num_stages() const { return rgb_encoder_->num_stages(); }
@@ -107,7 +121,7 @@ class RoadSegNet : public SegmentationModel {
   /// at; swapped atomically, so concurrent rebuilds are benign.
   struct PlanBinding {
     uint64_t epoch = 0;
-    std::shared_ptr<void> state;
+    std::shared_ptr<plan::PlanContext> state;
   };
   mutable std::shared_ptr<const PlanBinding> plan_;
   std::unique_ptr<Encoder> rgb_encoder_;

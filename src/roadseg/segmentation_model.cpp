@@ -6,8 +6,6 @@
 #include "autograd/ops.hpp"
 #include "autograd/variable.hpp"
 #include "common/check.hpp"
-#include "roadseg/plan_hook.hpp"
-#include "tensor/workspace.hpp"
 
 namespace roadfusion::roadseg {
 
@@ -44,17 +42,15 @@ void SegmentationModel::check_inputs(const tensor::Shape& rgb,
                    "fusion_weight must be in [0, 1], got " << fusion_weight);
 }
 
-std::shared_ptr<void> SegmentationModel::inference_plan() const {
-  return nullptr;
-}
-
-void SegmentationModel::prepare_inference() const { (void)inference_plan(); }
-
 namespace {
 
+/// A CHW input as the batch-1 NCHW (arena) copy the graph reads.
 tensor::Tensor as_nchw(const tensor::Tensor& t) {
-  return t.reshaped(tensor::Shape::nchw(1, t.shape().dim(0), t.shape().dim(1),
-                                        t.shape().dim(2)));
+  return t.shape().rank() == 3
+             ? t.reshaped(tensor::Shape::nchw(1, t.shape().dim(0),
+                                              t.shape().dim(1),
+                                              t.shape().dim(2)))
+             : t;
 }
 
 /// Logits -> probabilities, in place, with the numerically-stable
@@ -73,23 +69,8 @@ void sigmoid_in_place(tensor::Tensor& t) {
   }
 }
 
-/// The autograd graph's logits — what every model without a plan serves.
-/// The stream cache has no use here and is invalidated.
-tensor::Tensor graph_logits(const SegmentationModel& model,
-                            const tensor::Tensor& rgb,
-                            const tensor::Tensor& depth, float fusion_weight,
-                            StreamFeatureCache* cache) {
-  if (cache != nullptr) {
-    cache->invalidate();
-  }
-  return model
-      .forward_fused(autograd::Variable::constant(rgb),
-                     autograd::Variable::constant(depth), fusion_weight)
-      .logits.value();
-}
-
-/// Probabilities from the compiled plan when the model has one, else from
-/// the autograd graph. `cache` (may be null) selects the stream schedules.
+/// Probabilities from the model's inference logits. `cache` (may be null)
+/// selects the stream schedules.
 tensor::Tensor run_predict(const SegmentationModel& model,
                            const tensor::Tensor& rgb,
                            const tensor::Tensor& depth, float fusion_weight,
@@ -97,37 +78,14 @@ tensor::Tensor run_predict(const SegmentationModel& model,
   // Inference never needs the graph: with GradMode off, the graph path
   // skips backward closures and the conv im2col cache.
   const autograd::InferenceModeGuard no_grad;
-  const bool chw = rgb.shape().rank() == 3;
-  if (chw) {
-    ROADFUSION_CHECK(depth.shape().rank() == 3,
-                     "predict: rgb is CHW but depth is "
-                         << depth.shape().str());
-  }
-  const auto logits = [&]() -> tensor::Tensor {
-    const std::shared_ptr<void> plan = model.inference_plan();
-    if (plan == nullptr) {
-      // The graph needs NCHW (arena) copies of CHW inputs.
-      return chw ? graph_logits(model, as_nchw(rgb), as_nchw(depth),
-                                fusion_weight, cache)
-                 : graph_logits(model, rgb, depth, fusion_weight, cache);
-    }
-    // The plan reads CHW inputs in place.
-    const auto planned = [&] {
-      return plan_hooks().run(model, plan, rgb, depth, fusion_weight, cache,
-                              depth_unchanged);
-    };
-    if (tensor::Workspace::current() != nullptr) {
-      return planned();
-    }
-    // Direct callers get a per-thread arena: the first predict on a thread
-    // populates it, every later one is allocation-free.
-    thread_local tensor::Workspace workspace;
-    const tensor::WorkspaceScope scope(workspace);
-    return planned();
-  };
-  tensor::Tensor out = logits();
+  ROADFUSION_CHECK(rgb.shape().rank() == depth.shape().rank(),
+                   "predict: rgb " << rgb.shape().str() << " and depth "
+                                   << depth.shape().str()
+                                   << " differ in rank");
+  tensor::Tensor out = model.inference_logits(rgb, depth, fusion_weight,
+                                              cache, depth_unchanged);
   sigmoid_in_place(out);
-  if (chw) {
+  if (rgb.shape().rank() == 3) {
     return std::move(out).reshaped(
         tensor::Shape::chw(1, rgb.shape().dim(1), rgb.shape().dim(2)));
   }
@@ -135,6 +93,19 @@ tensor::Tensor run_predict(const SegmentationModel& model,
 }
 
 }  // namespace
+
+tensor::Tensor SegmentationModel::inference_logits(
+    const tensor::Tensor& rgb, const tensor::Tensor& depth,
+    float fusion_weight, StreamFeatureCache* cache,
+    bool /*depth_unchanged*/) const {
+  if (cache != nullptr) {
+    cache->invalidate();
+  }
+  return forward_fused(autograd::Variable::constant(as_nchw(rgb)),
+                       autograd::Variable::constant(as_nchw(depth)),
+                       fusion_weight)
+      .logits.value();
+}
 
 tensor::Tensor SegmentationModel::predict(const tensor::Tensor& rgb,
                                           const tensor::Tensor& depth) const {

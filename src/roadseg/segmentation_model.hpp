@@ -6,7 +6,6 @@
 // pipeline.
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -78,16 +77,21 @@ class SegmentationModel : public nn::Module {
                             const tensor::Shape& depth,
                             float fusion_weight) const;
 
-  /// The compiled inference plan that serves this model's predicts
-  /// (opaque state for PlanHooks::run, see plan_hook.hpp), or null when
-  /// they take the autograd graph. Default: null — only an eval-mode
-  /// RoadSegNet with a plan library linked has one.
-  virtual std::shared_ptr<void> inference_plan() const;
+  /// The (N, 1, H, W) logits every predict serves, before the sigmoid;
+  /// rank-3 (C, H, W) inputs are read as batch 1. `cache` (may be null)
+  /// carries depth features across stream frames for a model that can
+  /// reuse them. Default: the autograd graph, which invalidates `cache`.
+  /// RoadSegNet overrides it to run its compiled plan in eval mode.
+  virtual tensor::Tensor inference_logits(const tensor::Tensor& rgb,
+                                          const tensor::Tensor& depth,
+                                          float fusion_weight,
+                                          StreamFeatureCache* cache,
+                                          bool depth_unchanged) const;
 
-  /// Builds the inference plan up front (a no-op when the model has
-  /// none), so serving threads never race its lazy build on a first
-  /// predict. Call after set_training(false).
-  void prepare_inference() const;
+  /// Builds whatever serving state the model has up front, so serving
+  /// threads never race its lazy build on a first predict. Call after
+  /// set_training(false). Default: nothing to build.
+  virtual void prepare_inference() const {}
 
   /// Convenience inference: accepts CHW or NCHW tensors and returns road
   /// probabilities of matching rank. Call set_training(false) first.
@@ -103,9 +107,10 @@ class SegmentationModel : public nn::Module {
   /// `predict_fused` with frame-to-frame depth features flowing through
   /// `cache`: same CHW/NCHW handling and bit-identical probabilities.
   /// When `depth_unchanged` is true and `cache` holds features for this
-  /// schedule, the depth encoder is skipped. Without a plan, or for
-  /// schemes whose depth branch reads RGB features (AllFilter_B), it is
-  /// `predict_fused` and the cache is invalidated.
+  /// schedule, the depth encoder is skipped. On the graph (training mode,
+  /// the early/late-fusion baselines), or for schemes whose depth branch
+  /// reads RGB features (AllFilter_B), it is `predict_fused` and the
+  /// cache is invalidated.
   tensor::Tensor predict_stream(const tensor::Tensor& rgb,
                                 const tensor::Tensor& depth,
                                 float fusion_weight,

@@ -108,7 +108,6 @@ StreamFrame StreamGenerator::next() {
   out.index = frame;
   out.depth_refreshed = refreshed;
   out.rgb = kitti::render_rgb(scene, camera_, render_rng);
-  out.label = kitti::render_ground_truth(scene, camera_);
   out.depth = last_depth_;
   // Camera corruptions churn per frame (the camera runs at frame rate);
   // fog hazes the RGB against the current (possibly stale) depth.

@@ -53,7 +53,6 @@ struct StreamConfig {
 struct StreamFrame {
   Tensor rgb;    ///< (3, H, W) corrupted camera frame
   Tensor depth;  ///< (1, H, W) corrupted dense inverse depth
-  Tensor label;  ///< (1, H, W) ground truth
   int64_t index = 0;
   /// True when this frame carries a fresh LiDAR scan; false means `depth`
   /// is bitwise-identical to the previous frame's.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <utility>
 
 #include "obs/clock.hpp"
@@ -43,6 +44,29 @@ const char* tier_event_name(int tier) {
     default:
       return "frontdoor.tier2";
   }
+}
+
+/// Every live door. The registry outlives the doors and keeps one
+/// callback per name, so the queue-depth gauge sums whichever doors are
+/// alive when it is sampled; a door leaves the set before it is freed.
+struct LiveDoors {
+  std::mutex mutex;
+  std::vector<const FrontDoor*> doors;
+};
+
+LiveDoors& live_doors() {
+  static LiveDoors* const live = new LiveDoors();
+  return *live;
+}
+
+double live_queue_depth() {
+  LiveDoors& live = live_doors();
+  const std::lock_guard<std::mutex> lock(live.mutex);
+  size_t depth = 0;
+  for (const FrontDoor* door : live.doors) {
+    depth += door->queue_depth();
+  }
+  return static_cast<double>(depth);
 }
 
 }  // namespace
@@ -92,18 +116,18 @@ FrontDoor::FrontDoor(roadseg::SegmentationModel& model,
   }
   tier_gauge_.set(0.0);
   obs::MetricsRegistry::global().gauge_callback(
-      "roadfusion_frontdoor_queue_depth",
-      [this] { return static_cast<double>(queue_depth()); },
+      "roadfusion_frontdoor_queue_depth", &live_queue_depth,
       "Requests queued across all front-door shards");
+  LiveDoors& live = live_doors();
+  const std::lock_guard<std::mutex> lock(live.mutex);
+  live.doors.push_back(this);
 }
 
 FrontDoor::~FrontDoor() {
   shutdown(runtime::ShutdownMode::kDrain);
-  // The registry outlives this object and callbacks cannot be
-  // unregistered; detach ours so a later render never touches freed state.
-  obs::MetricsRegistry::global().gauge_callback(
-      "roadfusion_frontdoor_queue_depth", [] { return 0.0; },
-      "Requests queued across all front-door shards");
+  LiveDoors& live = live_doors();
+  const std::lock_guard<std::mutex> lock(live.mutex);
+  live.doors.erase(std::find(live.doors.begin(), live.doors.end(), this));
 }
 
 void FrontDoor::shutdown(runtime::ShutdownMode mode) {

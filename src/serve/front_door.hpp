@@ -27,7 +27,7 @@
 //
 // Every decision is surfaced through the PR 4 metrics registry
 // (roadfusion_frontdoor_* counters with tenant/tier labels, tier gauge,
-// queue-depth gauge) and the span tracer (frontdoor.submit spans,
+// queue-depth gauge summed over every live door) and the span tracer (frontdoor.submit spans,
 // frontdoor.tier[0-2] transition events). Timestamps come from the
 // injectable obs::Clock, so tier transitions are deterministic under a
 // VirtualClock (tests/test_frontdoor).

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "obs/clock.hpp"
+#include "obs/metrics.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "runtime/engine.hpp"
 #include "serve/backoff.hpp"
@@ -568,6 +569,45 @@ TEST_F(FrontDoorTest, GenerousDeadlineSurvivesTheForward) {
   EXPECT_NO_THROW((void)engine.submit(rgb(), depth(), options).get());
   engine.shutdown(runtime::ShutdownMode::kDrain);
   EXPECT_EQ(engine.stats().requests_timed_out, 0u);
+}
+
+/// The registry's roadfusion_frontdoor_queue_depth sample (-1 if absent).
+double queue_depth_gauge() {
+  for (const obs::MetricSnapshot& metric :
+       obs::MetricsRegistry::global().snapshot()) {
+    if (metric.name == "roadfusion_frontdoor_queue_depth") {
+      return metric.value;
+    }
+  }
+  return -1.0;
+}
+
+TEST_F(FrontDoorTest, QueueDepthGaugeOutlivesAReplacedDoor) {
+  // A replacement door is built before the old one is dropped (a model
+  // reload); destroying the old door must not blind the gauge to the
+  // door that keeps serving.
+  WorkerGate open_gate;
+  auto old_door = std::make_unique<FrontDoor>(*net_, gated_config(open_gate));
+  WorkerGate gate;
+  gate.close();
+  FrontDoor door(*net_, gated_config(gate));
+  old_door.reset();
+
+  std::vector<std::future<InferenceResult>> futures;
+  futures.push_back(door.submit(rgb(1), depth(1), {}));
+  while (door.shard(0).queue_depth() != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  futures.push_back(door.submit(rgb(2), depth(2), {}));
+  futures.push_back(door.submit(rgb(3), depth(3), {}));
+  EXPECT_EQ(door.queue_depth(), 2u);
+  EXPECT_EQ(queue_depth_gauge(), 2.0);
+  gate.open();
+  for (auto& future : futures) {
+    (void)future.get();
+  }
+  door.shutdown();
+  EXPECT_EQ(queue_depth_gauge(), 0.0);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "plan/plan.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/tensor.hpp"
 
@@ -65,7 +64,6 @@ TEST(GoldenInference, MaskBitStableUnderCompiledPlan) {
   // The inference plan compiler (DESIGN.md §16) must serve the exact
   // golden mask: its blocked-layout schedule is bit-identical to the
   // autograd graph, so the pinned hash holds with the plan active too.
-  plan::install_hooks();
   Rng rng(2022);
   RoadSegConfig config;
   config.stage_channels = {6, 8, 10, 12, 16};

@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "plan/plan.hpp"
-#include "roadseg/plan_hook.hpp"
 #include "roadseg/roadseg_net.hpp"
 #include "tensor/tensor.hpp"
 #include "autograd/ops.hpp"
@@ -60,15 +59,15 @@ Tensor graph_logits(const RoadSegNet& net, const Tensor& rgb,
       .logits.value();
 }
 
-/// The plan's logits, through the same hook predict calls.
+/// The plan's logits, through the same call predict makes.
 Tensor plan_logits(const RoadSegNet& net, const Tensor& rgb,
                    const Tensor& depth, float fusion_weight,
                    StreamFeatureCache* cache = nullptr,
                    bool depth_unchanged = false) {
-  const std::shared_ptr<void> state = net.inference_plan();
-  EXPECT_NE(state, nullptr) << "an eval-mode RoadSegNet must have a plan";
-  return roadseg::plan_hooks().run(net, state, rgb, depth, fusion_weight,
-                                   cache, depth_unchanged);
+  const std::shared_ptr<PlanContext> ctx = net.inference_plan();
+  EXPECT_NE(ctx, nullptr) << "an eval-mode RoadSegNet must have a plan";
+  return plan::run(*ctx, net, rgb, depth, fusion_weight, cache,
+                   depth_unchanged);
 }
 
 void expect_bitwise_equal(const Tensor& planned, const Tensor& graph,
@@ -90,7 +89,6 @@ obs::Counter& runs(const char* variant) {
 }
 
 TEST(PlanParity, BitwiseIdenticalToGraphForEverySchemeAndWeight) {
-  install_hooks();
   for (const FusionScheme scheme : kSchemes) {
     for (const float fw : {1.0f, 0.35f, 0.0f}) {
       Rng rng(11);
@@ -111,7 +109,6 @@ TEST(PlanParity, BitwiseIdenticalToGraphForEverySchemeAndWeight) {
 }
 
 TEST(PlanParity, RgbOnlyNeverReadsDepthValues) {
-  install_hooks();
   Rng rng(18);
   RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
   net.set_training(false);
@@ -127,7 +124,6 @@ TEST(PlanParity, RgbOnlyNeverReadsDepthValues) {
 }
 
 TEST(PlanParity, BatchedInputsMatchGraph) {
-  install_hooks();
   // WeightedSharing's AWN weighs each sample of the batch with its own
   // weight, on the blocked layout.
   for (const FusionScheme scheme : kSchemes) {
@@ -147,7 +143,6 @@ TEST(PlanParity, BatchedInputsMatchGraph) {
 }
 
 TEST(PlanParity, GeometryChangeRecompilesAndStaysExact) {
-  install_hooks();
   Rng rng(13);
   RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
   net.set_training(false);
@@ -164,7 +159,6 @@ TEST(PlanParity, GeometryChangeRecompilesAndStaysExact) {
 }
 
 TEST(PlanStream, MissThenHitsMatchGraphForEveryScheme) {
-  install_hooks();
   for (const FusionScheme scheme : kSchemes) {
     Rng rng(19);
     RoadSegNet net(config_for(scheme), rng);
@@ -196,7 +190,6 @@ TEST(PlanStream, MissThenHitsMatchGraphForEveryScheme) {
 }
 
 TEST(PlanStream, GeometryChangeIsAMissNotAStaleHit) {
-  install_hooks();
   Rng rng(20);
   RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
   net.set_training(false);
@@ -221,7 +214,6 @@ TEST(PlanStream, GeometryChangeIsAMissNotAStaleHit) {
 }
 
 TEST(PlanParity, KcDeepNetsArePlannedAndMatchTheGraph) {
-  install_hooks();
   // Reductions deeper than the GEMM's Kc block (384): rgb.stage2.conv2
   // reduces over 48 * 3 * 3 = 432, and decoder.up2 (a tconv) over 392
   // input channels.
@@ -276,7 +268,6 @@ TEST(PlanParity, KcDeepNetsArePlannedAndMatchTheGraph) {
 // A shared stage runs one pack for both branches, but each step keeps
 // its own branch-qualified name, in explain and in conv_steps alike.
 TEST(PlanExplain, SharedStageStepsNameTheirBranch) {
-  install_hooks();
   for (const FusionScheme scheme :
        {FusionScheme::kBaseSharing, FusionScheme::kWeightedSharing}) {
     Rng rng(31);
@@ -313,7 +304,6 @@ std::set<std::string> decoder_up_names(const std::vector<std::string>& names) {
 }
 
 TEST(PlanTrace, DecoderSpansCarryExplainsLayerNames) {
-  install_hooks();
   Rng rng(23);
   RoadSegNet net(RoadSegConfig{}, rng);
   net.set_training(false);
@@ -345,7 +335,6 @@ TEST(PlanTrace, DecoderSpansCarryExplainsLayerNames) {
 }
 
 TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
-  install_hooks();
   Rng rng(16);
   RoadSegNet net(config_for(FusionScheme::kAllFilterU), rng);
   net.set_training(false);
@@ -364,7 +353,6 @@ TEST(PlanExplain, PrintsEveryScheduleWithLayoutsSolversAndSlots) {
 }
 
 TEST(PlanExplain, OnlyTheOutputLeavesTheBlockedLayout) {
-  install_hooks();
   for (const FusionScheme scheme : kSchemes) {
     Rng rng(22);
     RoadSegNet net(config_for(scheme), rng);
@@ -403,7 +391,6 @@ TEST(PlanExplain, OnlyTheOutputLeavesTheBlockedLayout) {
 }
 
 TEST(PlanExplain, PrintsTheKernelSelectionKnobWithItsEffectiveValue) {
-  install_hooks();
   Rng rng(17);
   RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
   net.set_training(false);
@@ -437,7 +424,6 @@ TEST(PlanExplain, PrintsTheKernelSelectionKnobWithItsEffectiveValue) {
 }
 
 TEST(PlanExplain, PrintsEachBlockedConvStepsTile) {
-  install_hooks();
   Rng rng(19);
   RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
   net.set_training(false);
@@ -481,7 +467,6 @@ TEST(PlanExplain, PrintsEachBlockedConvStepsTile) {
 }
 
 TEST(PlanCache, GeometrySweepStaysBoundedAndExact) {
-  install_hooks();
   Rng rng(23);
   RoadSegNet net(config_for(FusionScheme::kBaseSharing), rng);
   net.set_training(false);
@@ -518,7 +503,6 @@ TEST(PlanCache, GeometrySweepStaysBoundedAndExact) {
 }
 
 TEST(PlanParity, DeepNetsMatchTheGraphForEverySchemeAndSchedule) {
-  install_hooks();
   const struct {
     std::vector<int64_t> channels;
     int64_t extent;
@@ -561,7 +545,6 @@ TEST(PlanParity, DeepNetsMatchTheGraphForEverySchemeAndSchedule) {
 }
 
 TEST(PlanMetrics, ExplainMovesNoServingCounter) {
-  install_hooks();
   Rng rng(25);
   RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
   net.set_training(false);
@@ -576,7 +559,6 @@ TEST(PlanMetrics, ExplainMovesNoServingCounter) {
 }
 
 TEST(PlanMetrics, CompilesCountScheduledLayers) {
-  install_hooks();
   obs::Counter& compiles = counter("roadfusion_plan_compiles_total");
   obs::Counter& layers = counter("roadfusion_plan_layers_total");
   for (const FusionScheme scheme : kSchemes) {
@@ -602,7 +584,6 @@ TEST(PlanMetrics, CompilesCountScheduledLayers) {
 }
 
 TEST(PlanZeroAlloc, SteadyStatePredictsAreAllocationFree) {
-  install_hooks();
   Rng rng(17);
   RoadSegNet net(config_for(FusionScheme::kWeightedSharing), rng);
   net.set_training(false);

@@ -224,6 +224,23 @@ TEST(RoadSegNet, RejectsBadInputs) {
   EXPECT_THROW(net.forward(rgb_ok, depth_small), Error);
 }
 
+TEST(RoadSegNet, PredictRejectsMixedRankInputsInEveryMode) {
+  // An NCHW rgb with a CHW depth is no input pair for the graph; the plan
+  // serving eval mode must refuse it too rather than read depth as batch 1.
+  Rng rng(13);
+  RoadSegNet net(config_for(FusionScheme::kBaseline), rng);
+  const Tensor rgb = Tensor::normal(Shape::nchw(1, 3, 32, 96), rng);
+  const Tensor depth = Tensor::normal(Shape::chw(1, 32, 96), rng);
+  for (const bool training : {true, false}) {
+    net.set_training(training);
+    EXPECT_THROW(net.predict(rgb, depth), Error) << "training=" << training;
+    EXPECT_THROW(net.predict_fused(rgb, depth, 0.5f), Error)
+        << "training=" << training;
+    EXPECT_THROW(net.predict_fused(depth, rgb, 0.5f), Error)
+        << "training=" << training;
+  }
+}
+
 TEST(RoadSegNet, FusionFilterParamsMatchManualCount) {
   Rng rng(12);
   RoadSegNet baseline(config_for(FusionScheme::kBaseline), rng);

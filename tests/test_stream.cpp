@@ -93,8 +93,6 @@ TEST(StreamGenerator, ReuseMatchesNaiveRecomputationBitwise) {
     expect_bitwise_equal(a.rgb, b.rgb, "rgb frame " + std::to_string(i));
     expect_bitwise_equal(a.depth, b.depth,
                          "depth frame " + std::to_string(i));
-    expect_bitwise_equal(a.label, b.label,
-                         "label frame " + std::to_string(i));
   }
 }
 
